@@ -1,106 +1,217 @@
 (* JSON-lines codec for events. One flat object per line; values are
-   strings, ints and bools only, so a tiny hand-rolled parser suffices
-   (no external JSON dependency). *)
+   strings, ints and bools only, so a tiny hand-rolled codec suffices
+   (no external JSON dependency). Both directions take one pass over a
+   line: rendering writes each kind's fields straight into a buffer,
+   parsing reads every key in place into a slot of its own. *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
+(* {2 Keys} *)
+
+(* Every key some event carries. [lit] is what the renderer writes
+   before the value; [slot] is where the parser files it. *)
+type key = { name : string; slot : int; lit : string }
+
+let keys = ref []
+
+let key name =
+  let k = { name; slot = List.length !keys; lit = ",\"" ^ name ^ "\":" } in
+  keys := k :: !keys;
+  k
+
+let k_seq = key "seq"
+let k_at_ns = key "at_ns"
+let k_tid = key "tid"
+let k_kind = key "kind"
+let k_span = key "span"
+let k_client = key "client"
+let k_server = key "server"
+let k_fn = key "fn"
+let k_ok = key "ok"
+let k_cid = key "cid"
+let k_detector = key "detector"
+let k_epoch = key "epoch"
+let k_image_kb = key "image_kb"
+let k_cost_ns = key "cost_ns"
+let k_victim = key "victim"
+let k_iface = key "iface"
+let k_desc = key "desc"
+let k_reason = key "reason"
+let k_op = key "op"
+let k_space = key "space"
+let k_id = key "id"
+let k_reg = key "reg"
+let k_bit = key "bit"
+let k_outcome = key "outcome"
+let k_path = key "path"
+let k_status = key "status"
+let k_arrival_ns = key "arrival_ns"
+let k_start_ns = key "start_ns"
+let k_finish_ns = key "finish_ns"
+let k_action = key "action"
+let k_in_walk = key "in_walk"
+let k_name = key "name"
+let k_data = key "data"
+let n_slots = List.length !keys
+
+(* the keys by their first byte, for the parser's in-place lookup *)
+let by_first =
+  let t = Array.make 256 [] in
+  List.iter
+    (fun k ->
+      let c = Char.code k.name.[0] in
+      t.(c) <- k :: t.(c))
+    !keys;
+  t
+
+(* {2 Rendering} *)
+
+let needs_escape c = c < ' ' || c = '"' || c = '\\'
+let hex_digits = "0123456789abcdef"
+
+(* copies each run of bytes that need no escaping in one piece, so a
+   clean string is a single [add_substring] *)
+let add_escaped b s =
+  let n = String.length s in
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if needs_escape c then begin
+      Buffer.add_substring b s !run (i - !run);
+      run := i + 1;
       match c with
       | '"' -> Buffer.add_string b "\\\""
       | '\\' -> Buffer.add_string b "\\\\"
       | '\n' -> Buffer.add_string b "\\n"
       | '\r' -> Buffer.add_string b "\\r"
       | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+      | c ->
+          Buffer.add_string b "\\u00";
+          Buffer.add_char b hex_digits.[Char.code c lsr 4];
+          Buffer.add_char b hex_digits.[Char.code c land 0xf]
+    end
+  done;
+  Buffer.add_substring b s !run (n - !run)
 
-type field = S of string | I of int | B of bool
+let escape s =
+  if String.exists needs_escape s then begin
+    let b = Buffer.create (String.length s + 8) in
+    add_escaped b s;
+    Buffer.contents b
+  end
+  else s
 
-let fields_of_kind = function
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+
+(* the bytes of [string_of_int n] *)
+let add_int b n =
+  if n >= 0 then add_digits b n
+  else if n = min_int then Buffer.add_string b (string_of_int n)
+  else begin
+    Buffer.add_char b '-';
+    add_digits b (-n)
+  end
+
+let int_field b k v =
+  Buffer.add_string b k.lit;
+  add_int b v
+
+let str_field b k v =
+  Buffer.add_string b k.lit;
+  Buffer.add_char b '"';
+  add_escaped b v;
+  Buffer.add_char b '"'
+
+let bool_field b k v =
+  Buffer.add_string b k.lit;
+  Buffer.add_string b (if v then "true" else "false")
+
+let add_event b (e : Event.t) =
+  Buffer.add_string b "{\"seq\":";
+  add_int b e.seq;
+  int_field b k_at_ns e.at_ns;
+  int_field b k_tid e.tid;
+  Buffer.add_string b k_kind.lit;
+  Buffer.add_char b '"';
+  Buffer.add_string b (Event.kind_name e.kind);
+  Buffer.add_char b '"';
+  (match e.kind with
   | Event.Span_begin { span; client; server; fn } ->
-      [ ("span", I span); ("client", I client); ("server", I server); ("fn", S fn) ]
+      int_field b k_span span;
+      int_field b k_client client;
+      int_field b k_server server;
+      str_field b k_fn fn
   | Event.Span_end { span; server; ok } ->
-      [ ("span", I span); ("server", I server); ("ok", B ok) ]
-  | Event.Crash { cid; detector } -> [ ("cid", I cid); ("detector", S detector) ]
+      int_field b k_span span;
+      int_field b k_server server;
+      bool_field b k_ok ok
+  | Event.Crash { cid; detector } ->
+      int_field b k_cid cid;
+      str_field b k_detector detector
   | Event.Reboot { cid; epoch; image_kb; cost_ns } ->
-      [ ("cid", I cid); ("epoch", I epoch); ("image_kb", I image_kb); ("cost_ns", I cost_ns) ]
-  | Event.Divert { cid; victim } -> [ ("cid", I cid); ("victim", I victim) ]
-  | Event.Upcall { cid; fn } -> [ ("cid", I cid); ("fn", S fn) ]
-  | Event.Reflect { cid; fn } -> [ ("cid", I cid); ("fn", S fn) ]
+      int_field b k_cid cid;
+      int_field b k_epoch epoch;
+      int_field b k_image_kb image_kb;
+      int_field b k_cost_ns cost_ns
+  | Event.Divert { cid; victim } ->
+      int_field b k_cid cid;
+      int_field b k_victim victim
+  | Event.Upcall { cid; fn } | Event.Reflect { cid; fn } ->
+      int_field b k_cid cid;
+      str_field b k_fn fn
   | Event.Walk_begin { client; server; iface; desc; reason } ->
-      [
-        ("client", I client);
-        ("server", I server);
-        ("iface", S iface);
-        ("desc", I desc);
-        ("reason", S (Event.reason_to_string reason));
-      ]
+      int_field b k_client client;
+      int_field b k_server server;
+      str_field b k_iface iface;
+      int_field b k_desc desc;
+      str_field b k_reason (Event.reason_to_string reason)
   | Event.Walk_end { client; server; ok } ->
-      [ ("client", I client); ("server", I server); ("ok", B ok) ]
+      int_field b k_client client;
+      int_field b k_server server;
+      bool_field b k_ok ok
   | Event.Recover_begin { client; server; iface } ->
-      [ ("client", I client); ("server", I server); ("iface", S iface) ]
+      int_field b k_client client;
+      int_field b k_server server;
+      str_field b k_iface iface
   | Event.Recover_end { client; server } ->
-      [ ("client", I client); ("server", I server) ]
+      int_field b k_client client;
+      int_field b k_server server
   | Event.Storage_op { op; space; id } ->
-      [ ("op", S op); ("space", S space); ("id", I id) ]
+      str_field b k_op op;
+      str_field b k_space space;
+      int_field b k_id id
   | Event.Inject { cid; fn; reg; bit; outcome } ->
-      [
-        ("cid", I cid);
-        ("fn", S fn);
-        ("reg", S reg);
-        ("bit", I bit);
-        ("outcome", S outcome);
-      ]
+      int_field b k_cid cid;
+      str_field b k_fn fn;
+      str_field b k_reg reg;
+      int_field b k_bit bit;
+      str_field b k_outcome outcome
   | Event.Http { cid; path; status } ->
-      [ ("cid", I cid); ("path", S path); ("status", I status) ]
+      int_field b k_cid cid;
+      str_field b k_path path;
+      int_field b k_status status
   | Event.Http_req { cid; client; arrival_ns; start_ns; finish_ns; status; outcome }
     ->
-      [
-        ("cid", I cid);
-        ("client", I client);
-        ("arrival_ns", I arrival_ns);
-        ("start_ns", I start_ns);
-        ("finish_ns", I finish_ns);
-        ("status", I status);
-        ("outcome", S outcome);
-      ]
+      int_field b k_cid cid;
+      int_field b k_client client;
+      int_field b k_arrival_ns arrival_ns;
+      int_field b k_start_ns start_ns;
+      int_field b k_finish_ns finish_ns;
+      int_field b k_status status;
+      str_field b k_outcome outcome
   | Event.Perturb { iface; fn; action; in_walk } ->
-      [
-        ("iface", S iface);
-        ("fn", S fn);
-        ("action", S action);
-        ("in_walk", B in_walk);
-      ]
-  | Event.Note { name; data } -> [ ("name", S name); ("data", S data) ]
+      str_field b k_iface iface;
+      str_field b k_fn fn;
+      str_field b k_action action;
+      bool_field b k_in_walk in_walk
+  | Event.Note { name; data } ->
+      str_field b k_name name;
+      str_field b k_data data);
+  Buffer.add_char b '}'
 
-let to_string (e : Event.t) =
+let to_string e =
   let b = Buffer.create 128 in
-  Buffer.add_char b '{';
-  let first = ref true in
-  let put k v =
-    if not !first then Buffer.add_char b ',';
-    first := false;
-    Buffer.add_char b '"';
-    Buffer.add_string b k;
-    Buffer.add_string b "\":";
-    match v with
-    | S s ->
-        Buffer.add_char b '"';
-        Buffer.add_string b (escape s);
-        Buffer.add_char b '"'
-    | I i -> Buffer.add_string b (string_of_int i)
-    | B bv -> Buffer.add_string b (if bv then "true" else "false")
-  in
-  put "seq" (I e.Event.seq);
-  put "at_ns" (I e.Event.at_ns);
-  put "tid" (I e.Event.tid);
-  put "kind" (S (Event.kind_name e.Event.kind));
-  List.iter (fun (k, v) -> put k v) (fields_of_kind e.Event.kind);
-  Buffer.add_char b '}';
+  add_event b e;
   Buffer.contents b
 
 (* {2 Parsing} *)
@@ -109,157 +220,249 @@ exception Parse_error of string
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Parse_error m)) fmt
 
-(* parse one flat object of string/int/bool fields *)
-let parse_fields line =
+let rec skip_ws line n i =
+  if i < n && (match String.unsafe_get line i with ' ' | '\t' -> true | _ -> false)
+  then skip_ws line n (i + 1)
+  else i
+
+let hex_value = function
+  | '0' .. '9' as c -> Char.code c - Char.code '0'
+  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+  | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+  | _ -> -1
+
+(* The code of the four bytes after a \u at [i], read as
+   [int_of_string ("0x" ^ hex)] reads them: a hex digit, then hex
+   digits or '_'. *)
+let u_escape line i =
+  let rec go code j =
+    if j = 4 then code
+    else
+      match line.[i + j] with
+      | '_' when j > 0 -> go code (j + 1)
+      | c ->
+          let d = hex_value c in
+          if d < 0 then fail "bad \\u escape %s" (String.sub line i 4);
+          go ((code * 16) + d) (j + 1)
+  in
+  go 0 0
+
+(* the index just past the escape whose backslash is at [j] *)
+let skip_escape line n j =
+  let j = j + 1 in
+  if j >= n then fail "dangling escape in %s" line;
+  match String.unsafe_get line j with
+  | '"' | '\\' | '/' | 'n' | 'r' | 't' -> j + 1
+  | 'u' ->
+      if j + 4 >= n then fail "short \\u escape in %s" line;
+      ignore (u_escape line (j + 1));
+      j + 5
+  | c -> fail "bad escape \\%c in %s" c line
+
+(* Checks the body of a string that starts at [i], just past its
+   opening quote. Returns the index of the closing quote, or [-q - 1]
+   for a closing quote at [q] when the body holds an escape. *)
+let rec string_end line n i escaped =
+  if i >= n then fail "unterminated string in %s" line
+  else
+    match String.unsafe_get line i with
+    | '"' -> if escaped then -i - 1 else i
+    | '\\' -> string_end line n (skip_escape line n i) true
+    | _ -> string_end line n (i + 1) escaped
+
+let close_quote e = if e >= 0 then e else -e - 1
+
+(* the body [i, stop) of a string [string_end] has checked, unescaped *)
+let unescape line i stop =
+  let b = Buffer.create (stop - i) in
+  let rec go j =
+    if j < stop then
+      match line.[j] with
+      | '\\' -> (
+          match line.[j + 1] with
+          | 'n' ->
+              Buffer.add_char b '\n';
+              go (j + 2)
+          | 'r' ->
+              Buffer.add_char b '\r';
+              go (j + 2)
+          | 't' ->
+              Buffer.add_char b '\t';
+              go (j + 2)
+          | 'u' ->
+              (* emitted escapes are all < 0x20; keep it byte-sized *)
+              Buffer.add_char b (Char.chr (u_escape line (j + 2) land 0xff));
+              go (j + 6)
+          | c ->
+              Buffer.add_char b c;
+              go (j + 2))
+      | c ->
+          Buffer.add_char b c;
+          go (j + 1)
+  in
+  go i;
+  Buffer.contents b
+
+(* whether [line] holds [lit] from [i] on *)
+let rec spells line i lit j =
+  j = String.length lit
+  || (String.unsafe_get line (i + j) = String.unsafe_get lit j && spells line i lit (j + 1))
+
+let has_lit line n i lit = i + String.length lit <= n && spells line i lit 0
+
+let rec find_slot line i len = function
+  | [] -> -1
+  | k :: rest ->
+      if String.length k.name = len && spells line i k.name 0 then k.slot
+      else find_slot line i len rest
+
+(* the slot of the key spelled by the [len] bytes at [i], or -1 *)
+let slot_at line i len =
+  if len = 0 then -1 else find_slot line i len by_first.(Char.code (String.unsafe_get line i))
+
+let rec digits_end line n i =
+  if i < n && (match String.unsafe_get line i with '0' .. '9' -> true | _ -> false)
+  then digits_end line n (i + 1)
+  else i
+
+let neg_limit = min_int / 10
+
+(* Minus the value of the digits in [i, j) of the number at [at].
+   Counting down reaches [min_int], so this rejects what
+   [int_of_string] rejects. *)
+let rec neg_digits line at i j acc =
+  if i = j then acc
+  else
+    let d = Char.code (String.unsafe_get line i) - Char.code '0' in
+    if acc < neg_limit || acc * 10 < min_int + d then
+      fail "number out of range at %d in %s" at line;
+    neg_digits line at (i + 1) j ((acc * 10) - d)
+
+(* The parser's slots: [pos.(2s)] is where the first value of the key
+   with slot [s] starts, -1 if none; [pos.(2s + 1)] is that value when it
+   is an int, and [string_end]'s result when it is a string (a bool is
+   read off its first byte). A later duplicate of a key is checked but
+   not kept. *)
+type slots = { line : string; pos : int array }
+
+let store pos slot at v =
+  if slot >= 0 && pos.(2 * slot) < 0 then begin
+    pos.(2 * slot) <- at;
+    pos.((2 * slot) + 1) <- v
+  end
+
+(* parse the value at [i] into [slot]; returns the index past it *)
+let value line n pos slot i =
+  if i >= n then fail "bad value at %d in %s" i line;
+  match String.unsafe_get line i with
+  | '"' ->
+      let e = string_end line n (i + 1) false in
+      store pos slot i e;
+      close_quote e + 1
+  | 't' ->
+      if has_lit line n i "true" then begin
+        store pos slot i 0;
+        i + 4
+      end
+      else fail "bad literal at %d in %s" i line
+  | 'f' ->
+      if has_lit line n i "false" then begin
+        store pos slot i 0;
+        i + 5
+      end
+      else fail "bad literal at %d in %s" i line
+  | ('-' | '0' .. '9') as c ->
+      let first = if c = '-' then i + 1 else i in
+      let j = digits_end line n first in
+      if j = first then fail "bad number at %d in %s" i line;
+      let neg = neg_digits line i first j 0 in
+      if c <> '-' && neg = min_int then fail "number out of range at %d in %s" i line;
+      store pos slot i (if c = '-' then neg else -neg);
+      j
+  | _ -> fail "bad value at %d in %s" i line
+
+let expect line n c i =
+  let i = skip_ws line n i in
+  if i >= n || String.unsafe_get line i <> c then fail "expected %C at %d in %s" c i line;
+  i + 1
+
+(* the members after '{' up to and including the closing '}' *)
+let rec members line n pos i =
+  let i = expect line n '"' i in
+  let e = string_end line n i false in
+  let slot =
+    if e >= 0 then slot_at line i (e - i)
+    else
+      let k = unescape line i (-e - 1) in
+      slot_at k 0 (String.length k)
+  in
+  let i = expect line n ':' (close_quote e + 1) in
+  let i = skip_ws line n (value line n pos slot (skip_ws line n i)) in
+  if i < n && String.unsafe_get line i = ',' then members line n pos (i + 1)
+  else if i < n && String.unsafe_get line i = '}' then i + 1
+  else fail "expected ',' or '}' at %d in %s" i line
+
+let scan line =
   let n = String.length line in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some line.[!pos] else None in
-  let skip_ws () =
-    while !pos < n && (match line.[!pos] with ' ' | '\t' -> true | _ -> false) do
-      incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    match peek () with
-    | Some c' when c' = c -> incr pos
-    | _ -> fail "expected %C at %d in %s" c !pos line
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string in %s" line
-      else
-        match line.[!pos] with
-        | '"' -> incr pos
-        | '\\' ->
-            incr pos;
-            (if !pos >= n then fail "dangling escape in %s" line
-             else
-               match line.[!pos] with
-               | '"' -> Buffer.add_char b '"'
-               | '\\' -> Buffer.add_char b '\\'
-               | '/' -> Buffer.add_char b '/'
-               | 'n' -> Buffer.add_char b '\n'
-               | 'r' -> Buffer.add_char b '\r'
-               | 't' -> Buffer.add_char b '\t'
-               | 'u' ->
-                   if !pos + 4 >= n then fail "short \\u escape in %s" line;
-                   let hex = String.sub line (!pos + 1) 4 in
-                   let code =
-                     try int_of_string ("0x" ^ hex)
-                     with _ -> fail "bad \\u escape %s" hex
-                   in
-                   (* emitted escapes are all < 0x20; keep it byte-sized *)
-                   Buffer.add_char b (Char.chr (code land 0xff));
-                   pos := !pos + 4
-               | c -> fail "bad escape \\%c in %s" c line);
-            incr pos;
-            go ()
-        | c ->
-            Buffer.add_char b c;
-            incr pos;
-            go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> S (parse_string ())
-    | Some 't' ->
-        if !pos + 4 <= n && String.sub line !pos 4 = "true" then begin
-          pos := !pos + 4;
-          B true
-        end
-        else fail "bad literal at %d in %s" !pos line
-    | Some 'f' ->
-        if !pos + 5 <= n && String.sub line !pos 5 = "false" then begin
-          pos := !pos + 5;
-          B false
-        end
-        else fail "bad literal at %d in %s" !pos line
-    | Some ('-' | '0' .. '9') ->
-        let start = !pos in
-        if peek () = Some '-' then incr pos;
-        while !pos < n && (match line.[!pos] with '0' .. '9' -> true | _ -> false) do
-          incr pos
-        done;
-        if !pos = start then fail "bad number at %d in %s" start line;
-        I (int_of_string (String.sub line start (!pos - start)))
-    | _ -> fail "bad value at %d in %s" !pos line
-  in
-  expect '{';
-  skip_ws ();
-  let fields = ref [] in
-  (match peek () with
-  | Some '}' -> incr pos
-  | _ ->
-      let rec members () =
-        skip_ws ();
-        let k = parse_string () in
-        expect ':';
-        let v = parse_value () in
-        fields := (k, v) :: !fields;
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-            incr pos;
-            members ()
-        | Some '}' -> incr pos
-        | _ -> fail "expected ',' or '}' at %d in %s" !pos line
-      in
-      members ());
-  skip_ws ();
-  if !pos <> n then fail "trailing bytes at %d in %s" !pos line;
-  List.rev !fields
+  let pos = Array.make (2 * n_slots) (-1) in
+  let i = skip_ws line n (expect line n '{' 0) in
+  let i = if i < n && String.unsafe_get line i = '}' then i + 1 else members line n pos i in
+  let i = skip_ws line n i in
+  if i <> n then fail "trailing bytes at %d in %s" i line;
+  { line; pos }
 
-let get fields k =
-  match List.assoc_opt k fields with
-  | Some v -> v
-  | None -> fail "missing field %s" k
+let start s k =
+  let p = s.pos.(2 * k.slot) in
+  if p < 0 then fail "missing field %s" k.name else p
 
-let int_f fields k =
-  match get fields k with I i -> i | _ -> fail "field %s: expected int" k
+let int_f s k =
+  match String.unsafe_get s.line (start s k) with
+  | '-' | '0' .. '9' -> s.pos.((2 * k.slot) + 1)
+  | _ -> fail "field %s: expected int" k.name
 
-let str_f fields k =
-  match get fields k with S s -> s | _ -> fail "field %s: expected string" k
+let str_f s k =
+  let p = start s k in
+  if String.unsafe_get s.line p <> '"' then fail "field %s: expected string" k.name
+  else
+    let e = s.pos.((2 * k.slot) + 1) in
+    if e >= 0 then String.sub s.line (p + 1) (e - p - 1)
+    else unescape s.line (p + 1) (-e - 1)
 
-let bool_f fields k =
-  match get fields k with B b -> b | _ -> fail "field %s: expected bool" k
+let bool_f s k =
+  match String.unsafe_get s.line (start s k) with
+  | 't' -> true
+  | 'f' -> false
+  | _ -> fail "field %s: expected bool" k.name
 
 let of_string line =
-  let f = parse_fields line in
+  let f = scan line in
   let kind =
-    match str_f f "kind" with
+    match str_f f k_kind with
     | "span_begin" ->
         Event.Span_begin
           {
-            span = int_f f "span";
-            client = int_f f "client";
-            server = int_f f "server";
-            fn = str_f f "fn";
+            span = int_f f k_span;
+            client = int_f f k_client;
+            server = int_f f k_server;
+            fn = str_f f k_fn;
           }
     | "span_end" ->
         Event.Span_end
-          { span = int_f f "span"; server = int_f f "server"; ok = bool_f f "ok" }
-    | "crash" ->
-        Event.Crash { cid = int_f f "cid"; detector = str_f f "detector" }
+          { span = int_f f k_span; server = int_f f k_server; ok = bool_f f k_ok }
+    | "crash" -> Event.Crash { cid = int_f f k_cid; detector = str_f f k_detector }
     | "reboot" ->
         Event.Reboot
           {
-            cid = int_f f "cid";
-            epoch = int_f f "epoch";
-            image_kb = int_f f "image_kb";
-            cost_ns = int_f f "cost_ns";
+            cid = int_f f k_cid;
+            epoch = int_f f k_epoch;
+            image_kb = int_f f k_image_kb;
+            cost_ns = int_f f k_cost_ns;
           }
-    | "divert" -> Event.Divert { cid = int_f f "cid"; victim = int_f f "victim" }
-    | "upcall" -> Event.Upcall { cid = int_f f "cid"; fn = str_f f "fn" }
-    | "reflect" -> Event.Reflect { cid = int_f f "cid"; fn = str_f f "fn" }
+    | "divert" -> Event.Divert { cid = int_f f k_cid; victim = int_f f k_victim }
+    | "upcall" -> Event.Upcall { cid = int_f f k_cid; fn = str_f f k_fn }
+    | "reflect" -> Event.Reflect { cid = int_f f k_cid; fn = str_f f k_fn }
     | "walk_begin" ->
-        let reason_s = str_f f "reason" in
+        let reason_s = str_f f k_reason in
         let reason =
           match Event.reason_of_string reason_s with
           | Some r -> r
@@ -267,69 +470,71 @@ let of_string line =
         in
         Event.Walk_begin
           {
-            client = int_f f "client";
-            server = int_f f "server";
-            iface = str_f f "iface";
-            desc = int_f f "desc";
+            client = int_f f k_client;
+            server = int_f f k_server;
+            iface = str_f f k_iface;
+            desc = int_f f k_desc;
             reason;
           }
     | "walk_end" ->
         Event.Walk_end
-          { client = int_f f "client"; server = int_f f "server"; ok = bool_f f "ok" }
+          { client = int_f f k_client; server = int_f f k_server; ok = bool_f f k_ok }
     | "recover_begin" ->
         Event.Recover_begin
-          { client = int_f f "client"; server = int_f f "server"; iface = str_f f "iface" }
+          {
+            client = int_f f k_client;
+            server = int_f f k_server;
+            iface = str_f f k_iface;
+          }
     | "recover_end" ->
-        Event.Recover_end { client = int_f f "client"; server = int_f f "server" }
+        Event.Recover_end { client = int_f f k_client; server = int_f f k_server }
     | "storage_op" ->
         Event.Storage_op
-          { op = str_f f "op"; space = str_f f "space"; id = int_f f "id" }
+          { op = str_f f k_op; space = str_f f k_space; id = int_f f k_id }
     | "inject" ->
         Event.Inject
           {
-            cid = int_f f "cid";
-            fn = str_f f "fn";
-            reg = str_f f "reg";
-            bit = int_f f "bit";
-            outcome = str_f f "outcome";
+            cid = int_f f k_cid;
+            fn = str_f f k_fn;
+            reg = str_f f k_reg;
+            bit = int_f f k_bit;
+            outcome = str_f f k_outcome;
           }
     | "http" ->
         Event.Http
-          { cid = int_f f "cid"; path = str_f f "path"; status = int_f f "status" }
+          { cid = int_f f k_cid; path = str_f f k_path; status = int_f f k_status }
     | "http_req" ->
         Event.Http_req
           {
-            cid = int_f f "cid";
-            client = int_f f "client";
-            arrival_ns = int_f f "arrival_ns";
-            start_ns = int_f f "start_ns";
-            finish_ns = int_f f "finish_ns";
-            status = int_f f "status";
-            outcome = str_f f "outcome";
+            cid = int_f f k_cid;
+            client = int_f f k_client;
+            arrival_ns = int_f f k_arrival_ns;
+            start_ns = int_f f k_start_ns;
+            finish_ns = int_f f k_finish_ns;
+            status = int_f f k_status;
+            outcome = str_f f k_outcome;
           }
     | "perturb" ->
         Event.Perturb
           {
-            iface = str_f f "iface";
-            fn = str_f f "fn";
-            action = str_f f "action";
-            in_walk = bool_f f "in_walk";
+            iface = str_f f k_iface;
+            fn = str_f f k_fn;
+            action = str_f f k_action;
+            in_walk = bool_f f k_in_walk;
           }
-    | "note" -> Event.Note { name = str_f f "name"; data = str_f f "data" }
+    | "note" -> Event.Note { name = str_f f k_name; data = str_f f k_data }
     | k -> fail "unknown event kind %s" k
   in
-  {
-    Event.seq = int_f f "seq";
-    at_ns = int_f f "at_ns";
-    tid = int_f f "tid";
-    kind;
-  }
+  { Event.seq = int_f f k_seq; at_ns = int_f f k_at_ns; tid = int_f f k_tid; kind }
 
 let dump oc events =
+  let b = Buffer.create 256 in
   List.iter
     (fun e ->
-      output_string oc (to_string e);
-      output_char oc '\n')
+      Buffer.clear b;
+      add_event b e;
+      Buffer.add_char b '\n';
+      Buffer.output_buffer oc b)
     events
 
 let load ic =

@@ -2,20 +2,38 @@
 
     One flat JSON object per line, with only string/int/bool fields, so
     the format stays greppable and the parser stays dependency-free.
-    [of_string (to_string e) = e] for every event. *)
+    [of_string (to_string e) = e] for every event.
+
+    Both directions take one pass over a line. Rendering writes each
+    kind's fields straight into a buffer. Parsing reads every key in
+    place; an unescaped key or an int allocates nothing, and an
+    unescaped string value costs one [String.sub]. *)
 
 exception Parse_error of string
 
+val add_escaped : Buffer.t -> string -> unit
+(** Appends the JSON string-body escaping of a string (no surrounding
+    quotes); a string with nothing to escape is copied unchanged. Shared
+    with {!Profile}'s emitter. *)
+
 val escape : string -> string
-(** JSON string-body escaping (no surrounding quotes), shared with
-    {!Profile}'s emitter. *)
+(** [add_escaped] into a fresh string; returns its argument when
+    nothing needs escaping. *)
+
+val add_event : Buffer.t -> Event.t -> unit
+(** Appends one line, without a trailing newline. *)
 
 val to_string : Event.t -> string
 (** One line, no trailing newline. *)
 
 val of_string : string -> Event.t
-(** Raises {!Parse_error} on malformed input. *)
+(** Raises {!Parse_error} on malformed input, including a number
+    outside the range of [int] or a lone [-]. Fields may come in any
+    order, with spaces or tabs between tokens; unknown fields are
+    checked and ignored, and of a repeated key the first one counts. *)
 
 val dump : out_channel -> Event.t list -> unit
+(** One line per event, rendered through one buffer. *)
+
 val load : in_channel -> Event.t list
 (** Reads to EOF, skipping blank lines; raises {!Parse_error}. *)

@@ -290,7 +290,7 @@ let to_json ?(source = "") (eps : E.t list) =
   let b = Buffer.create 4096 in
   let str s =
     Buffer.add_char b '"';
-    Buffer.add_string b (Jsonl.escape s);
+    Jsonl.add_escaped b s;
     Buffer.add_char b '"'
   in
   let field first k =

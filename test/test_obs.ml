@@ -324,13 +324,40 @@ let all_kinds =
         status = 200;
         outcome = "ok";
       };
+    E.Perturb
+      { iface = "lock"; fn = "lock_take"; action = "delay \"x2\"\t\x1f"; in_walk = true };
     E.Note { name = "marker"; data = "a\"b\\c\r\nd" };
   ]
+
+(* the line each [all_kinds] event renders to, with seq = i, at_ns = 17i
+   and tid = i mod 3; the codec must never change a byte of them *)
+let pinned_lines =
+  [
+    {|{"seq":0,"at_ns":0,"tid":0,"kind":"span_begin","span":3,"client":1,"server":7,"fn":"tsplit"}|};
+    {|{"seq":1,"at_ns":17,"tid":1,"kind":"span_end","span":3,"server":7,"ok":false}|};
+    {|{"seq":2,"at_ns":34,"tid":2,"kind":"crash","cid":7,"detector":"cmon:\"hang\"\n"}|};
+    {|{"seq":3,"at_ns":51,"tid":0,"kind":"reboot","cid":7,"epoch":2,"image_kb":128,"cost_ns":13440}|};
+    {|{"seq":4,"at_ns":68,"tid":1,"kind":"divert","cid":7,"victim":4}|};
+    {|{"seq":5,"at_ns":85,"tid":2,"kind":"upcall","cid":7,"fn":"w_recover\tlocal"}|};
+    {|{"seq":6,"at_ns":102,"tid":0,"kind":"reflect","cid":7,"fn":"sched_blk"}|};
+    {|{"seq":7,"at_ns":119,"tid":1,"kind":"walk_begin","client":1,"server":7,"iface":"fs","desc":42,"reason":"demand"}|};
+    {|{"seq":8,"at_ns":136,"tid":2,"kind":"walk_end","client":1,"server":7,"ok":true}|};
+    {|{"seq":9,"at_ns":153,"tid":0,"kind":"recover_begin","client":1,"server":7,"iface":"fs"}|};
+    {|{"seq":10,"at_ns":170,"tid":1,"kind":"recover_end","client":1,"server":7}|};
+    {|{"seq":11,"at_ns":187,"tid":2,"kind":"storage_op","op":"put_slice","space":"fs","id":366080704}|};
+    {|{"seq":12,"at_ns":204,"tid":0,"kind":"inject","cid":7,"fn":"fs\\read","reg":"r11","bit":31,"outcome":"hang"}|};
+    {|{"seq":13,"at_ns":221,"tid":1,"kind":"http","cid":9,"path":"/index.html?q=\u0001","status":404}|};
+    {|{"seq":14,"at_ns":238,"tid":2,"kind":"http_req","cid":9,"client":712554,"arrival_ns":1000,"start_ns":1250,"finish_ns":63400,"status":200,"outcome":"ok"}|};
+    {|{"seq":15,"at_ns":255,"tid":0,"kind":"perturb","iface":"lock","fn":"lock_take","action":"delay \"x2\"\t\u001f","in_walk":true}|};
+    {|{"seq":16,"at_ns":272,"tid":1,"kind":"note","name":"marker","data":"a\"b\\c\r\nd"}|};
+  ]
+
+let pinned_event i kind = { E.seq = i; at_ns = 17 * i; tid = i mod 3; kind }
 
 let test_jsonl_roundtrip () =
   List.iteri
     (fun i kind ->
-      let e = { E.seq = i; at_ns = 17 * i; tid = i mod 3; kind } in
+      let e = pinned_event i kind in
       let line = Jsonl.to_string e in
       Alcotest.(check bool)
         (Printf.sprintf "%s is one line" (E.kind_name kind))
@@ -340,7 +367,23 @@ let test_jsonl_roundtrip () =
         (Printf.sprintf "%s round-trips" (E.kind_name kind))
         true
         (Jsonl.of_string line = e))
-    all_kinds
+    all_kinds;
+  Alcotest.(check int) "all 17 constructors listed" 17
+    (List.length (List.sort_uniq compare (List.map E.kind_name all_kinds)))
+
+let test_jsonl_pinned_lines () =
+  Alcotest.(check int) "one pinned line per kind" (List.length all_kinds)
+    (List.length pinned_lines);
+  List.iteri
+    (fun i (kind, line) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s renders its pinned line" (E.kind_name kind))
+        line
+        (Jsonl.to_string (pinned_event i kind));
+      let b = Buffer.create 16 in
+      Jsonl.add_event b (pinned_event i kind);
+      Alcotest.(check string) "add_event writes the same bytes" line (Buffer.contents b))
+    (List.combine all_kinds pinned_lines)
 
 let test_jsonl_dump_load () =
   let events = stream (List.map (fun k -> (5, 2, k)) all_kinds) in
@@ -372,6 +415,9 @@ let test_jsonl_rejects_garbage () =
       "{\"seq\":0,\"at_ns\":0,\"tid\":0,\"kind\":\"no_such_kind\"}";
       "{\"seq\":0,\"at_ns\":0,\"tid\":0,\"kind\":\"crash\",\"cid\":1";
       "{\"seq\":0,\"at_ns\":0,\"tid\":0,\"kind\":\"crash\",\"detector\":\"x\"}";
+      (* beyond int's range, and a sign with no digits *)
+      "{\"seq\":99999999999999999999,\"at_ns\":0,\"tid\":0,\"kind\":\"crash\",\"cid\":1,\"detector\":\"x\"}";
+      "{\"seq\":-,\"at_ns\":0,\"tid\":0,\"kind\":\"crash\",\"cid\":1,\"detector\":\"x\"}";
     ]
 
 (* ---------- checker: one pass + one rejection per rule ---------- *)
@@ -726,6 +772,101 @@ let prop_jsonl_covers_all_kinds () =
   done;
   Alcotest.(check int) "all 17 constructors generated" 17 (Hashtbl.length seen)
 
+(* The members of a rendered line, as raw ["key":value] texts: split at
+   the commas outside strings. *)
+let members line =
+  let body = String.sub line 1 (String.length line - 2) in
+  let parts = ref [] and start = ref 0 and in_str = ref false and esc = ref false in
+  String.iteri
+    (fun i c ->
+      if !esc then esc := false
+      else if c = '\\' then esc := !in_str
+      else if c = '"' then in_str := not !in_str
+      else if c = ',' && not !in_str then begin
+        parts := String.sub body !start (i - !start) :: !parts;
+        start := i + 1
+      end)
+    body;
+  List.rev (String.sub body !start (String.length body - !start) :: !parts)
+
+let gen_ws = QCheck.Gen.(string_size ~gen:(oneofl [ ' '; '\t' ]) (int_range 0 2))
+
+let gen_json_value =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun s -> "\"" ^ Jsonl.escape s ^ "\"") gen_str;
+        map string_of_int int;
+        map string_of_bool bool;
+      ])
+
+(* Edits that keep a line's meaning: members shuffled, an unknown field
+   and a later duplicate of some key spliced in, and spaces or tabs
+   around every token. *)
+let gen_tolerated =
+  let open QCheck.Gen in
+  gen_event >>= fun e ->
+  let ms = members (Jsonl.to_string e) in
+  let n = List.length ms in
+  shuffle_l ms >>= fun ms ->
+  int_bound n >>= fun extra_at ->
+  gen_json_value >>= fun extra ->
+  int_bound (n - 1) >>= fun dup_of ->
+  gen_json_value >>= fun dup_value ->
+  let dup_key = List.hd (String.split_on_char ':' (List.nth ms dup_of)) in
+  let ms =
+    List.concat
+      (List.mapi
+         (fun i m ->
+           (if i = extra_at then [ "\"x_unknown\":" ^ extra ] else [])
+           @ (m :: (if i = dup_of then [ dup_key ^ ":" ^ dup_value ] else [])))
+         ms)
+    @ if extra_at = n then [ "\"x_unknown\":" ^ extra ] else []
+  in
+  let spaced m =
+    let i = String.index m ':' in
+    map
+      (fun (a, b, c, d) ->
+        a ^ String.sub m 0 i ^ b ^ ":" ^ c
+        ^ String.sub m (i + 1) (String.length m - i - 1)
+        ^ d)
+      (quad gen_ws gen_ws gen_ws gen_ws)
+  in
+  flatten_l (List.map spaced ms) >>= fun ms ->
+  pair gen_ws gen_ws >>= fun (lead, trail) ->
+  let line = lead ^ "{" ^ String.concat "," ms ^ "}" ^ trail in
+  return (e, line)
+
+let prop_jsonl_tolerates =
+  QCheck.Test.make ~count:2000
+    ~name:"jsonl reads reordered, spaced, extended and duplicated fields"
+    (QCheck.make ~print:(fun (_, l) -> l) gen_tolerated)
+    (fun (e, line) -> Jsonl.of_string line = e)
+
+(* Damage that may change a line's meaning: a truncation or one byte
+   replaced. Parsing yields an event or Parse_error, nothing else. *)
+let gen_damaged =
+  let open QCheck.Gen in
+  gen_event >>= fun e ->
+  let line = Jsonl.to_string e in
+  let n = String.length line in
+  int_bound (n - 1) >>= fun at ->
+  oneof
+    [
+      return (String.sub line 0 at);
+      map
+        (fun c -> String.mapi (fun i b -> if i = at then c else b) line)
+        (oneof [ oneofl (List.of_seq (String.to_seq "{}\":,\\-0u_ tf")); char ]);
+    ]
+
+let prop_jsonl_total =
+  QCheck.Test.make ~count:3000 ~name:"jsonl parse is total on damaged lines"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_damaged)
+    (fun line ->
+      match Jsonl.of_string line with
+      | _ -> true
+      | exception Jsonl.Parse_error _ -> true)
+
 (* ---------- episode stitching & profiling ---------- *)
 
 (* a hand-written single-fault recovery: inject -> crash (unwinding the
@@ -954,6 +1095,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_jsonl_roundtrip;
           Alcotest.test_case "generator covers all 17 kinds" `Quick
             prop_jsonl_covers_all_kinds;
+          Alcotest.test_case "every kind renders its pinned line" `Quick
+            test_jsonl_pinned_lines;
+          QCheck_alcotest.to_alcotest prop_jsonl_tolerates;
+          QCheck_alcotest.to_alcotest prop_jsonl_total;
         ] );
       ( "check",
         [

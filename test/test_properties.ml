@@ -440,6 +440,14 @@ let test_campaign_determinism () =
   Alcotest.(check bool) "and a byte-identical event stream" true
     (String.equal ev1 ev2)
 
+(* the rendered stream of the seed-3 campaign, pinned byte for byte:
+   a codec change must not move a single byte of the trace format *)
+let test_campaign_stream_pinned () =
+  let _, ev = campaign_events ~seed:3 in
+  Alcotest.(check int) "stream length" 451_346 (String.length ev);
+  Alcotest.(check string) "stream digest" "13455b70273404a0c716d696f940840b"
+    (Digest.to_hex (Digest.string ev))
+
 (* fault-free sanity for the shadow models themselves *)
 let test_models_faultfree () =
   Alcotest.(check (list string)) "fs model" []
@@ -462,6 +470,8 @@ let () =
             test_check_recovery_modes;
           Alcotest.test_case "campaigns are seed-deterministic" `Quick
             test_campaign_determinism;
+          Alcotest.test_case "campaign stream bytes are pinned" `Quick
+            test_campaign_stream_pinned;
         ] );
       ( "regressions",
         [

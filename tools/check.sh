@@ -54,6 +54,16 @@ echo "== perf smoke: sgtrace check passes on a -j 2 campaign stream"
     --trace "$tmpdir/trace.jsonl" > /dev/null 2>&1
 ./_build/default/bin/sgtrace.exe check --incomplete "$tmpdir/trace.jsonl" > /dev/null
 
+echo "== parse gate: sgtrace check exits 2 on an out-of-range or sign-only number"
+# a parse error, not an uncaught exception (exit 125)
+for num in 99999999999999999999 -; do
+    printf '{"seq":%s,"at_ns":0,"tid":0,"kind":"crash","cid":1,"detector":"x"}\n' \
+        "$num" > "$tmpdir/bad_num.jsonl"
+    rc=0
+    ./_build/default/bin/sgtrace.exe check "$tmpdir/bad_num.jsonl" > /dev/null 2>&1 || rc=$?
+    [ "$rc" -eq 2 ]
+done
+
 echo "== profile smoke: sgtrace profile --json validates over the campaign stream"
 ./_build/default/bin/sgtrace.exe profile "$tmpdir/trace.jsonl" > /dev/null
 ./_build/default/bin/sgtrace.exe profile --json "$tmpdir/trace.jsonl" \
