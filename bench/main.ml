@@ -316,12 +316,35 @@ let emit_ns_per_event ~subscriber ~events =
   in
   s /. float_of_int events *. 1e9
 
-let write_json path lines =
+module Json = Sg_util.Json
+
+(* a BENCH_*.json report: one compact line, keyed by "bench" (the field
+   tools/bench_diff.py dispatches on) instead of a versioned envelope *)
+let write_json path bench fields =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (String.concat "\n" lines ^ "\n"));
+    (fun () ->
+      output_string oc
+        (Json.to_string (Json.Obj (("bench", Json.Str bench) :: ("quick", Json.Bool !quick) :: fields)));
+      output_char oc '\n');
   Printf.printf "wrote %s\n%!" path
+
+(* one row per -j level of a sweep timed as [(j, (_, wall_s))], the
+   first level being the j=1 reference *)
+let jobs_json ~rate_key ~work results =
+  let base_s = snd (snd (List.hd results)) in
+  Json.List
+    (List.map
+       (fun (j, (_, s)) ->
+         Json.Obj
+           [
+             ("j", Json.Int j);
+             ("wall_s", Json.Float s);
+             (rate_key, Json.Float (float_of_int work /. s));
+             ("speedup_vs_j1", Json.Float (base_s /. s));
+           ])
+       results)
 
 let sched_perf () =
   hr "bench sched: dispatcher-loop throughput, list-scan vs indexed run-queue";
@@ -349,24 +372,21 @@ let sched_perf () =
     "sink emit: %.1f ns/event dropped unboxed, %.1f ns/event with subscriber\n"
     emit_drop emit_sub;
   let path = Option.value !out_path ~default:"BENCH_sched.json" in
-  write_json path
+  let run n s rate =
+    Json.Obj
+      [ ("dispatches", Json.Int n); ("wall_s", Json.Float s); ("dispatch_per_s", Json.Float rate) ]
+  in
+  write_json path "sched"
     [
-      "{";
-      Printf.sprintf "  \"bench\": \"sched\",";
-      Printf.sprintf "  \"quick\": %b," !quick;
-      Printf.sprintf "  \"threads\": %d," threads;
-      Printf.sprintf "  \"yields_per_thread\": %d," yields;
-      Printf.sprintf
-        "  \"scan\": {\"dispatches\": %d, \"wall_s\": %.6f, \"dispatch_per_s\": %.0f},"
-        scan_n scan_s scan_rate;
-      Printf.sprintf
-        "  \"indexed\": {\"dispatches\": %d, \"wall_s\": %.6f, \"dispatch_per_s\": %.0f},"
-        idx_n idx_s idx_rate;
-      Printf.sprintf "  \"speedup_indexed_vs_scan\": %.3f," speedup;
-      Printf.sprintf
-        "  \"emit_ns_per_event\": {\"dropped_unboxed\": %.1f, \"with_subscriber\": %.1f}"
-        emit_drop emit_sub;
-      "}";
+      ("threads", Json.Int threads);
+      ("yields_per_thread", Json.Int yields);
+      ("scan", run scan_n scan_s scan_rate);
+      ("indexed", run idx_n idx_s idx_rate);
+      ("speedup_indexed_vs_scan", Json.Float speedup);
+      ( "emit_ns_per_event",
+        Json.Obj
+          [ ("dropped_unboxed", Json.Float emit_drop); ("with_subscriber", Json.Float emit_sub) ]
+      );
     ]
 
 (* A campaign at the scale the driver is built for: a million
@@ -447,37 +467,24 @@ let campaign_scale () =
     vjobs !v_total !v_complete !v_max !v_viol verify_s;
   assert (!v_viol = 0);
   let path = Option.value !out_path ~default:"BENCH_campaign.json" in
-  write_json path
-    ([
-       "{";
-       Printf.sprintf "  \"bench\": \"campaign-scale\",";
-       Printf.sprintf "  \"quick\": %b," !quick;
-       Printf.sprintf "  \"services\": %d," nsvc;
-       Printf.sprintf "  \"injections_total\": %d," injections_total;
-       Printf.sprintf "  \"injections_per_service\": %d," per_service;
-       Printf.sprintf "  \"host_cores\": %d,"
-         (Domain.recommended_domain_count ());
-       "  \"jobs\": [";
-     ]
-    @ (List.mapi
-         (fun i (j, (_, s)) ->
-           Printf.sprintf
-             "    {\"j\": %d, \"wall_s\": %.6f, \"injections_per_s\": %.0f, \
-              \"speedup_vs_j1\": %.3f}%s"
-             j s
-             (float_of_int injections_total /. s)
-             (base_s /. s)
-             (if i = List.length results - 1 then "" else ","))
-         results)
-    @ [
-        "  ],";
-        Printf.sprintf
-          "  \"verify_bounds\": {\"jobs\": %d, \"episodes\": %d, \
-           \"complete\": %d, \"max_span_ns\": %d, \"violations\": %d, \
-           \"wall_s\": %.3f}"
-          vjobs !v_total !v_complete !v_max !v_viol verify_s;
-        "}";
-      ])
+  write_json path "campaign-scale"
+    [
+      ("services", Json.Int nsvc);
+      ("injections_total", Json.Int injections_total);
+      ("injections_per_service", Json.Int per_service);
+      ("host_cores", Json.Int (Domain.recommended_domain_count ()));
+      ("jobs", jobs_json ~rate_key:"injections_per_s" ~work:injections_total results);
+      ( "verify_bounds",
+        Json.Obj
+          [
+            ("jobs", Json.Int vjobs);
+            ("episodes", Json.Int !v_total);
+            ("complete", Json.Int !v_complete);
+            ("max_span_ns", Json.Int !v_max);
+            ("violations", Json.Int !v_viol);
+            ("wall_s", Json.Float verify_s);
+          ] );
+    ]
 
 (* The open-loop web harness at benchmark scale: one fault-period sweep
    (fault-free, 3ms, 1ms) per jobs level, with the campaign-scale
@@ -537,50 +544,33 @@ let web_tail () =
         (Hist.percentile t.Reqjoin.tj_shadowed 0.99))
     ref_rows;
   let path = Option.value !out_path ~default:"BENCH_web.json" in
-  write_json path
-    ([
-       "{";
-       Printf.sprintf "  \"bench\": \"web-tail\",";
-       Printf.sprintf "  \"quick\": %b," !quick;
-       Printf.sprintf "  \"requests\": %d," requests;
-       Printf.sprintf "  \"mode\": \"superglue\",";
-       Printf.sprintf "  \"host_cores\": %d,"
-         (Domain.recommended_domain_count ());
-       "  \"jobs\": [";
-     ]
-    @ (List.mapi
-         (fun i (j, (_, s)) ->
-           Printf.sprintf
-             "    {\"j\": %d, \"wall_s\": %.6f, \"req_per_s\": %.0f, \
-              \"speedup_vs_j1\": %.3f}%s"
-             j s
-             (float_of_int total /. s)
-             (base_s /. s)
-             (if i = List.length results - 1 then "" else ","))
-         results)
-    @ [ "  ],"; "  \"rows\": [" ]
-    @ (List.mapi
-         (fun i (o : Loadgen.outcome) ->
-           let t = o.Loadgen.oc_join in
-           Printf.sprintf
-             "    {\"fault_period_ms\": %d, \"faults\": %d, \"reboots\": %d, \
-              \"offered_rps\": %.1f, \"served_rps\": %.1f, \"dropped\": %d, \
-              \"clean_p50_ns\": %d, \"clean_p99_ns\": %d, \"clean_p999_ns\": \
-              %d, \"shadowed_p99_ns\": %d, \"shadowed_p999_ns\": %d}%s"
-             (match o.Loadgen.oc_fault_period_ns with
-             | None -> 0
-             | Some ns -> ns / 1_000_000)
-             o.Loadgen.oc_result.Loadgen.lr_faults o.Loadgen.oc_reboots
-             (Reqjoin.offered_rps t) (Reqjoin.served_rps t)
-             t.Reqjoin.tj_dropped
-             (Hist.percentile t.Reqjoin.tj_clean 0.50)
-             (Hist.percentile t.Reqjoin.tj_clean 0.99)
-             (Hist.percentile t.Reqjoin.tj_clean 0.999)
-             (Hist.percentile t.Reqjoin.tj_shadowed 0.99)
-             (Hist.percentile t.Reqjoin.tj_shadowed 0.999)
-             (if i = List.length ref_rows - 1 then "" else ","))
-         ref_rows)
-    @ [ "  ]"; "}" ])
+  let row (o : Loadgen.outcome) =
+    let t = o.Loadgen.oc_join in
+    let pct h p = Json.Int (Hist.percentile h p) in
+    Json.Obj
+      [
+        ( "fault_period_ms",
+          Json.Int (match o.Loadgen.oc_fault_period_ns with None -> 0 | Some ns -> ns / 1_000_000) );
+        ("faults", Json.Int o.Loadgen.oc_result.Loadgen.lr_faults);
+        ("reboots", Json.Int o.Loadgen.oc_reboots);
+        ("offered_rps", Json.Float (Reqjoin.offered_rps t));
+        ("served_rps", Json.Float (Reqjoin.served_rps t));
+        ("dropped", Json.Int t.Reqjoin.tj_dropped);
+        ("clean_p50_ns", pct t.Reqjoin.tj_clean 0.50);
+        ("clean_p99_ns", pct t.Reqjoin.tj_clean 0.99);
+        ("clean_p999_ns", pct t.Reqjoin.tj_clean 0.999);
+        ("shadowed_p99_ns", pct t.Reqjoin.tj_shadowed 0.99);
+        ("shadowed_p999_ns", pct t.Reqjoin.tj_shadowed 0.999);
+      ]
+  in
+  write_json path "web-tail"
+    [
+      ("requests", Json.Int requests);
+      ("mode", Json.Str "superglue");
+      ("host_cores", Json.Int (Domain.recommended_domain_count ()));
+      ("jobs", jobs_json ~rate_key:"req_per_s" ~work:total results);
+      ("rows", Json.List (List.map row ref_rows));
+    ]
 
 let all =
   [

@@ -5,23 +5,13 @@ open Cmdliner
 module Campaign = Sg_swifi.Campaign
 module Sysbuild = Sg_components.Sysbuild
 
-let mode_conv =
-  let parse = function
-    | "base" -> Ok Sysbuild.Base
-    | "c3" -> Ok (Sysbuild.Stubbed Sysbuild.c3_stubset)
-    | "superglue" -> Ok Superglue.Stubset.mode
-    | "superglue-gen" -> Ok Sg_genstubs.Gen_stubset.mode
-    | m -> Error (`Msg ("unknown mode " ^ m))
-  in
-  let print ppf _ = Format.fprintf ppf "<mode>" in
-  Arg.conv (parse, print)
-
 let mode_arg =
+  let names = List.map (fun (name, _) -> (name, name)) Sg_harness.Paper.modes in
   Arg.(
     value
-    & opt mode_conv Superglue.Stubset.mode
+    & opt (enum names) "superglue"
     & info [ "mode" ] ~docv:"MODE"
-        ~doc:"System configuration: base, c3, superglue or superglue-gen.")
+        ~doc:("System configuration: " ^ doc_alts_enum names ^ "."))
 
 let iface_arg =
   Arg.(
@@ -182,6 +172,7 @@ let report_bounds ~iface ~bound_ns acc =
   violations <> []
 
 let run mode iface injections seed cmon jobs trace profile verify_bounds =
+  let mode = List.assoc mode Sg_harness.Paper.modes in
   let cmon_period_ns = if cmon then Some 5_000 else None in
   match (trace, profile, verify_bounds, iface) with
   | Some _, _, _, None ->

@@ -167,8 +167,16 @@ let run_cmd_fn seed count mutant out jobs no_shrink quiet =
         !ran failures (Hashtbl.length services) (Exec.sut_label sut);
       if failures > 0 then 1 else 0
 
+(* a malformed or unreadable artifact is an input error: one line, exit 2 *)
+let with_artifact path f =
+  match Artifact.load path with
+  | exception (Sg_util.Json.Parse_error msg | Sys_error msg) ->
+      Printf.eprintf "superglue-dst: cannot load artifact %s: %s\n" path msg;
+      2
+  | a -> f a
+
 let shrink_cmd_fn artifact_path out jobs =
-  let a = Artifact.load artifact_path in
+  with_artifact artifact_path @@ fun a ->
   match Dst.sut_of_label a.Artifact.af_sut with
   | None ->
       Printf.eprintf "superglue-dst: unknown sut %s\n" a.Artifact.af_sut;
@@ -192,7 +200,7 @@ let shrink_cmd_fn artifact_path out jobs =
           2)
 
 let replay_cmd_fn artifact_path =
-  let a = Artifact.load artifact_path in
+  with_artifact artifact_path @@ fun a ->
   match Dst.replay a with
   | Error msg ->
       Printf.eprintf "superglue-dst: %s\n" msg;

@@ -16,12 +16,14 @@ module Model = Superglue.Model
 module Ir = Superglue.Ir
 module Diag = Superglue.Diag
 module Analysis = Sg_analysis.Analysis
-module Json = Sg_analysis.Json
+module Json = Sg_util.Json
 
-(* the report CLIs share the analyzer's exit-code convention *)
-let exit_ok = Json.exit_ok
-let exit_findings = Json.exit_findings
-let exit_compile_error = Json.exit_compile_error
+(* the exit codes every report subcommand (lint, bound, taint, race)
+   shares: 0 clean, 1 findings (or an unbounded pair), 2 the compiler
+   rejected the input *)
+let exit_ok = 0
+let exit_findings = 1
+let exit_compile_error = 2
 
 let load source builtin =
   match (source, builtin) with

@@ -20,26 +20,13 @@ module Comp = Sg_os.Comp
 module Sysbuild = Sg_components.Sysbuild
 module Workloads = Sg_components.Workloads
 
-let mode_conv =
-  let parse = function
-    | "base" -> Ok Sysbuild.Base
-    | "c3" -> Ok (Sysbuild.Stubbed Sysbuild.c3_stubset)
-    | "superglue" -> Ok Superglue.Stubset.mode
-    | "superglue-eager" -> Ok Superglue.Stubset.mode_eager
-    | "superglue-gen" -> Ok Sg_genstubs.Gen_stubset.mode
-    | m -> Error (`Msg ("unknown mode " ^ m))
-  in
-  let print ppf _ = Format.fprintf ppf "<mode>" in
-  Arg.conv (parse, print)
-
 let mode_arg =
+  let names = List.map (fun (name, _) -> (name, name)) Sg_harness.Paper.modes in
   Arg.(
     value
-    & opt mode_conv Superglue.Stubset.mode
+    & opt (enum names) "superglue"
     & info [ "mode" ] ~docv:"MODE"
-        ~doc:
-          "System configuration: base, c3, superglue, superglue-eager or \
-           superglue-gen.")
+        ~doc:("System configuration: " ^ doc_alts_enum names ^ "."))
 
 let iface_arg =
   Arg.(
@@ -96,7 +83,7 @@ let incomplete_arg =
 
 (* run one workload with full retention, return the event stream *)
 let collect ~mode ~iface ~iters ~seed ~storm =
-  let sys = Sysbuild.build ~seed mode in
+  let sys = Sysbuild.build ~seed (List.assoc mode Sg_harness.Paper.modes) in
   let sim = sys.Sysbuild.sys_sim in
   Sg_obs.Sink.set_retention (Sim.obs sim) Sg_obs.Sink.All;
   let check = Workloads.setup sys ~iface ~iters in
@@ -156,7 +143,9 @@ let load_events = function
         ~finally:(fun () -> close_in_noerr ic)
         (fun () -> Sg_obs.Jsonl.load ic)
 
-let check file recovery_mode incomplete =
+(* load [file] (stdin when absent) and hand its events to [report],
+   which returns the exit code; a parse or I/O error exits 2 *)
+let with_events file report =
   match load_events file with
   | exception Sg_obs.Jsonl.Parse_error msg ->
       Printf.eprintf "sgtrace: parse error: %s\n" msg;
@@ -164,14 +153,16 @@ let check file recovery_mode incomplete =
   | exception Sys_error msg ->
       Printf.eprintf "sgtrace: %s\n" msg;
       2
-  | events -> (
+  | events -> report events
+
+let check file recovery_mode incomplete =
+  with_events file (fun events ->
       let violations =
         Sg_obs.Check.run ?mode:recovery_mode ~completed:(not incomplete) events
       in
       match violations with
       | [] ->
-          Printf.printf "ok: %d events, all invariants hold\n"
-            (List.length events);
+          Printf.printf "ok: %d events, all invariants hold\n" (List.length events);
           0
       | vs ->
           List.iter
@@ -182,19 +173,12 @@ let check file recovery_mode incomplete =
           1)
 
 let summary file =
-  match load_events file with
-  | exception Sg_obs.Jsonl.Parse_error msg ->
-      Printf.eprintf "sgtrace: parse error: %s\n" msg;
-      2
-  | exception Sys_error msg ->
-      Printf.eprintf "sgtrace: %s\n" msg;
-      2
-  | events ->
+  with_events file (fun events ->
       let m = Sg_obs.Metrics.create () in
       List.iter (Sg_obs.Metrics.feed m) events;
       Printf.printf "%d events\n" (List.length events);
       Format.printf "%a@?" Sg_obs.Metrics.pp_summary m;
-      0
+      0)
 
 let json_arg =
   Arg.(
@@ -203,38 +187,25 @@ let json_arg =
         ~doc:"Emit a versioned machine-readable profile instead of text.")
 
 let profile file json =
-  match load_events file with
-  | exception Sg_obs.Jsonl.Parse_error msg ->
-      Printf.eprintf "sgtrace: parse error: %s\n" msg;
-      2
-  | exception Sys_error msg ->
-      Printf.eprintf "sgtrace: %s\n" msg;
-      2
-  | events ->
+  with_events file (fun events ->
       let eps = Sg_obs.Episode.of_events events in
       if json then
         let source = match file with Some p -> p | None -> "<stdin>" in
-        print_endline (Sg_obs.Profile.to_json ~source eps)
+        print_endline (Sg_util.Json.to_string (Sg_obs.Profile.to_json ~source eps))
       else Format.printf "%a@?" Sg_obs.Profile.pp eps;
-      0
+      0)
 
 let tail file json =
-  match load_events file with
-  | exception Sg_obs.Jsonl.Parse_error msg ->
-      Printf.eprintf "sgtrace: parse error: %s\n" msg;
-      2
-  | exception Sys_error msg ->
-      Printf.eprintf "sgtrace: %s\n" msg;
-      2
-  | events ->
+  with_events file (fun events ->
       let t = Sg_obs.Reqjoin.of_events events in
       if json then
         print_endline
-          (Printf.sprintf "{\"schema\":\"sg-reqjoin\",\"version\":%d,\"join\":%s}"
-             Sg_obs.Reqjoin.json_version
-             (Sg_obs.Reqjoin.to_json t))
+          (Sg_util.Json.to_string
+             (Sg_util.Json.versioned_report ~schema:"sg-reqjoin"
+                ~version:Sg_obs.Reqjoin.json_version
+                [ ("join", Sg_obs.Reqjoin.to_json t) ]))
       else Format.printf "%a@?" Sg_obs.Reqjoin.pp t;
-      0
+      0)
 
 let dump_cmd =
   let term =

@@ -14,25 +14,18 @@ module Abench = Sg_web.Abench
 module Loadgen = Sg_web.Loadgen
 module Reqjoin = Sg_obs.Reqjoin
 
-let mode_of_name = function
-  | "base" -> Ok Sysbuild.Base
-  | "c3" -> Ok (Sysbuild.Stubbed Sysbuild.c3_stubset)
-  | "superglue" -> Ok Superglue.Stubset.mode
-  | "superglue-gen" -> Ok Sg_genstubs.Gen_stubset.mode
-  | m -> Error (`Msg ("unknown mode " ^ m))
-
-let mode_conv =
-  Arg.conv (mode_of_name, fun ppf _ -> Format.fprintf ppf "<mode>")
+let mode_names = List.map (fun (name, _) -> (name, name)) Sg_harness.Paper.modes
+let mode_of_name name = List.assoc name Sg_harness.Paper.modes
+let mode_doc = "System configuration: " ^ Arg.doc_alts_enum mode_names
 
 (* ---------- fig7 (closed-loop, the original harness) ---------- *)
 
 let mode_arg =
   Arg.(
     value
-    & opt (some mode_conv) None
+    & opt (some (enum mode_names)) None
     & info [ "mode" ] ~docv:"MODE"
-        ~doc:"Run one configuration (base, c3, superglue, superglue-gen); \
-              default: the full Fig 7 comparison.")
+        ~doc:(mode_doc ^ "; default: the full Fig 7 comparison."))
 
 let requests_arg =
   Arg.(value & opt int 50_000 & info [ "requests" ] ~docv:"N" ~doc:"HTTP requests.")
@@ -55,8 +48,8 @@ let run_fig7 mode requests fault_ms timeline =
   let fault_period_ns = Option.map (fun ms -> ms * 1_000_000) fault_ms in
   match mode with
   | None -> Sg_harness.Fig7.print ~requests ()
-  | Some mode ->
-      let sys = Sysbuild.build mode in
+  | Some name ->
+      let sys = Sysbuild.build (mode_of_name name) in
       let server = Server.install sys in
       let r = Abench.run ?fault_period_ns ~requests sys server in
       Printf.printf
@@ -65,13 +58,7 @@ let run_fig7 mode requests fault_ms timeline =
         (Sg_kernel.Clock.s_of_ns r.Abench.ab_sim_ns)
         r.Abench.ab_errors r.Abench.ab_faults
         (Sim.reboots sys.Sysbuild.sys_sim);
-      if timeline then begin
-        print_string (Abench.render_timeline (Abench.timeline sys server));
-        if Sys.getenv_opt "SG_DEBUG_TRACE" <> None then
-          List.iter
-            (fun e -> Format.printf "%a@." Sim.pp_trace_event e)
-            (Sim.trace sys.Sysbuild.sys_sim)
-      end
+      if timeline then print_string (Abench.render_timeline (Abench.timeline sys server))
 
 let fig7_term =
   Term.(const run_fig7 $ mode_arg $ requests_arg $ faults_arg $ timeline_arg)
@@ -85,9 +72,9 @@ let fig7_cmd =
 
 let ol_mode_arg =
   Arg.(
-    value & opt string "superglue"
-    & info [ "mode" ] ~docv:"MODE"
-        ~doc:"System configuration: base, c3, superglue or superglue-gen.")
+    value
+    & opt (enum mode_names) "superglue"
+    & info [ "mode" ] ~docv:"MODE" ~doc:(mode_doc ^ "."))
 
 let arrival_arg =
   Arg.(
@@ -174,42 +161,42 @@ let arrival_of ~arrival ~rate ~burst_rate ~quiet_ms ~burst_ms =
       Loadgen.Bursty
         { base_rps = rate; burst_rps = burst_rate; quiet_ms; burst_ms }
 
-let arrival_json = function
-  | Loadgen.Poisson { rate_rps } ->
-      Printf.sprintf "\"arrival\":\"poisson\",\"rate_rps\":%.1f" rate_rps
-  | Loadgen.Bursty { base_rps; burst_rps; quiet_ms; burst_ms } ->
-      Printf.sprintf
-        "\"arrival\":\"bursty\",\"rate_rps\":%.1f,\"burst_rps\":%.1f,\"quiet_ms\":%.1f,\"burst_ms\":%.1f"
-        base_rps burst_rps quiet_ms burst_ms
-
 let report_json ~mode_name cfg outcomes =
-  let b = Buffer.create 4096 in
-  let add = Buffer.add_string b in
-  add "{\"schema\":\"sg-webbench\",\"version\":1,";
-  add (Printf.sprintf "\"mode\":%S," mode_name);
-  add (arrival_json cfg.Loadgen.lg_arrival);
-  add
-    (Printf.sprintf
-       ",\"requests\":%d,\"clients\":%d,\"workers\":%d,\"queue_cap\":%d,\"keepalive\":%.2f,\"conn_setup_ns\":%d,\"seed\":%d,"
-       cfg.Loadgen.lg_requests cfg.Loadgen.lg_clients cfg.Loadgen.lg_workers
-       cfg.Loadgen.lg_queue_cap cfg.Loadgen.lg_keepalive
-       cfg.Loadgen.lg_conn_setup_ns cfg.Loadgen.lg_seed);
-  add "\"runs\":[";
-  List.iteri
-    (fun i (o : Loadgen.outcome) ->
-      if i > 0 then add ",";
-      add
-        (Printf.sprintf
-           "{\"fault_period_ms\":%d,\"faults\":%d,\"reboots\":%d,\"join\":"
-           (match o.oc_fault_period_ns with
-           | None -> 0
-           | Some ns -> ns / 1_000_000)
-           o.oc_result.Loadgen.lr_faults o.oc_reboots);
-      add (Reqjoin.to_json o.oc_join);
-      add "}")
-    outcomes;
-  add "]}";
-  Buffer.contents b
+  let open Sg_util.Json in
+  let arrival =
+    match cfg.Loadgen.lg_arrival with
+    | Loadgen.Poisson { rate_rps } -> [ ("arrival", Str "poisson"); ("rate_rps", Float rate_rps) ]
+    | Loadgen.Bursty { base_rps; burst_rps; quiet_ms; burst_ms } ->
+        [
+          ("arrival", Str "bursty");
+          ("rate_rps", Float base_rps);
+          ("burst_rps", Float burst_rps);
+          ("quiet_ms", Float quiet_ms);
+          ("burst_ms", Float burst_ms);
+        ]
+  in
+  let run (o : Loadgen.outcome) =
+    Obj
+      [
+        ( "fault_period_ms",
+          Int (match o.oc_fault_period_ns with None -> 0 | Some ns -> ns / 1_000_000) );
+        ("faults", Int o.oc_result.Loadgen.lr_faults);
+        ("reboots", Int o.oc_reboots);
+        ("join", Reqjoin.to_json o.oc_join);
+      ]
+  in
+  versioned_report ~schema:"sg-webbench" ~version:1
+    ((("mode", Str mode_name) :: arrival)
+    @ [
+        ("requests", Int cfg.Loadgen.lg_requests);
+        ("clients", Int cfg.Loadgen.lg_clients);
+        ("workers", Int cfg.Loadgen.lg_workers);
+        ("queue_cap", Int cfg.Loadgen.lg_queue_cap);
+        ("keepalive", Float cfg.Loadgen.lg_keepalive);
+        ("conn_setup_ns", Int cfg.Loadgen.lg_conn_setup_ns);
+        ("seed", Int cfg.Loadgen.lg_seed);
+        ("runs", List (List.map run outcomes));
+      ])
 
 let print_text ~mode_name outcomes =
   List.iter
@@ -225,35 +212,35 @@ let print_text ~mode_name outcomes =
 
 let run_open_loop mode_name arrival rate burst_rate quiet_ms burst_ms requests
     clients workers queue_cap keepalive seed periods jobs json =
-  match mode_of_name mode_name with
-  | Error (`Msg m) ->
-      prerr_endline ("webbench: " ^ m);
+  let cfg =
+    {
+      Loadgen.default with
+      Loadgen.lg_arrival = arrival_of ~arrival ~rate ~burst_rate ~quiet_ms ~burst_ms;
+      lg_requests = requests;
+      lg_clients = clients;
+      lg_workers = workers;
+      lg_queue_cap = queue_cap;
+      lg_keepalive = keepalive;
+      lg_seed = seed;
+    }
+  in
+  match Loadgen.validate cfg with
+  | Error msg ->
+      prerr_endline ("webbench: " ^ msg);
       exit 2
-  | Ok mode ->
-      let cfg =
-        {
-          Loadgen.default with
-          Loadgen.lg_arrival =
-            arrival_of ~arrival ~rate ~burst_rate ~quiet_ms ~burst_ms;
-          lg_requests = requests;
-          lg_clients = clients;
-          lg_workers = workers;
-          lg_queue_cap = queue_cap;
-          lg_keepalive = keepalive;
-          lg_seed = seed;
-        }
-      in
+  | Ok () ->
+      let mode = mode_of_name mode_name in
       let periods =
         List.map (fun ms -> if ms <= 0 then None else Some (ms * 1_000_000)) periods
       in
       (* warm the process-wide compile caches before any parallel fan-out
          (both stub generators read them; read-only afterwards) *)
-      if mode <> Sysbuild.Base then
+      if mode_name <> "base" then
         List.iter
           (fun i -> ignore (Superglue.Compiler.builtin i))
           Superglue.Compiler.builtin_names;
       let outcomes = Loadgen.sweep ~jobs ~mode ~periods cfg in
-      if json then print_string (report_json ~mode_name cfg outcomes)
+      if json then print_string (Sg_util.Json.to_string (report_json ~mode_name cfg outcomes))
       else print_text ~mode_name outcomes
 
 let open_loop_cmd =

@@ -7,6 +7,7 @@
    guards. *)
 
 module Ast = Superglue.Ast
+module Json = Sg_util.Json
 module Ir = Superglue.Ir
 module Machine = Superglue.Machine
 module Model = Superglue.Model

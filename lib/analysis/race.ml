@@ -34,6 +34,7 @@
    unexplained failures. *)
 
 module Ast = Superglue.Ast
+module Json = Sg_util.Json
 module Ir = Superglue.Ir
 module Machine = Superglue.Machine
 module Model = Superglue.Model

@@ -21,6 +21,7 @@
       The table is validated end-to-end by the DST edge adversary. *)
 
 module Ast = Superglue.Ast
+module Json = Sg_util.Json
 module Ir = Superglue.Ir
 module Machine = Superglue.Machine
 module Model = Superglue.Model

@@ -20,6 +20,7 @@
    [Cost.scale] commutes with the bound up to the unscaled usage terms
    (affine linearity; see DESIGN.md §3.8). *)
 
+module Json = Sg_util.Json
 module Compiler = Superglue.Compiler
 module Machine = Superglue.Machine
 module Model = Superglue.Model

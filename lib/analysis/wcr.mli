@@ -80,6 +80,6 @@ val kind_to_string : kind -> string
 val render : report -> string
 (** The human table [sgc bound] prints. *)
 
-val to_json : report -> Json.t
+val to_json : report -> Sg_util.Json.t
 (** [{"version":1,"schema":"sgc-bound","cost":{...},"services":[...],
     "pairs":[...]}]; unbounded values render as [null]. *)

@@ -7,7 +7,7 @@
    equal scenarios produce byte-identical artifacts, which the CI gate
    checks across shrink parallelism levels. *)
 
-module Json = Sg_analysis.Json
+module Json = Sg_util.Json
 
 let schema = "superglue-dst"
 let version = 1
@@ -35,10 +35,8 @@ let workload_to_json = function
         ]
 
 let to_json a =
-  Json.Obj
+  Json.versioned_report ~schema ~version
     [
-      ("schema", Json.Str schema);
-      ("version", Json.Int version);
       ("sut", Json.Str a.af_sut);
       ("seed", Json.Int a.af_scenario.Exec.sc_seed);
       ("verdict", Json.Str a.af_verdict);
@@ -48,56 +46,44 @@ let to_json a =
 
 let to_string a = Json.to_string (to_json a)
 
-let fail fmt = Printf.ksprintf (fun m -> raise (Json.Parse_error m)) fmt
-
-let get_int j field =
-  match Json.member field j with
-  | Some (Json.Int n) -> n
-  | _ -> fail "artifact field %s missing or not an integer" field
-
-let get_str j field =
-  match Json.member field j with
-  | Some (Json.Str s) -> s
-  | _ -> fail "artifact field %s missing or not a string" field
-
 let workload_of_json j =
   match Json.member "kind" j with
   | Some (Json.Str "ops") -> (
       match Json.member "ops" j with
       | Some (Json.List ops) -> Exec.Ops (List.map Gen.op_of_json ops)
-      | _ -> fail "ops workload lacks an \"ops\" array")
+      | _ -> Json.fail "ops workload lacks an \"ops\" array")
   | Some (Json.Str "classic") ->
       Exec.Classic
         {
-          iface = get_str j "iface";
-          iters = get_int j "iters";
-          knob = get_int j "knob";
+          iface = Json.get_str j "iface";
+          iters = Json.get_int j "iters";
+          knob = Json.get_int j "knob";
         }
-  | _ -> fail "workload kind missing or unknown"
+  | _ -> Json.fail "workload kind missing or unknown"
 
 let of_json j =
   (match Json.member "schema" j with
   | Some (Json.Str s) when s = schema -> ()
-  | _ -> fail "not a %s artifact" schema);
+  | _ -> Json.fail "not a %s artifact" schema);
   (match Json.member "version" j with
   | Some (Json.Int v) when v = version -> ()
-  | Some (Json.Int v) -> fail "unsupported artifact version %d" v
-  | _ -> fail "artifact lacks a version");
+  | Some (Json.Int v) -> Json.fail "unsupported artifact version %d" v
+  | _ -> Json.fail "artifact lacks a version");
   let plan =
     match Json.member "plan" j with
     | Some (Json.List fs) -> List.map Plan.fault_of_json fs
-    | _ -> fail "artifact lacks a \"plan\" array"
+    | _ -> Json.fail "artifact lacks a \"plan\" array"
   in
   let workload =
     match Json.member "workload" j with
     | Some w -> workload_of_json w
-    | None -> fail "artifact lacks a \"workload\""
+    | None -> Json.fail "artifact lacks a \"workload\""
   in
   {
-    af_sut = get_str j "sut";
-    af_verdict = get_str j "verdict";
+    af_sut = Json.get_str j "sut";
+    af_verdict = Json.get_str j "verdict";
     af_scenario =
-      { Exec.sc_seed = get_int j "seed"; sc_workload = workload; sc_plan = plan };
+      { Exec.sc_seed = Json.get_int j "seed"; sc_workload = workload; sc_plan = plan };
   }
 
 let of_string s = of_json (Json.parse s)

@@ -3,7 +3,7 @@
    Every draw comes from the explicit [Rng.t] the caller passes, in one
    fixed left-to-right order, so a sequence is a pure function of
    (mix, seed): the replay artifact only needs the seed. All mix knobs
-   are integer weights — the artifact carrier ({!Sg_analysis.Json}) has
+   are integer weights — the artifact carrier ({!Sg_util.Json}) has
    no floats, and integer weights compare exactly across platforms. *)
 
 module Rng = Sg_util.Rng
@@ -158,7 +158,7 @@ let op_label = function
 
 (* ---------- JSON (replay artifacts) ---------- *)
 
-module Json = Sg_analysis.Json
+module Json = Sg_util.Json
 
 let op_to_json op =
   let o name fields = Json.Obj (("op", Json.Str name) :: fields) in
@@ -179,19 +179,8 @@ let op_to_json op =
   | Desc_burst { count } -> o "desc_burst" [ ("count", Json.Int count) ]
   | Restart { service } -> o "restart" [ ("service", Json.Str service) ]
 
-let fail fmt = Printf.ksprintf (fun m -> raise (Json.Parse_error m)) fmt
-
-let get_int j field =
-  match Json.member field j with
-  | Some (Json.Int n) -> n
-  | _ -> fail "op field %s missing or not an integer" field
-
-let get_str j field =
-  match Json.member field j with
-  | Some (Json.Str s) -> s
-  | _ -> fail "op field %s missing or not a string" field
-
 let op_of_json j =
+  let get_int = Json.get_int and get_str = Json.get_str in
   match Json.member "op" j with
   | Some (Json.Str name) -> (
       match name with
@@ -210,5 +199,5 @@ let op_of_json j =
             { periods = get_int j "periods"; period_ns = get_int j "period_ns" }
       | "desc_burst" -> Desc_burst { count = get_int j "count" }
       | "restart" -> Restart { service = get_str j "service" }
-      | other -> fail "unknown op %s" other)
-  | _ -> fail "op object lacks an \"op\" field"
+      | other -> Json.fail "unknown op %s" other)
+  | _ -> Json.fail "op object lacks an \"op\" field"

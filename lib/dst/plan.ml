@@ -8,7 +8,7 @@
 
 module Rng = Sg_util.Rng
 module Reg = Sg_kernel.Reg
-module Json = Sg_analysis.Json
+module Json = Sg_util.Json
 
 type fault =
   | Flip of {
@@ -180,25 +180,14 @@ let fault_to_json f =
         @ (if pb_every then [ ("every", Json.Bool true) ] else [])
         @ if pb_walk then [ ("walk", Json.Bool true) ] else [])
 
-let fail fmt = Printf.ksprintf (fun m -> raise (Json.Parse_error m)) fmt
-
-let get_int j field =
-  match Json.member field j with
-  | Some (Json.Int n) -> n
-  | _ -> fail "fault field %s missing or not an integer" field
-
-let get_str j field =
-  match Json.member field j with
-  | Some (Json.Str s) -> s
-  | _ -> fail "fault field %s missing or not a string" field
-
 let fault_of_json j =
+  let get_int = Json.get_int and get_str = Json.get_str in
   match Json.member "fault" j with
   | Some (Json.Str name) -> (
       match name with
       | "flip" ->
           let reg = get_str j "reg" in
-          if Reg.of_string reg = None then fail "unknown register %s" reg;
+          if Reg.of_string reg = None then Json.fail "unknown register %s" reg;
           Flip
             {
               fl_service = get_str j "service";
@@ -233,5 +222,5 @@ let fault_of_json j =
               pb_every = get_flag "every";
               pb_walk = get_flag "walk";
             }
-      | other -> fail "unknown fault %s" other)
-  | _ -> fail "fault object lacks a \"fault\" field"
+      | other -> Json.fail "unknown fault %s" other)
+  | _ -> Json.fail "fault object lacks a \"fault\" field"

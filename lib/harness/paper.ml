@@ -48,3 +48,12 @@ let fig6c_c3_fs_loc = 398
 let avg_idl_loc = 37
 let web_slowdown_pct = 11.84
 let web_slowdown_faults_pct = 13.6
+
+let modes =
+  [
+    ("base", Sg_components.Sysbuild.Base);
+    ("c3", Sg_components.Sysbuild.Stubbed Sg_components.Sysbuild.c3_stubset);
+    ("superglue", Superglue.Stubset.mode);
+    ("superglue-eager", Superglue.Stubset.mode_eager);
+    ("superglue-gen", Sg_genstubs.Gen_stubset.mode);
+  ]

@@ -32,3 +32,9 @@ val web_slowdown_pct : float
 
 val web_slowdown_faults_pct : float
 (** 13.6 *)
+
+val modes : (string * Sg_components.Sysbuild.mode) list
+(** The system configurations the evaluation compares, by the name every
+    CLI's [--mode] takes: base COMPOSITE, hand-written C³ stubs,
+    SuperGlue stubs (interpreted, on-demand T1 recovery), the eager
+    recovery ablation, and the compiled SuperGlue stubs. *)

@@ -73,12 +73,6 @@ let kind_name = function
   | Perturb _ -> "perturb"
   | Note _ -> "note"
 
-(* the bounded recovery ring (and the legacy [Sim.trace] view on it)
-   keeps exactly the kinds the old in-simulator trace recorded *)
-let is_recovery_core = function
-  | Crash _ | Reboot _ | Upcall _ -> true
-  | _ -> false
-
 (* the wider "recovery relevant" set retained by default: everything a
    fault-tolerance post-mortem needs, but none of the per-operation
    event flood (spans, storage ops, http) of a long benchmark run *)

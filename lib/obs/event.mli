@@ -69,9 +69,6 @@ type t = { seq : int; at_ns : int; tid : int; kind : kind }
 
 val kind_name : kind -> string
 
-val is_recovery_core : kind -> bool
-(** The kinds kept in the always-on bounded ring backing [Sim.trace]. *)
-
 val is_recovery_relevant : kind -> bool
 (** The kinds retained under the [Recovery] retention policy. *)
 

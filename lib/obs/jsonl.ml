@@ -1,8 +1,10 @@
 (* JSON-lines codec for events. One flat object per line; values are
-   strings, ints and bools only, so a tiny hand-rolled codec suffices
-   (no external JSON dependency). Both directions take one pass over a
-   line: rendering writes each kind's fields straight into a buffer,
-   parsing reads every key in place into a slot of its own. *)
+   strings, ints and bools only. This is the host-time hot path of a
+   traced run, so it is the one place that writes JSON by hand instead
+   of building a [Sg_util.Json.t]; it shares that module's escaper.
+   Both directions take one pass over a line: rendering writes each
+   kind's fields straight into a buffer, parsing reads every key in
+   place into a slot of its own. *)
 
 (* {2 Keys} *)
 
@@ -64,40 +66,8 @@ let by_first =
 
 (* {2 Rendering} *)
 
-let needs_escape c = c < ' ' || c = '"' || c = '\\'
-let hex_digits = "0123456789abcdef"
-
-(* copies each run of bytes that need no escaping in one piece, so a
-   clean string is a single [add_substring] *)
-let add_escaped b s =
-  let n = String.length s in
-  let run = ref 0 in
-  for i = 0 to n - 1 do
-    let c = String.unsafe_get s i in
-    if needs_escape c then begin
-      Buffer.add_substring b s !run (i - !run);
-      run := i + 1;
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c ->
-          Buffer.add_string b "\\u00";
-          Buffer.add_char b hex_digits.[Char.code c lsr 4];
-          Buffer.add_char b hex_digits.[Char.code c land 0xf]
-    end
-  done;
-  Buffer.add_substring b s !run (n - !run)
-
-let escape s =
-  if String.exists needs_escape s then begin
-    let b = Buffer.create (String.length s + 8) in
-    add_escaped b s;
-    Buffer.contents b
-  end
-  else s
+let add_escaped = Sg_util.Json.add_escaped
+let escape = Sg_util.Json.escape
 
 let rec add_digits b n =
   if n >= 10 then add_digits b (n / 10);
@@ -216,9 +186,9 @@ let to_string e =
 
 (* {2 Parsing} *)
 
-exception Parse_error of string
+exception Parse_error = Sg_util.Json.Parse_error
 
-let fail fmt = Printf.ksprintf (fun m -> raise (Parse_error m)) fmt
+let fail = Sg_util.Json.fail
 
 let rec skip_ws line n i =
   if i < n && (match String.unsafe_get line i with ' ' | '\t' -> true | _ -> false)

@@ -10,15 +10,13 @@
     unescaped string value costs one [String.sub]. *)
 
 exception Parse_error of string
+(** The same exception as {!Sg_util.Json.Parse_error}. *)
 
 val add_escaped : Buffer.t -> string -> unit
-(** Appends the JSON string-body escaping of a string (no surrounding
-    quotes); a string with nothing to escape is copied unchanged. Shared
-    with {!Profile}'s emitter. *)
+(** {!Sg_util.Json.add_escaped}. *)
 
 val escape : string -> string
-(** [add_escaped] into a fresh string; returns its argument when
-    nothing needs escaping. *)
+(** {!Sg_util.Json.escape}. *)
 
 val add_event : Buffer.t -> Event.t -> unit
 (** Appends one line, without a trailing newline. *)

@@ -78,6 +78,6 @@ val pp : Format.formatter -> Episode.t list -> unit
 
 val json_version : int
 
-val to_json : ?source:string -> Episode.t list -> string
-(** Versioned machine-readable profile (single JSON object,
-    ["version"] = {!json_version}). *)
+val to_json : ?source:string -> Episode.t list -> Sg_util.Json.t
+(** The machine-readable profile: an [sg-profile] report of version
+    {!json_version}. *)

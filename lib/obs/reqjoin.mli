@@ -66,10 +66,11 @@ val served_rps : t -> float
 
 val json_version : int
 
-val to_json : t -> string
-(** One JSON object (no trailing newline): counts, throughput, queue
-    profile, per-population latency summaries (p50/p90/p99/p999,
-    mean/stddev) and the per-episode impact rows. Embedded verbatim by
-    the [sg-webbench] report. *)
+val to_json : t -> Sg_util.Json.t
+(** One JSON object: counts, throughput, queue profile, per-population
+    latency summaries (p50/p90/p99/p999, mean/stddev) and the
+    per-episode impact rows. The ["join"] field of the [sg-reqjoin]
+    ([sgtrace tail --json], version {!json_version}) and [sg-webbench]
+    reports. *)
 
 val pp : Format.formatter -> t -> unit

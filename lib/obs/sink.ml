@@ -1,24 +1,19 @@
 (* The pluggable event sink. Every emission stamps a global sequence
-   number, notifies subscribers, feeds a small always-on ring of
-   recovery-core events (backing the legacy [Sim.trace] view), and —
-   per the retention policy — appends to the full in-order log. *)
+   number, notifies subscribers, and — per the retention policy —
+   appends to the in-order log. *)
 
-type retention = All | Recovery | Nothing
+type retention = All | Recovery
 
 type t = {
   mutable retention : retention;
   mutable next_seq : int;
   mutable log : Event.t list;  (* newest first *)
   mutable log_len : int;
-  mutable ring : Event.t list;  (* newest first, bounded *)
-  mutable ring_len : int;
   mutable subscribers : (Event.t -> unit) list;
   mutable folds : (at_ns:int -> tid:int -> Event.kind -> unit) list;
       (* unboxed fan-out: sees every emission without forcing the event
          record to be constructed (the metrics fold attaches here) *)
 }
-
-let ring_capacity = 512
 
 let create ?(retention = Recovery) () =
   {
@@ -26,8 +21,6 @@ let create ?(retention = Recovery) () =
     next_seq = 0;
     log = [];
     log_len = 0;
-    ring = [];
-    ring_len = 0;
     subscribers = [];
     folds = [];
   }
@@ -41,7 +34,6 @@ let retains t kind =
   match t.retention with
   | All -> true
   | Recovery -> Event.is_recovery_relevant kind
-  | Nothing -> false
 
 let emit t ~at_ns ~tid kind =
   let seq = t.next_seq in
@@ -50,19 +42,9 @@ let emit t ~at_ns ~tid kind =
      is only boxed when someone will actually see it — under the default
      [Recovery] retention the dispatcher hot path emits mostly spans,
      which this drops without allocating *)
-  let core = Event.is_recovery_core kind in
   let keep = retains t kind in
-  if core || keep || t.subscribers <> [] then begin
+  if keep || t.subscribers <> [] then begin
     let e = { Event.seq; at_ns; tid; kind } in
-    if core then begin
-      t.ring <- e :: t.ring;
-      t.ring_len <- t.ring_len + 1;
-      (* amortized prune, mirroring the original Sim trace ring *)
-      if t.ring_len > 2 * ring_capacity then begin
-        t.ring <- List.filteri (fun i _ -> i < ring_capacity) t.ring;
-        t.ring_len <- ring_capacity
-      end
-    end;
     if keep then begin
       t.log <- e :: t.log;
       t.log_len <- t.log_len + 1
@@ -74,11 +56,6 @@ let emit t ~at_ns ~tid kind =
 let count t = t.log_len
 let events t = List.rev t.log
 
-let recovery_recent t =
-  List.filteri (fun i _ -> i < ring_capacity) t.ring
-
 let clear t =
   t.log <- [];
-  t.log_len <- 0;
-  t.ring <- [];
-  t.ring_len <- 0
+  t.log_len <- 0

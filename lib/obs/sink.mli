@@ -8,14 +8,11 @@
       [sgtrace dump] want; unbounded, so opt in per run.
     - [Recovery] (default) keeps only recovery-relevant events (crashes,
       reboots, diverts, walks, upcalls, injections) — bounded in
-      practice by fault activity, not by request volume.
-    - [Nothing] keeps no log; subscribers still see everything.
+      practice by fault activity, not by request volume. Every crash of
+      a run is kept, so this log is where crash markers (the Fig 7
+      timeline) and recovery post-mortems read from. *)
 
-    Independent of the policy, a bounded 512-entry ring of
-    crash/reboot/upcall events is always maintained; it backs the legacy
-    [Sim.trace] API. *)
-
-type retention = All | Recovery | Nothing
+type retention = All | Recovery
 
 type t
 
@@ -42,9 +39,4 @@ val events : t -> Event.t list
 val count : t -> int
 (** Number of retained events. *)
 
-val recovery_recent : t -> Event.t list
-(** The always-on bounded ring of crash/reboot/upcall events, newest
-    first; at most {!ring_capacity} entries. *)
-
-val ring_capacity : int
 val clear : t -> unit

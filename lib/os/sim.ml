@@ -27,12 +27,6 @@ type t = {
   debug_divert : bool;  (** SG_DEBUG_DIVERT, read once at creation *)
 }
 
-and trace_event = {
-  tv_at_ns : int;
-  tv_kind : [ `Failed of string | `Microreboot | `Upcall of string ];
-  tv_cid : Comp.cid;
-}
-
 and spec = {
   sc_name : string;
   sc_image_kb : int;
@@ -105,7 +99,6 @@ let create ?(cost = Cost.default) ?(seed = 42) ?retention ?(sched = `Indexed) ()
     debug_divert = Sys.getenv_opt "SG_DEBUG_DIVERT" <> None;
   }
 
-let trace_capacity = Sg_obs.Sink.ring_capacity
 let obs t = t.sim_obs
 let metrics t = t.sim_metrics
 
@@ -114,31 +107,6 @@ let emit t kind =
     match t.current with Some f -> f.f_tcb.Ktcb.tid | None -> -1
   in
   Sg_obs.Sink.emit t.sim_obs ~at_ns:(Kernel.now t.sk) ~tid kind
-
-(* the legacy bounded recovery-trace view, rebuilt from the sink's
-   always-on ring *)
-let trace t =
-  List.filter_map
-    (fun (e : Sg_obs.Event.t) ->
-      match e.Sg_obs.Event.kind with
-      | Sg_obs.Event.Crash { cid; detector } ->
-          Some
-            { tv_at_ns = e.Sg_obs.Event.at_ns; tv_kind = `Failed detector; tv_cid = cid }
-      | Sg_obs.Event.Reboot { cid; _ } ->
-          Some { tv_at_ns = e.Sg_obs.Event.at_ns; tv_kind = `Microreboot; tv_cid = cid }
-      | Sg_obs.Event.Upcall { cid; fn } ->
-          Some { tv_at_ns = e.Sg_obs.Event.at_ns; tv_kind = `Upcall fn; tv_cid = cid }
-      | _ -> None)
-    (Sg_obs.Sink.recovery_recent t.sim_obs)
-
-let pp_trace_event ppf e =
-  let kind =
-    match e.tv_kind with
-    | `Failed detector -> "fault detected (" ^ detector ^ ")"
-    | `Microreboot -> "micro-reboot"
-    | `Upcall fn -> "upcall " ^ fn
-  in
-  Format.fprintf ppf "[%8d ns] component %d: %s" e.tv_at_ns e.tv_cid kind
 
 let kernel t = t.sk
 let cost t = t.sk.Kernel.cost

@@ -161,30 +161,11 @@ val fatal : t -> fatal option
 val fatal_to_string : fatal -> string
 val pp_run_result : Format.formatter -> run_result -> unit
 
-(** {1 Recovery trace}
-
-    A bounded ring of recovery-relevant events (fault detections,
-    micro-reboots, upcalls), for debugging and for the examples'
-    narration. Recording costs no virtual time. *)
-
-type trace_event = {
-  tv_at_ns : int;
-  tv_kind : [ `Failed of string | `Microreboot | `Upcall of string ];
-  tv_cid : Comp.cid;
-}
-
-val trace : t -> trace_event list
-(** Most recent first; at most {!trace_capacity} entries. *)
-
-val trace_capacity : int
-val pp_trace_event : Format.formatter -> trace_event -> unit
-
 (** {1 Structured observability}
 
     Every simulator emits structured {!Sg_obs.Event.t} values — spans
     for each invocation, crash/reboot/divert/upcall/reflect recovery
-    events — into a built-in sink, with an attached metrics fold. The
-    legacy {!trace} above is a bounded view of the same stream. *)
+    events — into a built-in sink, with an attached metrics fold. *)
 
 val obs : t -> Sg_obs.Sink.t
 val metrics : t -> Sg_obs.Metrics.t

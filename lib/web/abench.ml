@@ -120,16 +120,15 @@ let timeline sys server =
            | _ -> s :: acc)
          [] samples)
   in
+  (* every crash of the run, in time order: both retention policies keep
+     them all *)
   let crashes =
     List.filter_map
-      (fun e ->
-        match e.Sim.tv_kind with
-        | `Failed _ -> Some e.Sim.tv_at_ns
-        | `Microreboot | `Upcall _ -> None)
-      (Sim.trace sys.Sysbuild.sys_sim)
+      (fun (e : Sg_obs.Event.t) ->
+        match e.kind with Sg_obs.Event.Crash _ -> Some e.at_ns | _ -> None)
+      (Sg_obs.Sink.events (Sim.obs sys.Sysbuild.sys_sim))
     |> Array.of_list
   in
-  Array.sort compare crashes;
   (* samples and crashes are both time-sorted: one advancing cursor
      attributes each crash to its bucket, O(samples + crashes) instead
      of rescanning the crash list per bucket *)

@@ -40,8 +40,8 @@ type bucket = {
 
 val timeline : Sg_components.Sysbuild.system -> Server.t -> bucket list
 (** The Fig 7 timeline: per-stats-tick throughput derived from the
-    server's served-count samples, with the crash instants (from the
-    simulator's recovery trace) attributed to their buckets. Call after
+    server's served-count samples, with every crash instant retained by
+    the simulator's event sink attributed to its bucket. Call after
     {!run}. *)
 
 val render_timeline : bucket list -> string

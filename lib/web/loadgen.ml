@@ -58,6 +58,37 @@ let default =
     lg_seed = 42;
   }
 
+(* {2 Validation} *)
+
+let finite_positive x = Float.is_finite x && x > 0.0
+
+let validate cfg =
+  let rates_ok, dwells_ok =
+    match cfg.lg_arrival with
+    | Poisson { rate_rps } -> (finite_positive rate_rps, true)
+    | Bursty { base_rps; burst_rps; quiet_ms; burst_ms } ->
+        ( finite_positive base_rps && finite_positive burst_rps,
+          finite_positive quiet_ms && finite_positive burst_ms )
+  in
+  match
+    List.find_opt
+      (fun (ok, _) -> not ok)
+      [
+        (rates_ok, "rates must be finite and positive");
+        (dwells_ok, "dwell times must be finite and positive");
+        (cfg.lg_keepalive >= 0.0 && cfg.lg_keepalive <= 1.0, "keepalive must be in [0, 1]");
+        (cfg.lg_requests > 0, "requests must be positive");
+        (cfg.lg_clients > 0, "clients must be positive");
+        (cfg.lg_workers > 0, "workers must be positive");
+        (cfg.lg_queue_cap > 0, "queue_cap must be positive");
+      ]
+  with
+  | None -> Ok ()
+  | Some (_, msg) -> Error msg
+
+let validate_exn cfg =
+  match validate cfg with Ok () -> () | Error msg -> invalid_arg ("Loadgen: " ^ msg)
+
 (* {2 Arrival processes} *)
 
 (* A stepper closes over the arrival stream and returns successive
@@ -69,14 +100,9 @@ let default =
 let gap_stepper arrival rng =
   match arrival with
   | Poisson { rate_rps } ->
-      if rate_rps <= 0.0 then invalid_arg "Loadgen: rate_rps must be positive";
       let mean = 1e9 /. rate_rps in
       fun () -> max 1 (int_of_float (Rng.exponential rng ~mean))
   | Bursty { base_rps; burst_rps; quiet_ms; burst_ms } ->
-      if base_rps <= 0.0 || burst_rps <= 0.0 then
-        invalid_arg "Loadgen: rates must be positive";
-      if quiet_ms <= 0.0 || burst_ms <= 0.0 then
-        invalid_arg "Loadgen: dwell times must be positive";
       let t = ref 0 in
       let in_burst = ref false in
       let next_switch =
@@ -99,6 +125,7 @@ let gap_stepper arrival rng =
    gaps [run] will schedule, since both derive stream 0 of the same
    split. Exposed for distribution tests. *)
 let interarrivals arrival ~seed ~n =
+  validate_exn { default with lg_arrival = arrival };
   let streams = Rng.streams (Rng.create seed) 3 in
   let step = gap_stepper arrival streams.(0) in
   Array.init n (fun _ -> step ())
@@ -124,10 +151,7 @@ type result = {
 }
 
 let run ?fault_period_ns cfg sys server =
-  if cfg.lg_requests <= 0 then invalid_arg "Loadgen: requests must be positive";
-  if cfg.lg_workers <= 0 then invalid_arg "Loadgen: workers must be positive";
-  if cfg.lg_clients <= 0 then invalid_arg "Loadgen: clients must be positive";
-  if cfg.lg_queue_cap <= 0 then invalid_arg "Loadgen: queue_cap must be positive";
+  validate_exn cfg;
   let sim = sys.Sysbuild.sys_sim in
   let client = Sim.register sim client_spec in
   Sim.grant sim ~client ~server:server.Server.ws_http;

@@ -38,10 +38,16 @@ val default : config
 (** Poisson 12k req/s, 20k requests, 1M client ids, 10 workers,
     queue cap 200, 90% keep-alive, seed 42. *)
 
+val validate : config -> (unit, string) result
+(** [Error] names the first violated rule: rates and dwell times must be
+    finite and positive, [lg_keepalive] within [0, 1], and the request,
+    client, worker and queue counts positive. *)
+
 val interarrivals : arrival -> seed:int -> n:int -> int array
 (** The first [n] inter-arrival gaps (ns) that {!run} would schedule
     for this master seed — a pure view of arrival stream 0, for
-    distribution tests. *)
+    distribution tests. Raises [Invalid_argument] on an arrival process
+    {!validate} rejects. *)
 
 type result = {
   lr_reqs : Sg_obs.Reqjoin.req list;  (** in arrival order *)
@@ -56,7 +62,8 @@ val run :
 (** Drive one open-loop run against an installed server, then
     [Sim.run] to completion. With [fault_period_ns], a SWIFI thread
     crashes a rotating system service each period (as [Abench.run]).
-    Raises [Failure] if the simulation deadlocks or faults fatally. *)
+    Raises [Invalid_argument] on a config {!validate} rejects, and
+    [Failure] if the simulation deadlocks or faults fatally. *)
 
 type outcome = {
   oc_fault_period_ns : int option;

@@ -17,7 +17,7 @@ module Wcr = Sg_analysis.Wcr
 module Mutate = Sg_analysis.Mutate
 module Taint = Sg_analysis.Taint
 module Race = Sg_analysis.Race
-module Json = Sg_analysis.Json
+module Json = Sg_util.Json
 module Cost = Sg_kernel.Cost
 
 let contains hay needle =

@@ -138,29 +138,17 @@ let test_recovery_trace () =
   (match Sim.run sim with
   | Sim.Completed -> ()
   | r -> Alcotest.failf "run: %a" Sim.pp_run_result r);
-  let events = Sim.trace sim in
-  let has kind =
-    List.exists
-      (fun e ->
-        match (e.Sim.tv_kind, kind) with
-        | `Failed _, `Failed -> true
-        | `Microreboot, `Reboot -> true
-        | _ -> false)
-      events
-  in
-  Alcotest.(check bool) "fault recorded" true (has `Failed);
-  Alcotest.(check bool) "reboot recorded" true (has `Reboot);
-  (* chronology: the fault detection precedes the micro-reboot *)
-  let times kind =
+  let times pick =
     List.filter_map
-      (fun e ->
-        match (e.Sim.tv_kind, kind) with
-        | `Failed _, `Failed | `Microreboot, `Reboot -> Some e.Sim.tv_at_ns
-        | _ -> None)
-      events
+      (fun (e : Sg_obs.Event.t) -> if pick e.kind then Some e.at_ns else None)
+      (Sg_obs.Sink.events (Sim.obs sim))
   in
-  Alcotest.(check bool) "fault before reboot" true
-    (List.nth (times `Failed) 0 <= List.nth (times `Reboot) 0)
+  let crashes = times (function Sg_obs.Event.Crash _ -> true | _ -> false) in
+  let reboots = times (function Sg_obs.Event.Reboot _ -> true | _ -> false) in
+  Alcotest.(check bool) "fault recorded" true (crashes <> []);
+  Alcotest.(check bool) "reboot recorded" true (reboots <> []);
+  (* chronology: the fault detection precedes the micro-reboot *)
+  Alcotest.(check bool) "fault before reboot" true (List.hd crashes <= List.hd reboots)
 
 let test_upcall_trace_on_g0 () =
   (* the evt global-descriptor recovery leaves an upcall in the trace *)
@@ -184,8 +172,9 @@ let test_upcall_trace_on_g0 () =
   | r -> Alcotest.failf "run: %a" Sim.pp_run_result r);
   let upcalled =
     List.exists
-      (fun e -> match e.Sim.tv_kind with `Upcall _ -> e.Sim.tv_cid = app2 | _ -> false)
-      (Sim.trace sim)
+      (fun (e : Sg_obs.Event.t) ->
+        match e.kind with Sg_obs.Event.Upcall { cid; _ } -> cid = app2 | _ -> false)
+      (Sg_obs.Sink.events (Sim.obs sim))
   in
   Alcotest.(check bool) "upcall into the creator recorded" true upcalled
 

@@ -11,7 +11,7 @@ module Dst = Sg_dst.Dst
 module Rng = Sg_util.Rng
 module Episode = Sg_obs.Episode
 module Profile = Sg_obs.Profile
-module Json = Sg_analysis.Json
+module Json = Sg_util.Json
 module Taint = Sg_analysis.Taint
 
 let scenario_label (sc : Exec.scenario) =
@@ -575,7 +575,7 @@ let test_artifact_fields () =
   in
   let positions =
     List.map idx
-      [ "\"schema\""; "\"version\""; "\"sut\""; "\"seed\""; "\"verdict\"";
+      [ "\"version\""; "\"schema\""; "\"sut\""; "\"seed\""; "\"verdict\"";
         "\"workload\""; "\"plan\"" ]
   in
   Alcotest.(check bool) "all fields present" true
@@ -598,6 +598,54 @@ let test_artifact_save_load () =
       let art' = Artifact.load path in
       Alcotest.(check string) "save/load byte-stable"
         (Artifact.to_string art) (Artifact.to_string art'))
+
+(* an artifact written before reports shared the version-first envelope
+   still loads *)
+let test_artifact_schema_first () =
+  let art =
+    { Artifact.af_sut = "superglue"; af_verdict = "check"; af_scenario = Dst.scenario_of_seed 5 }
+  in
+  let fields =
+    match Artifact.to_json art with Json.Obj kvs -> kvs | _ -> Alcotest.fail "not an object"
+  in
+  let schema_first =
+    Json.Obj (("schema", List.assoc "schema" fields) :: List.remove_assoc "schema" fields)
+  in
+  Alcotest.(check string) "loads unchanged" (Artifact.to_string art)
+    (Artifact.to_string (Artifact.of_string (Json.to_string schema_first)))
+
+(* a truncated or byte-flipped artifact parses to some value or raises
+   Parse_error; nothing else escapes *)
+let damaged_artifact =
+  QCheck.make
+    ~print:(fun (_, s) -> s)
+    QCheck.Gen.(
+      int_range 1 500 >>= fun seed ->
+      let s =
+        Artifact.to_string
+          { Artifact.af_sut = "superglue"; af_verdict = "postcond";
+            af_scenario = Dst.scenario_of_seed seed }
+      in
+      let n = String.length s in
+      int_bound (n - 1) >>= fun at ->
+      oneof
+        [
+          return (String.sub s 0 at);
+          map
+            (fun c -> String.mapi (fun i x -> if i = at then c else x) s)
+            (oneof [ char; oneofl [ '"'; '{'; '}'; '['; ']'; ','; ':'; '-'; '.'; 'e'; '\\' ] ]);
+        ]
+      >|= fun damaged -> (seed, damaged))
+
+let total name f =
+  QCheck.Test.make ~count:400 ~name damaged_artifact
+    (fun (_, s) ->
+      match f s with _ -> true | exception Json.Parse_error _ -> true)
+
+let prop_parse_total = total "Json.parse is total on damaged artifacts" Json.parse
+
+let prop_artifact_total =
+  total "Artifact.of_string is total on damaged artifacts" Artifact.of_string
 
 let () =
   Alcotest.run "dst"
@@ -674,5 +722,9 @@ let () =
           Alcotest.test_case "canonical fields and order" `Quick
             test_artifact_fields;
           Alcotest.test_case "save/load" `Quick test_artifact_save_load;
+          Alcotest.test_case "schema-first artifact loads" `Quick
+            test_artifact_schema_first;
+          QCheck_alcotest.to_alcotest prop_parse_total;
+          QCheck_alcotest.to_alcotest prop_artifact_total;
         ] );
     ]

@@ -12,6 +12,7 @@ module Metrics = Sg_obs.Metrics
 module Episode = Sg_obs.Episode
 module Profile = Sg_obs.Profile
 module Reqjoin = Sg_obs.Reqjoin
+module Json = Sg_util.Json
 
 (* hand-build a stream: (at_ns, tid, kind) triples, seq auto-assigned *)
 let stream l =
@@ -48,56 +49,18 @@ let test_sink_retention () =
   Alcotest.(check (list string))
     "Recovery keeps only recovery-relevant kinds" [ "crash"; "reboot" ]
     (List.map (fun e -> E.kind_name e.E.kind) (Sink.events rec_));
-  let none = Sink.create ~retention:Sink.Nothing () in
   let seen = ref 0 in
-  Sink.subscribe none (fun _ -> incr seen);
-  fill none;
-  Alcotest.(check int) "Nothing retains no events" 0 (Sink.count none);
+  let watched = Sink.create () in
+  Sink.subscribe watched (fun _ -> incr seen);
+  fill watched;
   Alcotest.(check int) "subscribers see every emission regardless" 4 !seen;
   Sink.clear all;
   Alcotest.(check int) "clear empties the log" 0 (Sink.count all)
 
-let test_sink_ring () =
-  let sink = Sink.create ~retention:Sink.Nothing () in
-  for i = 1 to Sink.ring_capacity + 88 do
-    Sink.emit sink ~at_ns:i ~tid:1 (E.Crash { cid = 7; detector = "ring" })
-  done;
-  let ring = Sink.recovery_recent sink in
-  Alcotest.(check int) "ring bounded at capacity" Sink.ring_capacity
-    (List.length ring);
-  Alcotest.(check int) "ring is newest first"
-    (Sink.ring_capacity + 88)
-    (List.hd ring).E.at_ns;
-  Alcotest.(check int) "oldest surviving entry" 89
-    (List.nth ring (Sink.ring_capacity - 1)).E.at_ns
-
-let test_sink_ring_exact_capacity () =
-  (* exactly ring_capacity emissions: nothing may be pruned away, and
-     the ring must hold every event in newest-first order *)
-  let sink = Sink.create ~retention:Sink.Nothing () in
-  for i = 1 to Sink.ring_capacity do
-    Sink.emit sink ~at_ns:i ~tid:1 (E.Crash { cid = 7; detector = "ring" })
-  done;
-  let ring = Sink.recovery_recent sink in
-  Alcotest.(check int) "ring holds exactly capacity" Sink.ring_capacity
-    (List.length ring);
-  Alcotest.(check int) "newest first" Sink.ring_capacity
-    (List.hd ring).E.at_ns;
-  Alcotest.(check int) "oldest is the first emission" 1
-    (List.nth ring (Sink.ring_capacity - 1)).E.at_ns;
-  (* one more emission evicts exactly the oldest *)
-  Sink.emit sink ~at_ns:(Sink.ring_capacity + 1) ~tid:1
-    (E.Crash { cid = 7; detector = "ring" });
-  let ring = Sink.recovery_recent sink in
-  Alcotest.(check int) "still at capacity" Sink.ring_capacity
-    (List.length ring);
-  Alcotest.(check int) "oldest advanced by one" 2
-    (List.nth ring (Sink.ring_capacity - 1)).E.at_ns
-
 let test_subscribe_fold_equivalence () =
   (* a boxing subscriber and an unboxed fold subscriber on the same sink
      must observe the same emission sequence *)
-  let sink = Sink.create ~retention:Sink.Nothing () in
+  let sink = Sink.create () in
   let boxed = ref [] and folded = ref [] in
   Sink.subscribe sink (fun e ->
       boxed := (e.E.at_ns, e.E.tid, e.E.kind) :: !boxed);
@@ -986,16 +949,14 @@ let test_profile_attribution () =
   let text = Format.asprintf "%a" Profile.pp eps in
   Alcotest.(check bool) "text report mentions the phases" true
     (String.length text > 0);
-  let json = Profile.to_json ~source:"test" eps in
-  let contains needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "json carries version 1" true
-    (contains "\"version\":1" json);
-  Alcotest.(check bool) "json carries the attribution" true
-    (contains "\"attribution\"" json)
+  let rendered = Json.to_string (Profile.to_json ~source:"test" eps) in
+  let envelope = "{\"version\":1,\"schema\":\"sg-profile\",\"source\":\"test\"," in
+  Alcotest.(check string) "sg-profile envelope, version first" envelope
+    (String.sub rendered 0 (String.length envelope));
+  let json = Json.parse rendered in
+  Alcotest.(check int) "one attribution row per component" (List.length attrs)
+    (match Json.member "attribution" json with Some (Json.List l) -> List.length l | _ -> -1);
+  Alcotest.(check int) "episodes_total" 1 (Json.get_int json "episodes_total")
 
 (* ---------- request/episode join ---------- *)
 
@@ -1052,15 +1013,17 @@ let test_reqjoin_attribution () =
 let test_reqjoin_json () =
   let t = Reqjoin.of_events episode_stream in
   (* no requests: counts are zero but the report still renders *)
-  let json = Reqjoin.to_json t in
-  let contains needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "offered zero" true (contains "\"offered\":0" json);
-  Alcotest.(check bool) "episode row present" true
-    (contains "\"episodes_total\":1" json);
+  let json = Json.parse (Json.to_string (Reqjoin.to_json t)) in
+  Alcotest.(check int) "offered zero" 0 (Json.get_int json "offered");
+  Alcotest.(check int) "episode row present" 1 (Json.get_int json "episodes_total");
+  (match Json.member "latency" json with
+  | Some lat -> (
+      match Json.member "all" lat with
+      | Some all ->
+          Alcotest.(check bool) "an empty population's mean is 0.0" true
+            (Json.member "mean_ns" all = Some (Json.Float 0.0))
+      | None -> Alcotest.fail "no latency.all")
+  | None -> Alcotest.fail "no latency");
   Alcotest.(check int) "version" 1 Reqjoin.json_version
 
 let () =
@@ -1069,9 +1032,6 @@ let () =
       ( "sink",
         [
           Alcotest.test_case "retention policies" `Quick test_sink_retention;
-          Alcotest.test_case "bounded recovery ring" `Quick test_sink_ring;
-          Alcotest.test_case "ring at exactly capacity" `Quick
-            test_sink_ring_exact_capacity;
           Alcotest.test_case "subscribe/subscribe_fold equivalence" `Quick
             test_subscribe_fold_equivalence;
         ] );

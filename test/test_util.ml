@@ -4,6 +4,7 @@ module Rng = Sg_util.Rng
 module Word32 = Sg_util.Word32
 module Stats = Sg_util.Stats
 module Table = Sg_util.Table
+module Json = Sg_util.Json
 
 let test_rng_deterministic () =
   let a = Rng.create 7 and b = Rng.create 7 in
@@ -257,6 +258,112 @@ let prop_stats_mean_bounded =
       let s = Stats.summarize l in
       s.Stats.mean >= s.Stats.min -. 1e-9 && s.Stats.mean <= s.Stats.max +. 1e-9)
 
+(* ---------- json ---------- *)
+
+let gen_json =
+  let open QCheck.Gen in
+  let finite = map (fun f -> if Float.is_finite f then f else 0.5) float in
+  let scalar =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) int;
+        map (fun f -> Json.Float f) finite;
+        map (fun s -> Json.Str s) (string_size (int_bound 12));
+      ]
+  in
+  sized_size (int_bound 3)
+  @@ fix (fun self depth ->
+         if depth = 0 then scalar
+         else
+           frequency
+             [
+               (2, scalar);
+               (1, map (fun l -> Json.List l) (list_size (int_bound 4) (self (depth - 1))));
+               ( 1,
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (int_bound 4)
+                      (pair (string_size (int_bound 8)) (self (depth - 1)))) );
+             ])
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~count:1000 ~name:"parse (to_string v) = v"
+    (QCheck.make ~print:Json.to_string gen_json)
+    (fun v -> Json.parse (Json.to_string v) = v)
+
+let test_json_floats () =
+  List.iter
+    (fun (f, text) ->
+      Alcotest.(check string) (Printf.sprintf "%h" f) text (Json.to_string (Json.Float f)))
+    [
+      (0.9, "0.9");
+      (12000., "12000.0");
+      (-3., "-3.0");
+      (0.1 +. 0.2, "0.30000000000000004");
+      (Float.nan, "null");
+      (Float.infinity, "null");
+      (Float.neg_infinity, "null");
+    ];
+  Alcotest.(check bool) "1e300 round-trips" true
+    (Json.parse (Json.to_string (Json.Float 1e300)) = Json.Float 1e300);
+  List.iter
+    (fun (text, v) -> Alcotest.(check bool) text true (Json.parse text = v))
+    [
+      ("15", Json.Int 15);
+      ("1.5", Json.Float 1.5);
+      ("-2e3", Json.Float (-2000.));
+      ("1E-1", Json.Float 0.1);
+    ];
+  List.iter
+    (fun text ->
+      match Json.parse text with
+      | _ -> Alcotest.failf "%S accepted" text
+      | exception Json.Parse_error _ -> ())
+    [ "1."; "-"; "1e"; "1e+"; ".5"; "99999999999999999999" ]
+
+(* the escaper Json.escape was before it shared the event codec's *)
+let old_escape s =
+  let buf = Buffer.create (String.length s + 2) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let test_json_escape_compat () =
+  let escaped s =
+    let b = Buffer.create 8 in
+    Json.add_escaped b s;
+    Buffer.contents b
+  in
+  for code = 0x00 to 0x7f do
+    let s = String.make 1 (Char.chr code) in
+    Alcotest.(check string) (Printf.sprintf "byte 0x%02x" code) (old_escape s) (escaped s)
+  done;
+  let all = String.init 128 Char.chr in
+  Alcotest.(check string) "all ASCII in one string" (old_escape all) (escaped all)
+
+let test_json_envelope () =
+  Alcotest.(check string) "version, then schema, then fields"
+    {|{"version":2,"schema":"s","k":[]}|}
+    (Json.to_string (Json.versioned_report ~schema:"s" ~version:2 [ ("k", Json.List []) ]));
+  let j = Json.parse {|{"n":3,"s":"x"}|} in
+  Alcotest.(check int) "get_int" 3 (Json.get_int j "n");
+  Alcotest.(check string) "get_str" "x" (Json.get_str j "s");
+  match Json.get_int j "s" with
+  | _ -> Alcotest.fail "a string read as an int"
+  | exception Json.Parse_error _ -> ()
+
 let () =
   Alcotest.run "sg_util"
     [
@@ -285,6 +392,14 @@ let () =
           QCheck_alcotest.to_alcotest prop_stats_mean_bounded;
         ] );
       ("table", [ Alcotest.test_case "render" `Quick test_table_render ]);
+      ( "json",
+        [
+          QCheck_alcotest.to_alcotest prop_json_roundtrip;
+          Alcotest.test_case "float rendering and parsing" `Quick test_json_floats;
+          Alcotest.test_case "escaper matches the old one on ASCII" `Quick
+            test_json_escape_compat;
+          Alcotest.test_case "envelope and field access" `Quick test_json_envelope;
+        ] );
       ( "pool",
         [
           Alcotest.test_case "ordered consumption" `Quick test_pool_ordered;

@@ -114,6 +114,36 @@ let test_timeline_coalesce () =
   let b1 = Abench.timeline sys server in
   Alcotest.(check bool) "buckets unchanged after coalescing" true (b0 = b1)
 
+(* Far more crashes than the 512-event recovery ring the timeline once
+   read its markers from: every crash between the first and the last
+   stats sample must show up as one marker. *)
+let test_timeline_marks_every_crash () =
+  let sys = Sysbuild.build Superglue.Stubset.mode in
+  let server = Server.install sys in
+  ignore (Abench.run ~fault_period_ns:1_000_000 ~requests:6_000 sys server);
+  let samples = List.rev !(server.Server.ws_timeline) in
+  let first = fst (List.hd samples) and last = fst (List.hd (List.rev samples)) in
+  let crashes =
+    List.filter
+      (fun (e : Sg_obs.Event.t) ->
+        match e.kind with
+        | Sg_obs.Event.Crash _ -> e.at_ns >= first && e.at_ns < last
+        | _ -> false)
+      (Sg_obs.Sink.events (Sim.obs sys.Sysbuild.sys_sim))
+  in
+  Alcotest.(check bool) "more than 256 crashes" true (List.length crashes > 256);
+  let rows =
+    match String.split_on_char '\n' (Abench.render_timeline (Abench.timeline sys server)) with
+    | _header :: rows -> rows
+    | [] -> []
+  in
+  let markers =
+    List.fold_left
+      (fun acc row -> acc + List.length (String.split_on_char 'x' row) - 1)
+      0 rows
+  in
+  Alcotest.(check int) "one marker per crash" (List.length crashes) markers
+
 (* ---------- open-loop load generation ---------- *)
 
 module Loadgen = Sg_web.Loadgen
@@ -171,9 +201,33 @@ let test_open_loop_determinism () =
   Alcotest.(check bool) "outcomes identical at -j 1 and -j 2" true (s1 = s2);
   let render os =
     String.concat "\n"
-      (List.map (fun o -> Reqjoin.to_json o.Loadgen.oc_join) os)
+      (List.map (fun o -> Sg_util.Json.to_string (Reqjoin.to_json o.Loadgen.oc_join)) os)
   in
   Alcotest.(check string) "reports byte-identical" (render s1) (render s2)
+
+let test_validate () =
+  let rejects name cfg =
+    match Loadgen.validate cfg with
+    | Ok () -> Alcotest.failf "%s: accepted" name
+    | Error _ -> ()
+  in
+  Alcotest.(check bool) "default accepted" true (Loadgen.validate Loadgen.default = Ok ());
+  let poisson rate_rps = { small_cfg with Loadgen.lg_arrival = Loadgen.Poisson { rate_rps } } in
+  rejects "rate 0" (poisson 0.0);
+  rejects "rate nan" (poisson Float.nan);
+  rejects "rate infinity" (poisson Float.infinity);
+  rejects "workers 0" { small_cfg with Loadgen.lg_workers = 0 };
+  rejects "keepalive 1.5" { small_cfg with Loadgen.lg_keepalive = 1.5 };
+  rejects "burst dwell nan"
+    {
+      small_cfg with
+      Loadgen.lg_arrival =
+        Loadgen.Bursty
+          { base_rps = 1_000.0; burst_rps = 5_000.0; quiet_ms = 10.0; burst_ms = Float.nan };
+    };
+  match Loadgen.run_open ~mode:Sysbuild.Base (poisson 0.0) with
+  | _ -> Alcotest.fail "run accepted rate 0"
+  | exception Invalid_argument _ -> ()
 
 let prop_interarrival_poisson =
   QCheck.Test.make ~name:"poisson interarrival mean tracks the rate" ~count:20
@@ -230,6 +284,8 @@ let () =
           Alcotest.test_case "apache reference" `Quick test_apache_reference;
           Alcotest.test_case "timeline coalesces equal timestamps" `Quick
             test_timeline_coalesce;
+          Alcotest.test_case "timeline marks every crash" `Quick
+            test_timeline_marks_every_crash;
         ] );
       ( "loadgen",
         [
@@ -239,6 +295,7 @@ let () =
             test_open_loop_under_faults;
           Alcotest.test_case "sweep deterministic across jobs" `Quick
             test_open_loop_determinism;
+          Alcotest.test_case "validate rejects bad configs" `Quick test_validate;
           QCheck_alcotest.to_alcotest prop_interarrival_poisson;
           QCheck_alcotest.to_alcotest prop_interarrival_bursty;
         ] );

@@ -71,7 +71,7 @@ echo "== profile smoke: sgtrace profile --json validates over the campaign strea
 python3 - "$tmpdir/profile.json" <<'EOF'
 import json, sys
 r = json.load(open(sys.argv[1]))
-assert r["version"] == 1
+assert r["version"] == 1 and r["schema"] == "sg-profile"
 assert r["episodes_total"] >= 1 and r["episodes_complete"] >= 1
 assert r["episodes_total"] == len(r["episodes"])
 for e in r["episodes"]:
@@ -172,6 +172,18 @@ rc=0
 [ "$rc" -eq 1 ]
 cmp "$tmpdir/dst_fail.json" "$tmpdir/dst_fail_j2.json"
 
+echo "== parse gate: superglue-dst exits 2 on a truncated or missing artifact"
+# one error line and exit 2, not an uncaught exception (exit 125)
+head -c 40 "$tmpdir/dst_min_j1.json" > "$tmpdir/dst_truncated.json"
+for art in "$tmpdir/dst_truncated.json" "$tmpdir/no_such_artifact.json"; do
+    rc=0
+    ./_build/default/bin/dst.exe replay "$art" > /dev/null 2>&1 || rc=$?
+    [ "$rc" -eq 2 ]
+    rc=0
+    ./_build/default/bin/dst.exe shrink --artifact "$art" > /dev/null 2>&1 || rc=$?
+    [ "$rc" -eq 2 ]
+done
+
 echo "== taint gate: sgc taint over the six builtins is finding-free"
 # exits 1 on any SG016-SG019 finding, 2 on compile errors
 ./_build/default/bin/sgc.exe taint --builtins > /dev/null
@@ -255,6 +267,15 @@ assert faulted["latency"]["shadowed"]["n"] >= 1
 assert len(faulted["episodes"]) == faulted["episodes_total"]
 assert any(e["requests"] > 0 for e in faulted["episodes"])
 EOF
+
+echo "== webbench gate: open-loop rejects a zero or NaN rate and zero workers with exit 2"
+for bad in "--rate 0" "--rate nan" "--workers 0"; do
+    rc=0
+    # shellcheck disable=SC2086
+    ./_build/default/bin/webbench.exe open-loop --requests 200 $bad --json \
+        > /dev/null 2>&1 || rc=$?
+    [ "$rc" -eq 2 ]
+done
 
 echo "== webbench gate: open-loop report byte-identical at -j 1 and -j 2"
 ./_build/default/bin/webbench.exe open-loop --requests 2000 --seed 42 \
