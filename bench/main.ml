@@ -1,129 +1,19 @@
 (* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation (Fig 6(a)/(b)/(c), Table II, Fig 7) and runs
-   Bechamel micro-benchmarks of the implementation itself.
+   paper's evaluation (Fig 6(a)/(b)/(c), Table II, Fig 7) and the
+   BENCH_*.json throughput reports.
 
    Usage:
      dune exec bench/main.exe              # everything
-     dune exec bench/main.exe -- fig6a fig6b fig6c table2 fig7 micro
+     dune exec bench/main.exe -- fig6a fig6b fig6c table2 fig7
 *)
 
 module Sysbuild = Sg_components.Sysbuild
 module Workloads = Sg_components.Workloads
 module Sim = Sg_os.Sim
-module Usage = Sg_kernel.Usage
-module Reg = Sg_kernel.Reg
 
 let hr title =
   Printf.printf "\n==== %s %s\n%!" title
     (String.make (max 1 (66 - String.length title)) '=')
-
-(* ---------- Bechamel micro-benchmarks ---------- *)
-
-let bench_compile iface =
-  let source = Superglue.Compiler.builtin_source iface in
-  Bechamel.Test.make
-    ~name:(Printf.sprintf "compile:%s" iface)
-    (Bechamel.Staged.stage (fun () ->
-         ignore (Superglue.Compiler.compile ~name:iface source)))
-
-let bench_codegen iface =
-  let artifact = Superglue.Compiler.builtin iface in
-  Bechamel.Test.make
-    ~name:(Printf.sprintf "codegen:%s" iface)
-    (Bechamel.Staged.stage (fun () -> ignore (Superglue.Codegen.emit artifact)))
-
-let bench_classify =
-  let usage = Option.get (Sg_components.Profiles.sched "sched_blk") in
-  let i = ref 0 in
-  Bechamel.Test.make ~name:"swifi:classify"
-    (Bechamel.Staged.stage (fun () ->
-         incr i;
-         ignore
-           (Usage.classify usage
-              ~reg:Reg.all.(!i mod 8)
-              ~bit:(!i mod 32)
-              ~at:(37 * !i mod 700))))
-
-let bench_workload (name, mode) iface =
-  Bechamel.Test.make
-    ~name:(Printf.sprintf "workload:%s:%s" iface name)
-    (Bechamel.Staged.stage (fun () ->
-         let sys = Sysbuild.build mode in
-         let check = Workloads.setup sys ~iface ~iters:5 in
-         (match Sim.run sys.Sysbuild.sys_sim with
-         | Sim.Completed -> ()
-         | _ -> failwith "bench workload failed");
-         ignore (check ())))
-
-let bench_recovery iface =
-  Bechamel.Test.make
-    ~name:(Printf.sprintf "recovery:%s" iface)
-    (Bechamel.Staged.stage (fun () ->
-         let sys = Sysbuild.build Superglue.Stubset.mode in
-         let check = Workloads.setup sys ~iface ~iters:5 in
-         let target = Sysbuild.cid_of_iface sys iface in
-         let count = ref 0 in
-         Sim.set_on_dispatch sys.Sysbuild.sys_sim
-           (Some
-              (fun sim cid _ ->
-                if cid = target then begin
-                  incr count;
-                  if !count mod 6 = 0 then begin
-                    Sim.mark_failed sim cid ~detector:"bench";
-                    raise (Sg_os.Comp.Crash { cid; detector = "bench" })
-                  end
-                end));
-         (match Sim.run sys.Sysbuild.sys_sim with
-         | Sim.Completed -> ()
-         | _ -> failwith "bench recovery failed");
-         ignore (check ())))
-
-let micro () =
-  hr "Bechamel micro-benchmarks (real time per run)";
-  let tests =
-    Bechamel.Test.make_grouped ~name:"superglue"
-      [
-        Bechamel.Test.make_grouped ~name:"compiler"
-          (List.map bench_compile Superglue.Compiler.builtin_names);
-        Bechamel.Test.make_grouped ~name:"codegen"
-          (List.map bench_codegen [ "lock"; "evt"; "fs" ]);
-        bench_classify;
-        Bechamel.Test.make_grouped ~name:"runs"
-          (List.concat
-             [
-               List.map
-                 (bench_workload ("c3", Sysbuild.Stubbed Sysbuild.c3_stubset))
-                 [ "lock"; "fs" ];
-               List.map
-                 (bench_workload ("superglue", Superglue.Stubset.mode))
-                 [ "lock"; "fs" ];
-               List.map bench_recovery [ "lock"; "evt" ];
-             ]);
-      ]
-  in
-  let benchmark () =
-    let open Bechamel in
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:(Some 500) ()
-    in
-    Benchmark.all cfg instances tests
-  in
-  let analyze results =
-    let open Bechamel in
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Toolkit.Instance.monotonic_clock results
-  in
-  let results = analyze (benchmark ()) in
-  Printf.printf "%-44s %14s\n" "benchmark" "ns/run";
-  Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results []
-  |> List.sort compare
-  |> List.iter (fun (name, ols) ->
-         match Bechamel.Analyze.OLS.estimates ols with
-         | Some [ est ] -> Printf.printf "%-44s %14.1f\n" name est
-         | _ -> Printf.printf "%-44s %14s\n" name "n/a")
 
 (* ---------- the paper's tables and figures ---------- *)
 
@@ -402,16 +292,12 @@ let campaign_scale () =
   let nsvc = List.length services in
   let per_service = (if !quick then 60_000 else 1_000_000) / nsvc in
   let injections_total = per_service * nsvc in
-  (* warm the process-wide compile caches outside the timed region *)
-  List.iter
-    (fun i -> ignore (Superglue.Compiler.builtin i))
-    Superglue.Compiler.builtin_names;
   let run_sweep jobs =
     wall (fun () ->
         List.map
           (fun iface ->
             Sg_swifi.Pardriver.run ~jobs ~mode ~iface ~injections:per_service
-              ~collect_events:false ())
+              ())
           services)
   in
   let results = List.map (fun j -> (j, run_sweep j)) !jobs_list in
@@ -433,8 +319,7 @@ let campaign_scale () =
     Sg_analysis.Wcr.analyze
       (List.map Superglue.Compiler.builtin Superglue.Compiler.builtin_names)
   in
-  let v_total = ref 0 and v_complete = ref 0 in
-  let v_max = ref 0 and v_viol = ref 0 in
+  let bounds = ref Sg_swifi.Campaign.no_bounds in
   let (), verify_s =
     wall (fun () ->
         List.iter
@@ -446,26 +331,20 @@ let campaign_scale () =
             | Some bound_ns ->
                 ignore
                   (Sg_swifi.Pardriver.run ~jobs:vjobs ~mode ~iface
-                     ~injections:per_service ~collect_events:false
+                     ~injections:per_service
                      ~on_episodes:(fun ~seed:_ eps ->
-                       List.iter
-                         (fun e ->
-                           incr v_total;
-                           if e.Sg_obs.Episode.ep_complete then begin
-                             incr v_complete;
-                             let s = Sg_obs.Episode.span_ns e in
-                             if s > !v_max then v_max := s;
-                             if s > bound_ns then incr v_viol
-                           end)
-                         eps)
+                       bounds :=
+                         Sg_swifi.Campaign.fold_bounds ~bound_ns !bounds eps)
                      ()))
           services)
   in
+  let b = !bounds in
+  let violations = List.length b.Sg_swifi.Campaign.b_violations in
   Printf.printf
     "verify-bounds -j %d: episodes=%d complete=%d max_span=%dns \
      violations=%d (%.1f s)\n"
-    vjobs !v_total !v_complete !v_max !v_viol verify_s;
-  assert (!v_viol = 0);
+    vjobs b.b_episodes b.b_complete b.b_max_span_ns violations verify_s;
+  assert (violations = 0);
   let path = Option.value !out_path ~default:"BENCH_campaign.json" in
   write_json path "campaign-scale"
     [
@@ -478,10 +357,10 @@ let campaign_scale () =
         Json.Obj
           [
             ("jobs", Json.Int vjobs);
-            ("episodes", Json.Int !v_total);
-            ("complete", Json.Int !v_complete);
-            ("max_span_ns", Json.Int !v_max);
-            ("violations", Json.Int !v_viol);
+            ("episodes", Json.Int b.b_episodes);
+            ("complete", Json.Int b.b_complete);
+            ("max_span_ns", Json.Int b.b_max_span_ns);
+            ("violations", Json.Int violations);
             ("wall_s", Json.Float verify_s);
           ] );
     ]
@@ -497,10 +376,6 @@ let web_tail () =
   let module Reqjoin = Sg_obs.Reqjoin in
   let module Hist = Sg_obs.Hist in
   let mode = Superglue.Stubset.mode in
-  (* warm the process-wide compile caches outside the timed region *)
-  List.iter
-    (fun i -> ignore (Superglue.Compiler.builtin i))
-    Superglue.Compiler.builtin_names;
   let requests = if !quick then 4_000 else 40_000 in
   let cfg = { Loadgen.default with Loadgen.lg_requests = requests } in
   let periods = [ None; Some 3_000_000; Some 1_000_000 ] in
@@ -581,7 +456,6 @@ let all =
     ("fig7", fig7);
     ("ablation", ablation);
     ("obs", obs);
-    ("micro", micro);
     ("sched", sched_perf);
     ("campaign-scale", campaign_scale);
     ("web-tail", web_tail);

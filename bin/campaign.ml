@@ -123,43 +123,19 @@ let static_bound iface =
   let report = Sg_analysis.Wcr.analyze artifacts in
   Sg_analysis.Wcr.bound_for report ~crashed:iface ~client:iface
 
-(* Streaming bound check: fold each chunk's stitched episodes as they
-   merge (Pardriver [on_episodes], seed order) instead of retaining a
-   campaign-long episode list — a million-injection campaign
-   bound-checks in constant memory. Only the violations themselves are
-   kept, for the report. *)
-type bound_acc = {
-  mutable ba_total : int;
-  mutable ba_complete : int;
-  mutable ba_max_span : int;
-  mutable ba_violations : Sg_obs.Episode.t list;  (* reversed *)
-}
-
-let feed_bounds ~bound_ns acc eps =
-  List.iter
-    (fun e ->
-      acc.ba_total <- acc.ba_total + 1;
-      if e.Sg_obs.Episode.ep_complete then begin
-        acc.ba_complete <- acc.ba_complete + 1;
-        let s = Sg_obs.Episode.span_ns e in
-        if s > acc.ba_max_span then acc.ba_max_span <- s;
-        if s > bound_ns then acc.ba_violations <- e :: acc.ba_violations
-      end)
-    eps
-
-let report_bounds ~iface ~bound_ns acc =
-  let violations = List.rev acc.ba_violations in
-  if acc.ba_complete = 0 then
+let report_bounds ~iface ~bound_ns (b : Campaign.bounds) =
+  let violations = List.rev b.b_violations in
+  if b.b_complete = 0 then
     Printf.printf
       "bound-check %s: episodes=%d complete=0 bound=%dns (no complete \
        episode to check)\n"
-      iface acc.ba_total bound_ns
+      iface b.b_episodes bound_ns
   else
     Printf.printf
       "bound-check %s: episodes=%d complete=%d max_span=%dns bound=%dns \
        tightness=%.2fx violations=%d\n"
-      iface acc.ba_total acc.ba_complete acc.ba_max_span bound_ns
-      (float_of_int bound_ns /. float_of_int acc.ba_max_span)
+      iface b.b_episodes b.b_complete b.b_max_span_ns bound_ns
+      (float_of_int bound_ns /. float_of_int b.b_max_span_ns)
       (List.length violations);
   List.iter
     (fun e ->
@@ -192,23 +168,27 @@ let run mode iface injections seed cmon jobs trace profile verify_bounds =
           let bound =
             if verify_bounds then Some (static_bound iface) else None
           in
-          let bacc =
-            { ba_total = 0; ba_complete = 0; ba_max_span = 0;
-              ba_violations = [] }
-          in
+          let bound_ns = Option.join bound in
+          let bounds = ref Campaign.no_bounds in
+          let episodes = ref [] in (* most recent first, for --profile *)
           let on_episodes =
-            match bound with
-            | Some (Some bound_ns) ->
-                Some (fun ~seed:_ eps -> feed_bounds ~bound_ns bacc eps)
-            | _ -> None
+            if bound_ns = None && not profile then None
+            else
+              Some
+                (fun ~seed:_ eps ->
+                  Option.iter
+                    (fun bound_ns ->
+                      bounds := Campaign.fold_bounds ~bound_ns !bounds eps)
+                    bound_ns;
+                  if profile then episodes := List.rev_append eps !episodes)
           in
           let row =
             Sg_swifi.Pardriver.run ~seed ?cmon_period_ns ?on_chunk ?on_episodes
-              ~jobs ~mode ~iface ~injections ~episodes:profile ()
+              ~jobs ~mode ~iface ~injections ()
           in
           Format.printf "%a@." Campaign.pp_row row;
           if profile then
-            Format.printf "%a@?" Sg_obs.Profile.pp row.Campaign.r_episodes;
+            Format.printf "%a@?" Sg_obs.Profile.pp (List.rev !episodes);
           let violated =
             match bound with
             | None -> false
@@ -218,7 +198,7 @@ let run mode iface injections seed cmon jobs trace profile verify_bounds =
                    unknown)\n"
                   iface;
                 false
-            | Some (Some bound_ns) -> report_bounds ~iface ~bound_ns bacc
+            | Some (Some bound_ns) -> report_bounds ~iface ~bound_ns !bounds
           in
           Option.iter (fun (_, finish) -> finish ()) writer;
           if violated then exit 1

@@ -233,12 +233,6 @@ let run_open_loop mode_name arrival rate burst_rate quiet_ms burst_ms requests
       let periods =
         List.map (fun ms -> if ms <= 0 then None else Some (ms * 1_000_000)) periods
       in
-      (* warm the process-wide compile caches before any parallel fan-out
-         (both stub generators read them; read-only afterwards) *)
-      if mode_name <> "base" then
-        List.iter
-          (fun i -> ignore (Superglue.Compiler.builtin i))
-          Superglue.Compiler.builtin_names;
       let outcomes = Loadgen.sweep ~jobs ~mode ~periods cfg in
       if json then print_string (Sg_util.Json.to_string (report_json ~mode_name cfg outcomes))
       else print_text ~mode_name outcomes

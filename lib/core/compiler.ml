@@ -53,15 +53,15 @@ let builtin_source name =
   | Some src -> src
   | None -> invalid_arg ("Compiler.builtin: unknown interface " ^ name)
 
-let builtin_cache : (string, artifact) Hashtbl.t = Hashtbl.create 8
+(* compiled once, at module initialisation: pool tasks on any domain
+   read the table, and nothing writes it afterwards *)
+let builtins =
+  List.map (fun name -> (name, compile ~name (builtin_source name))) builtin_names
 
 let builtin name =
-  match Hashtbl.find_opt builtin_cache name with
+  match List.assoc_opt name builtins with
   | Some a -> a
-  | None ->
-      let a = compile ~name (builtin_source name) in
-      Hashtbl.replace builtin_cache name a;
-      a
+  | None -> invalid_arg ("Compiler.builtin: unknown interface " ^ name)
 
 (* Render the plain header obtained by nil-defining the SuperGlue
    keywords (the paper's cpp-based first stage). *)

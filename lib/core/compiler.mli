@@ -32,8 +32,9 @@ val builtin_names : string list
     sched, mm, fs, lock, evt, timer. *)
 
 val builtin : string -> artifact
-(** Compiled (and memoized) embedded specification. Raises
-    [Invalid_argument] for an unknown name. *)
+(** Compiled embedded specification; all six are compiled at module
+    initialisation, so this is a read-only lookup, safe from any
+    domain. Raises [Invalid_argument] for an unknown name. *)
 
 val builtin_source : string -> string
 

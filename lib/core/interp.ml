@@ -9,18 +9,21 @@ module Serverstub = Sg_c3.Serverstub
 module Storage = Sg_storage.Storage
 
 (* Fault-detection counters (invalid state-machine transitions), keyed
-   by interface name. *)
-let counters : (string, int ref) Hashtbl.t = Hashtbl.create 8
+   by interface name. Stubs on any pool domain bump them: the table is
+   only touched under [counters_lock], and each counter is [Atomic]. *)
+let counters : (string, int Atomic.t) Hashtbl.t = Hashtbl.create 8
+let counters_lock = Mutex.create ()
 
 let counter iface =
-  match Hashtbl.find_opt counters iface with
-  | Some r -> r
-  | None ->
-      let r = ref 0 in
-      Hashtbl.replace counters iface r;
-      r
+  Mutex.protect counters_lock (fun () ->
+      match Hashtbl.find_opt counters iface with
+      | Some c -> c
+      | None ->
+          let c = Atomic.make 0 in
+          Hashtbl.replace counters iface c;
+          c)
 
-let invalid_transitions cfg = !(counter cfg.Cstub.cfg_iface)
+let invalid_transitions cfg = Atomic.get (counter cfg.Cstub.cfg_iface)
 
 let default_value ty =
   if Ir.marshal_is_string ty then Comp.VStr "" else Comp.VInt 0
@@ -109,7 +112,7 @@ let track ir machine storage sim tr ~epoch fn args ret =
                   (* fault detection: flag transitions outside sigma *)
                   (match Machine.sigma machine d.Tracker.d_state fn with
                   | Some _ -> ()
-                  | None -> incr (counter ir.Ir.ir_name));
+                  | None -> Atomic.incr (counter ir.Ir.ir_name));
                   Tracker.set_state tr sim d (Machine.after fn);
                   List.iter
                     (fun (k, v) -> Tracker.set_meta tr sim d k v)

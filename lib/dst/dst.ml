@@ -103,59 +103,26 @@ let report_failed r =
   | Error _ -> true
   | Ok o -> Exec.verdict_class o.Exec.oc_verdict <> "pass"
 
-(* first failing seed in [seed, seed+count), with the scenario and
-   outcome; mutant-hunting loops use the focus profile of the mutated
-   interface *)
-let find_failure ?(sut = Exec.Pristine) ?(profile = default_profile) ~seed
-    ~count () =
-  let rec go i =
-    if i >= count then None
-    else
-      let r = run_seed ~sut ~profile (seed + i) in
-      if report_failed r then Some r else go (i + 1)
-  in
-  go 0
-
-(* Parallel campaign over a seed range: seeds are embarrassingly
-   parallel (one scenario = one fresh simulator), so they fan out
-   through the deterministic speculative pool. Reports are consumed in
-   seed order and the campaign stops at the first failing one — the
+(* Campaign over a seed range: seeds are embarrassingly parallel (one
+   scenario = one fresh simulator), so they fan out through the
+   deterministic speculative pool. Reports are consumed in seed order
+   and the campaign stops at the first failing one (returned) — the
    reports delivered, and the failing seed returned, are identical at
-   every [jobs]. The first seed runs in the calling domain before any
-   worker spawns: it warms the process-wide compile caches (builtin
-   artifacts, Wcr bounds, mutant sources), which are read-only
-   afterwards. *)
+   every [jobs]. *)
 let run_seeds ?(sut = Exec.Pristine) ?(profile = default_profile) ?(jobs = 1)
     ?(on_report = fun (_ : run_report) -> ()) ~seed ~count () =
-  if count <= 0 then None
-  else begin
-    let first = run_seed ~sut ~profile seed in
-    on_report first;
-    if report_failed first then Some first
-    else if jobs <= 1 then
-      let rec go i =
-        if i >= count then None
-        else
-          let r = run_seed ~sut ~profile (seed + i) in
-          on_report r;
-          if report_failed r then Some r else go (i + 1)
-      in
-      go 1
-    else begin
-      let found = ref None in
-      Sg_util.Pool.run ~jobs ~count:(count - 1)
-        ~task:(fun ~cancelled:_ i -> run_seed ~sut ~profile (seed + 1 + i))
-        ~consume:(fun _ r ->
-          on_report r;
-          if report_failed r then begin
-            found := Some r;
-            Sg_util.Pool.Stop
-          end
-          else Sg_util.Pool.Continue)
-        ();
-      !found
-    end
-  end
+  let found = ref None in
+  Sg_util.Pool.run ~jobs ~count
+    ~task:(fun ~cancelled:_ i -> run_seed ~sut ~profile (seed + i))
+    ~consume:(fun _ r ->
+      on_report r;
+      if report_failed r then begin
+        found := Some r;
+        Sg_util.Pool.Stop
+      end
+      else Sg_util.Pool.Continue)
+    ();
+  !found
 
 let shrink_to_artifact ?(jobs = 1) ?(sut = Exec.Pristine) sc =
   let minimal, cls, stats = Shrink.shrink ~jobs ~sut sc in
@@ -292,33 +259,16 @@ let run_adversary ?(jobs = 1) ?(on_row = fun (_ : adversary_row) -> ())
     Taint.analyze (List.map Compiler.builtin Compiler.builtin_names)
   in
   let entries = Array.of_list report.Taint.t_entries in
-  let n = Array.length entries in
   let rows = ref [] and mismatches = ref 0 in
-  let consume r =
-    rows := r :: !rows;
-    if not r.ar_ok then incr mismatches;
-    on_row r
-  in
-  let row i =
-    adversary_row ~seed:(seed + (i * per_entry * 8)) ~per_entry entries.(i)
-  in
-  if n > 0 then begin
-    (* the first row runs in the calling domain before any worker
-       spawns: it warms the process-wide compile and bounds caches,
-       read-only afterwards (same discipline as [run_seeds]) *)
-    consume (row 0);
-    if jobs <= 1 then
-      for i = 1 to n - 1 do
-        consume (row i)
-      done
-    else
-      Sg_util.Pool.run ~jobs ~count:(n - 1)
-        ~task:(fun ~cancelled:_ i -> row (i + 1))
-        ~consume:(fun _ r ->
-          consume r;
-          Sg_util.Pool.Continue)
-        ()
-  end;
+  Sg_util.Pool.run ~jobs ~count:(Array.length entries)
+    ~task:(fun ~cancelled:_ i ->
+      adversary_row ~seed:(seed + (i * per_entry * 8)) ~per_entry entries.(i))
+    ~consume:(fun _ r ->
+      rows := r :: !rows;
+      if not r.ar_ok then incr mismatches;
+      on_row r;
+      Sg_util.Pool.Continue)
+    ();
   (List.rev !rows, !mismatches)
 
 (* ---------- the recovery-interference (race) campaign ---------- *)
@@ -461,32 +411,17 @@ let run_race ?(jobs = 1) ?(on_row = fun (_ : race_row) -> ()) ~seed
   let arts = List.map Compiler.builtin Compiler.builtin_names in
   let report = Race.analyze arts in
   let entries = Array.of_list report.Race.r_entries in
-  let n = Array.length entries in
   let rows = ref [] and mismatches = ref 0 in
-  let consume r =
-    rows := r :: !rows;
-    if not r.ra_ok then incr mismatches;
-    on_row r
-  in
-  let row i =
-    let e = entries.(i) in
-    race_row
-      ~seed:(seed + (i * per_entry * 8))
-      ~per_entry ~fields:(race_fields e arts) e
-  in
-  if n > 0 then begin
-    (* first row in the calling domain: warms the compile caches *)
-    consume (row 0);
-    if jobs <= 1 then
-      for i = 1 to n - 1 do
-        consume (row i)
-      done
-    else
-      Sg_util.Pool.run ~jobs ~count:(n - 1)
-        ~task:(fun ~cancelled:_ i -> row (i + 1))
-        ~consume:(fun _ r ->
-          consume r;
-          Sg_util.Pool.Continue)
-        ()
-  end;
+  Sg_util.Pool.run ~jobs ~count:(Array.length entries)
+    ~task:(fun ~cancelled:_ i ->
+      let e = entries.(i) in
+      race_row
+        ~seed:(seed + (i * per_entry * 8))
+        ~per_entry ~fields:(race_fields e arts) e)
+    ~consume:(fun _ r ->
+      rows := r :: !rows;
+      if not r.ra_ok then incr mismatches;
+      on_row r;
+      Sg_util.Pool.Continue)
+    ();
   (List.rev !rows, !mismatches)

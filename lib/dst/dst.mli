@@ -41,15 +41,6 @@ type run_report = {
 val run_seed : ?sut:Exec.sut -> ?profile:profile -> int -> run_report
 val report_failed : run_report -> bool
 
-val find_failure :
-  ?sut:Exec.sut ->
-  ?profile:profile ->
-  seed:int ->
-  count:int ->
-  unit ->
-  run_report option
-(** First failing seed in [\[seed, seed+count)], if any. *)
-
 val run_seeds :
   ?sut:Exec.sut ->
   ?profile:profile ->

@@ -131,17 +131,16 @@ let mode_of_sut = function
           })
 
 (* static bounds are always the *pristine* ones: a mutant that inflates
-   its declared cap must still be judged against the spec it shipped *)
+   its declared cap must still be judged against the spec it shipped.
+   Both are built at module initialisation, so scenarios on any pool
+   domain read them without a first-use race. *)
 let pristine_report =
-  lazy (Wcr.analyze (List.map Compiler.builtin Compiler.builtin_names))
+  Wcr.analyze (List.map Compiler.builtin Compiler.builtin_names)
 
 let pristine_fs_cap =
-  lazy
-    (match
-       (Compiler.builtin "fs").Compiler.a_ir.Ir.ir_model.Model.table_cap
-     with
-    | Some c -> c
-    | None -> 3)
+  match (Compiler.builtin "fs").Compiler.a_ir.Ir.ir_model.Model.table_cap with
+  | Some c -> c
+  | None -> 3
 
 (* ---------- the plan hook ---------- *)
 
@@ -384,8 +383,7 @@ let fs_open ctx sim path =
   match Hashtbl.find_opt ctx.x_fds path with
   | Some fd -> fd
   | None ->
-      let cap = Lazy.force pristine_fs_cap in
-      while Hashtbl.length ctx.x_fds >= cap do
+      while Hashtbl.length ctx.x_fds >= pristine_fs_cap do
         match ctx.x_fd_order with
         | oldest :: _ -> fs_close ctx sim oldest
         | [] -> failwith "dst: fd budget inconsistent"
@@ -552,8 +550,7 @@ let exec_timer ctx sim ~periods ~period_ns =
   Timer.free p sim id
 
 let exec_burst ctx sim ~count =
-  let cap = Lazy.force pristine_fs_cap in
-  let n = min count cap in
+  let n = min count pristine_fs_cap in
   let paths = List.init n (fun i -> Printf.sprintf "b%d" i) in
   List.iter (fun path -> ignore (fs_open ctx sim path)) paths;
   List.iter (fun path -> fs_close ctx sim path) paths
@@ -653,7 +650,7 @@ let bound_of sys cid =
   match iface with
   | None -> None
   | Some iface ->
-      Wcr.bound_for (Lazy.force pristine_report) ~crashed:iface ~client:iface
+      Wcr.bound_for pristine_report ~crashed:iface ~client:iface
 
 let iface_name sys cid =
   match

@@ -83,8 +83,6 @@ let find_failing ~jobs ~sut ~cls ~evals cands =
   !found
 
 let shrink ?(jobs = 1) ?(sut = Exec.Pristine) sc =
-  (* the reference run doubles as the warm-up: compiler and interpreter
-     caches fill in this domain before any Domain.spawn *)
   let reference = Exec.run ~sut sc in
   let cls = Exec.verdict_class reference.Exec.oc_verdict in
   if cls = "pass" then

@@ -37,6 +37,4 @@ val shrink :
   ?jobs:int -> ?sut:Exec.sut -> Exec.scenario -> Exec.scenario * string * stats
 (** [shrink ~jobs ~sut sc] returns the minimal scenario, the preserved
     verdict class and reduction statistics. Raises [Invalid_argument]
-    when [sc] passes (nothing to shrink). The first (reference) run
-    executes in the calling domain, warming the process-wide compiler
-    caches before any worker domain spawns. *)
+    when [sc] passes (nothing to shrink). *)

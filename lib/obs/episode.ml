@@ -387,9 +387,6 @@ let max_complete_span_ns eps =
         | Some m -> Some (max m (span_ns ep)))
     None eps
 
-let over_bound ~bound_ns eps =
-  List.filter (fun ep -> ep.ep_complete && span_ns ep > bound_ns) eps
-
 let over_bound_by ~bound_of eps =
   List.filter
     (fun ep ->

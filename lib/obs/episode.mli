@@ -70,16 +70,13 @@ val max_complete_span_ns : t list -> int option
 (** Largest {!span_ns} over the complete episodes; [None] when there is
     none. Incomplete episodes are skipped: their spans undercount. *)
 
-val over_bound : bound_ns:int -> t list -> t list
-(** The complete episodes whose span exceeds [bound_ns] — the
-    counterexamples a static recovery-latency bound must never see
-    ([--verify-bounds]). *)
-
 val over_bound_by : bound_of:(int -> int option) -> t list -> t list
-(** Per-component variant: [bound_of cid] yields the static bound for
-    the crashed component (or [None] to skip it). The oracle adapter a
-    mixed-service campaign uses, where episodes of different services
-    are judged against different {!Sg_analysis.Wcr} bounds. *)
+(** The complete episodes whose span exceeds their static bound — the
+    counterexamples a recovery-latency bound must never see. [bound_of
+    cid] yields the bound for the crashed component (or [None] to skip
+    it): the oracle adapter a mixed-service campaign uses, where
+    episodes of different services are judged against different
+    {!Sg_analysis.Wcr} bounds. *)
 
 (** {2 Stitching} *)
 

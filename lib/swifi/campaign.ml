@@ -156,11 +156,35 @@ let success_rate r =
   if activated = 0 then 0.0
   else float_of_int r.r_recovered /. float_of_int activated
 
-(* Static-bound verification: the complete episodes of this row whose
-   span exceeds the given bound (requires the row to have been run with
-   ~episodes:true; incomplete episodes undercount and are skipped). *)
-let bound_violations ~bound_ns r =
-  Sg_obs.Episode.over_bound ~bound_ns r.r_episodes
+(* Static-bound verification, streamed: each chunk's stitched episodes
+   are folded as they merge instead of retaining a campaign-long list.
+   Only the violations themselves are kept. Incomplete episodes
+   undercount their span and are counted but not checked. *)
+type bounds = {
+  b_episodes : int;
+  b_complete : int;
+  b_max_span_ns : int;
+  b_violations : Sg_obs.Episode.t list;
+}
+
+let no_bounds =
+  { b_episodes = 0; b_complete = 0; b_max_span_ns = 0; b_violations = [] }
+
+let fold_bounds ~bound_ns acc eps =
+  List.fold_left
+    (fun acc e ->
+      let acc = { acc with b_episodes = acc.b_episodes + 1 } in
+      if not e.Sg_obs.Episode.ep_complete then acc
+      else
+        let s = Sg_obs.Episode.span_ns e in
+        {
+          acc with
+          b_complete = acc.b_complete + 1;
+          b_max_span_ns = max acc.b_max_span_ns s;
+          b_violations =
+            (if s > bound_ns then e :: acc.b_violations else acc.b_violations);
+        })
+    acc eps
 
 let pp_row ppf r =
   Format.fprintf ppf

@@ -83,10 +83,23 @@ val activation_ratio : row -> float
 val success_rate : row -> float
 (** |F_r| / |F_a| — recovered over activated. *)
 
-val bound_violations : bound_ns:int -> row -> Sg_obs.Episode.t list
-(** Complete episodes of the row whose span exceeds [bound_ns] — the
-    counterexamples [--verify-bounds] checks a {!Sg_analysis.Wcr} static
-    bound against. Requires the row to have been produced with
-    [~episodes:true]; incomplete episodes are skipped. *)
+type bounds = {
+  b_episodes : int;  (** episodes seen *)
+  b_complete : int;  (** of which complete *)
+  b_max_span_ns : int;  (** largest complete span; 0 when none *)
+  b_violations : Sg_obs.Episode.t list;
+      (** complete episodes over their bound, most recent first *)
+}
+(** A streaming check of stitched episodes against a static
+    recovery-latency bound ({!Sg_analysis.Wcr}) — what [--verify-bounds]
+    reports. Fed chunk by chunk through {!Pardriver.run}'s
+    [on_episodes], it checks a campaign of any size in memory
+    proportional to its violations. *)
+
+val no_bounds : bounds
+
+val fold_bounds : bound_ns:int -> bounds -> Sg_obs.Episode.t list -> bounds
+(** Count the episodes; check each complete one against [bound_ns].
+    Incomplete episodes are skipped: their spans undercount. *)
 
 val pp_row : Format.formatter -> row -> unit

@@ -23,13 +23,13 @@
 
    The merged row is therefore equal, count for count, to what
    [Campaign.run] produces — verified by the [pardriver] golden tests
-   and the qcheck jobs/batch determinism property.
+   and the qcheck jobs/budget determinism property.
 
    Scaling comes from how the chunks are fanned out:
 
    - chunk seeds are grouped into *batches* sized so one work item
-     amortizes domain hand-off over ~100 injections (adaptively derived
-     from the first chunk's injection count; override with [?batch]);
+     amortizes domain hand-off over ~100 injections (derived from the
+     first chunk's injection count);
    - a batch's chunk results — rows, event buffers, stitched episodes —
      stay private to the worker until the whole batch is published with
      one atomic store; there is no rendezvous per chunk;
@@ -66,8 +66,9 @@ end
 
 type chunk_result = {
   cr_injected : int;
-  cr_row : Campaign.row;
+  cr_row : Campaign.row;  (* [r_episodes = []]: they travel separately *)
   cr_events : Sg_obs.Event.t list;  (* in order; empty unless collecting *)
+  cr_episodes : Sg_obs.Episode.t list;  (* empty unless stitching *)
 }
 
 let run_one ~collect ~episodes ~mode ~iface ~period_ns ~chunk_iters
@@ -80,8 +81,9 @@ let run_one ~collect ~episodes ~mode ~iface ~period_ns ~chunk_iters
   in
   {
     cr_injected = injected;
-    cr_row = row;
+    cr_row = { row with Campaign.r_episodes = [] };
     cr_events = (match events with Some b -> Ebuf.to_list b | None -> []);
+    cr_episodes = row.Campaign.r_episodes;
   }
 
 (* Batch size in chunk seeds: aim for ~[target_injections] per work item
@@ -100,58 +102,45 @@ let derive_batch ~jobs ~injections ~first_injected =
   max 1 (min by_target by_balance)
 
 let run ?(seed = 1) ?(period_ns = 20_000) ?(chunk_iters = 400) ?cmon_period_ns
-    ?(collect_events = true) ?(episodes = false) ?on_chunk ?on_episodes ?batch
-    ?lookahead ~jobs ~mode ~iface ~injections () =
+    ?on_chunk ?on_episodes ~jobs ~mode ~iface ~injections () =
   let jobs = max 1 jobs in
-  let collect = collect_events && on_chunk <> None in
-  let stitch = episodes || on_episodes <> None in
   let deliver chunk_seed r =
     (match on_chunk with Some f -> f ~seed:chunk_seed r.cr_events | None -> ());
-    match on_episodes with
-    | Some f -> f ~seed:chunk_seed r.cr_row.Campaign.r_episodes
-    | None -> ()
+    match on_episodes with Some f -> f ~seed:chunk_seed r.cr_episodes | None -> ()
   in
-  (* rows keep their stitched episodes only when the caller asked for
-     them on the row; streaming consumers get each chunk's list through
-     [on_episodes] without the campaign-long accumulation *)
-  let strip (row : Campaign.row) =
-    if stitch && not episodes then { row with Campaign.r_episodes = [] }
-    else row
+  let run_one =
+    run_one ~collect:(on_chunk <> None) ~episodes:(on_episodes <> None) ~mode
+      ~iface ~period_ns ~chunk_iters ~cmon_period_ns
   in
-  let run_one = run_one ~collect ~episodes:stitch ~mode ~iface ~period_ns
-      ~chunk_iters ~cmon_period_ns in
   if injections <= 0 then Campaign.empty iface
   else if jobs = 1 then begin
     (* plain sequential loop — same seeds, same budgets, same arithmetic
        as [Campaign.run], so the result (and any emitted trace) is
-       byte-identical to the single-core driver *)
+       byte-identical to the single-core driver. Kept apart from the
+       pool path because only here is each chunk's exact budget known
+       up front, which saves re-running the final chunk. *)
     let rec go acc chunk_seed =
       let remaining = injections - acc.Campaign.r_injected in
       if remaining <= 0 then acc
       else begin
         let r = run_one ~chunk_seed ~budget:remaining in
         deliver chunk_seed r;
-        go (Campaign.add acc (strip r.cr_row)) (chunk_seed + 1)
+        go (Campaign.add acc r.cr_row) (chunk_seed + 1)
       end
     in
     go (Campaign.empty iface) seed
   end
   else begin
     (* The first chunk's sequential budget is [injections] itself, so run
-       it in this domain before engaging the pool: it doubles as the
-       warm-up of the process-wide compile caches (Compiler.builtin /
-       Interp.counter), which become read-only for the rest of the
-       campaign, and its injection count calibrates the batch size. *)
+       it in this domain before engaging the pool: its injection count
+       calibrates the batch size. *)
     let first = run_one ~chunk_seed:seed ~budget:injections in
-    let acc = ref (Campaign.add (Campaign.empty iface) (strip first.cr_row)) in
+    let acc = ref (Campaign.add (Campaign.empty iface) first.cr_row) in
     deliver seed first;
     if injections - !acc.Campaign.r_injected <= 0 then !acc
     else begin
       let batch =
-        match batch with
-        | Some b -> max 1 b
-        | None ->
-            derive_batch ~jobs ~injections ~first_injected:first.cr_injected
+        derive_batch ~jobs ~injections ~first_injected:first.cr_injected
       in
       let seed_of b k = seed + 1 + (b * batch) + k in
       (* one pool task = one batch of uncapped speculative chunks; the
@@ -189,7 +178,7 @@ let run ?(seed = 1) ?(period_ns = 20_000) ?(chunk_iters = 400) ?cmon_period_ns
                   run_one ~chunk_seed ~budget:remaining
             in
             deliver chunk_seed r;
-            acc := Campaign.add !acc (strip r.cr_row);
+            acc := Campaign.add !acc r.cr_row;
             if injections - !acc.Campaign.r_injected <= 0 then
               decision := Pool.Stop;
             incr k
@@ -197,7 +186,7 @@ let run ?(seed = 1) ?(period_ns = 20_000) ?(chunk_iters = 400) ?cmon_period_ns
         done;
         !decision
       in
-      Pool.run ~jobs ?lookahead ~task ~consume ();
+      Pool.run ~jobs ~task ~consume ();
       !acc
     end
   end

@@ -3,17 +3,17 @@
     Fans {!Campaign} chunks across [jobs] domains through the
     deterministic speculative pool ({!Sg_util.Pool}): chunk seeds are
     grouped into batches sized to amortize domain hand-off over ~100
-    injections (derived from the first chunk's injection count; override
-    with [batch]), each batch's results stay private to its worker until
-    published with one atomic store, and worker lookahead is bounded
-    relative to the merge cursor, so speculative results never pile up
-    unboundedly and post-campaign waste is at most the in-flight
-    batches. Each chunk builds its own simulator and sink, so chunks
-    share no mutable state. The merge replays the sequential budget
-    arithmetic in seed order, re-running (at most) the campaign's final
-    chunk with its exact sequential budget, so the merged row equals —
-    count for count — the row {!Campaign.run} produces with the same
-    parameters, for every [jobs], [batch], and [lookahead].
+    injections (calibrated on the first chunk's injection count), each
+    batch's results stay private to its worker until published with one
+    atomic store, and worker lookahead is bounded relative to the merge
+    cursor, so speculative results never pile up unboundedly and
+    post-campaign waste is at most the in-flight batches. Each chunk
+    builds its own simulator and sink, so chunks share no mutable
+    state. The merge replays the sequential budget arithmetic in seed
+    order, re-running (at most) the campaign's final chunk with its
+    exact sequential budget, so the merged row equals — count for count
+    — the row {!Campaign.run} produces with the same parameters, for
+    every [jobs].
 
     [jobs = 1] is a plain sequential loop with the same seeds and
     budgets as {!Campaign.run}: output (including any trace delivered
@@ -24,22 +24,15 @@
     subscriber sees it). Event sequence numbers and timestamps restart
     per chunk; concatenating streams for [sgtrace check] requires
     re-stamping and a ["sys-reboot"] note at each boundary (see
-    [bin/campaign.ml]). Collection is only enabled when [on_chunk] is
-    given; pass [collect_events:false] to keep the callback (e.g. to
-    count chunks) while skipping collection — the event lists are then
-    empty.
+    [bin/campaign.ml]). Events are only collected when [on_chunk] is
+    given.
 
-    [episodes:true] turns on per-chunk recovery-episode stitching (see
-    {!Campaign.run}) and accumulates the episodes on the returned row;
-    merged episode lists are deterministic across [jobs] because
-    discarded speculative chunks also discard their episodes.
-
-    [on_episodes] streams each used chunk's stitched episode list in
-    merge (seed) order instead: stitching is enabled, the callback sees
-    exactly the lists [episodes:true] would have concatenated, but —
-    unless [episodes:true] was also given — the returned row keeps
-    [r_episodes = []], so a million-injection campaign can be
-    bound-checked in constant memory.
+    [on_episodes] turns on per-chunk recovery-episode stitching (see
+    {!Campaign.run}) and streams each used chunk's episode list in merge
+    (seed) order; the lists are deterministic across [jobs] because
+    discarded speculative chunks also discard their episodes. The
+    returned row never accumulates them ([r_episodes = []]), so a
+    million-injection campaign can be bound-checked in constant memory.
 
     An exception from a worker chunk propagates in the calling domain
     after every spawned domain has been joined; no chunk result outlives
@@ -50,12 +43,8 @@ val run :
   ?period_ns:int ->
   ?chunk_iters:int ->
   ?cmon_period_ns:int ->
-  ?collect_events:bool ->
-  ?episodes:bool ->
   ?on_chunk:(seed:int -> Sg_obs.Event.t list -> unit) ->
   ?on_episodes:(seed:int -> Sg_obs.Episode.t list -> unit) ->
-  ?batch:int ->
-  ?lookahead:int ->
   jobs:int ->
   mode:Sg_components.Sysbuild.mode ->
   iface:string ->

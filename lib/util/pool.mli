@@ -14,6 +14,11 @@
     it — is identical for every [jobs], every [lookahead], and every
     scheduling interleaving. Parallelism changes wall-clock time only.
 
+    Shared state: a task may read a process-wide value only if that
+    value is built at module initialisation or is [Atomic]. Anything
+    filled on first use (a [lazy], a memo table) races when two domains
+    reach it together, so no caller warms caches before fanning out.
+
     Mechanics (one shared chunk queue, bounded speculation):
 
     - indices are claimed from a single atomic counter; all [jobs]

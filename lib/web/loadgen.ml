@@ -354,21 +354,14 @@ let run_open ~mode ?fault_period_ns cfg =
 (* Fault-period sweep over the deterministic pool: each period is one
    independent simulator, results are consumed in period order, so the
    list (and anything rendered from it) is byte-identical at every
-   [jobs]. Callers using a stubbed mode should warm the process-wide
-   compile caches before fanning out (see [Dst.run_seeds]). *)
+   [jobs]. *)
 let sweep ?(jobs = 1) ~mode ~periods cfg =
   let tasks = Array.of_list periods in
-  let n = Array.length tasks in
-  let point i = run_open ~mode ?fault_period_ns:tasks.(i) cfg in
-  if n = 0 then []
-  else if jobs <= 1 then List.init n point
-  else begin
-    let out = ref [] in
-    Sg_util.Pool.run ~jobs ~count:n
-      ~task:(fun ~cancelled:_ i -> point i)
-      ~consume:(fun _ r ->
-        out := r :: !out;
-        Sg_util.Pool.Continue)
-      ();
-    List.rev !out
-  end
+  let out = ref [] in
+  Sg_util.Pool.run ~jobs ~count:(Array.length tasks)
+    ~task:(fun ~cancelled:_ i -> run_open ~mode ?fault_period_ns:tasks.(i) cfg)
+    ~consume:(fun _ r ->
+      out := r :: !out;
+      Sg_util.Pool.Continue)
+    ();
+  List.rev !out

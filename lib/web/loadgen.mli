@@ -86,5 +86,4 @@ val sweep :
   outcome list
 (** One {!run_open} per fault period ([None] = fault-free), fanned out
     over the deterministic pool; outcomes are returned in [periods]
-    order and are byte-identical at every [jobs]. Stubbed-mode callers
-    should warm the compile caches before calling with [jobs > 1]. *)
+    order and are byte-identical at every [jobs]. *)

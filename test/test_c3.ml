@@ -178,15 +178,15 @@ let test_upcall_trace_on_g0 () =
   in
   Alcotest.(check bool) "upcall into the creator recorded" true upcalled
 
-let test_invalid_transition_detection () =
-  (* calling release on a never-taken lock is outside sigma: the
-     SuperGlue stub counts it (paper SectionIII-B fault detection) *)
-  let before =
-    Superglue.Interp.invalid_transitions
-      (Superglue.Interp.client_config
-         ~storage:(Storage.create (Sg_cbuf.Cbuf.create ()))
-         (Superglue.Compiler.builtin "lock").Superglue.Compiler.a_ir)
-  in
+let lock_invalid_transitions () =
+  Superglue.Interp.invalid_transitions
+    (Superglue.Interp.client_config
+       ~storage:(Storage.create (Sg_cbuf.Cbuf.create ()))
+       (Superglue.Compiler.builtin "lock").Superglue.Compiler.a_ir)
+
+(* calling release on a never-taken lock is outside sigma: the
+   SuperGlue stub counts it (paper SectionIII-B fault detection) *)
+let release_untaken_lock ?(times = 1) () =
   let sys = Sysbuild.build Superglue.Stubset.mode in
   let sim = sys.Sysbuild.sys_sim in
   let app = sys.Sysbuild.sys_app1 in
@@ -194,16 +194,37 @@ let test_invalid_transition_detection () =
   let _ =
     Sim.spawn sim ~name:"t" ~home:app (fun sim ->
         let a = Lock.alloc port sim in
-        Lock.release port sim a)
+        for _ = 1 to times do
+          Lock.release port sim a
+        done)
   in
-  ignore (Sim.run sim);
-  let after =
-    Superglue.Interp.invalid_transitions
-      (Superglue.Interp.client_config
-         ~storage:(Storage.create (Sg_cbuf.Cbuf.create ()))
-         (Superglue.Compiler.builtin "lock").Superglue.Compiler.a_ir)
-  in
+  ignore (Sim.run sim)
+
+let test_invalid_transition_detection () =
+  let before = lock_invalid_transitions () in
+  release_untaken_lock ();
+  let after = lock_invalid_transitions () in
   Alcotest.(check bool) "invalid transition counted" true (after > before)
+
+(* the counters are process-wide and bumped from whichever pool domain
+   runs a stub: K runs fanned over four domains must add exactly K times
+   what one run adds — no increment lost to a race, none to a counter
+   created twice. Each run releases many times so that domains bump the
+   counter concurrently often enough for a plain [incr] to lose some. *)
+let test_invalid_transitions_across_domains () =
+  let k = 16 and times = 5000 in
+  let before = lock_invalid_transitions () in
+  release_untaken_lock ~times ();
+  let delta = lock_invalid_transitions () - before in
+  Alcotest.(check bool) "one run counts" true (delta > 0);
+  let before = lock_invalid_transitions () in
+  Sg_util.Pool.run ~jobs:4 ~count:k
+    ~task:(fun ~cancelled:_ _ -> release_untaken_lock ~times ())
+    ~consume:(fun _ () -> Sg_util.Pool.Continue)
+    ();
+  Alcotest.(check int)
+    "K runs add K x one run" (k * delta)
+    (lock_invalid_transitions () - before)
 
 let test_machine_to_dot () =
   let a = Superglue.Compiler.builtin "lock" in
@@ -236,6 +257,8 @@ let () =
             test_ydr_keeps_closed_records;
           Alcotest.test_case "invalid transitions detected" `Quick
             test_invalid_transition_detection;
+          Alcotest.test_case "invalid transitions add up across domains" `Quick
+            test_invalid_transitions_across_domains;
         ] );
       ( "trace",
         [

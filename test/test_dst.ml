@@ -342,7 +342,7 @@ let test_race_jobs_identical () =
 (* Pristine campaign: fixed seed window is clean                       *)
 
 let test_pristine_clean () =
-  match Dst.find_failure ~seed:1 ~count:10 () with
+  match Dst.run_seeds ~seed:1 ~count:10 () with
   | None -> ()
   | Some r ->
       Alcotest.failf "pristine seed %d failed: %s" r.Dst.rr_seed

@@ -101,6 +101,13 @@ a.pop("source", None); b.pop("source", None)
 assert a == b, "episode profiles differ between -j 1 and -j 2"
 EOF
 
+echo "== determinism: campaign --profile output byte-identical at -j 1 and -j 2"
+./_build/default/bin/campaign.exe --iface lock -n 40 --seed 3 --profile -j 1 \
+    > "$tmpdir/campaign_profile_j1.out"
+./_build/default/bin/campaign.exe --iface lock -n 40 --seed 3 --profile -j 2 \
+    > "$tmpdir/campaign_profile_j2.out"
+cmp "$tmpdir/campaign_profile_j1.out" "$tmpdir/campaign_profile_j2.out"
+
 echo "== lint gate: sgc lint over idl/ and the builtins"
 # exits 1 on any error-severity finding, 2 on compile errors (set -e)
 ./_build/default/bin/sgc.exe lint --builtins idl/*.sgidl > /dev/null
@@ -152,6 +159,23 @@ echo "== dst gate: --jobs campaign output byte-identical to the sequential run"
 ./_build/default/bin/dst.exe run --seed 1 --count 10 -j 1 > "$tmpdir/dst_run_j1.out"
 ./_build/default/bin/dst.exe run --seed 1 --count 10 -j 4 > "$tmpdir/dst_run_j4.out"
 cmp "$tmpdir/dst_run_j1.out" "$tmpdir/dst_run_j4.out"
+
+echo "== dst gate: cold-start -j 2 and -j 4 campaigns match -j 1, fresh process each"
+# every process-wide value a pool task reads must be ready before the
+# first task runs on any domain; a first-use race only shows in a fresh
+# process, so each run is one. Probabilistic: it backs up that rule,
+# it cannot prove it.
+for seed in 175 266 329; do
+    ./_build/default/bin/dst.exe run --seed "$seed" --count 30 -j 1 \
+        > "$tmpdir/dst_cold_j1.out"
+    for j in 2 4; do
+        for _ in 1 2 3 4 5 6 7 8 9 10; do
+            ./_build/default/bin/dst.exe run --seed "$seed" --count 30 -j "$j" \
+                > "$tmpdir/dst_cold.out"
+            cmp "$tmpdir/dst_cold_j1.out" "$tmpdir/dst_cold.out"
+        done
+    done
+done
 
 echo "== dst gate: a canned failing plan shrinks to a byte-identical repro at -j 1 and -j 2"
 # the mutant run exits 1 (failure found) by contract; capture rc under set -e
