@@ -77,6 +77,13 @@ let workload_label = function
   | Exec.Classic { iface; iters; knob } ->
       Printf.sprintf "classic=%s iters=%d knob=%d" iface iters knob
 
+(* an artifact that cannot be written is an I/O error: one line, exit 2 *)
+let save_artifact path a =
+  try Artifact.save path a
+  with Sys_error msg ->
+    Printf.eprintf "superglue-dst: cannot write artifact %s: %s\n" path msg;
+    exit 2
+
 let print_detail verdict =
   List.iter (Printf.printf "    %s\n") (Exec.verdict_detail verdict)
 
@@ -115,7 +122,7 @@ let emit_artifact ~out ~jobs ~sut ~no_shrink report =
   match out with
   | None -> Printf.printf "  repro: %s\n" (Artifact.to_string artifact)
   | Some path ->
-      Artifact.save path artifact;
+      save_artifact path artifact;
       Printf.printf "  repro written to %s\n" path
 
 let run_cmd_fn seed count mutant out jobs no_shrink quiet =
@@ -192,7 +199,7 @@ let shrink_cmd_fn artifact_path out jobs =
           (match out with
           | None -> print_string (Artifact.to_string shrunk ^ "\n")
           | Some path ->
-              Artifact.save path shrunk;
+              save_artifact path shrunk;
               Printf.printf "written to %s\n" path);
           0
       | exception Invalid_argument msg ->
@@ -213,128 +220,133 @@ let replay_cmd_fn artifact_path =
       print_detail o.Exec.oc_verdict;
       if matches then 0 else 1
 
-let per_entry_arg =
-  Arg.(
-    value & opt int 18
-    & info [ "per-entry" ] ~docv:"K"
-        ~doc:
-          "Scenario budget per verdict-table entry: seeds and anchor \
-           positions scanned before a claim is graded.")
+(* How a verdict-table campaign prints: an entry's columns of its row,
+   its witness label and artifact file name, and the head of the
+   summary line. *)
+type 'e table_format = {
+  fm_columns : 'e -> string;
+  fm_witness : 'e -> string;
+  fm_file : 'e -> string;
+  fm_summary : 'e Dst.row list -> string;
+}
 
-let adv_seed_arg =
-  Arg.(
-    value & opt int 1000
-    & info [ "seed" ] ~docv:"SEED" ~doc:"Base seed of the campaign.")
+let grade_cmd_fn table format seed per_entry jobs out_dir quiet =
+  let witnesses = ref [] in
+  let on_row r =
+    let t = r.Dst.rw_tally in
+    if not quiet then
+      Printf.printf "%s u=%d m=%d d=%d s=%d %s\n"
+        (format.fm_columns r.Dst.rw_entry)
+        t.Dst.n_unfired t.Dst.n_masked t.Dst.n_detected t.Dst.n_silent
+        (if r.Dst.rw_ok then "ok" else "MISMATCH");
+    match r.Dst.rw_witness with
+    | Some sc -> witnesses := (r.Dst.rw_entry, sc) :: !witnesses
+    | None -> ()
+  in
+  let rows, mismatches = Dst.grade ~jobs ~on_row ~seed ~per_entry (table ()) in
+  let witnesses = List.rev !witnesses in
+  (* the witness for each hunting claim is shrunk to a replayable
+     artifact; shrinking is deterministic at every -j, so this block is
+     byte-identical across parallelism levels too *)
+  List.iter
+    (fun (e, sc) ->
+      let artifact, stats = Dst.shrink_to_artifact ~jobs sc in
+      Printf.printf "witness %s: seed=%d shrunk to %s (%d removed, %d evals)\n"
+        (format.fm_witness e) sc.Exec.sc_seed artifact.Artifact.af_verdict
+        stats.Shrink.sh_removed stats.Shrink.sh_evals;
+      Option.iter
+        (fun dir ->
+          save_artifact (Filename.concat dir (format.fm_file e)) artifact)
+        out_dir)
+    witnesses;
+  Printf.printf "%s, %d witness(es), %d mismatch(es), seed=%d per-entry=%d\n"
+    (format.fm_summary rows) (List.length witnesses) mismatches seed per_entry;
+  if mismatches > 0 then 1 else 0
 
 let out_dir_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some dir) None
     & info [ "out-dir" ] ~docv:"DIR"
         ~doc:"Write one shrunk witness artifact per silent claim here.")
 
-let adversary_cmd_fn seed per_entry jobs out_dir quiet =
-  let witnesses = ref [] in
-  let on_row r =
-    let e = r.Dst.ar_entry in
-    if not quiet then
-      Printf.printf "%-6s %-16s %-14s %-9s u=%d m=%d d=%d s=%d %s\n"
-        e.Taint.e_iface e.Taint.e_fn e.Taint.e_field
-        (Taint.verdict_to_string e.Taint.e_verdict)
-        r.Dst.ar_unfired r.Dst.ar_masked r.Dst.ar_detected r.Dst.ar_silent
-        (if r.Dst.ar_ok then "ok" else "MISMATCH");
-    match r.Dst.ar_witness with
-    | Some sc -> witnesses := (e, sc) :: !witnesses
-    | None -> ()
+let grade_cmd name ~doc ~seed ~per_entry ~per_entry_doc table format =
+  let seed_arg =
+    Arg.(
+      value & opt int seed
+      & info [ "seed" ] ~docv:"SEED" ~doc:"Base seed of the campaign.")
   in
-  let rows, mismatches = Dst.run_adversary ~jobs ~on_row ~seed ~per_entry () in
-  let witnesses = List.rev !witnesses in
-  (* the witness for each silent claim is shrunk to a replayable
-     artifact; shrinking is deterministic at every -j, so this block is
-     byte-identical across parallelism levels too *)
-  List.iter
-    (fun ((e : Taint.entry), sc) ->
-      let artifact, stats = Dst.shrink_to_artifact ~jobs sc in
-      Printf.printf
-        "witness %s.%s %s: seed=%d shrunk to %s (%d removed, %d evals)\n"
-        e.Taint.e_iface e.Taint.e_fn e.Taint.e_field sc.Exec.sc_seed
-        artifact.Artifact.af_verdict stats.Shrink.sh_removed
-        stats.Shrink.sh_evals;
-      match out_dir with
-      | None -> ()
-      | Some dir ->
-          let path =
-            Filename.concat dir
-              (Printf.sprintf "adv_%s_%s_%s.json" e.Taint.e_iface e.Taint.e_fn
-                 (String.map (function '@' -> 'x' | c -> c) e.Taint.e_field))
-          in
-          Artifact.save path artifact)
-    witnesses;
-  Printf.printf
-    "adversary: %d entr(ies), %d witness(es), %d mismatch(es), seed=%d \
-     per-entry=%d\n"
-    (List.length rows) (List.length witnesses) mismatches seed per_entry;
-  if mismatches > 0 then 1 else 0
-
-let race_per_entry_arg =
-  Arg.(
-    value & opt int 6
-    & info [ "per-entry" ] ~docv:"K"
-        ~doc:
-          "Scenario budget per race-table pair: seeds and crash anchors \
-           scanned before a claim is graded.")
-
-let race_seed_arg =
-  Arg.(
-    value & opt int 1100
-    & info [ "seed" ] ~docv:"SEED" ~doc:"Base seed of the campaign.")
-
-let race_cmd_fn seed per_entry jobs out_dir quiet =
-  let witnesses = ref [] in
-  let on_row r =
-    let e = r.Dst.ra_entry in
-    if not quiet then
-      Printf.printf "%-6s %-8s %-18s %-7s %-10s u=%d m=%d d=%d s=%d %s\n"
-        e.Race.r_walker e.Race.r_iface e.Race.r_fn e.Race.r_phase
-        (Race.verdict_to_string e.Race.r_verdict)
-        r.Dst.ra_unfired r.Dst.ra_masked r.Dst.ra_detected r.Dst.ra_silent
-        (if r.Dst.ra_ok then "ok" else "MISMATCH");
-    match r.Dst.ra_witness with
-    | Some sc -> witnesses := (e, sc) :: !witnesses
-    | None -> ()
+  let per_entry_arg =
+    Arg.(
+      value & opt int per_entry
+      & info [ "per-entry" ] ~docv:"K" ~doc:per_entry_doc)
   in
-  let rows, mismatches = Dst.run_race ~jobs ~on_row ~seed ~per_entry () in
-  let witnesses = List.rev !witnesses in
-  List.iter
-    (fun ((e : Race.entry), sc) ->
-      let artifact, stats = Dst.shrink_to_artifact ~jobs sc in
-      Printf.printf
-        "witness walk(%s) vs %s.%s [%s]: seed=%d shrunk to %s (%d removed, \
-         %d evals)\n"
-        e.Race.r_walker e.Race.r_iface e.Race.r_fn e.Race.r_field
-        sc.Exec.sc_seed artifact.Artifact.af_verdict stats.Shrink.sh_removed
-        stats.Shrink.sh_evals;
-      match out_dir with
-      | None -> ()
-      | Some dir ->
-          let path =
-            Filename.concat dir
-              (Printf.sprintf "race_%s_%s_%s.json" e.Race.r_walker
-                 e.Race.r_iface e.Race.r_fn)
-          in
-          Artifact.save path artifact)
-    witnesses;
-  let racy =
-    List.length
-      (List.filter
-         (fun r -> r.Dst.ra_entry.Race.r_verdict = Race.Racy)
-         rows)
-  in
-  Printf.printf
-    "race: %d pair(s), %d racy, %d witness(es), %d mismatch(es), seed=%d \
-     per-entry=%d\n"
-    (List.length rows) racy (List.length witnesses) mismatches seed per_entry;
-  if mismatches > 0 then 1 else 0
+  Cmd.v (Cmd.info name ~doc)
+    Term.(
+      const (grade_cmd_fn table format)
+      $ seed_arg $ per_entry_arg $ jobs_arg $ out_dir_arg $ quiet_arg)
+
+let adversary_cmd =
+  grade_cmd "adversary"
+    ~doc:
+      "Validate the static taint verdict table against live \
+       edge-perturbed runs."
+    ~seed:1000 ~per_entry:18
+    ~per_entry_doc:
+      "Scenario budget per verdict-table entry: seeds and anchor \
+       positions scanned before a claim is graded."
+    Dst.adversary_table
+    {
+      fm_columns =
+        (fun e ->
+          Printf.sprintf "%-6s %-16s %-14s %-9s" e.Taint.e_iface e.Taint.e_fn
+            e.Taint.e_field
+            (Taint.verdict_to_string e.Taint.e_verdict));
+      fm_witness =
+        (fun e ->
+          Printf.sprintf "%s.%s %s" e.Taint.e_iface e.Taint.e_fn
+            e.Taint.e_field);
+      fm_file =
+        (fun e ->
+          Printf.sprintf "adv_%s_%s_%s.json" e.Taint.e_iface e.Taint.e_fn
+            (String.map (function '@' -> 'x' | c -> c) e.Taint.e_field));
+      fm_summary =
+        (fun rows ->
+          Printf.sprintf "adversary: %d entr(ies)" (List.length rows));
+    }
+
+let race_cmd =
+  grade_cmd "race"
+    ~doc:
+      "Validate the static race verdict table against sustained \
+       recovery-racing perturbed runs."
+    ~seed:1100 ~per_entry:6
+    ~per_entry_doc:
+      "Scenario budget per race-table pair: seeds and crash anchors \
+       scanned before a claim is graded."
+    Dst.race_table
+    {
+      fm_columns =
+        (fun e ->
+          Printf.sprintf "%-6s %-8s %-18s %-7s %-10s" e.Race.r_walker
+            e.Race.r_iface e.Race.r_fn e.Race.r_phase
+            (Race.verdict_to_string e.Race.r_verdict));
+      fm_witness =
+        (fun e ->
+          Printf.sprintf "walk(%s) vs %s.%s [%s]" e.Race.r_walker e.Race.r_iface
+            e.Race.r_fn e.Race.r_field);
+      fm_file =
+        (fun e ->
+          Printf.sprintf "race_%s_%s_%s.json" e.Race.r_walker e.Race.r_iface
+            e.Race.r_fn);
+      fm_summary =
+        (fun rows ->
+          Printf.sprintf "race: %d pair(s), %d racy" (List.length rows)
+            (List.length
+               (List.filter
+                  (fun r -> r.Dst.rw_entry.Race.r_verdict = Race.Racy)
+                  rows)));
+    }
 
 let mutants_cmd_fn () =
   List.iter
@@ -375,26 +387,6 @@ let mutants_cmd =
   Cmd.v
     (Cmd.info "mutants" ~doc:"List the builtin mutants.")
     Term.(const mutants_cmd_fn $ const ())
-
-let race_cmd =
-  Cmd.v
-    (Cmd.info "race"
-       ~doc:
-         "Validate the static race verdict table against sustained \
-          recovery-racing perturbed runs.")
-    Term.(
-      const race_cmd_fn $ race_seed_arg $ race_per_entry_arg $ jobs_arg
-      $ out_dir_arg $ quiet_arg)
-
-let adversary_cmd =
-  Cmd.v
-    (Cmd.info "adversary"
-       ~doc:
-         "Validate the static taint verdict table against live \
-          edge-perturbed runs.")
-    Term.(
-      const adversary_cmd_fn $ adv_seed_arg $ per_entry_arg $ jobs_arg
-      $ out_dir_arg $ quiet_arg)
 
 let () =
   Sg_util.Pool.tune_gc ();

@@ -141,7 +141,14 @@ let graph_cmd =
           Graphviz DOT (the Fig 2 diagrams).")
     Term.(ret (const run $ file_arg $ builtin_arg $ out_arg))
 
-let lint_cmd =
+(* A report subcommand over FILE... and --builtins: compile every input,
+   run [analyze] (given the value of [extra], the subcommand's own
+   arguments), print [render] or, with --json, [to_json] on stdout, and
+   exit 1 when [findings] holds. On a compile error the diagnostics go
+   to stderr, or with --json through [json_of_compile_error] to stdout
+   when given, and the exit is 2. *)
+let report_cmd name ~doc ~verb ~json_doc ?json_of_compile_error extra
+    ~analyze ~render ~to_json ~findings =
   let files_arg =
     Arg.(
       value
@@ -152,14 +159,16 @@ let lint_cmd =
     Arg.(
       value & flag
       & info [ "builtins" ]
-          ~doc:"Also lint the six embedded system interfaces.")
+          ~doc:
+            (Printf.sprintf "Also %s the six embedded system interfaces." verb))
   in
   let json_flag =
     Arg.(
       value & flag
-      & info [ "json" ] ~doc:"Emit the report as JSON on stdout.")
+      & info [ "json" ]
+          ~doc:(Printf.sprintf "Emit %s as JSON on stdout." json_doc))
   in
-  let run files builtins json =
+  let run files builtins json extra =
     if files = [] && not builtins then
       `Error (true, "give at least one FILE or --builtins")
     else
@@ -169,48 +178,38 @@ let lint_cmd =
            else [])
       with
       | artifacts ->
-          let ds = Analysis.lint artifacts in
-          if json then
-            print_endline (Json.to_string (Analysis.report_to_json ds))
-          else begin
-            List.iter (fun d -> Printf.printf "%s\n" (Diag.to_string d)) ds;
-            Printf.printf "%d error(s), %d warning(s), %d info(s)\n"
-              (Diag.count Diag.Error ds)
-              (Diag.count Diag.Warning ds)
-              (Diag.count Diag.Info ds)
-          end;
-          `Ok (if Diag.has_errors ds then exit_findings else exit_ok)
+          let report = analyze extra artifacts in
+          if json then print_endline (Json.to_string (to_json report))
+          else print_string (render report);
+          `Ok (if findings report then exit_findings else exit_ok)
       | exception Compiler.Compile_error ds ->
-          if json then
-            print_endline (Json.to_string (Analysis.report_to_json ds))
-          else List.iter print_diag ds;
+          (match json_of_compile_error with
+          | Some to_json when json ->
+              print_endline (Json.to_string (to_json ds))
+          | _ -> List.iter print_diag ds);
           `Ok exit_compile_error
   in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Run the recovery-soundness static analyzer. Exit 0 if no \
-          error-severity finding, 1 if any, 2 on compile errors.")
-    Term.(ret (const run $ files_arg $ builtins_flag $ json_flag))
+  Cmd.v (Cmd.info name ~doc)
+    Term.(ret (const run $ files_arg $ builtins_flag $ json_flag $ extra))
+
+let lint_cmd =
+  report_cmd "lint"
+    ~doc:
+      "Run the recovery-soundness static analyzer. Exit 0 if no \
+       error-severity finding, 1 if any, 2 on compile errors."
+    ~verb:"lint" ~json_doc:"the report"
+    ~json_of_compile_error:Analysis.report_to_json (Term.const ())
+    ~analyze:(fun () arts -> Analysis.lint arts)
+    ~render:(fun ds ->
+      String.concat "" (List.map (fun d -> Diag.to_string d ^ "\n") ds)
+      ^ Printf.sprintf "%d error(s), %d warning(s), %d info(s)\n"
+          (Diag.count Diag.Error ds)
+          (Diag.count Diag.Warning ds)
+          (Diag.count Diag.Info ds))
+    ~to_json:Analysis.report_to_json ~findings:Diag.has_errors
 
 let bound_cmd =
-  let files_arg =
-    Arg.(
-      value
-      & pos_all file []
-      & info [] ~docv:"FILE" ~doc:"Interface specifications (.sgidl).")
-  in
-  let builtins_flag =
-    Arg.(
-      value & flag
-      & info [ "builtins" ]
-          ~doc:"Also bound the six embedded system interfaces.")
-  in
-  let json_flag =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the bound table as JSON on stdout.")
-  in
+  let module Wcr = Sg_analysis.Wcr in
   let scale_arg =
     Arg.(
       value
@@ -218,146 +217,51 @@ let bound_cmd =
       & info [ "cost-scale" ] ~docv:"F"
           ~doc:"Scale every cost-model constant by $(docv) (sensitivity).")
   in
-  let run files builtins json scale =
-    if files = [] && not builtins then
-      `Error (true, "give at least one FILE or --builtins")
-    else
-      match
-        List.map Compiler.compile_file files
-        @ (if builtins then List.map Compiler.builtin Compiler.builtin_names
-           else [])
-      with
-      | artifacts ->
-          let params =
-            {
-              Sg_analysis.Wcr.default_params with
-              Sg_analysis.Wcr.p_cost =
-                Sg_kernel.Cost.scale Sg_kernel.Cost.default scale;
-            }
-          in
-          let report = Sg_analysis.Wcr.analyze ~params artifacts in
-          if json then
-            print_endline (Json.to_string (Sg_analysis.Wcr.to_json report))
-          else print_string (Sg_analysis.Wcr.render report);
-          (* unbounded pairs (a tracked interface without desc_table_cap,
-             SG014) are findings, like lint errors *)
-          let unbounded =
-            List.exists
-              (fun p -> p.Sg_analysis.Wcr.p_bound_ns = None)
-              report.Sg_analysis.Wcr.r_pairs
-          in
-          `Ok (if unbounded then exit_findings else exit_ok)
-      | exception Compiler.Compile_error ds ->
-          List.iter print_diag ds;
-          `Ok exit_compile_error
-  in
-  Cmd.v
-    (Cmd.info "bound"
-       ~doc:
-         "Compute static worst-case recovery-latency bounds for every \
-          (crashed service, client interface) pair. Exit 0 if every pair \
-          is bounded, 1 if any is unbounded, 2 on compile errors.")
-    Term.(ret (const run $ files_arg $ builtins_flag $ json_flag $ scale_arg))
+  report_cmd "bound"
+    ~doc:
+      "Compute static worst-case recovery-latency bounds for every \
+       (crashed service, client interface) pair. Exit 0 if every pair \
+       is bounded, 1 if any is unbounded, 2 on compile errors."
+    ~verb:"bound" ~json_doc:"the bound table" scale_arg
+    ~analyze:(fun scale ->
+      let params =
+        {
+          Wcr.default_params with
+          Wcr.p_cost = Sg_kernel.Cost.scale Sg_kernel.Cost.default scale;
+        }
+      in
+      Wcr.analyze ~params)
+    ~render:Wcr.render ~to_json:Wcr.to_json
+    ~findings:(fun report ->
+      (* unbounded pairs (a tracked interface without desc_table_cap,
+         SG014) are findings, like lint errors *)
+      List.exists (fun p -> p.Wcr.p_bound_ns = None) report.Wcr.r_pairs)
 
 let taint_cmd =
-  let files_arg =
-    Arg.(
-      value
-      & pos_all file []
-      & info [] ~docv:"FILE" ~doc:"Interface specifications (.sgidl).")
-  in
-  let builtins_flag =
-    Arg.(
-      value & flag
-      & info [ "builtins" ]
-          ~doc:"Also analyze the six embedded system interfaces.")
-  in
-  let json_flag =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the verdict table as JSON on stdout.")
-  in
-  let run files builtins json =
-    if files = [] && not builtins then
-      `Error (true, "give at least one FILE or --builtins")
-    else
-      match
-        List.map Compiler.compile_file files
-        @ (if builtins then List.map Compiler.builtin Compiler.builtin_names
-           else [])
-      with
-      | artifacts ->
-          let report = Sg_analysis.Taint.analyze artifacts in
-          if json then
-            print_endline
-              (Json.to_string (Sg_analysis.Taint.report_to_json report))
-          else print_string (Sg_analysis.Taint.render report);
-          `Ok
-            (if Diag.has_errors report.Sg_analysis.Taint.t_diags then
-               exit_findings
-             else exit_ok)
-      | exception Compiler.Compile_error ds ->
-          List.iter print_diag ds;
-          `Ok exit_compile_error
-  in
-  Cmd.v
-    (Cmd.info "taint"
-       ~doc:
-         "Classify every (interface edge, field) pair as masked, detected \
-          or silent under value corruption, and report SG016-SG019 \
-          propagation findings. Exit 0 if no finding, 1 if any, 2 on \
-          compile errors.")
-    Term.(ret (const run $ files_arg $ builtins_flag $ json_flag))
+  let module Taint = Sg_analysis.Taint in
+  report_cmd "taint"
+    ~doc:
+      "Classify every (interface edge, field) pair as masked, detected \
+       or silent under value corruption, and report SG016-SG019 \
+       propagation findings. Exit 0 if no finding, 1 if any, 2 on \
+       compile errors."
+    ~verb:"analyze" ~json_doc:"the verdict table" (Term.const ())
+    ~analyze:(fun () arts -> Taint.analyze arts)
+    ~render:Taint.render ~to_json:Taint.report_to_json
+    ~findings:(fun r -> Diag.has_errors r.Taint.t_diags)
 
 let race_cmd =
-  let files_arg =
-    Arg.(
-      value
-      & pos_all file []
-      & info [] ~docv:"FILE" ~doc:"Interface specifications (.sgidl).")
-  in
-  let builtins_flag =
-    Arg.(
-      value & flag
-      & info [ "builtins" ]
-          ~doc:"Also analyze the six embedded system interfaces.")
-  in
-  let json_flag =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the verdict table as JSON on stdout.")
-  in
-  let run files builtins json =
-    if files = [] && not builtins then
-      `Error (true, "give at least one FILE or --builtins")
-    else
-      match
-        List.map Compiler.compile_file files
-        @ (if builtins then List.map Compiler.builtin Compiler.builtin_names
-           else [])
-      with
-      | artifacts ->
-          let report = Sg_analysis.Race.analyze artifacts in
-          if json then
-            print_endline
-              (Json.to_string (Sg_analysis.Race.report_to_json report))
-          else print_string (Sg_analysis.Race.render report);
-          `Ok
-            (if Diag.has_errors report.Sg_analysis.Race.r_diags then
-               exit_findings
-             else exit_ok)
-      | exception Compiler.Compile_error ds ->
-          List.iter print_diag ds;
-          `Ok exit_compile_error
-  in
-  Cmd.v
-    (Cmd.info "race"
-       ~doc:
-         "Classify every (recovery walk, concurrent invocation edge) \
-          pair as isolated, serialized or racy over the walk's phase \
-          intervals, and report SG021-SG025 interference findings. \
-          Exit 0 if no finding, 1 if any, 2 on compile errors.")
-    Term.(ret (const run $ files_arg $ builtins_flag $ json_flag))
+  let module Race = Sg_analysis.Race in
+  report_cmd "race"
+    ~doc:
+      "Classify every (recovery walk, concurrent invocation edge) \
+       pair as isolated, serialized or racy over the walk's phase \
+       intervals, and report SG021-SG025 interference findings. \
+       Exit 0 if no finding, 1 if any, 2 on compile errors."
+    ~verb:"analyze" ~json_doc:"the verdict table" (Term.const ())
+    ~analyze:(fun () arts -> Race.analyze arts)
+    ~render:Race.render ~to_json:Race.report_to_json
+    ~findings:(fun r -> Diag.has_errors r.Race.r_diags)
 
 let () =
   let info =

@@ -63,12 +63,6 @@ let rule_doc code =
 
 (* ---------- shared helpers ---------- *)
 
-let fn_pos ir fn =
-  match Ir.func ir fn with Some f -> Some f.Ir.f_pos | None -> None
-
-let fn_span ir fn =
-  Option.map (fun p -> Ir.span ~name:ir.Ir.ir_name p) (fn_pos ir fn)
-
 let sm_pos ir pred =
   List.find_map
     (fun (d, pos) -> if pred d then Some pos else None)
@@ -126,49 +120,9 @@ let roles_of ir fn =
     [
       Ir.is_create ir fn;
       Ir.is_terminal ir fn;
-      List.mem fn ir.Ir.ir_blocks || List.mem fn ir.Ir.ir_block_holds;
+      Ir.is_blocking ir fn;
       Ir.is_wakeup ir fn;
     ]
-
-(* Metadata the stubs capture when tracking a call (mirrors
-   Templates.emit_create_arm / emit_update_arm). *)
-let captured ir fn =
-  match Ir.func ir fn with
-  | None -> []
-  | Some f ->
-      if Ir.is_create ir fn then
-        List.filter_map
-          (fun p ->
-            match p.Ast.pa_attr with
-            | Ast.ADescData | Ast.ADescDataParent | Ast.ADescNs ->
-                Some p.Ast.pa_name
-            | Ast.APlain | Ast.ADesc | Ast.AParentDesc -> None)
-          f.Ir.f_params
-      else if Ir.is_terminal ir fn then []
-      else
-        List.filter_map
-          (fun p ->
-            if p.Ast.pa_attr = Ast.ADescData then Some p.Ast.pa_name else None)
-          f.Ir.f_params
-        @
-        match f.Ir.f_retval with
-        | Some { Ast.ra_name; _ } -> [ ra_name ]
-        | None -> []
-
-(* Metadata a recovery walk looks up to rebuild a call's arguments
-   (mirrors Templates.walk_arg_expr: desc_ns and desc_data arguments go
-   through meta_or). *)
-let required ir fn =
-  match Ir.func ir fn with
-  | None -> []
-  | Some f ->
-      List.filter_map
-        (fun p ->
-          match p.Ast.pa_attr with
-          | Ast.ADescData | Ast.ADescNs -> Some p.Ast.pa_name
-          | Ast.APlain | Ast.ADesc | Ast.AParentDesc | Ast.ADescDataParent ->
-              None)
-        f.Ir.f_params
 
 let self_set ir fn datum =
   match Ir.func ir fn with
@@ -225,7 +179,7 @@ let check_terminal_reach ir =
                   ir.Ir.ir_terminals)
         then
           let fn = String.sub st 6 (String.length st - 6) in
-          Diag.warningf ~code:"SG002" ?span:(fn_span ir fn)
+          Diag.warningf ~code:"SG002" ?span:(Ir.fn_span ir fn)
             "descriptor leak: state %s cannot reach any terminal state" st
           :: acc
         else acc)
@@ -258,7 +212,7 @@ let check_block_wakeup ir =
     if holds <> [] && wakeups = [] then
       List.map
         (fun h ->
-          Diag.errorf ~code:"SG004" ?span:(fn_span ir h)
+          Diag.errorf ~code:"SG004" ?span:(Ir.fn_span ir h)
             "%s holds state while blocked but the interface declares no \
              wakeup function: a recovered holder can never release its \
              waiters"
@@ -270,7 +224,7 @@ let check_block_wakeup ir =
     if wakeups <> [] && blocks = [] && holds = [] then
       List.map
         (fun w ->
-          Diag.warningf ~code:"SG005" ?span:(fn_span ir w)
+          Diag.warningf ~code:"SG005" ?span:(Ir.fn_span ir w)
             "wakeup function %s declared but no function blocks: T0 eager \
              recovery has nothing to wake"
             w)
@@ -290,7 +244,7 @@ let check_block_wakeup ir =
           if has_release then None
           else
             Some
-              (Diag.errorf ~code:"SG006" ?span:(fn_span ir b)
+              (Diag.errorf ~code:"SG006" ?span:(Ir.fn_span ir b)
                  "no transition from %s to any wakeup function: a thread \
                   blocked in after:%s can never be woken"
                  b b))
@@ -315,7 +269,7 @@ let guaranteed ir =
         List.fold_left
           (fun acc n -> Sset.add n acc)
           acc
-          (captured ir f.Ir.f_name @ required ir f.Ir.f_name))
+          (Ir.captured ir f.Ir.f_name @ Ir.replayed ir f.Ir.f_name))
       Sset.empty ir.Ir.ir_funcs
   in
   let g = Hashtbl.create 16 in
@@ -331,7 +285,7 @@ let guaranteed ir =
         if dst <> Machine.s0 && Hashtbl.mem reach src then begin
           let inflow =
             Sset.union (Hashtbl.find g src)
-              (Sset.of_list (captured ir fn))
+              (Sset.of_list (Ir.captured ir fn))
           in
           let cur = Hashtbl.find g dst in
           let next = Sset.inter cur inflow in
@@ -392,7 +346,7 @@ let check_replay ir machine =
                         once
                           (`Parent fn)
                           (Diag.errorf ~code:"SG007"
-                             ?span:(fn_span ir fn)
+                             ?span:(Ir.fn_span ir fn)
                              "recovery replays %s through a parent argument \
                               but the model declares no parentage"
                              fn)
@@ -406,11 +360,11 @@ let check_replay ir machine =
                 then
                   once
                     (`Datum (st, fn, datum))
-                    (Diag.errorf ~code:"SG007" ?span:(fn_span ir fn)
+                    (Diag.errorf ~code:"SG007" ?span:(Ir.fn_span ir fn)
                        "recovery of %s replays %s, but datum %s is not \
                         guaranteed captured on every path to %s"
                        st fn datum st))
-              (required ir fn))
+              (Ir.replayed ir fn))
           calls;
         (* walk completeness: replaying the plan from s0 must land in the
            recovery-equivalence class of the tracked state, or leave only
@@ -426,7 +380,7 @@ let check_replay ir machine =
         match endpoint with
         | None ->
             once (`Endpoint st)
-              (Diag.errorf ~code:"SG007" ?span:(fn_span ir (String.sub st 6 (String.length st - 6)))
+              (Diag.errorf ~code:"SG007" ?span:(Ir.fn_span ir (String.sub st 6 (String.length st - 6)))
                  "the recovery plan for %s is not a valid transition \
                   sequence from s0"
                  st)
@@ -441,7 +395,7 @@ let check_replay ir machine =
               once (`Endpoint st)
                 (Diag.errorf ~code:"SG007"
                    ?span:
-                     (fn_span ir (String.sub st 6 (String.length st - 6)))
+                     (Ir.fn_span ir (String.sub st 6 (String.length st - 6)))
                    "the recovery walk for %s stops at %s: the remaining \
                     effects cannot be replayed from tracked data and are \
                     silently dropped"
@@ -522,7 +476,7 @@ let check_roles ir =
       let fn = f.Ir.f_name in
       if List.length (roles_of ir fn) > 1 then
         Some
-          (Diag.errorf ~code:"SG009" ?span:(fn_span ir fn)
+          (Diag.errorf ~code:"SG009" ?span:(Ir.fn_span ir fn)
              "%s has more than one state-machine role (creation, terminal, \
               block or wakeup): tracking arms would conflict"
              fn)
@@ -546,7 +500,7 @@ let check_untracked_fns ir =
       if List.mem fn mentioned then None
       else
         Some
-          (Diag.warningf ~code:"SG010" ?span:(fn_span ir fn)
+          (Diag.warningf ~code:"SG010" ?span:(Ir.fn_span ir fn)
              "%s appears in no state-machine declaration: calls to it are \
               untracked and invisible to recovery"
              fn))

@@ -81,38 +81,7 @@ type report = {
   r_diags : Diag.t list;
 }
 
-(* ---------- shared helpers (mirror Taint's) ---------- *)
-
-let fn_span ir fn =
-  match Ir.func ir fn with
-  | Some f -> Some (Ir.span ~name:ir.Ir.ir_name f.Ir.f_pos)
-  | None -> None
-
-(* Metadata datums a call captures into the stub store (the Taint set:
-   creations capture desc_data-class parameters, updates capture
-   ADescData parameters and the annotated return value). *)
-let captured ir fn =
-  match Ir.func ir fn with
-  | None -> []
-  | Some f ->
-      if Ir.is_create ir fn then
-        List.filter_map
-          (fun p ->
-            match p.Ast.pa_attr with
-            | Ast.ADescData | Ast.ADescDataParent | Ast.ADescNs ->
-                Some p.Ast.pa_name
-            | Ast.APlain | Ast.ADesc | Ast.AParentDesc -> None)
-          f.Ir.f_params
-      else if Ir.is_terminal ir fn then []
-      else
-        List.filter_map
-          (fun p ->
-            if p.Ast.pa_attr = Ast.ADescData then Some p.Ast.pa_name else None)
-          f.Ir.f_params
-        @
-        match f.Ir.f_retval with
-        | Some { Ast.ra_name; _ } -> [ ra_name ]
-        | None -> []
+(* ---------- per-function helpers ---------- *)
 
 let has_anchor f =
   List.exists
@@ -129,9 +98,7 @@ let in_transitions ir fn =
   List.exists (fun (a, b) -> a = fn || b = fn) ir.Ir.ir_transitions
 
 let has_role ir fn =
-  Ir.is_create ir fn || Ir.is_terminal ir fn
-  || Ir.is_transient_block ir fn
-  || List.mem fn ir.Ir.ir_block_holds
+  Ir.is_create ir fn || Ir.is_terminal ir fn || Ir.is_blocking ir fn
   || Ir.is_wakeup ir fn || in_transitions ir fn
 
 (* A replayed datum the target cannot independently validate: an
@@ -239,9 +206,6 @@ let classify_cross ~wakeup_deps walker iface fn =
 
 (* ---------- SG021-SG025: interference findings ---------- *)
 
-let diag ir fn code msg =
-  Diag.make ?span:(fn_span ir fn) ~code ~severity:Diag.Error msg
-
 (* SG021: a function that captures descriptor data but has no
    state-machine role at all — no walk ever replays its effect, so a
    live invocation concurrent with a walk mutates tracked state inside
@@ -251,16 +215,16 @@ let check_sg021 art =
   List.filter_map
     (fun f ->
       let fn = f.Ir.f_name in
-      if captured ir fn <> [] && not (has_role ir fn) then
+      if Ir.captured ir fn <> [] && not (has_role ir fn) then
         Some
-          (diag ir fn "SG021"
+          (Ir.fn_error ir fn "SG021"
              (Printf.sprintf
                 "%s.%s: captures descriptor data (%s) but has no \
                  state-machine role: its live mutations race every \
                  recovery walk, which rebuilds the descriptor without \
                  replaying them"
                 ir.Ir.ir_name fn
-                (String.concat ", " (captured ir fn))))
+                (String.concat ", " (Ir.captured ir fn))))
       else None)
     ir.Ir.ir_funcs
 
@@ -279,10 +243,10 @@ let check_sg022 art =
           (not (Ir.is_create ir fn))
           && (not (Ir.is_terminal ir fn))
           && has_plain f
-          && captured ir fn = []
+          && Ir.captured ir fn = []
         then
           Some
-            (diag ir fn "SG022"
+            (Ir.fn_error ir fn "SG022"
                (Printf.sprintf
                   "%s.%s: accesses resource data but captures no datum: \
                    a recovery walk cannot order its replayed writes \
@@ -300,15 +264,15 @@ let check_sg023 art =
   List.filter_map
     (fun f ->
       let fn = f.Ir.f_name in
-      if Ir.is_wakeup ir fn && captured ir fn <> [] then
+      if Ir.is_wakeup ir fn && Ir.captured ir fn <> [] then
         Some
-          (diag ir fn "SG023"
+          (Ir.fn_error ir fn "SG023"
              (Printf.sprintf
                 "%s.%s: wakeup captures %s: a delivery into a mid-walk \
                  epoch is overwritten when the walk's tracking update \
                  commits — the payload is lost"
                 ir.Ir.ir_name fn
-                (String.concat ", " (captured ir fn))))
+                (String.concat ", " (Ir.captured ir fn))))
       else None)
     ir.Ir.ir_funcs
 
@@ -323,18 +287,18 @@ let check_sg024 art =
       let fn = f.Ir.f_name in
       if
         (not (Ir.is_create ir fn))
-        && captured ir fn <> []
+        && Ir.captured ir fn <> []
         && not (has_anchor f)
       then
         Some
-          (diag ir fn "SG024"
+          (Ir.fn_error ir fn "SG024"
              (Printf.sprintf
                 "%s.%s: captures %s but takes no descriptor argument: \
                  the stub cannot anchor it to the recover-first (T1) \
                  check, so it mutates the tracker outside the walk \
                  lock discipline"
                 ir.Ir.ir_name fn
-                (String.concat ", " (captured ir fn))))
+                (String.concat ", " (Ir.captured ir fn))))
       else None)
     ir.Ir.ir_funcs
 
@@ -372,7 +336,7 @@ let check_sg025 ~wakeup_deps artifacts =
                 in
                 if holds then
                   Some
-                    (diag ir fn "SG025"
+                    (Ir.fn_error ir fn "SG025"
                        (Printf.sprintf
                           "%s.%s: services %s collude on %s through a \
                            state-holding function; their unserialized \

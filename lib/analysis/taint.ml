@@ -52,7 +52,7 @@ type entry = {
 
 type report = { t_entries : entry list; t_diags : Diag.t list }
 
-(* ---------- shared helpers (mirror Analysis's internal ones) ---------- *)
+(* ---------- per-function helpers ---------- *)
 
 let attr_to_string = function
   | Ast.APlain -> "plain"
@@ -61,51 +61,6 @@ let attr_to_string = function
   | Ast.AParentDesc -> "parent_desc"
   | Ast.ADescDataParent -> "desc_data_parent"
   | Ast.ADescNs -> "desc_ns"
-
-let fn_span ir fn =
-  match Ir.func ir fn with
-  | Some f -> Some (Ir.span ~name:ir.Ir.ir_name f.Ir.f_pos)
-  | None -> None
-
-(* Metadata datums a call captures into the stub store (same set the
-   SG007 dataflow uses: creation captures every desc_data-class
-   parameter, updates capture ADescData parameters and the annotated
-   return value). *)
-let captured ir fn =
-  match Ir.func ir fn with
-  | None -> []
-  | Some f ->
-      if Ir.is_create ir fn then
-        List.filter_map
-          (fun p ->
-            match p.Ast.pa_attr with
-            | Ast.ADescData | Ast.ADescDataParent | Ast.ADescNs ->
-                Some p.Ast.pa_name
-            | Ast.APlain | Ast.ADesc | Ast.AParentDesc -> None)
-          f.Ir.f_params
-      else if Ir.is_terminal ir fn then []
-      else
-        List.filter_map
-          (fun p ->
-            if p.Ast.pa_attr = Ast.ADescData then Some p.Ast.pa_name else None)
-          f.Ir.f_params
-        @
-        match f.Ir.f_retval with
-        | Some { Ast.ra_name; _ } -> [ ra_name ]
-        | None -> []
-
-(* Datums a recovery walk reads back to rebuild a call's arguments. *)
-let replayed ir fn =
-  match Ir.func ir fn with
-  | None -> []
-  | Some f ->
-      List.filter_map
-        (fun p ->
-          match p.Ast.pa_attr with
-          | Ast.ADescData | Ast.ADescNs -> Some p.Ast.pa_name
-          | Ast.APlain | Ast.ADesc | Ast.AParentDesc | Ast.ADescDataParent ->
-              None)
-        f.Ir.f_params
 
 let has_plain_string f =
   List.exists
@@ -136,9 +91,6 @@ let client_keyed f =
       List.exists
         (fun p -> p.Ast.pa_attr = Ast.ADescData && p.Ast.pa_name = ra_name)
         f.Ir.f_params
-
-let is_blocking ir fn =
-  List.mem fn ir.Ir.ir_blocks || List.mem fn ir.Ir.ir_block_holds
 
 (* ---------- cross-component reach over the wakeup digraph ---------- *)
 
@@ -351,7 +303,7 @@ let entries_of_artifact ~wakeup_deps art =
       let ret = [ entry fn "ret" "ret" (classify_ret ir fn m f) ] in
       let drop = [ entry fn "@drop" "delivery" (classify_drop ir fn m f) ] in
       let redeliver =
-        if is_blocking ir fn then []
+        if Ir.is_blocking ir fn then []
         else
           [
             entry fn "@dup" "delivery"
@@ -365,9 +317,6 @@ let entries_of_artifact ~wakeup_deps art =
 
 (* ---------- SG016-SG019 over the datum-flow graph ---------- *)
 
-let diag ir fn code msg =
-  Diag.make ?span:(fn_span ir fn) ~code ~severity:Diag.Error msg
-
 (* SG016: a silent parameter that is not even captured for replay, on an
    interface without a storage-backed resource — the corruption crosses
    into another component's state with no copy anywhere that recovery
@@ -379,11 +328,11 @@ let check_sg016 entries art =
       if
         e.e_iface = ir.Ir.ir_name && e.e_verdict = Silent
         && e.e_kind <> "ret" && e.e_kind <> "delivery"
-        && (not (List.mem e.e_field (captured ir e.e_fn)))
+        && (not (List.mem e.e_field (Ir.captured ir e.e_fn)))
         && not ir.Ir.ir_model.Model.resc_data
       then
         Some
-          (diag ir e.e_fn "SG016"
+          (Ir.fn_error ir e.e_fn "SG016"
              (Printf.sprintf
                 "%s.%s: parameter %s propagates silently across the \
                  component boundary and is not captured; no replica \
@@ -407,13 +356,13 @@ let check_sg017 art =
         | Some { Ast.ra_name; _ } ->
             let feeding_creates =
               List.filter
-                (fun c -> List.mem ra_name (replayed ir c))
+                (fun c -> List.mem ra_name (Ir.replayed ir c))
                 ir.Ir.ir_creates
             in
             if feeding_creates = [] then None
             else
               Some
-                (diag ir fn "SG017"
+                (Ir.fn_error ir fn "SG017"
                    (Printf.sprintf
                       "%s.%s: captured return datum %s is replayed into \
                        creation %s; a corrupted reply is re-injected by \
@@ -433,7 +382,7 @@ let check_sg018 art =
       (fun f ->
         let fn = f.Ir.f_name in
         if Ir.is_create ir fn then []
-        else List.map (fun d -> (fn, d)) (captured ir fn))
+        else List.map (fun d -> (fn, d)) (Ir.captured ir fn))
       ir.Ir.ir_funcs
   in
   List.concat_map
@@ -449,7 +398,7 @@ let check_sg018 art =
                     (fun (fn, d) ->
                       if d = p.Ast.pa_name then
                         Some
-                          (diag ir fn "SG018"
+                          (Ir.fn_error ir fn "SG018"
                              (Printf.sprintf
                                 "%s.%s: captures datum %s, which is the \
                                  descriptor-table key %s of creation %s; \
@@ -478,7 +427,7 @@ let check_sg019 art =
               (fun p ->
                 if p.Ast.pa_attr = Ast.APlain then
                   Some
-                    (diag ir c "SG019"
+                    (Ir.fn_error ir c "SG019"
                        (Printf.sprintf
                           "%s.%s: plain parameter %s on a storage-coupled \
                            creation is never captured; a corrupted \

@@ -3,10 +3,12 @@
     Builds runnable client and server stub configurations directly from
     the compiled IR. Semantically this executes exactly the code the
     template backend ({!Codegen}) emits; the generated OCaml is a
-    specialization of these interpretations (see DESIGN.md §5 — OCaml
-    cannot compile-and-link emitted source at runtime in this sealed
-    environment, so the interpreter is what runs inside the simulator,
-    charged at the SuperGlue tracking cost). *)
+    specialization of these interpretations (see DESIGN.md §5). The
+    emitted source for the six builtin interfaces is compiled at build
+    time ([lib/genstubs], the [superglue-gen] system configuration).
+    The interpreter runs the specs that only exist at runtime — DST
+    mutants and user [.sgidl] files — and is the default SuperGlue stub
+    set ({!Stubset}), charged at the SuperGlue tracking cost. *)
 
 val client_config :
   ?mode:[ `Ondemand | `Eager ] ->

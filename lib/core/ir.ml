@@ -31,6 +31,12 @@ let span ~name (pos : Ast.pos) =
 
 let func t name = List.find_opt (fun f -> f.f_name = name) t.ir_funcs
 
+let fn_span t fn =
+  Option.map (fun f -> span ~name:t.ir_name f.f_pos) (func t fn)
+
+let fn_error t fn code msg =
+  Diag.make ?span:(fn_span t fn) ~code ~severity:Diag.Error msg
+
 let func_exn t name =
   match func t name with
   | Some f -> f
@@ -61,7 +67,47 @@ let parent_arg_index f =
 let is_create t fn = List.mem fn t.ir_creates
 let is_terminal t fn = List.mem fn t.ir_terminals
 let is_transient_block t fn = List.mem fn t.ir_blocks
+let is_blocking t fn = is_transient_block t fn || List.mem fn t.ir_block_holds
 let is_wakeup t fn = List.mem fn t.ir_wakeups
+
+(* must agree with what Templates.emit_create_arm / emit_update_arm
+   store *)
+let captured t fn =
+  match func t fn with
+  | None -> []
+  | Some f ->
+      if is_create t fn then
+        List.filter_map
+          (fun p ->
+            match p.Ast.pa_attr with
+            | Ast.ADescData | Ast.ADescDataParent | Ast.ADescNs ->
+                Some p.Ast.pa_name
+            | Ast.APlain | Ast.ADesc | Ast.AParentDesc -> None)
+          f.f_params
+      else if is_terminal t fn then []
+      else
+        List.filter_map
+          (fun p ->
+            if p.Ast.pa_attr = Ast.ADescData then Some p.Ast.pa_name else None)
+          f.f_params
+        @
+        match f.f_retval with
+        | Some { Ast.ra_name; _ } -> [ ra_name ]
+        | None -> []
+
+(* must agree with Templates.walk_arg_expr, whose desc_ns and desc_data
+   arguments go through meta_or *)
+let replayed t fn =
+  match func t fn with
+  | None -> []
+  | Some f ->
+      List.filter_map
+        (fun p ->
+          match p.Ast.pa_attr with
+          | Ast.ADescData | Ast.ADescNs -> Some p.Ast.pa_name
+          | Ast.APlain | Ast.ADesc | Ast.AParentDesc | Ast.ADescDataParent ->
+              None)
+        f.f_params
 
 let is_replayable t f =
   (not (is_transient_block t f.f_name))

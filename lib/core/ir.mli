@@ -43,6 +43,13 @@ val of_ast : name:string -> Ast.t -> t
 val func : t -> string -> func option
 val func_exn : t -> string -> func
 
+val fn_span : t -> string -> Diag.span option
+(** The declaration span of a function, [None] if it is not declared. *)
+
+val fn_error : t -> string -> string -> string -> Diag.t
+(** [fn_error t fn code msg]: an error-severity finding [code] at [fn]'s
+    declaration. *)
+
 val desc_arg_index : t -> string -> int option
 (** Position of the [desc(...)] parameter of a function. *)
 
@@ -52,7 +59,22 @@ val parent_arg_index : func -> int option
 val is_create : t -> string -> bool
 val is_terminal : t -> string -> bool
 val is_transient_block : t -> string -> bool
+
+val is_blocking : t -> string -> bool
+(** In I^block: a transient block or a state-acquiring one. *)
+
 val is_wakeup : t -> string -> bool
+
+val captured : t -> string -> string list
+(** Metadata datums the stubs capture when tracking a call: a creation
+    captures its desc_data, desc_data_parent and desc_ns parameters, a
+    terminal nothing, any other call its desc_data parameters and its
+    annotated return value. Feeds the SG007 dataflow and the taint and
+    race passes. *)
+
+val replayed : t -> string -> string list
+(** Datums a recovery walk reads back from the stub store to rebuild a
+    call's arguments: its desc_data and desc_ns parameters. *)
 
 val is_replayable : t -> func -> bool
 (** A function is replayable during a recovery walk iff every parameter

@@ -3,26 +3,19 @@ module Tracker = Sg_c3.Tracker
 
 let artifact = Compiler.builtin
 
-let stubset storage =
+let make ~name ?mode artifact storage =
   {
-    Sysbuild.st_name = "superglue";
+    Sysbuild.st_name = name;
     st_flavor = Tracker.Superglue;
     st_client =
-      (fun ~iface -> Interp.client_config ~storage (artifact iface).Compiler.a_ir);
+      (fun ~iface ->
+        Interp.client_config ?mode ~storage (artifact iface).Compiler.a_ir);
     st_server =
       (fun ~iface ~wakeup_dep ->
         Interp.server_config ?wakeup_dep (artifact iface).Compiler.a_ir);
   }
 
-let mode = Sysbuild.Stubbed stubset
+let mode = Sysbuild.Stubbed (make ~name:"superglue" artifact)
 
-let stubset_eager storage =
-  {
-    (stubset storage) with
-    Sysbuild.st_name = "superglue-eager";
-    st_client =
-      (fun ~iface ->
-        Interp.client_config ~mode:`Eager ~storage (artifact iface).Compiler.a_ir);
-  }
-
-let mode_eager = Sysbuild.Stubbed stubset_eager
+let mode_eager =
+  Sysbuild.Stubbed (make ~name:"superglue-eager" ~mode:`Eager artifact)

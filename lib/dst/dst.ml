@@ -148,7 +148,7 @@ let replay artifact =
       | exception Compiler.Compile_error ds ->
           Error (Compiler.error_to_string ds))
 
-(* ---------- the edge-adversary campaign ---------- *)
+(* ---------- grading a static verdict table ---------- *)
 
 (* One run of a Perturb scenario collapses to a four-way observation:
    the perturbation never reached its edge (unfired); it fired and the
@@ -165,15 +165,93 @@ let obs_label = function
   | Ob_detected -> "detected"
   | Ob_silent -> "silent"
 
-type adversary_row = {
-  ar_entry : Taint.entry;
-  ar_unfired : int;
-  ar_masked : int;
-  ar_detected : int;
-  ar_silent : int;
-  ar_witness : Exec.scenario option;
-  ar_ok : bool;
+let classify_outcome (o : Exec.outcome) =
+  match o.Exec.oc_adversary with
+  | None -> Ob_unfired
+  | Some a when not a.Exec.ao_fired -> Ob_unfired
+  | Some a when a.Exec.ao_errors > 0 -> Ob_detected
+  | Some _ when Exec.verdict_class o.Exec.oc_verdict = "pass" -> Ob_masked
+  | Some _ -> Ob_silent
+
+type tally = {
+  n_unfired : int;
+  n_masked : int;
+  n_detected : int;
+  n_silent : int;
 }
+
+type 'e row = {
+  rw_entry : 'e;
+  rw_tally : tally;
+  rw_witness : Exec.scenario option;
+  rw_ok : bool;
+}
+
+type 'e table = {
+  tb_entries : 'e list;
+  tb_scenario : 'e -> int -> int -> Exec.scenario;
+  tb_hunts : 'e -> bool;
+  tb_discharged : tally -> bool;
+}
+
+(* One table entry, graded against the scenarios [tb_scenario entry k
+   (seed + k)]. The budget is asymmetric: a claim that does not hunt is
+   graded on exactly [per_entry] scenarios (its gate is the *absence* of
+   silent observations on that pinned set), while a hunting claim may
+   scan up to 8x that — stopping at the first witness, so a dense entry
+   stays cheap and only a sparse witness (a reorder needing two
+   same-descriptor writes in a row, say) spends the extension. *)
+let grade_entry table ~seed ~per_entry entry =
+  let scenario = table.tb_scenario entry in
+  let hunts = table.tb_hunts entry in
+  let budget = if hunts then per_entry * 8 else per_entry in
+  let unf = ref 0 and mas = ref 0 and det = ref 0 and sil = ref 0 in
+  let witness = ref None in
+  let rec go k =
+    if k < budget then begin
+      let sc = scenario k (seed + k) in
+      (match classify_outcome (Exec.run sc) with
+      | Ob_unfired -> incr unf
+      | Ob_masked -> incr mas
+      | Ob_detected -> incr det
+      | Ob_silent ->
+          incr sil;
+          if !witness = None then witness := Some sc);
+      if not (hunts && !witness <> None) then go (k + 1)
+    end
+  in
+  go 0;
+  let tally =
+    { n_unfired = !unf; n_masked = !mas; n_detected = !det; n_silent = !sil }
+  in
+  {
+    rw_entry = entry;
+    rw_tally = tally;
+    rw_witness = (if hunts then !witness else None);
+    rw_ok = (if hunts then table.tb_discharged tally else !sil = 0);
+  }
+
+(* The confusion-matrix gate: every entry of a pristine verdict table is
+   graded, entry [i] at seeds from [seed + i*per_entry*8]. Rows are
+   delivered in table order and are identical at every [jobs]. *)
+let grade ?(jobs = 1) ?(on_row = ignore) ~seed ~per_entry table =
+  let entries = Array.of_list table.tb_entries in
+  let rows = ref [] and mismatches = ref 0 in
+  Sg_util.Pool.run ~jobs ~count:(Array.length entries)
+    ~task:(fun ~cancelled:_ i ->
+      grade_entry table ~seed:(seed + (i * per_entry * 8)) ~per_entry
+        entries.(i))
+    ~consume:(fun _ r ->
+      rows := r :: !rows;
+      if not r.rw_ok then incr mismatches;
+      on_row r;
+      Sg_util.Pool.Continue)
+    ();
+  (List.rev !rows, !mismatches)
+
+let builtin_artifacts () = List.map Compiler.builtin Compiler.builtin_names
+
+(* ---------- the edge-adversary table ---------- *)
 
 let adversary_scenario ~iface ~fn ~field ~nth seed =
   let sc = scenario_of_seed ~profile:(focus_profile iface) seed in
@@ -193,97 +271,27 @@ let adversary_scenario ~iface ~fn ~field ~nth seed =
       ];
   }
 
-let classify_outcome (o : Exec.outcome) =
-  match o.Exec.oc_adversary with
-  | None -> Ob_unfired
-  | Some a when not a.Exec.ao_fired -> Ob_unfired
-  | Some a when a.Exec.ao_errors > 0 -> Ob_detected
-  | Some _ when Exec.verdict_class o.Exec.oc_verdict = "pass" -> Ob_masked
-  | Some _ -> Ob_silent
-
-(* One verdict-table entry, graded against scenarios at seeds
-   [seed, seed+budget) with the perturbation anchor cycling through
-   invocations 1-3, so the scan covers different workloads and different
-   positions without outrunning the handful of invocations a 10-op
-   scenario makes on one function. The budget is asymmetric: a
-   Masked/Detected claim is graded on exactly [per_entry] scenarios (its
-   gate is the *absence* of silent observations on that pinned set),
-   while a Silent claim hunts a witness and may scan up to 8x that —
-   stopping at the first one, so a dense entry stays cheap and only a
-   sparse witness (a reorder needing two same-descriptor writes in a
-   row, say) spends the extension. *)
-let adversary_row ~seed ~per_entry entry =
-  let iface = entry.Taint.e_iface
-  and fn = entry.Taint.e_fn
-  and field = entry.Taint.e_field in
-  let unf = ref 0 and mas = ref 0 and det = ref 0 and sil = ref 0 in
-  let witness = ref None in
-  let claims_silent = entry.Taint.e_verdict = Taint.Silent in
-  let budget = if claims_silent then per_entry * 8 else per_entry in
-  let rec go k =
-    if k < budget then begin
-      let sc =
-        adversary_scenario ~iface ~fn ~field ~nth:((k mod 3) + 1) (seed + k)
-      in
-      (match classify_outcome (Exec.run sc) with
-      | Ob_unfired -> incr unf
-      | Ob_masked -> incr mas
-      | Ob_detected -> incr det
-      | Ob_silent ->
-          incr sil;
-          if !witness = None then witness := Some sc);
-      if not (claims_silent && !witness <> None) then go (k + 1)
-    end
-  in
-  go 0;
+(* A silent claim hunts a witness; a masked/detected claim mismatches
+   on an unexplained (silent) failure. Detected observations on masked
+   edges are fine — an organic Error reply on the perturbed interface
+   explains the run without contradicting the table. The perturbation
+   anchor cycles through invocations 1-3, so the scan covers different
+   workloads and different positions without outrunning the handful of
+   invocations a 10-op scenario makes on one function. *)
+let adversary_table () =
   {
-    ar_entry = entry;
-    ar_unfired = !unf;
-    ar_masked = !mas;
-    ar_detected = !det;
-    ar_silent = !sil;
-    ar_witness = (if claims_silent then !witness else None);
-    ar_ok = (if claims_silent then !sil >= 1 else !sil = 0);
+    tb_entries = (Taint.analyze (builtin_artifacts ())).Taint.t_entries;
+    tb_scenario =
+      (fun e k seed ->
+        adversary_scenario ~iface:e.Taint.e_iface ~fn:e.Taint.e_fn
+          ~field:e.Taint.e_field ~nth:((k mod 3) + 1) seed);
+    tb_hunts = (fun e -> e.Taint.e_verdict = Taint.Silent);
+    tb_discharged = (fun t -> t.n_silent >= 1);
   }
 
-(* The confusion-matrix gate (ISSUE: adversary validation): every entry
-   of the pristine verdict table is graded. A row mismatches when a
-   silent claim found no witnessing scenario, or a masked/detected claim
-   produced an unexplained (silent) failure. Detected observations on
-   masked edges are fine — an organic Error reply on the perturbed
-   interface explains the run without contradicting the table. Rows are
-   delivered in table order and are identical at every [jobs]. *)
-let run_adversary ?(jobs = 1) ?(on_row = fun (_ : adversary_row) -> ())
-    ~seed ~per_entry () =
-  let report =
-    Taint.analyze (List.map Compiler.builtin Compiler.builtin_names)
-  in
-  let entries = Array.of_list report.Taint.t_entries in
-  let rows = ref [] and mismatches = ref 0 in
-  Sg_util.Pool.run ~jobs ~count:(Array.length entries)
-    ~task:(fun ~cancelled:_ i ->
-      adversary_row ~seed:(seed + (i * per_entry * 8)) ~per_entry entries.(i))
-    ~consume:(fun _ r ->
-      rows := r :: !rows;
-      if not r.ar_ok then incr mismatches;
-      on_row r;
-      Sg_util.Pool.Continue)
-    ();
-  (List.rev !rows, !mismatches)
-
-(* ---------- the recovery-interference (race) campaign ---------- *)
+(* ---------- the recovery-interference (race) table ---------- *)
 
 module Race = Sg_analysis.Race
-
-type race_row = {
-  ra_entry : Race.entry;
-  ra_unfired : int;
-  ra_masked : int;
-  ra_detected : int;
-  ra_silent : int;
-  ra_witness : Exec.scenario option;
-  ra_ok : bool;
-}
 
 (* A race scenario arms the *sustained, recovery-racing* adversary: the
    perturbation fires on every eligible invocation of (iface, fn), but
@@ -344,13 +352,10 @@ let race_fields entry arts =
             | [] -> [ "ret" ]
             | safe -> safe))
 
-(* One verdict-table pair, graded like an adversary row: a racy claim
-   hunts a silent in-walk witness over up to [8 * per_entry] scenarios
-   (stopping at the first), an isolated/serialized claim is graded on
-   exactly [per_entry] scenarios and must produce zero silent
-   outcomes. The crash anchor and the perturbed field cycle with the
-   scenario index so the walk lands at different points of the op
-   sequence.
+(* A racy claim hunts a silent in-walk witness; an isolated/serialized
+   claim must produce zero silent outcomes. The crash anchor and the
+   perturbed field cycle with the scan index so the walk lands at
+   different points of the op sequence.
 
    A racy claim is discharged two ways. When the workload reads the
    datum back (a file name or seek cursor, a timer deadline) the
@@ -361,67 +366,21 @@ let race_fields entry arts =
    fired on live walks with zero [Error] replies anywhere on the edge
    over the whole hunt budget. A detection would prove the server
    validates the datum, refuting the racy verdict. *)
-let race_row ~seed ~per_entry ~fields entry =
-  let walker = entry.Race.r_walker
-  and iface = entry.Race.r_iface
-  and fn = entry.Race.r_fn in
-  let unf = ref 0 and mas = ref 0 and det = ref 0 and sil = ref 0 in
-  let witness = ref None in
-  let claims_racy = entry.Race.r_verdict = Race.Racy in
-  let budget = if claims_racy then per_entry * 8 else per_entry in
-  let nfields = List.length fields in
-  let rec go k =
-    if k < budget then begin
-      let sc =
-        race_scenario ~walker ~iface ~fn
-          ~field:(List.nth fields (k mod nfields))
-          ~crash_nth:(1 + (k mod 3))
-          (seed + k)
-      in
-      (match classify_outcome (Exec.run sc) with
-      | Ob_unfired -> incr unf
-      | Ob_masked -> incr mas
-      | Ob_detected -> incr det
-      | Ob_silent ->
-          incr sil;
-          if !witness = None then witness := Some sc);
-      if not (claims_racy && !witness <> None) then go (k + 1)
-    end
-  in
-  go 0;
+let race_table () =
+  let arts = builtin_artifacts () in
   {
-    ra_entry = entry;
-    ra_unfired = !unf;
-    ra_masked = !mas;
-    ra_detected = !det;
-    ra_silent = !sil;
-    ra_witness = (if claims_racy then !witness else None);
-    ra_ok =
-      (if claims_racy then !sil >= 1 || (!mas >= 1 && !det = 0)
-       else !sil = 0);
+    tb_entries = (Race.analyze arts).Race.r_entries;
+    tb_scenario =
+      (fun e ->
+        let fields = race_fields e arts in
+        let nfields = List.length fields in
+        fun k seed ->
+          race_scenario ~walker:e.Race.r_walker ~iface:e.Race.r_iface
+            ~fn:e.Race.r_fn
+            ~field:(List.nth fields (k mod nfields))
+            ~crash_nth:(1 + (k mod 3))
+            seed);
+    tb_hunts = (fun e -> e.Race.r_verdict = Race.Racy);
+    tb_discharged =
+      (fun t -> t.n_silent >= 1 || (t.n_masked >= 1 && t.n_detected = 0));
   }
-
-(* The race gate (ISSUE: every racy verdict needs a dynamic witness,
-   every isolated/serialized verdict must survive the sustained
-   recovery-racing campaign). Rows are delivered in verdict-table order
-   and are identical at every [jobs] — same pool discipline as
-   [run_adversary]. *)
-let run_race ?(jobs = 1) ?(on_row = fun (_ : race_row) -> ()) ~seed
-    ~per_entry () =
-  let arts = List.map Compiler.builtin Compiler.builtin_names in
-  let report = Race.analyze arts in
-  let entries = Array.of_list report.Race.r_entries in
-  let rows = ref [] and mismatches = ref 0 in
-  Sg_util.Pool.run ~jobs ~count:(Array.length entries)
-    ~task:(fun ~cancelled:_ i ->
-      let e = entries.(i) in
-      race_row
-        ~seed:(seed + (i * per_entry * 8))
-        ~per_entry ~fields:(race_fields e arts) e)
-    ~consume:(fun _ r ->
-      rows := r :: !rows;
-      if not r.ra_ok then incr mismatches;
-      on_row r;
-      Sg_util.Pool.Continue)
-    ();
-  (List.rev !rows, !mismatches)

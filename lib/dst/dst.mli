@@ -68,12 +68,12 @@ val replay : Artifact.t -> (Exec.outcome * bool, string) result
     the outcome and whether its verdict class matches the recorded one.
     [Error]: unknown sut or mutant compile error. *)
 
-(** {2 The edge-adversary campaign}
+(** {2 Grading a static verdict table}
 
-    Dynamic validation of the {!Sg_analysis.Taint} verdict table: every
-    (edge, field) entry is replayed against live systems carrying a
-    {!Plan.Perturb} on that edge, and the observed outcome class is
-    checked against the static claim. *)
+    Dynamic validation of a static verdict table ({!Sg_analysis.Taint},
+    {!Sg_analysis.Race}): every entry is replayed against live systems
+    carrying a {!Plan.Perturb} on its edge, and the observed outcome
+    classes are checked against the entry's claim by one grader. *)
 
 type obs = Ob_unfired | Ob_masked | Ob_detected | Ob_silent
     (** What one perturbed run showed: the perturbation never reached
@@ -83,70 +83,73 @@ type obs = Ob_unfired | Ob_masked | Ob_detected | Ob_silent
         corruption). *)
 
 val obs_label : obs -> string
-
-type adversary_row = {
-  ar_entry : Sg_analysis.Taint.entry;
-  ar_unfired : int;
-  ar_masked : int;
-  ar_detected : int;
-  ar_silent : int;  (** observation counts over the entry's budget *)
-  ar_witness : Exec.scenario option;
-      (** first silent-observation scenario, for a Silent claim *)
-  ar_ok : bool;
-      (** Silent claim: a witness was found. Masked/Detected claim: no
-          silent observation in the whole budget. *)
-}
-
-val adversary_scenario :
-  iface:string -> fn:string -> field:string -> nth:int -> int -> Exec.scenario
-(** The scenario grading one table entry at one seed: the seed's
-    focus-profile workload with its plan replaced by the single
-    {!Plan.Perturb}. *)
-
 val classify_outcome : Exec.outcome -> obs
 
-val run_adversary :
+type tally = {
+  n_unfired : int;
+  n_masked : int;
+  n_detected : int;
+  n_silent : int;
+}
+(** Observation counts over one entry's scanned scenarios. *)
+
+type 'e row = {
+  rw_entry : 'e;
+  rw_tally : tally;
+  rw_witness : Exec.scenario option;
+      (** first silent-observation scenario, for a hunting claim *)
+  rw_ok : bool;
+      (** hunting claim: [tb_discharged] of the tally. Any other claim:
+          no silent observation in the whole budget. *)
+}
+
+type 'e table = {
+  tb_entries : 'e list;  (** the verdict table, in table order *)
+  tb_scenario : 'e -> int -> int -> Exec.scenario;
+      (** [tb_scenario e k s]: the scenario of scan index [k] at seed
+          [s] grading entry [e] *)
+  tb_hunts : 'e -> bool;
+      (** whether the entry's claim hunts a silent witness *)
+  tb_discharged : tally -> bool;
+      (** the ok rule of a hunting claim *)
+}
+
+val grade :
   ?jobs:int ->
-  ?on_row:(adversary_row -> unit) ->
+  ?on_row:('e row -> unit) ->
   seed:int ->
   per_entry:int ->
-  unit ->
-  adversary_row list * int
-(** Grade the whole pristine verdict table: entry [i] scans scenarios
-    [seed + i*per_entry*8 + k] with the perturbation anchored at
-    invocation [(k mod 3) + 1]. A Masked/Detected claim runs exactly
-    [per_entry] scenarios; a Silent claim hunts its witness over up to
-    [8 * per_entry], stopping at the first. Returns the rows in table
-    order plus the mismatch count. [on_row] is called in the calling
+  'e table ->
+  'e row list * int
+(** Grade a whole table: entry [i] scans scenarios [tb_scenario e k
+    (seed + i*per_entry*8 + k)]. A claim that does not hunt runs exactly
+    [per_entry] scenarios; a hunting claim scans up to [8 * per_entry],
+    stopping at its first witness. Returns the rows in table order plus
+    the mismatch count (rows not ok). [on_row] is called in the calling
     domain, in table order; rows and mismatch count are identical at
     every [jobs]. *)
 
-(** {2 The recovery-interference (race) campaign}
+(** {2 The edge-adversary table} *)
 
-    Dynamic validation of the {!Sg_analysis.Race} verdict table: every
-    (recovery walk, concurrent invocation) pair is replayed against a
-    live system carrying a fail-stop of the walker plus a *sustained,
-    recovery-racing* {!Plan.Perturb} ([pb_every] and [pb_walk] set) on
-    the pair's edge — the perturbation fires on every walk-replay
-    invocation of the edge, the interleaving the verdict speaks
-    about. *)
+val adversary_scenario :
+  iface:string -> fn:string -> field:string -> nth:int -> int -> Exec.scenario
+(** The scenario grading one taint-table entry at one seed: the seed's
+    focus-profile workload with its plan replaced by the single
+    {!Plan.Perturb}. *)
 
-type race_row = {
-  ra_entry : Sg_analysis.Race.entry;
-  ra_unfired : int;
-  ra_masked : int;
-  ra_detected : int;
-  ra_silent : int;  (** observation counts over the pair's budget *)
-  ra_witness : Exec.scenario option;
-      (** first silent-observation scenario, for a Racy claim *)
-  ra_ok : bool;
-      (** Racy claim: a silent in-walk witness was found, or — for a
-          datum the workload never reads back — the corrupted replay
-          was accepted (it fired with zero [Error] replies on the
-          edge over the whole budget; a detection would refute the
-          verdict). Isolated/Serialized claim: zero silent
-          observations. *)
-}
+val adversary_table : unit -> Sg_analysis.Taint.entry table
+(** The pristine taint verdict table: scan index [k] anchors the
+    perturbation at invocation [(k mod 3) + 1]. A Silent claim hunts a
+    witness; a Masked/Detected claim must stay silent-free. *)
+
+(** {2 The recovery-interference (race) table}
+
+    Every (recovery walk, concurrent invocation) pair is replayed
+    against a live system carrying a fail-stop of the walker plus a
+    {e sustained, recovery-racing} {!Plan.Perturb} ([pb_every] and
+    [pb_walk] set) on the pair's edge — the perturbation fires on every
+    walk-replay invocation of the edge, the interleaving the verdict
+    speaks about. *)
 
 val race_scenario :
   walker:string ->
@@ -161,19 +164,13 @@ val race_scenario :
     [Crash walker @ crash_nth] followed by the sustained in-walk
     {!Plan.Perturb} on [(iface, fn, field)]. *)
 
-val run_race :
-  ?jobs:int ->
-  ?on_row:(race_row -> unit) ->
-  seed:int ->
-  per_entry:int ->
-  unit ->
-  race_row list * int
-(** Grade the whole pristine race table: pair [i] scans scenarios
-    [seed + i*per_entry*8 + k] with the walker's crash anchored at
-    dispatch [(k mod 3) + 1]. A Racy claim corrupts its named free
-    datum and hunts a witness over up to [8 * per_entry] scenarios
-    (stopping at the first); an Isolated/Serialized claim corrupts the
-    ordered operands (the complement of {!Sg_analysis.Race.free_data},
-    cycling) on exactly [per_entry] scenarios and must stay
-    silent-free. Returns the rows in table order plus the mismatch
-    count; rows and mismatch count are identical at every [jobs]. *)
+val race_table : unit -> Sg_analysis.Race.entry table
+(** The pristine race verdict table: scan index [k] anchors the
+    walker's crash at dispatch [(k mod 3) + 1]. A Racy claim corrupts
+    its named free datum and hunts a witness; it is ok with a silent
+    in-walk witness, or — for a datum the workload never reads back —
+    when the corrupted replay was accepted (it fired with zero [Error]
+    replies on the edge over the whole budget; a detection would refute
+    the verdict). An Isolated/Serialized claim corrupts the ordered
+    operands (the complement of {!Sg_analysis.Race.free_data}, cycling)
+    and must stay silent-free. *)

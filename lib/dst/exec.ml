@@ -22,7 +22,6 @@ module Timer = Sg_components.Timer
 module Storage = Sg_storage.Storage
 module Injector = Sg_swifi.Injector
 module Compiler = Superglue.Compiler
-module Interp = Superglue.Interp
 module Ir = Superglue.Ir
 module Model = Superglue.Model
 module Mutate = Sg_analysis.Mutate
@@ -108,27 +107,11 @@ let classic_params iface knob =
 let mode_of_sut = function
   | Pristine -> Superglue.Stubset.mode
   | Mutant m ->
-      let arts =
-        List.map
-          (fun n ->
-            if n = m.Mutate.m_iface then
-              (n, Compiler.compile ~name:n m.Mutate.m_source)
-            else (n, Compiler.builtin n))
-          Compiler.builtin_names
-      in
-      let art iface = List.assoc iface arts in
+      let iface = m.Mutate.m_iface in
+      let mutated = Compiler.compile ~name:iface m.Mutate.m_source in
       Sysbuild.Stubbed
-        (fun storage ->
-          {
-            Sysbuild.st_name = "superglue-mutant";
-            st_flavor = Sg_c3.Tracker.Superglue;
-            st_client =
-              (fun ~iface ->
-                Interp.client_config ~storage (art iface).Compiler.a_ir);
-            st_server =
-              (fun ~iface ~wakeup_dep ->
-                Interp.server_config ?wakeup_dep (art iface).Compiler.a_ir);
-          })
+        (Superglue.Stubset.make ~name:"superglue-mutant" (fun i ->
+             if i = iface then mutated else Compiler.builtin i))
 
 (* static bounds are always the *pristine* ones: a mutant that inflates
    its declared cap must still be judged against the spec it shipped.

@@ -596,6 +596,27 @@ let test_race_census () =
       | _ -> Alcotest.fail "verdict does not round-trip")
     [ Race.Isolated; Race.Serialized; Race.Racy ]
 
+(* The exact bytes of both verdict-table reports over the six builtins,
+   pinned (md5 and length of the compact JSON): the censuses above
+   cannot see a changed reason, phase or field. The report is the
+   output of [sgc taint --json --builtins] / [sgc race --json
+   --builtins] without its trailing newline. *)
+let check_report_bytes what ~md5 ~len json =
+  let s = Json.to_string json in
+  Alcotest.(check int) (what ^ " report length") len (String.length s);
+  Alcotest.(check string) (what ^ " report md5") md5
+    (Digest.to_hex (Digest.string s))
+
+let test_taint_report_bytes () =
+  check_report_bytes "taint" ~md5:"505575a5c05050edc8639e548a247d08"
+    ~len:21646
+    (Taint.report_to_json (Taint.analyze (pristine ())))
+
+let test_race_report_bytes () =
+  check_report_bytes "race" ~md5:"85fcc66af4f66ead0bc723f4ef3dbe8c"
+    ~len:29467
+    (Race.report_to_json (Race.analyze (pristine ())))
+
 let test_race_json_schema () =
   let r = Race.analyze (pristine ()) in
   let j = Json.parse (Json.to_string (Race.report_to_json r)) in
@@ -841,12 +862,16 @@ let () =
           Alcotest.test_case "every builtin edge classified" `Quick
             test_taint_total_coverage;
           Alcotest.test_case "JSON schema" `Quick test_taint_json_schema;
+          Alcotest.test_case "pinned report bytes" `Quick
+            test_taint_report_bytes;
           QCheck_alcotest.to_alcotest prop_taint_total_deterministic;
         ] );
       ( "race",
         [
           Alcotest.test_case "pinned verdict census" `Quick test_race_census;
           Alcotest.test_case "JSON schema" `Quick test_race_json_schema;
+          Alcotest.test_case "pinned report bytes" `Quick
+            test_race_report_bytes;
         ] );
       ( "rules",
         [

@@ -328,15 +328,21 @@ let test_sustained_confusion_matrix () =
     edges;
   if !fired = 0 then Alcotest.fail "sustained adversary never fired"
 
-(* The race campaign is bit-reproducible across worker counts, row for
-   row — same structural rows, same mismatch total. *)
+(* The table grader is bit-reproducible across worker counts, row for
+   row — same structural rows, same mismatch total — for both the race
+   and the adversary table. *)
 let test_race_jobs_identical () =
-  let run jobs = Dst.run_race ~jobs ~seed:1100 ~per_entry:1 () in
-  let r1, m1 = run 1 in
-  let r2, m2 = run 2 in
-  Alcotest.(check int) "same mismatch count" m1 m2;
-  Alcotest.(check int) "same row count" (List.length r1) (List.length r2);
-  if r1 <> r2 then Alcotest.fail "race rows differ across --jobs"
+  let check name seed table =
+    let run jobs = Dst.grade ~jobs ~seed ~per_entry:1 table in
+    let r1, m1 = run 1 in
+    let r2, m2 = run 2 in
+    Alcotest.(check int) (name ^ ": same mismatch count") m1 m2;
+    Alcotest.(check int) (name ^ ": same row count") (List.length r1)
+      (List.length r2);
+    if r1 <> r2 then Alcotest.failf "%s rows differ across --jobs" name
+  in
+  check "race" 1100 (Dst.race_table ());
+  check "adversary" 1000 (Dst.adversary_table ())
 
 (* ------------------------------------------------------------------ *)
 (* Pristine campaign: fixed seed window is clean                       *)
@@ -599,6 +605,70 @@ let test_artifact_save_load () =
       Alcotest.(check string) "save/load byte-stable"
         (Artifact.to_string art) (Artifact.to_string art'))
 
+(* An artifact that cannot be written is an I/O error, reported after
+   the work is done as one stderr line and exit 2 — not an uncaught
+   Sys_error (exit 125). Drives the built superglue-dst through the
+   three writers: run --out, shrink --out and the table campaigns'
+   --out-dir witness loop; a missing --out-dir is refused (exit 124)
+   before the campaign runs. *)
+let test_unwritable_artifact () =
+  let dir = Filename.temp_dir "sg_dst_out" "" in
+  Fun.protect ~finally:(fun () ->
+      ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
+  @@ fun () ->
+  let path name = Filename.concat dir name in
+  let missing = path "missing" in
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/dst.exe"
+  in
+  let dst args =
+    let rc =
+      Sys.command
+        (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote exe) args
+           (Filename.quote (path "stdout"))
+           (Filename.quote (path "stderr")))
+    in
+    let lines file =
+      In_channel.with_open_text (path file) In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.filter (( <> ) "")
+    in
+    (rc, lines "stdout", lines "stderr")
+  in
+  let check_exit_2 what args =
+    let rc, _, err = dst args in
+    Alcotest.(check int) (what ^ ": exit 2") 2 rc;
+    match err with
+    | [ line ] ->
+        Alcotest.(check bool)
+          (what ^ ": names the artifact write") true
+          (String.starts_with ~prefix:"superglue-dst: cannot write artifact"
+             line)
+    | _ -> Alcotest.failf "%s: expected one stderr line, got %d" what
+             (List.length err)
+  in
+  let mutant = "run --mutant mm/drop-terminal/0 --count 5 --no-shrink -q" in
+  let fail = Filename.quote (path "fail.json") in
+  let rc, _, _ = dst (Printf.sprintf "%s --out %s" mutant fail) in
+  Alcotest.(check int) "mutant run finds its failure" 1 rc;
+  let in_missing name = Filename.quote (Filename.concat missing name) in
+  check_exit_2 "run --out"
+    (Printf.sprintf "%s --out %s" mutant (in_missing "x.json"));
+  check_exit_2 "shrink --out"
+    (Printf.sprintf "shrink --artifact %s --out %s" fail (in_missing "y.json"));
+  (* a directory where the first witness artifact goes *)
+  Sys.mkdir (path "race_fs_fs_tlseek.json") 0o755;
+  check_exit_2 "race --out-dir"
+    (Printf.sprintf "race --seed 1100 --per-entry 1 -q --out-dir %s"
+       (Filename.quote dir));
+  let rc, out, _ =
+    dst
+      (Printf.sprintf "race --seed 1100 --per-entry 1 --out-dir %s"
+         (Filename.quote missing))
+  in
+  Alcotest.(check int) "missing --out-dir refused" 124 rc;
+  Alcotest.(check int) "before the campaign runs" 0 (List.length out)
+
 (* an artifact written before reports shared the version-first envelope
    still loads *)
 let test_artifact_schema_first () =
@@ -724,6 +794,8 @@ let () =
           Alcotest.test_case "save/load" `Quick test_artifact_save_load;
           Alcotest.test_case "schema-first artifact loads" `Quick
             test_artifact_schema_first;
+          Alcotest.test_case "unwritable artifact exits 2" `Quick
+            test_unwritable_artifact;
           QCheck_alcotest.to_alcotest prop_parse_total;
           QCheck_alcotest.to_alcotest prop_artifact_total;
         ] );

@@ -123,6 +123,29 @@ for d in r["diagnostics"]:
     assert d["file"] and d["line"] >= 1 and d["col"] >= 1
 EOF
 
+echo "== exit-code gate: every sgc report subcommand exits 2 on a compile error"
+# lint --json still reports the compile diagnostics as its sgc-lint
+# report on stdout; bound, taint and race print them on stderr only
+for c in lint bound taint race; do
+    for json in "" --json; do
+        rc=0
+        # shellcheck disable=SC2086
+        ./_build/default/bin/sgc.exe "$c" $json test/fixtures/sg901_parse.sgidl \
+            > "$tmpdir/sgc_err.out" 2> /dev/null || rc=$?
+        [ "$rc" -eq 2 ]
+        if [ "$c$json" = "lint--json" ]; then
+            python3 - "$tmpdir/sgc_err.out" <<'EOF2'
+import json, sys
+r = json.load(open(sys.argv[1]))
+assert r["schema"] == "sgc-lint" and r["errors"] == 1
+assert [d["code"] for d in r["diagnostics"]] == ["SG901"]
+EOF2
+        else
+            [ ! -s "$tmpdir/sgc_err.out" ]
+        fi
+    done
+done
+
 echo "== bound gate: sgc bound over the six builtins"
 # exits 1 if any (crashed, client) pair is unbounded
 ./_build/default/bin/sgc.exe bound --builtins > /dev/null
@@ -207,6 +230,28 @@ for art in "$tmpdir/dst_truncated.json" "$tmpdir/no_such_artifact.json"; do
     ./_build/default/bin/dst.exe shrink --artifact "$art" > /dev/null 2>&1 || rc=$?
     [ "$rc" -eq 2 ]
 done
+
+echo "== artifact gate: superglue-dst exits 2 when an artifact cannot be written"
+# a missing --out-dir is refused before the campaign runs (cmdliner,
+# exit 124, nothing on stdout); a failed write after the work is done
+# is one error line and exit 2, not an uncaught Sys_error (exit 125)
+rc=0
+./_build/default/bin/dst.exe race --seed 1100 --per-entry 1 \
+    --out-dir "$tmpdir/no_such_dir" > "$tmpdir/dst_nodir.out" 2> /dev/null || rc=$?
+[ "$rc" -eq 124 ]
+[ ! -s "$tmpdir/dst_nodir.out" ]
+rc=0
+./_build/default/bin/dst.exe run --mutant mm/drop-terminal/0 --count 5 \
+    --no-shrink --out "$tmpdir/no_such_dir/x.json" -q > /dev/null \
+    2> "$tmpdir/dst_nowrite.err" || rc=$?
+[ "$rc" -eq 2 ]
+[ "$(wc -l < "$tmpdir/dst_nowrite.err")" -eq 1 ]
+mkdir -p "$tmpdir/witness_dir/race_fs_fs_tlseek.json"
+rc=0
+./_build/default/bin/dst.exe race --seed 1100 --per-entry 1 -q \
+    --out-dir "$tmpdir/witness_dir" > /dev/null 2> "$tmpdir/dst_nowrite.err" || rc=$?
+[ "$rc" -eq 2 ]
+[ "$(wc -l < "$tmpdir/dst_nowrite.err")" -eq 1 ]
 
 echo "== taint gate: sgc taint over the six builtins is finding-free"
 # exits 1 on any SG016-SG019 finding, 2 on compile errors
