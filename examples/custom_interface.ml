@@ -129,13 +129,13 @@ let () =
   let registry =
     Sim.register sim
       (Serverstub.wrap ~storage
-         (Interp.server_config artifact.Compiler.a_ir)
+         (Interp.server_config artifact)
          (registry_spec ()))
   in
   Sim.grant sim ~client:app ~server:registry;
   let stub =
     Cstub.make sim ~client:app ~server:registry ~flavor:Tracker.Superglue
-      (Interp.client_config ~storage artifact.Compiler.a_ir)
+      (Interp.client_config ~storage artifact)
   in
   let port = Cstub.port stub in
 

@@ -255,7 +255,9 @@ let call t sim fn args =
                      fresh fault during one child's walk stales the
                      already-recovered ones, so iterate until the whole
                      family is consistent at a single epoch. *)
-                  if cfg.cfg_d0_children && List.mem fn cfg.cfg_terminate_fns
+                  if
+                    cfg.cfg_d0_children
+                    && List.exists (String.equal fn) cfg.cfg_terminate_fns
                   then begin
                     let rec family acc d =
                       List.fold_left family (d :: acc)

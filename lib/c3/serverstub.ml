@@ -23,17 +23,17 @@ let wrap ~storage cfg spec =
      stub translates it directly instead of paying the storage lookup
      and creator upcall on every invocation. The cache is stub state —
      it lives in the interface, outside the micro-rebooted image. *)
-  let xlate : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  let xlate : int Sg_util.Inttbl.t = Sg_util.Inttbl.create 8 in
   (* repeated reboots chain translations (old -> mid -> new) *)
   let rec chase id hops =
     if hops > 8 then id
     else
-      match Hashtbl.find_opt xlate id with
+      match Sg_util.Inttbl.find_opt xlate id with
       | Some id' when id' <> id -> chase id' (hops + 1)
       | Some _ | None -> id
   in
   let translate fn args =
-    if Hashtbl.length xlate = 0 then args
+    if Sg_util.Inttbl.length xlate = 0 then args
     else
       List.fold_left
         (fun args sel ->
@@ -58,7 +58,8 @@ let wrap ~storage cfg spec =
     let args = if recovering then orig_args else translate fn orig_args in
     match spec.Sim.sc_dispatch sim cid fn args with
     | Ok ret as r ->
-        if cfg.ss_global && List.mem fn cfg.ss_create_fns then begin
+        if cfg.ss_global && List.exists (String.equal fn) cfg.ss_create_fns
+        then begin
           (* G0 bookkeeping: remember who created this descriptor *)
           let id =
             match ret with
@@ -98,8 +99,8 @@ let wrap ~storage cfg spec =
                   with
                   | Ok (Comp.VInt new_id) ->
                       if new_id <> old_id then
-                        Hashtbl.replace xlate old_id new_id
-                      else Hashtbl.remove xlate old_id;
+                        Sg_util.Inttbl.replace xlate old_id new_id
+                      else Sg_util.Inttbl.remove xlate old_id;
                       Some
                         (dispatch ~recovering:true sim cid fn
                            (replace_nth (translate fn orig_args) idx

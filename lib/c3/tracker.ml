@@ -1,5 +1,6 @@
 module Sim = Sg_os.Sim
 module Cost = Sg_kernel.Cost
+module Inttbl = Sg_util.Inttbl
 
 type parent = Local of int | Cross of { client : Sg_os.Comp.cid; id : int }
 
@@ -17,7 +18,9 @@ type flavor = C3 | Superglue
 
 type t = {
   fl : flavor;
-  descs : (int, desc) Hashtbl.t;
+  descs : desc Inttbl.t;
+      (** looked up on every tracked call; [live] and [children] sort
+          after they fold, so the table's order reaches no output *)
   mutable next_virtual : int;
 }
 
@@ -27,7 +30,7 @@ type t = {
 let virtual_base = 1 lsl 40
 
 let create ~flavor () =
-  { fl = flavor; descs = Hashtbl.create 32; next_virtual = virtual_base }
+  { fl = flavor; descs = Inttbl.create 32; next_virtual = virtual_base }
 
 let fresh t =
   let v = t.next_virtual in
@@ -55,18 +58,18 @@ let add t sim ?server_id ?parent ~state ~meta ~epoch id =
       d_live = true;
     }
   in
-  Hashtbl.replace t.descs id d;
+  Inttbl.replace t.descs id d;
   d
 
-let find t id = Hashtbl.find_opt t.descs id
+let find t id = Inttbl.find_opt t.descs id
 
 let rekey t ~from ~to_ =
-  match Hashtbl.find_opt t.descs from with
+  match Inttbl.find_opt t.descs from with
   | None -> None
   | Some d ->
-      Hashtbl.remove t.descs from;
+      Inttbl.remove t.descs from;
       let d' = { d with d_id = to_; d_server_id = from } in
-      Hashtbl.replace t.descs to_ d';
+      Inttbl.replace t.descs to_ d';
       Some d'
 
 let find_exn t id =
@@ -74,17 +77,28 @@ let find_exn t id =
   | Some d -> d
   | None -> invalid_arg (Printf.sprintf "Tracker: unknown descriptor %d" id)
 
-let remove t id = Hashtbl.remove t.descs id
+let remove t id = Inttbl.remove t.descs id
 
 let set_state t sim d state =
   track_charge t sim;
   d.d_state <- state
 
+(* [List.remove_assoc]/[List.assoc_opt] with [String.equal] for the
+   polymorphic compare: both run on every tracked call *)
+let rec remove_key key = function
+  | [] -> []
+  | ((k, _) as kv) :: rest ->
+      if String.equal k key then rest else kv :: remove_key key rest
+
 let set_meta t sim d key v =
   track_charge t sim;
-  d.d_meta <- (key, v) :: List.remove_assoc key d.d_meta
+  d.d_meta <- (key, v) :: remove_key key d.d_meta
 
-let meta d key = List.assoc_opt key d.d_meta
+let rec meta_of key = function
+  | [] -> None
+  | (k, v) :: rest -> if String.equal k key then Some v else meta_of key rest
+
+let meta d key = meta_of key d.d_meta
 
 let meta_int d key =
   match meta d key with Some (Sg_os.Comp.VInt i) -> Some i | _ -> None
@@ -93,16 +107,16 @@ let meta_str d key =
   match meta d key with Some (Sg_os.Comp.VStr s) -> Some s | _ -> None
 
 let children t id =
-  Hashtbl.fold
+  Inttbl.fold
     (fun _ d acc ->
       match d.d_parent with
       | Some (Local pid) when pid = id && d.d_live -> d :: acc
       | _ -> acc)
     t.descs []
-  |> List.sort (fun a b -> compare a.d_id b.d_id)
+  |> List.sort (fun a b -> Int.compare a.d_id b.d_id)
 
 let live t =
-  Hashtbl.fold (fun _ d acc -> if d.d_live then d :: acc else acc) t.descs []
-  |> List.sort (fun a b -> compare a.d_id b.d_id)
+  Inttbl.fold (fun _ d acc -> if d.d_live then d :: acc else acc) t.descs []
+  |> List.sort (fun a b -> Int.compare a.d_id b.d_id)
 
-let count t = Hashtbl.length t.descs
+let count t = Inttbl.length t.descs

@@ -3,6 +3,7 @@ module Comp = Sg_os.Comp
 module Port = Sg_os.Port
 module Ktcb = Sg_kernel.Ktcb
 module Kernel = Sg_kernel.Kernel
+module Inttbl = Sg_util.Inttbl
 
 let iface = "evt"
 
@@ -13,7 +14,7 @@ type erec = {
   mutable er_pending : int;
 }
 
-type state = { mutable events : (int, erec) Hashtbl.t; mutable next_id : int }
+type state = { mutable events : erec Inttbl.t; mutable next_id : int }
 
 let sched_of cell =
   match !cell with
@@ -23,17 +24,17 @@ let sched_of cell =
 let dispatch st sched_cell sim _cid fn args =
   match (fn, args) with
   | "evt_split", [ Comp.VInt _compid; Comp.VInt parent; Comp.VInt grp ] ->
-      if parent <> 0 && not (Hashtbl.mem st.events parent) then
+      if parent <> 0 && not (Inttbl.mem st.events parent) then
         Error Comp.EINVAL
       else begin
         let id = st.next_id in
         st.next_id <- id + 1;
-        Hashtbl.replace st.events id
+        Inttbl.replace st.events id
           { er_parent = parent; er_grp = grp; er_waiters = []; er_pending = 0 };
         Ok (Comp.VInt id)
       end
   | "evt_wait", [ Comp.VInt _compid; Comp.VInt id ] -> (
-      match Hashtbl.find_opt st.events id with
+      match Inttbl.find_opt st.events id with
       | None -> Error Comp.EINVAL
       | Some e ->
           let me = Sim.current_tid sim in
@@ -52,7 +53,7 @@ let dispatch st sched_cell sim _cid fn args =
           await ();
           Ok (Comp.VInt 0))
   | "evt_trigger", [ Comp.VInt _compid; Comp.VInt id ] -> (
-      match Hashtbl.find_opt st.events id with
+      match Inttbl.find_opt st.events id with
       | None -> Error Comp.EINVAL
       | Some e -> (
           (* counting semantics: the trigger is recorded as pending and a
@@ -66,8 +67,8 @@ let dispatch st sched_cell sim _cid fn args =
               ignore (Sched.wakeup sched sim ~tid:w);
               Ok (Comp.VInt 1)))
   | "evt_free", [ Comp.VInt _compid; Comp.VInt id ] ->
-      if Hashtbl.mem st.events id then begin
-        Hashtbl.remove st.events id;
+      if Inttbl.mem st.events id then begin
+        Inttbl.remove st.events id;
         Ok Comp.VUnit
       end
       else Error Comp.EINVAL
@@ -83,13 +84,13 @@ let dispatch st sched_cell sim _cid fn args =
 let image_kb = 60
 
 let spec ~sched_port () =
-  let st = { events = Hashtbl.create 16; next_id = 1 } in
+  let st = { events = Inttbl.create 16; next_id = 1 } in
   {
     Sim.sc_name = iface;
     sc_image_kb = image_kb;
     sc_init =
       (fun _ _ ->
-        st.events <- Hashtbl.create 16;
+        st.events <- Inttbl.create 16;
         st.next_id <- 1);
     sc_boot_init = (fun _ _ -> ());
     sc_dispatch = (fun sim cid fn args -> dispatch st sched_port sim cid fn args);

@@ -3,11 +3,12 @@ module Comp = Sg_os.Comp
 module Port = Sg_os.Port
 module Ktcb = Sg_kernel.Ktcb
 module Kernel = Sg_kernel.Kernel
+module Inttbl = Sg_util.Inttbl
 
 let iface = "lock"
 
 type lrec = { mutable holder : int option; mutable waiters : int list }
-type state = { mutable locks : (int, lrec) Hashtbl.t; mutable next_id : int }
+type state = { mutable locks : lrec Inttbl.t; mutable next_id : int }
 
 let sched_of port_cell =
   match !port_cell with
@@ -19,10 +20,10 @@ let dispatch st sched_cell sim _cid fn args =
   | "lock_alloc", [] ->
       let id = st.next_id in
       st.next_id <- id + 1;
-      Hashtbl.replace st.locks id { holder = None; waiters = [] };
+      Inttbl.replace st.locks id { holder = None; waiters = [] };
       Ok (Comp.VInt id)
   | "lock_take", [ Comp.VInt id ] -> (
-      match Hashtbl.find_opt st.locks id with
+      match Inttbl.find_opt st.locks id with
       | None -> Error Comp.EINVAL
       | Some l ->
           let me = Sim.current_tid sim in
@@ -43,7 +44,7 @@ let dispatch st sched_cell sim _cid fn args =
           acquire ();
           Ok Comp.VUnit)
   | "lock_release", [ Comp.VInt id ] -> (
-      match Hashtbl.find_opt st.locks id with
+      match Inttbl.find_opt st.locks id with
       | None -> Error Comp.EINVAL
       | Some l -> (
           l.holder <- None;
@@ -55,8 +56,8 @@ let dispatch st sched_cell sim _cid fn args =
               ignore (Sched.wakeup sched sim ~tid:w);
               Ok Comp.VUnit))
   | "lock_free", [ Comp.VInt id ] ->
-      if Hashtbl.mem st.locks id then begin
-        Hashtbl.remove st.locks id;
+      if Inttbl.mem st.locks id then begin
+        Inttbl.remove st.locks id;
         Ok Comp.VUnit
       end
       else Error Comp.EINVAL
@@ -67,13 +68,13 @@ let dispatch st sched_cell sim _cid fn args =
 let image_kb = 52
 
 let spec ~sched_port () =
-  let st = { locks = Hashtbl.create 16; next_id = 1 } in
+  let st = { locks = Inttbl.create 16; next_id = 1 } in
   {
     Sim.sc_name = iface;
     sc_image_kb = image_kb;
     sc_init =
       (fun _ _ ->
-        st.locks <- Hashtbl.create 16;
+        st.locks <- Inttbl.create 16;
         st.next_id <- 1);
     sc_boot_init = (fun _ _ -> ());
     sc_dispatch = (fun sim cid fn args -> dispatch st sched_port sim cid fn args);

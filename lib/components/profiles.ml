@@ -123,15 +123,14 @@ let timer_profile =
       (Reg.EBP, [ stack 7 ]);
     ]
 
-let of_prefix profile prefix fn =
-  if String.length fn >= String.length prefix
-     && String.sub fn 0 (String.length prefix) = prefix
-  then Some profile
-  else None
+(* every invocation dispatches through one of these: no allocation *)
+let of_prefix profile prefix =
+  let some = Some profile in
+  fun fn -> if String.starts_with ~prefix fn then some else None
 
-let sched fn = of_prefix sched_profile "sched_" fn
-let mm fn = of_prefix mm_profile "mman_" fn
-let fs fn = of_prefix fs_profile "t" fn
-let lock fn = of_prefix lock_profile "lock_" fn
-let event fn = of_prefix event_profile "evt_" fn
-let timer fn = of_prefix timer_profile "timer_" fn
+let sched = of_prefix sched_profile "sched_"
+let mm = of_prefix mm_profile "mman_"
+let fs = of_prefix fs_profile "t"
+let lock = of_prefix lock_profile "lock_"
+let event = of_prefix event_profile "evt_"
+let timer = of_prefix timer_profile "timer_"

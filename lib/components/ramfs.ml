@@ -3,6 +3,8 @@ module Comp = Sg_os.Comp
 module Port = Sg_os.Port
 module Cbuf = Sg_cbuf.Cbuf
 module Storage = Sg_storage.Storage
+module Inttbl = Sg_util.Inttbl
+module Strtbl = Sg_util.Strtbl
 
 let iface = "fs"
 let root_fd = 0
@@ -13,8 +15,8 @@ type file = { mutable content : Bytes.t; mutable size : int }
 type fdrec = { fd_path : string; mutable fd_off : int }
 
 type state = {
-  mutable files : (string, file) Hashtbl.t;
-  mutable fds : (int, fdrec) Hashtbl.t;
+  mutable files : file Strtbl.t;
+  mutable fds : fdrec Inttbl.t;
   mutable next_fd : int;
 }
 
@@ -41,13 +43,13 @@ let restore_file st cbufs storage sim fscid path =
               f.size <- max f.size (off + len)
           | Error _ -> ())
         slices;
-      Hashtbl.replace st.files path f;
+      Strtbl.replace st.files path f;
       Some f
 
 let path_of_parent st parent name =
   if parent = root_fd then Some ("/" ^ name)
   else
-    match Hashtbl.find_opt st.fds parent with
+    match Inttbl.find_opt st.fds parent with
     | Some r -> Some (r.fd_path ^ "/" ^ name)
     | None -> None
 
@@ -57,7 +59,7 @@ let dispatch st cbufs storage sim cid fn args =
       match path_of_parent st parent name with
       | None -> Error Comp.EINVAL
       | Some path ->
-          (match Hashtbl.find_opt st.files path with
+          (match Strtbl.find_opt st.files path with
           | Some _ -> ()
           | None -> (
               (* after a micro-reboot the contents may be recoverable
@@ -65,17 +67,17 @@ let dispatch st cbufs storage sim cid fn args =
               match restore_file st cbufs storage sim cid path with
               | Some _ -> ()
               | None ->
-                  Hashtbl.replace st.files path
+                  Strtbl.replace st.files path
                     { content = Bytes.create 0; size = 0 }));
           let fd = st.next_fd in
           st.next_fd <- fd + 1;
-          Hashtbl.replace st.fds fd { fd_path = path; fd_off = 0 };
+          Inttbl.replace st.fds fd { fd_path = path; fd_off = 0 };
           Ok (Comp.VInt fd))
   | "tread", [ Comp.VInt fd; Comp.VInt len ] -> (
-      match Hashtbl.find_opt st.fds fd with
+      match Inttbl.find_opt st.fds fd with
       | None -> Error Comp.EINVAL
       | Some r -> (
-          match Hashtbl.find_opt st.files r.fd_path with
+          match Strtbl.find_opt st.files r.fd_path with
           | None -> Error Comp.ENOENT
           | Some f ->
               let avail = max 0 (f.size - r.fd_off) in
@@ -84,10 +86,10 @@ let dispatch st cbufs storage sim cid fn args =
               r.fd_off <- r.fd_off + n;
               Ok (Comp.VStr data)))
   | "twrite", [ Comp.VInt fd; Comp.VStr data ] -> (
-      match Hashtbl.find_opt st.fds fd with
+      match Inttbl.find_opt st.fds fd with
       | None -> Error Comp.EINVAL
       | Some r -> (
-          match Hashtbl.find_opt st.files r.fd_path with
+          match Strtbl.find_opt st.files r.fd_path with
           | None -> Error Comp.ENOENT
           | Some f ->
               let len = String.length data in
@@ -106,7 +108,7 @@ let dispatch st cbufs storage sim cid fn args =
               r.fd_off <- r.fd_off + len;
               Ok (Comp.VInt len)))
   | "tlseek", [ Comp.VInt fd; Comp.VInt off ] -> (
-      match Hashtbl.find_opt st.fds fd with
+      match Inttbl.find_opt st.fds fd with
       | None -> Error Comp.EINVAL
       | Some r ->
           if off < 0 then Error Comp.EINVAL
@@ -115,8 +117,8 @@ let dispatch st cbufs storage sim cid fn args =
             Ok (Comp.VInt off)
           end)
   | "trelease", [ Comp.VInt fd ] ->
-      if Hashtbl.mem st.fds fd then begin
-        Hashtbl.remove st.fds fd;
+      if Inttbl.mem st.fds fd then begin
+        Inttbl.remove st.fds fd;
         Ok Comp.VUnit
       end
       else Error Comp.EINVAL
@@ -127,14 +129,14 @@ let dispatch st cbufs storage sim cid fn args =
 let image_kb = 128
 
 let spec ~cbufs ~storage () =
-  let st = { files = Hashtbl.create 32; fds = Hashtbl.create 32; next_fd = 1 } in
+  let st = { files = Strtbl.create 32; fds = Inttbl.create 32; next_fd = 1 } in
   {
     Sim.sc_name = iface;
     sc_image_kb = image_kb;
     sc_init =
       (fun _ _ ->
-        st.files <- Hashtbl.create 32;
-        st.fds <- Hashtbl.create 32;
+        st.files <- Strtbl.create 32;
+        st.fds <- Inttbl.create 32;
         st.next_fd <- 1);
     sc_boot_init = (fun _ _ -> ());
     sc_dispatch = (fun sim cid fn args -> dispatch st cbufs storage sim cid fn args);

@@ -3,23 +3,24 @@ module Comp = Sg_os.Comp
 module Port = Sg_os.Port
 module Ktcb = Sg_kernel.Ktcb
 module Kernel = Sg_kernel.Kernel
+module Inttbl = Sg_util.Inttbl
 
 let iface = "sched"
 
 type trec = { tr_prio : int; mutable tr_blocked : bool; mutable tr_latch : int }
 
-type state = { mutable table : (int, trec) Hashtbl.t }
+type state = { mutable table : trec Inttbl.t }
 
 let dispatch st sim _cid fn args =
   match (fn, args) with
   | "sched_create", [ Comp.VInt tid; Comp.VInt prio ] ->
-      Hashtbl.replace st.table tid
+      Inttbl.replace st.table tid
         { tr_prio = prio; tr_blocked = false; tr_latch = 0 };
       Ok (Comp.VInt tid)
   | "sched_blk", [ Comp.VInt tid ] -> (
       if tid <> Sim.current_tid sim then Error Comp.EPERM
       else
-        match Hashtbl.find_opt st.table tid with
+        match Inttbl.find_opt st.table tid with
         | None -> Error Comp.EINVAL
         | Some r ->
             if r.tr_latch > 0 then begin
@@ -33,7 +34,7 @@ let dispatch st sim _cid fn args =
               Ok (Comp.VInt 1)
             end)
   | "sched_wakeup", [ Comp.VInt tid ] -> (
-      match Hashtbl.find_opt st.table tid with
+      match Inttbl.find_opt st.table tid with
       | None -> Error Comp.EINVAL
       | Some r ->
           if r.tr_blocked then begin
@@ -52,7 +53,7 @@ let dispatch st sim _cid fn args =
             Ok (Comp.VInt 0)
           end)
   | "sched_exit", [ Comp.VInt tid ] ->
-      Hashtbl.remove st.table tid;
+      Inttbl.remove st.table tid;
       Ok Comp.VUnit
   | ("sched_create" | "sched_blk" | "sched_wakeup" | "sched_exit"), _ ->
       Error Comp.EINVAL
@@ -74,11 +75,11 @@ let reflect sim _cid fn args =
 let image_kb = 84
 
 let spec () =
-  let st = { table = Hashtbl.create 32 } in
+  let st = { table = Inttbl.create 32 } in
   {
     Sim.sc_name = iface;
     sc_image_kb = image_kb;
-    sc_init = (fun _ _ -> st.table <- Hashtbl.create 32);
+    sc_init = (fun _ _ -> st.table <- Inttbl.create 32);
     sc_boot_init = (fun _ _ -> ());
     sc_dispatch = (fun sim cid fn args -> dispatch st sim cid fn args);
     sc_reflect = (fun sim cid fn args -> reflect sim cid fn args);

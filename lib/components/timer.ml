@@ -3,11 +3,12 @@ module Comp = Sg_os.Comp
 module Port = Sg_os.Port
 module Ktcb = Sg_kernel.Ktcb
 module Kernel = Sg_kernel.Kernel
+module Inttbl = Sg_util.Inttbl
 
 let iface = "timer"
 
 type trec = { period_ns : int; mutable next_ns : int; mutable ticks : int }
-type state = { mutable timers : (int, trec) Hashtbl.t; mutable next_id : int }
+type state = { mutable timers : trec Inttbl.t; mutable next_id : int }
 
 let dispatch st sim _cid fn args =
   match (fn, args) with
@@ -16,12 +17,12 @@ let dispatch st sim _cid fn args =
       else begin
         let id = st.next_id in
         st.next_id <- id + 1;
-        Hashtbl.replace st.timers id
+        Inttbl.replace st.timers id
           { period_ns; next_ns = Sim.now sim + period_ns; ticks = 0 };
         Ok (Comp.VInt id)
       end
   | "timer_wait", [ Comp.VInt id ] -> (
-      match Hashtbl.find_opt st.timers id with
+      match Inttbl.find_opt st.timers id with
       | None -> Error Comp.EINVAL
       | Some r ->
           if r.next_ns > Sim.now sim then Sim.sleep_until sim r.next_ns;
@@ -29,8 +30,8 @@ let dispatch st sim _cid fn args =
           r.ticks <- r.ticks + 1;
           Ok (Comp.VInt r.ticks))
   | "timer_free", [ Comp.VInt id ] ->
-      if Hashtbl.mem st.timers id then begin
-        Hashtbl.remove st.timers id;
+      if Inttbl.mem st.timers id then begin
+        Inttbl.remove st.timers id;
         Ok Comp.VUnit
       end
       else Error Comp.EINVAL
@@ -40,13 +41,13 @@ let dispatch st sim _cid fn args =
 let image_kb = 44
 
 let spec () =
-  let st = { timers = Hashtbl.create 16; next_id = 1 } in
+  let st = { timers = Inttbl.create 16; next_id = 1 } in
   {
     Sim.sc_name = iface;
     sc_image_kb = image_kb;
     sc_init =
       (fun _ _ ->
-        st.timers <- Hashtbl.create 16;
+        st.timers <- Inttbl.create 16;
         st.next_id <- 1);
     sc_boot_init = (fun _ _ -> ());
     sc_dispatch = (fun sim cid fn args -> dispatch st sim cid fn args);

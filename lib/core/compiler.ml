@@ -3,6 +3,7 @@ type artifact = {
   a_source : string;
   a_ir : Ir.t;
   a_machine : Machine.t;
+  a_stubplan : Stubplan.t;
   a_warnings : Diag.t list;
 }
 
@@ -29,11 +30,13 @@ let compile ~name source =
     try Ir.of_ast ~name ast
     with Ir.Semantic_error ds -> raise (Compile_error ds)
   in
+  let machine = Machine.build ir in
   {
     a_name = name;
     a_source = source;
     a_ir = ir;
-    a_machine = Machine.build ir;
+    a_machine = machine;
+    a_stubplan = Stubplan.build ir machine;
     a_warnings = Ir.warnings ir;
   }
 

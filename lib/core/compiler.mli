@@ -11,6 +11,9 @@ type artifact = {
   a_source : string;  (** the specification text *)
   a_ir : Ir.t;
   a_machine : Machine.t;
+  a_stubplan : Stubplan.t;
+      (** what the interpreted stubs ({!Interp}) ask per invocation,
+          resolved once from [a_ir] and [a_machine] *)
   a_warnings : Diag.t list;
       (** non-fatal diagnostics collected during compilation (today:
           the [SG020] state-class-collapsing infos) *)

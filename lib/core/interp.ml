@@ -8,22 +8,8 @@ module Cstub = Sg_c3.Cstub
 module Serverstub = Sg_c3.Serverstub
 module Storage = Sg_storage.Storage
 
-(* Fault-detection counters (invalid state-machine transitions), keyed
-   by interface name. Stubs on any pool domain bump them: the table is
-   only touched under [counters_lock], and each counter is [Atomic]. *)
-let counters : (string, int Atomic.t) Hashtbl.t = Hashtbl.create 8
-let counters_lock = Mutex.create ()
-
-let counter iface =
-  Mutex.protect counters_lock (fun () ->
-      match Hashtbl.find_opt counters iface with
-      | Some c -> c
-      | None ->
-          let c = Atomic.make 0 in
-          Hashtbl.replace counters iface c;
-          c)
-
-let invalid_transitions cfg = Atomic.get (counter cfg.Cstub.cfg_iface)
+let invalid_transitions cfg =
+  Atomic.get (Stubplan.counter cfg.Cstub.cfg_iface)
 
 let default_value ty =
   if Ir.marshal_is_string ty then Comp.VStr "" else Comp.VInt 0
@@ -38,20 +24,14 @@ let arg_int args i =
 
 (* The tracked-data capture: every desc_data-attributed parameter is
    recorded under its declared name. *)
-let tracked_meta (f : Ir.func) args =
-  List.concat
-    (List.mapi
-       (fun i p ->
-         match p.Ast.pa_attr with
-         | Ast.ADescData | Ast.ADescDataParent | Ast.ADescNs -> (
-             match List.nth_opt args i with
-             | Some v -> [ (p.Ast.pa_name, v) ]
-             | None -> [])
-         | Ast.APlain | Ast.ADesc | Ast.AParentDesc -> [])
-       f.Ir.f_params)
+let tracked_meta (p : Stubplan.fn) args =
+  List.filter_map
+    (fun (i, name) ->
+      match List.nth_opt args i with Some v -> Some (name, v) | None -> None)
+    p.Stubplan.fn_meta
 
-let parent_of ir storage sim tr f args =
-  match Ir.parent_arg_index f with
+let parent_of ir storage sim tr (plan : Stubplan.fn) args =
+  match plan.Stubplan.fn_parent with
   | None -> None
   | Some i -> (
       let p = arg_int args i in
@@ -79,107 +59,111 @@ let rec kill_desc model tr d =
   (* Y_dr: delete the tracking data itself, unless children may need it *)
   if model.Model.close_remove then Tracker.remove tr d.Tracker.d_id
 
-let track ir machine storage sim tr ~epoch fn args ret =
-  match Ir.func ir fn with
-  | None -> ()
-  | Some f ->
-      let model = ir.Ir.ir_model in
-      if Ir.is_create ir fn then begin
-        let base =
-          match Ir.desc_arg_index ir fn with
-          | Some i -> arg_int args i
-          | None -> as_int ret
-        in
-        let id =
-          match Ir.ns_arg_index f with
-          | Some i -> (arg_int args i lsl 32) lor base
-          | None -> base
-        in
-        let parent = parent_of ir storage sim tr f args in
-        ignore
-          (Tracker.add tr sim ~server_id:base ?parent
-             ~state:(Machine.after fn) ~meta:(tracked_meta f args) ~epoch id)
-      end
-      else
-        match Option.map (arg_int args) (Ir.desc_arg_index ir fn) with
+let track (a : Compiler.artifact) (p : Stubplan.fn) storage sim tr ~epoch args
+    ret =
+  let ir = a.Compiler.a_ir in
+  if p.Stubplan.fn_create then begin
+    let base =
+      match p.Stubplan.fn_desc with
+      | Some i -> arg_int args i
+      | None -> as_int ret
+    in
+    let id =
+      match p.Stubplan.fn_ns with
+      | Some i -> (arg_int args i lsl 32) lor base
+      | None -> base
+    in
+    let parent = parent_of ir storage sim tr p args in
+    ignore
+      (Tracker.add tr sim ~server_id:base ?parent ~state:p.Stubplan.fn_after
+         ~meta:(tracked_meta p args) ~epoch id)
+  end
+  else
+    match p.Stubplan.fn_desc with
+    | None -> ()
+    | Some i -> (
+        match Tracker.find tr (arg_int args i) with
         | None -> ()
-        | Some id -> (
-            match Tracker.find tr id with
-            | None -> ()
-            | Some d ->
-                if Ir.is_terminal ir fn then kill_desc model tr d
-                else begin
-                  (* fault detection: flag transitions outside sigma *)
-                  (match Machine.sigma machine d.Tracker.d_state fn with
-                  | Some _ -> ()
-                  | None -> Atomic.incr (counter ir.Ir.ir_name));
-                  Tracker.set_state tr sim d (Machine.after fn);
-                  List.iter
-                    (fun (k, v) -> Tracker.set_meta tr sim d k v)
-                    (tracked_meta f args);
-                  match f.Ir.f_retval with
-                  | Some { Ast.ra_kind = `Set; ra_name; _ } ->
-                      Tracker.set_meta tr sim d ra_name ret
-                  | Some { Ast.ra_kind = `Accum; ra_name; _ } ->
-                      let cur =
-                        Option.value (Tracker.meta_int d ra_name) ~default:0
-                      in
-                      let delta =
-                        match ret with
-                        | Comp.VInt i -> i
-                        | Comp.VStr s -> String.length s
-                        | Comp.VBool _ | Comp.VUnit | Comp.VList _ -> 0
-                      in
-                      Tracker.set_meta tr sim d ra_name (Comp.VInt (cur + delta))
-                  | None -> ()
-                end)
+        | Some d ->
+            if p.Stubplan.fn_terminal then kill_desc ir.Ir.ir_model tr d
+            else begin
+              (* fault detection: flag transitions outside sigma *)
+              if
+                not
+                  (List.exists
+                     (String.equal d.Tracker.d_state)
+                     p.Stubplan.fn_from)
+              then Atomic.incr (Stubplan.invalid a.Compiler.a_stubplan);
+              Tracker.set_state tr sim d p.Stubplan.fn_after;
+              List.iter
+                (fun (k, v) -> Tracker.set_meta tr sim d k v)
+                (tracked_meta p args);
+              match p.Stubplan.fn_retval with
+              | Some { Ast.ra_kind = `Set; ra_name; _ } ->
+                  Tracker.set_meta tr sim d ra_name ret
+              | Some { Ast.ra_kind = `Accum; ra_name; _ } ->
+                  let cur =
+                    Option.value (Tracker.meta_int d ra_name) ~default:0
+                  in
+                  let delta =
+                    match ret with
+                    | Comp.VInt i -> i
+                    | Comp.VStr s -> String.length s
+                    | Comp.VBool _ | Comp.VUnit | Comp.VList _ -> 0
+                  in
+                  Tracker.set_meta tr sim d ra_name (Comp.VInt (cur + delta))
+              | None -> ()
+            end)
 
-let walk ir machine _sim wctx d =
-  let recovery = Machine.plan machine d.Tracker.d_state in
+let walk (a : Compiler.artifact) _sim wctx d =
+  let recovery = Machine.plan a.Compiler.a_machine d.Tracker.d_state in
   let exec fn =
-    let f = Ir.func_exn ir fn in
+    let p = Stubplan.find_exn a.Compiler.a_stubplan fn in
     let args =
       List.map
-        (fun p ->
-          match p.Ast.pa_attr with
+        (fun q ->
+          match q.Ast.pa_attr with
           | Ast.ADesc -> Comp.VInt d.Tracker.d_server_id
           | Ast.AParentDesc | Ast.ADescDataParent ->
               Comp.VInt (wctx.Cstub.w_parent_id d)
           | Ast.ADescNs | Ast.ADescData | Ast.APlain -> (
-              match Tracker.meta d p.Ast.pa_name with
+              match Tracker.meta d q.Ast.pa_name with
               | Some v -> v
-              | None -> default_value p.Ast.pa_type))
-        f.Ir.f_params
+              | None -> default_value q.Ast.pa_type))
+        p.Stubplan.fn_params
     in
     let ret = wctx.Cstub.w_invoke fn args in
-    if Ir.is_create ir fn && Ir.desc_arg_index ir fn = None then
+    if p.Stubplan.fn_create && Option.is_none p.Stubplan.fn_desc then
       (* the recovered server assigned a fresh concrete id *)
       d.Tracker.d_server_id <- as_int ret
   in
   List.iter exec recovery.Machine.pl_path;
   List.iter exec recovery.Machine.pl_restore
 
-let client_config ?(mode = `Ondemand) ~storage ir =
-  let machine = Machine.build ir in
+let client_config ?(mode = `Ondemand) ~storage (a : Compiler.artifact) =
+  let ir = a.Compiler.a_ir in
+  (* every per-call question is one lookup in the artifact's plan *)
+  let find = Stubplan.finder a.Compiler.a_stubplan in
   {
     Cstub.cfg_iface = ir.Ir.ir_name;
     cfg_mode = mode;
-    cfg_desc_arg = (fun fn -> Ir.desc_arg_index ir fn);
+    cfg_desc_arg =
+      (fun fn -> Option.bind (find fn) (fun p -> p.Stubplan.fn_desc));
     cfg_parent_arg =
-      (fun fn -> Option.bind (Ir.func ir fn) Ir.parent_arg_index);
+      (fun fn -> Option.bind (find fn) (fun p -> p.Stubplan.fn_parent));
     cfg_terminate_fns = ir.Ir.ir_terminals;
     cfg_d0_children = ir.Ir.ir_model.Model.close_children;
     cfg_virtual_create =
       (fun fn ->
-        (* local descriptors with server-assigned ids are virtualized;
-           global ones keep the server's (storage-reseeded) ids *)
-        (not ir.Ir.ir_model.Model.global)
-        && Ir.is_create ir fn
-        && Ir.desc_arg_index ir fn = None);
+        match find fn with
+        | Some p -> p.Stubplan.fn_virtual_create
+        | None -> false);
     cfg_track =
       (fun sim tr ~epoch fn args ret ->
-        track ir machine storage sim tr ~epoch fn args ret);
-    cfg_walk = (fun sim wctx d -> walk ir machine sim wctx d);
+        match find fn with
+        | Some p -> track a p storage sim tr ~epoch args ret
+        | None -> ());
+    cfg_walk = (fun sim wctx d -> walk a sim wctx d);
   }
 
 (* T0: wake every thread suspended inside the rebooted component —
@@ -202,19 +186,21 @@ let t0 ?wakeup_dep () sim cid =
       | Ktcb.Runnable | Ktcb.Exited -> ())
     (Ktcb.threads_inside (Sim.kernel sim).Kernel.threads cid)
 
-let server_config ?wakeup_dep ir =
+let server_config ?wakeup_dep (a : Compiler.artifact) =
+  let ir = a.Compiler.a_ir in
+  let find = Stubplan.finder a.Compiler.a_stubplan in
   let model = ir.Ir.ir_model in
   {
     Serverstub.ss_iface = ir.Ir.ir_name;
     ss_global = model.Model.global;
-    ss_desc_arg = (fun fn -> Ir.desc_arg_index ir fn);
-    ss_parent_arg = (fun fn -> Option.bind (Ir.func ir fn) Ir.parent_arg_index);
+    ss_desc_arg =
+      (fun fn -> Option.bind (find fn) (fun p -> p.Stubplan.fn_desc));
+    ss_parent_arg =
+      (fun fn -> Option.bind (find fn) (fun p -> p.Stubplan.fn_parent));
     ss_create_fns = ir.Ir.ir_creates;
     ss_create_meta =
       (fun fn args _ret ->
-        match Ir.func ir fn with
-        | Some f -> tracked_meta f args
-        | None -> []);
+        match find fn with Some p -> tracked_meta p args | None -> []);
     ss_boot_init =
       (if model.Model.block then t0 ?wakeup_dep ()
        else Serverstub.no_boot_init);

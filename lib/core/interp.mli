@@ -12,17 +12,21 @@
 
 val client_config :
   ?mode:[ `Ondemand | `Eager ] ->
-  storage:Sg_storage.Storage.t -> Ir.t -> Sg_c3.Cstub.config
+  storage:Sg_storage.Storage.t -> Compiler.artifact -> Sg_c3.Cstub.config
 (** Generic descriptor tracking (creation ids from [desc()] arguments or
     returned values, optionally namespaced by [desc_ns]; [desc_data]
     argument capture; return-value set/accumulate updates; terminal
     handling with C_dr child revocation and Y_dr record removal; parent
     resolution, cross-component via the storage registry) and the
-    state-machine recovery walk computed by {!Machine.plan}. *)
+    state-machine recovery walk computed by {!Machine.plan}.
+
+    Builds nothing: every per-function question a call asks is read from
+    the artifact's {!Compiler.artifact.a_stubplan}, resolved once when
+    the artifact was compiled, and the walk uses its [a_machine]. *)
 
 val server_config :
   ?wakeup_dep:Sg_os.Port.t option ref * string ->
-  Ir.t ->
+  Compiler.artifact ->
   Sg_c3.Serverstub.config
 (** G0 creator registration and EINVAL-recovery for global descriptors,
     and the T0 post-reboot constructor: when the interface blocks
@@ -33,4 +37,6 @@ val server_config :
 
 val invalid_transitions : Sg_c3.Cstub.config -> int
 (** Fault-detection counter: invalid state-machine transitions observed
-    by a client config built with {!client_config} (paper §III-B). *)
+    by a client config built with {!client_config} (paper §III-B). One
+    counter per interface name, process-wide: it sums the stubs of every
+    artifact compiled under that name, on every domain. *)

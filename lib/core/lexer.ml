@@ -19,47 +19,42 @@ exception Lex_error of { line : int; col : int; message : string }
    character keeps its original line AND column — diagnostics downstream
    print real source spans. *)
 let strip_comments src =
-  let buf = Buffer.create (String.length src) in
+  let b = Bytes.of_string src in
   let n = String.length src in
-  let rec go i state =
-    if i >= n then ()
-    else
-      let c = src.[i] in
-      match state with
-      | `Code ->
-          if c = '/' && i + 1 < n && src.[i + 1] = '*' then begin
-            Buffer.add_string buf "  ";
-            go (i + 2) `Block
-          end
-          else if c = '/' && i + 1 < n && src.[i + 1] = '/' then begin
-            Buffer.add_string buf "  ";
-            go (i + 2) `Line
-          end
-          else begin
-            Buffer.add_char buf c;
-            go (i + 1) `Code
-          end
-      | `Block ->
-          if c = '*' && i + 1 < n && src.[i + 1] = '/' then begin
-            Buffer.add_string buf "  ";
-            go (i + 2) `Code
-          end
-          else begin
-            Buffer.add_char buf (if c = '\n' then '\n' else ' ');
-            go (i + 1) `Block
-          end
-      | `Line ->
-          if c = '\n' then begin
-            Buffer.add_char buf '\n';
-            go (i + 1) `Code
-          end
-          else begin
-            Buffer.add_char buf ' ';
-            go (i + 1) `Line
-          end
+  (* blank [i, stop) except its newlines; comment text is rarely long *)
+  let blank i stop =
+    for k = i to stop - 1 do
+      if Bytes.get b k <> '\n' then Bytes.set b k ' '
+    done
   in
-  go 0 `Code;
-  Buffer.contents buf
+  let rec code i =
+    match String.index_from_opt src i '/' with
+    | None -> ()
+    | Some i when i + 1 >= n -> ()
+    | Some i -> (
+        match src.[i + 1] with
+        | '*' -> block i (i + 2)
+        | '/' ->
+            let stop =
+              match String.index_from_opt src (i + 2) '\n' with
+              | Some e -> e
+              | None -> n
+            in
+            blank i stop;
+            code stop
+        | _ -> code (i + 1))
+  (* a block comment opened at [start], scanned from [i]: its closing
+     star-slash is blanked with it; an unterminated one runs to the end *)
+  and block start i =
+    match String.index_from_opt src i '*' with
+    | None -> blank start n
+    | Some j when j + 1 < n && src.[j + 1] = '/' ->
+        blank start (j + 2);
+        code (j + 2)
+    | Some j -> block start (j + 1)
+  in
+  if n > 0 then code 0;
+  Bytes.unsafe_to_string b
 
 let is_ident_start c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'

@@ -1,3 +1,5 @@
+module Strtbl = Sg_util.Strtbl
+
 type state = string
 
 let s0 = "s0"
@@ -11,8 +13,10 @@ type t = {
   m_ir : Ir.t;
   m_states : state list;
   m_edges : edge list;
-  m_class : (state, state) Hashtbl.t;  (** state -> class representative *)
-  m_plans : (state, plan) Hashtbl.t;
+  m_class : state Strtbl.t;  (** state -> class representative *)
+  m_sources : state list Strtbl.t;
+      (** fn -> the states with a σ-edge for it, in edge order *)
+  m_plans : plan Strtbl.t;  (** looked up on every recovery walk *)
 }
 
 let sigma t state fn =
@@ -22,11 +26,13 @@ let sigma t state fn =
 
 let states t = t.m_states
 
+let sources t fn = Option.value (Strtbl.find_opt t.m_sources fn) ~default:[]
+
 (* Union-find over states for recovery-equivalence classes. *)
 module Uf = struct
   let find parents s =
     let rec go s =
-      match Hashtbl.find_opt parents s with
+      match Strtbl.find_opt parents s with
       | None | Some "" -> s
       | Some p when p = s -> s
       | Some p -> go p
@@ -35,7 +41,7 @@ module Uf = struct
 
   let union parents a b =
     let ra = find parents a and rb = find parents b in
-    if ra <> rb then Hashtbl.replace parents ra rb
+    if ra <> rb then Strtbl.replace parents ra rb
 end
 
 let class_of t s = Uf.find t.m_class s
@@ -83,27 +89,43 @@ let build ir =
      edges do NOT collapse: the pre- and post-wakeup states differ by a
      pending wakeup the walk must regenerate (the latch). *)
   let has_plain f = List.exists (fun p -> p.Ast.pa_attr = Ast.APlain) f.Ir.f_params in
-  let classes = Hashtbl.create 16 in
+  let classes = Strtbl.create 16 in
   List.iter
     (fun e ->
       let f = Ir.func_exn ir e.e_fn in
       if has_plain f && e.e_from <> s0 then Uf.union classes e.e_from e.e_to)
     edges;
+  (* the σ-sources of every function, in one pass over the edges *)
+  let srcs = Strtbl.create 16 in
+  List.iter
+    (fun e ->
+      let seen = Option.value (Strtbl.find_opt srcs e.e_fn) ~default:[] in
+      if not (List.exists (String.equal e.e_from) seen) then
+        Strtbl.replace srcs e.e_fn (e.e_from :: seen))
+    edges;
+  Strtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) srcs;
   let t =
-    { m_ir = ir; m_states = sts; m_edges = edges; m_class = classes; m_plans = Hashtbl.create 16 }
+    {
+      m_ir = ir;
+      m_states = sts;
+      m_edges = edges;
+      m_class = classes;
+      m_sources = srcs;
+      m_plans = Strtbl.create 16;
+    }
   in
   (* BFS over replayable edges between distinct classes, from class(s0);
      transient-block edges are never walked (the blocked thread's own
      redo re-establishes them) *)
-  let dist = Hashtbl.create 16 in
-  let pred = Hashtbl.create 16 in
+  let dist = Strtbl.create 16 in
+  let pred = Strtbl.create 16 in
   let q = Queue.create () in
   let c0 = class_of t s0 in
-  Hashtbl.replace dist c0 0;
+  Strtbl.replace dist c0 0;
   Queue.add c0 q;
   while not (Queue.is_empty q) do
     let c = Queue.pop q in
-    let d = Hashtbl.find dist c in
+    let d = Strtbl.find dist c in
     List.iter
       (fun e ->
         if class_of t e.e_from = c then begin
@@ -112,10 +134,10 @@ let build ir =
           if
             c' <> c
             && Ir.is_replayable ir f
-            && not (Hashtbl.mem dist c')
+            && not (Strtbl.mem dist c')
           then begin
-            Hashtbl.replace dist c' (d + 1);
-            Hashtbl.replace pred c' (e.e_fn, c);
+            Strtbl.replace dist c' (d + 1);
+            Strtbl.replace pred c' (e.e_fn, c);
             Queue.add c' q
           end
         end)
@@ -125,7 +147,7 @@ let build ir =
     let rec back cls acc =
       if cls = c0 then Some acc
       else
-        match Hashtbl.find_opt pred cls with
+        match Strtbl.find_opt pred cls with
         | Some (fn, prev) -> back prev (fn :: acc)
         | None -> None
     in
@@ -165,18 +187,15 @@ let build ir =
          with a valid transition from some state of the class *)
       let restore =
         List.filter
-          (fun fn ->
-            List.exists
-              (fun s -> class_of t s = cls && sigma t s fn <> None)
-              sts)
+          (fun fn -> List.exists (fun s -> class_of t s = cls) (sources t fn))
           restores
       in
-      Hashtbl.replace t.m_plans st { pl_path = path; pl_restore = restore })
+      Strtbl.replace t.m_plans st { pl_path = path; pl_restore = restore })
     sts;
   t
 
 let plan t state =
-  match Hashtbl.find_opt t.m_plans state with
+  match Strtbl.find_opt t.m_plans state with
   | Some p -> p
   | None -> (
       (* unknown tracked state: fall back to the shortest creation *)

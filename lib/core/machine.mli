@@ -41,6 +41,11 @@ val sigma : t -> state -> string -> state option
 val states : t -> state list
 (** All states, [s0] first. *)
 
+val sources : t -> string -> state list
+(** The states with a σ-edge for the function, without duplicates, in
+    edge order: [s] is here iff [sigma t s fn <> None]. Computed in one
+    pass over the edges by {!build}. *)
+
 val same_class : t -> state -> state -> bool
 (** Whether two states are recovery-equivalent. *)
 

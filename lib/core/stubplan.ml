@@ -1,0 +1,93 @@
+type fn = {
+  fn_params : Ast.param list;
+  fn_desc : int option;
+  fn_parent : int option;
+  fn_ns : int option;
+  fn_create : bool;
+  fn_terminal : bool;
+  fn_virtual_create : bool;
+  fn_after : Machine.state;
+  fn_meta : (int * string) list;
+  fn_retval : Ast.retval_annot option;
+  fn_from : Machine.state list;
+}
+
+module Strtbl = Sg_util.Strtbl
+
+type t = { fns : fn Strtbl.t; invalid : int Atomic.t }
+
+(* Fault-detection counters (invalid state-machine transitions), keyed
+   by interface name. The table is only touched under [counters_lock],
+   once per [build]; stubs on any pool domain bump the [Atomic]. *)
+let counters : (string, int Atomic.t) Hashtbl.t = Hashtbl.create 8
+let counters_lock = Mutex.create ()
+
+let counter iface =
+  Mutex.protect counters_lock (fun () ->
+      match Hashtbl.find_opt counters iface with
+      | Some c -> c
+      | None ->
+          let c = Atomic.make 0 in
+          Hashtbl.replace counters iface c;
+          c)
+
+let build ir machine =
+  let fns = Strtbl.create 16 in
+  List.iter
+    (fun (f : Ir.func) ->
+      let name = f.Ir.f_name in
+      if not (Strtbl.mem fns name) then begin
+        let desc = Ir.desc_arg_index ir name in
+        let create = Ir.is_create ir name in
+        let meta =
+          List.concat
+            (List.mapi
+               (fun i p ->
+                 match p.Ast.pa_attr with
+                 | Ast.ADescData | Ast.ADescDataParent | Ast.ADescNs ->
+                     [ (i, p.Ast.pa_name) ]
+                 | Ast.APlain | Ast.ADesc | Ast.AParentDesc -> [])
+               f.Ir.f_params)
+        in
+        Strtbl.replace fns name
+          {
+            fn_params = f.Ir.f_params;
+            fn_desc = desc;
+            fn_parent = Ir.parent_arg_index f;
+            fn_ns = Ir.ns_arg_index f;
+            fn_create = create;
+            fn_terminal = Ir.is_terminal ir name;
+            (* local descriptors with server-assigned ids are
+               virtualized; global ones keep the server's
+               (storage-reseeded) ids *)
+            fn_virtual_create =
+              (not ir.Ir.ir_model.Model.global)
+              && create && Option.is_none desc;
+            fn_after = Machine.after name;
+            fn_meta = meta;
+            fn_retval = f.Ir.f_retval;
+            fn_from = Machine.sources machine name;
+          }
+      end)
+    ir.Ir.ir_funcs;
+  { fns; invalid = counter ir.Ir.ir_name }
+
+let find t fn = Strtbl.find_opt t.fns fn
+
+let finder t =
+  let last_fn = ref "" and last = ref None in
+  fun fn ->
+    if fn == !last_fn then !last
+    else begin
+      let p = find t fn in
+      last_fn := fn;
+      last := p;
+      p
+    end
+
+let find_exn t fn =
+  match find t fn with
+  | Some p -> p
+  | None -> invalid_arg (Printf.sprintf "Ir: unknown function %s" fn)
+
+let invalid t = t.invalid

@@ -9,10 +9,10 @@ let make ~name ?mode artifact storage =
     st_flavor = Tracker.Superglue;
     st_client =
       (fun ~iface ->
-        Interp.client_config ?mode ~storage (artifact iface).Compiler.a_ir);
+        Interp.client_config ?mode ~storage (artifact iface));
     st_server =
       (fun ~iface ~wakeup_dep ->
-        Interp.server_config ?wakeup_dep (artifact iface).Compiler.a_ir);
+        Interp.server_config ?wakeup_dep (artifact iface));
   }
 
 let mode = Sysbuild.Stubbed (make ~name:"superglue" artifact)

@@ -141,21 +141,15 @@ let spin_limit = 100_000
 
 let install_plan sys plan pending =
   let sim = sys.Sysbuild.sys_sim in
-  let iface_of =
-    let tbl = Hashtbl.create 8 in
+  (* the hook runs on every dispatch: each service cid resolves to its
+     interface and that interface's dispatch counter in one integer
+     lookup *)
+  let service_of =
+    let tbl = Sg_util.Inttbl.create 8 in
     List.iter
-      (fun (iface, cid) -> Hashtbl.replace tbl cid iface)
+      (fun (iface, cid) -> Sg_util.Inttbl.replace tbl cid (iface, ref 0))
       (Sysbuild.services sys);
-    fun cid -> Hashtbl.find_opt tbl cid
-  in
-  let counters : (string, int ref) Hashtbl.t = Hashtbl.create 8 in
-  let counter iface =
-    match Hashtbl.find_opt counters iface with
-    | Some r -> r
-    | None ->
-        let r = ref 0 in
-        Hashtbl.replace counters iface r;
-        r
+    Sg_util.Inttbl.find_opt tbl
   in
   let armed =
     ref
@@ -187,20 +181,23 @@ let install_plan sys plan pending =
   in
   let total_dispatches = ref 0 in
   let hook sim cid fn =
-    match iface_of cid with
+    match service_of cid with
     | None -> ()
-    | Some iface -> (
+    | Some (iface, c) -> (
         incr total_dispatches;
         if !total_dispatches > dispatch_budget then
           failwith "dst-dispatch-budget: execution did not converge";
-        let c = counter iface in
         incr c;
         (* a pending Restart op crashes the service at its next dispatch *)
-        match Hashtbl.find_opt pending iface with
+        match
+          if Hashtbl.length pending = 0 then None
+          else Hashtbl.find_opt pending iface
+        with
         | Some detector ->
             Hashtbl.remove pending iface;
             Sim.mark_failed sim cid ~detector;
             raise (Comp.Crash { cid; detector })
+        | None when List.is_empty !armed -> ()
         | None ->
             (* fire at most one armed fault per dispatch; >= anchors keep
                faults live when shrinking shifts dispatch counts *)
@@ -208,7 +205,7 @@ let install_plan sys plan pending =
             armed :=
               List.filter_map
                 (fun a ->
-                  if !fired <> None then Some a
+                  if Option.is_some !fired then Some a
                   else
                     match a with
                     | A_flip { service; nth; _ } when service = iface && !c >= nth

@@ -1,8 +1,10 @@
+(* checked on every invocation: integer hash and equality, no
+   polymorphic [caml_hash] or [compare_val] *)
 module Pair = struct
   type t = int * int
 
-  let equal (a1, b1) (a2, b2) = a1 = a2 && b1 = b2
-  let hash = Hashtbl.hash
+  let equal ((a1 : int), (b1 : int)) (a2, b2) = a1 = a2 && b1 = b2
+  let hash ((a : int), (b : int)) = ((a * 65599) + b) land max_int
 end
 
 module Tbl = Hashtbl.Make (Pair)

@@ -18,15 +18,15 @@ type tcb = {
 
 type t = {
   mutable next_tid : int;
-  table : (tid, tcb) Hashtbl.t;
   mutable order : tcb array;
-      (* threads in spawn (= ascending tid) order, in [0, n); threads are
-         never removed, so this is maintained by appending — no per-query
-         fold-and-sort *)
+      (* threads in spawn (= ascending tid) order, in [0, n): tids are
+         dense from 1, so tid [k] is [order.(k - 1)]; threads are never
+         removed, so this is maintained by appending — no per-query
+         fold-and-sort and no hashing *)
   mutable n : int;
 }
 
-let create () = { next_tid = 1; table = Hashtbl.create 32; order = [||]; n = 0 }
+let create () = { next_tid = 1; order = [||]; n = 0 }
 
 let spawn t ~name ~prio ~home =
   let tid = t.next_tid in
@@ -42,7 +42,6 @@ let spawn t ~name ~prio ~home =
       divert = None;
     }
   in
-  Hashtbl.replace t.table tid tcb;
   if t.n = Array.length t.order then begin
     let cap = max 16 (2 * t.n) in
     let order = Array.make cap tcb in
@@ -53,7 +52,7 @@ let spawn t ~name ~prio ~home =
   t.n <- t.n + 1;
   tcb
 
-let find t tid = Hashtbl.find_opt t.table tid
+let find t tid = if tid >= 1 && tid <= t.n then Some t.order.(tid - 1) else None
 
 let find_exn t tid =
   match find t tid with

@@ -56,9 +56,21 @@ let create ?(mode = Log2) () =
 
 let mode t = t.mode
 
+(* bit length of [v >= 0] by halving steps: every span end adds a
+   sample, so this is on the invocation path *)
 let bits v =
-  let rec go acc v = if v = 0 then acc else go (acc + 1) (v lsr 1) in
-  go 0 v
+  let s32 = if v lsr 32 <> 0 then 32 else 0 in
+  let v = v lsr s32 in
+  let s16 = if v lsr 16 <> 0 then 16 else 0 in
+  let v = v lsr s16 in
+  let s8 = if v lsr 8 <> 0 then 8 else 0 in
+  let v = v lsr s8 in
+  let s4 = if v lsr 4 <> 0 then 4 else 0 in
+  let v = v lsr s4 in
+  let s2 = if v lsr 2 <> 0 then 2 else 0 in
+  let v = v lsr s2 in
+  let s1 = if v lsr 1 <> 0 then 1 else 0 in
+  s32 + s16 + s8 + s4 + s2 + s1 + (v lsr s1)
 
 let bucket_of v =
   if v <= 0 then 0 else min (log2_buckets - 1) (bits v)
@@ -170,7 +182,8 @@ let buckets_list t =
   go (Array.length t.counts - 1) []
 
 let clear t =
-  Array.fill t.counts 0 (Array.length t.counts) 0;
+  (* every sample sits at or below [max_v]'s bucket: the rest is zero *)
+  if t.n > 0 then Array.fill t.counts 0 (index_of_mode t.mode t.max_v + 1) 0;
   t.n <- 0;
   t.sum <- 0;
   t.sumsq <- 0.0;

@@ -1,23 +1,27 @@
 (* Metrics: a sink subscriber that folds the event stream into
    per-component counters and latency histograms. Harnesses and the
-   SWIFI campaign read these instead of keeping private counters. *)
+   SWIFI campaign read these instead of keeping private counters.
+   Every event of every run passes through [feed_raw], so the per-cid
+   and per-span tables are [Inttbl]s: no polymorphic hash or compare. *)
+
+module Inttbl = Sg_util.Inttbl
 
 type t = {
   mutable invocations_total : int;
-  invocations_by_server : (int, int) Hashtbl.t;
+  invocations_by_server : int Inttbl.t;
   mutable spans_ok : int;
   mutable spans_fault : int;
   mutable crashes_total : int;
-  crashes_by_cid : (int, int) Hashtbl.t;
+  crashes_by_cid : int Inttbl.t;
   mutable reboots_total : int;
-  reboots_by_cid : (int, int) Hashtbl.t;
+  reboots_by_cid : int Inttbl.t;
   mutable reboot_ns_total : int;
   mutable upcalls_total : int;
   mutable diverts_total : int;
   mutable reflects_total : int;
   mutable walks_total : int;
-  walks_by_client : (int, int) Hashtbl.t;
-  walks_by_server : (int, int) Hashtbl.t;
+  walks_by_client : int Inttbl.t;
+  walks_by_server : int Inttbl.t;
   mutable storage_ops_total : int;
   mutable injections_total : int;
   mutable perturbs_total : int;
@@ -32,32 +36,32 @@ type t = {
   first_access_hist : Hist.t;
   reboot_cost_hist : Hist.t;
   (* transient state for duration tracking *)
-  open_spans : (int, int) Hashtbl.t;  (* span id -> begin ns *)
-  open_walks : (int, (int * int * int) list ref) Hashtbl.t;
+  open_spans : int Inttbl.t;  (* span id -> begin ns *)
+  open_walks : (int * int * int) list ref Inttbl.t;
       (* tid -> (client, server, begin-ns) stack; ends are matched by
          pair, not blind LIFO, so overlapping walks of different pairs
          on one thread (and interrupted walks that never end) cannot
          cross-charge durations *)
-  first_access_pending : (int, int) Hashtbl.t;  (* server cid -> reboot ns *)
+  first_access_pending : int Inttbl.t;  (* server cid -> reboot ns *)
 }
 
 let create () =
   {
     invocations_total = 0;
-    invocations_by_server = Hashtbl.create 16;
+    invocations_by_server = Inttbl.create 16;
     spans_ok = 0;
     spans_fault = 0;
     crashes_total = 0;
-    crashes_by_cid = Hashtbl.create 16;
+    crashes_by_cid = Inttbl.create 16;
     reboots_total = 0;
-    reboots_by_cid = Hashtbl.create 16;
+    reboots_by_cid = Inttbl.create 16;
     reboot_ns_total = 0;
     upcalls_total = 0;
     diverts_total = 0;
     reflects_total = 0;
     walks_total = 0;
-    walks_by_client = Hashtbl.create 16;
-    walks_by_server = Hashtbl.create 16;
+    walks_by_client = Inttbl.create 16;
+    walks_by_server = Inttbl.create 16;
     storage_ops_total = 0;
     injections_total = 0;
     perturbs_total = 0;
@@ -71,32 +75,35 @@ let create () =
     walk_hist = Hist.create ();
     first_access_hist = Hist.create ();
     reboot_cost_hist = Hist.create ();
-    open_spans = Hashtbl.create 64;
-    open_walks = Hashtbl.create 16;
-    first_access_pending = Hashtbl.create 8;
+    open_spans = Inttbl.create 64;
+    open_walks = Inttbl.create 16;
+    first_access_pending = Inttbl.create 8;
   }
 
 let bump tbl key by =
-  Hashtbl.replace tbl key
-    ((match Hashtbl.find_opt tbl key with Some n -> n | None -> 0) + by)
+  Inttbl.replace tbl key
+    ((match Inttbl.find_opt tbl key with Some n -> n | None -> 0) + by)
+
+let get_str tbl key =
+  match Hashtbl.find_opt tbl key with Some n -> n | None -> 0
 
 let feed_raw t ~at_ns ~tid kind =
   match kind with
   | Event.Span_begin { span; server; _ } ->
       t.invocations_total <- t.invocations_total + 1;
       bump t.invocations_by_server server 1;
-      Hashtbl.replace t.open_spans span at_ns
+      Inttbl.replace t.open_spans span at_ns
   | Event.Span_end { span; server; ok } ->
-      (match Hashtbl.find_opt t.open_spans span with
+      (match Inttbl.find_opt t.open_spans span with
       | Some t0 ->
-          Hashtbl.remove t.open_spans span;
+          Inttbl.remove t.open_spans span;
           if ok then Hist.add t.span_hist (at_ns - t0)
       | None -> ());
       if ok then begin
         t.spans_ok <- t.spans_ok + 1;
-        match Hashtbl.find_opt t.first_access_pending server with
+        match Inttbl.find_opt t.first_access_pending server with
         | Some reboot_ns ->
-            Hashtbl.remove t.first_access_pending server;
+            Inttbl.remove t.first_access_pending server;
             Hist.add t.first_access_hist (at_ns - reboot_ns)
         | None -> ()
       end
@@ -109,7 +116,7 @@ let feed_raw t ~at_ns ~tid kind =
       bump t.reboots_by_cid cid 1;
       t.reboot_ns_total <- t.reboot_ns_total + cost_ns;
       Hist.add t.reboot_cost_hist cost_ns;
-      Hashtbl.replace t.first_access_pending cid at_ns
+      Inttbl.replace t.first_access_pending cid at_ns
   | Event.Divert _ -> t.diverts_total <- t.diverts_total + 1
   | Event.Upcall _ -> t.upcalls_total <- t.upcalls_total + 1
   | Event.Reflect _ -> t.reflects_total <- t.reflects_total + 1
@@ -118,16 +125,16 @@ let feed_raw t ~at_ns ~tid kind =
       bump t.walks_by_client client 1;
       bump t.walks_by_server server 1;
       let stack =
-        match Hashtbl.find_opt t.open_walks tid with
+        match Inttbl.find_opt t.open_walks tid with
         | Some s -> s
         | None ->
             let s = ref [] in
-            Hashtbl.replace t.open_walks tid s;
+            Inttbl.replace t.open_walks tid s;
             s
       in
       stack := (client, server, at_ns) :: !stack
   | Event.Walk_end { client; server; ok } -> (
-      match Hashtbl.find_opt t.open_walks tid with
+      match Inttbl.find_opt t.open_walks tid with
       | Some stack -> (
           (* pop the innermost walk of this client/server pair, leaving
              any non-matching (still-open) walks in place *)
@@ -147,7 +154,7 @@ let feed_raw t ~at_ns ~tid kind =
   | Event.Storage_op _ -> t.storage_ops_total <- t.storage_ops_total + 1
   | Event.Inject { outcome; _ } ->
       t.injections_total <- t.injections_total + 1;
-      bump t.outcomes outcome 1
+      Hashtbl.replace t.outcomes outcome (get_str t.outcomes outcome + 1)
   | Event.Perturb { in_walk; _ } ->
       t.perturbs_total <- t.perturbs_total + 1;
       if in_walk then t.perturbs_in_walk <- t.perturbs_in_walk + 1
@@ -164,7 +171,7 @@ let feed t (e : Event.t) =
 
 let attach t sink = Sink.subscribe_fold sink (feed_raw t)
 
-let get tbl key = match Hashtbl.find_opt tbl key with Some n -> n | None -> 0
+let get tbl key = match Inttbl.find_opt tbl key with Some n -> n | None -> 0
 
 let invocations ?cid t =
   match cid with
@@ -193,7 +200,7 @@ let storage_ops t = t.storage_ops_total
 let injections t = t.injections_total
 let perturbs t = t.perturbs_total
 let perturbs_in_walk t = t.perturbs_in_walk
-let outcome_count t s = get t.outcomes s
+let outcome_count t s = get_str t.outcomes s
 let reboot_ns_total t = t.reboot_ns_total
 let http_requests t = t.http_requests
 let http_errors t = t.http_errors

@@ -68,6 +68,10 @@ type t = {
    resolves far finer than the 2x steps of the default Log2 layout *)
 let hist_mode = Hist.Log_linear 5
 
+(* the sweep's events: an arrival (+1), a start (-1) or the arrival of
+   a dropped request, which samples the backlog without joining it *)
+type qev = Arrive | Start | Sample
+
 let queue_depth_profile reqs =
   (* sweep arrival (+1) and start (-1) instants in time order; each
      arrival samples the backlog including itself. Arrivals sort before
@@ -79,40 +83,63 @@ let queue_depth_profile reqs =
     List.concat
       (List.mapi
          (fun uid r ->
-           if r.rq_outcome = "dropped" then
-             [ (r.rq_arrival_ns, 0, uid, `Sample) ]
+           if r.rq_outcome = "dropped" then [ (r.rq_arrival_ns, 0, uid, Sample) ]
            else
-             [
-               (r.rq_arrival_ns, 0, uid, `Arrive);
-               (r.rq_start_ns, 1, uid, `Start);
-             ])
+             [ (r.rq_arrival_ns, 0, uid, Arrive); (r.rq_start_ns, 1, uid, Start) ])
          reqs)
+    |> Array.of_list
   in
-  let events =
-    List.sort
-      (fun (t0, k0, u0, _) (t1, k1, u1, _) -> compare (t0, k0, u0) (t1, k1, u1))
-      events
-  in
+  (* lexicographic on (instant, arrivals first, uid), with integer
+     compares: a total order, so any sort gives the same sequence *)
+  Array.stable_sort
+    (fun ((t0 : int), (k0 : int), (u0 : int), _) (t1, k1, u1, _) ->
+      if t0 <> t1 then Int.compare t0 t1
+      else if k0 <> k1 then Int.compare k0 k1
+      else Int.compare u0 u1)
+    events;
   let depth = ref 0 in
   let max_d = ref 0 in
-  List.iter
+  Array.iter
     (fun (_, _, _, ev) ->
       match ev with
-      | `Arrive ->
+      | Arrive ->
           incr depth;
           if !depth > !max_d then max_d := !depth;
           Hist.add hist !depth
-      | `Sample -> Hist.add hist (max 1 (!depth + 1))
-      | `Start -> decr depth)
+      | Sample -> Hist.add hist (max 1 (!depth + 1))
+      | Start -> decr depth)
     events;
   (hist, !max_d)
 
+(* the first index in [0, n) whose [a.(i) >= v], [n] if none; [a] is
+   non-decreasing *)
+let first_at_least (a : int array) n v =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) lsr 1 in
+      if a.(mid) >= v then go lo mid else go (mid + 1) hi
+  in
+  go 0 n
+
 let join ?(episodes = []) reqs =
   let eps =
-    List.sort (fun a b -> compare a.E.ep_detect_ns b.E.ep_detect_ns) episodes
+    List.sort (fun a b -> Int.compare a.E.ep_detect_ns b.E.ep_detect_ns) episodes
     |> Array.of_list
   in
-  let per_ep = Array.map (fun _ -> Hist.create ~mode:hist_mode ()) eps in
+  let n_eps = Array.length eps in
+  let detect = Array.map (fun ep -> ep.E.ep_detect_ns) eps in
+  (* [reach.(i)]: the latest end among episodes [0..i]. A request
+     arriving at [a] overlaps no episode before the first [i] with
+     [reach.(i) >= a], so the sweep starts there *)
+  let reach = Array.make n_eps 0 in
+  Array.iteri
+    (fun i ep ->
+      reach.(i) <-
+        (if i = 0 then ep.E.ep_end_ns else max reach.(i - 1) ep.E.ep_end_ns))
+    eps;
+  (* each episode's shadowed latencies, newest first *)
+  let per_ep = Array.make n_eps [] in
   let all = Hist.create ~mode:hist_mode () in
   let clean = Hist.create ~mode:hist_mode () in
   let shadowed = Hist.create ~mode:hist_mode () in
@@ -134,21 +161,26 @@ let join ?(episodes = []) reqs =
       Hist.add all lat;
       let hit = ref false in
       (* episodes are detect-sorted: stop once detection is past finish *)
-      let i = ref 0 in
-      while !i < Array.length eps && eps.(!i).E.ep_detect_ns <= r.rq_finish_ns do
+      let i = ref (first_at_least reach n_eps r.rq_arrival_ns) in
+      while !i < n_eps && detect.(!i) <= r.rq_finish_ns do
         if eps.(!i).E.ep_end_ns >= r.rq_arrival_ns then begin
           hit := true;
-          Hist.add per_ep.(!i) lat
+          per_ep.(!i) <- lat :: per_ep.(!i)
         end;
         incr i
       done;
       Hist.add (if !hit then shadowed else clean) lat)
     reqs;
+  (* one scratch histogram summarises every episode in turn: n, p99,
+     max and mean do not depend on the order of the samples *)
+  let scratch = Hist.create ~mode:hist_mode () in
   let impacts =
     Array.to_list
       (Array.mapi
          (fun i ep ->
-           let h = per_ep.(i) in
+           let h = scratch in
+           if Hist.n h > 0 then Hist.clear h;
+           List.iter (Hist.add h) per_ep.(i);
            {
              ei_cid = ep.E.ep_cid;
              ei_detect_ns = ep.E.ep_detect_ns;

@@ -4,10 +4,13 @@ module Rng = Sg_util.Rng
 type t = {
   sk : Kernel.t;
   sim_rng : Rng.t;
-  components : (int, centry) Hashtbl.t;
+  mutable components : centry array;
+      (** indexed by cid; cids are dense from 1, slot 0 is unused *)
   names : (string, int) Hashtbl.t;
   mutable next_cid : int;
   fibers : (Ktcb.tid, fiber) Hashtbl.t;
+      (** a generic [Hashtbl] on purpose: [microreboot] emits its
+          [Divert] events in this table's iteration order *)
   mutable current : fiber option;
   upcalls : (int * string, t -> Comp.value list -> Comp.value Comp.outcome) Hashtbl.t;
   mutable on_dispatch : (t -> Comp.cid -> string -> unit) option;
@@ -80,7 +83,7 @@ let create ?(cost = Cost.default) ?(seed = 42) ?retention ?(sched = `Indexed) ()
   {
     sk = Kernel.create ~cost ();
     sim_rng = Rng.create seed;
-    components = Hashtbl.create 16;
+    components = [||];
     names = Hashtbl.create 16;
     next_cid = 1;
     fibers = Hashtbl.create 16;
@@ -115,15 +118,19 @@ let now t = Kernel.now t.sk
 let charge t ns = Kernel.charge t.sk ns
 
 let centry_exn t cid =
-  match Hashtbl.find_opt t.components cid with
-  | Some ce -> ce
-  | None -> invalid_arg (Printf.sprintf "Sim: unknown component %d" cid)
+  if cid >= 1 && cid < t.next_cid then t.components.(cid)
+  else invalid_arg (Printf.sprintf "Sim: unknown component %d" cid)
 
 let register t spec =
   let cid = t.next_cid in
   t.next_cid <- cid + 1;
   let ce = { ce_cid = cid; ce_spec = spec; ce_status = `Alive; ce_epoch = 0 } in
-  Hashtbl.replace t.components cid ce;
+  if cid >= Array.length t.components then begin
+    let grown = Array.make (max 16 (2 * cid)) ce in
+    Array.blit t.components 0 grown 0 (Array.length t.components);
+    t.components <- grown
+  end;
+  t.components.(cid) <- ce;
   Hashtbl.replace t.names spec.sc_name cid;
   spec.sc_init t cid;
   cid

@@ -6,10 +6,19 @@ type desc_record = {
   dr_meta : (string * Sg_os.Comp.value) list;
 }
 
+(* (space, id) keys with monomorphic hash and equality: creations of
+   global descriptors and G1 slices look these up *)
+module Key = Hashtbl.Make (struct
+  type t = string * int
+
+  let equal (s1, (i1 : int)) (s2, i2) = i1 = i2 && String.equal s1 s2
+  let hash (s, (i : int)) = ((i * 31) + String.length s) land max_int
+end)
+
 type t = {
   _cbufs : Sg_cbuf.Cbuf.t;
-  descs : (string * int, desc_record) Hashtbl.t;
-  data : (string * int, (int * int * int * Sg_cbuf.Cbuf.id) list ref) Hashtbl.t;
+  descs : desc_record Key.t;
+  data : (int * int * int * Sg_cbuf.Cbuf.id) list ref Key.t;
       (** (seq, off, len, cbuf), newest first *)
   mutable seq : int;
   mutable writes : int;  (** charged write operations so far *)
@@ -20,8 +29,8 @@ type t = {
 let create cbufs =
   {
     _cbufs = cbufs;
-    descs = Hashtbl.create 64;
-    data = Hashtbl.create 64;
+    descs = Key.create 64;
+    data = Key.create 64;
     seq = 0;
     writes = 0;
     write_faults = [];
@@ -60,20 +69,20 @@ let write_fault_point t sim name =
 let register_desc t sim ~space ~id ~creator ~meta =
   op sim "register_desc" ~space ~id;
   write_fault_point t sim "register_desc";
-  Hashtbl.replace t.descs (space, id) { dr_creator = creator; dr_meta = meta }
+  Key.replace t.descs (space, id) { dr_creator = creator; dr_meta = meta }
 
 let lookup_desc t sim ~space ~id =
   op sim "lookup_desc" ~space ~id;
   Option.map
     (fun r -> (r.dr_creator, r.dr_meta))
-    (Hashtbl.find_opt t.descs (space, id))
+    (Key.find_opt t.descs (space, id))
 
 let remove_desc t sim ~space ~id =
   op sim "remove_desc" ~space ~id;
-  Hashtbl.remove t.descs (space, id)
+  Key.remove t.descs (space, id)
 
 let descs_in t ~space =
-  Hashtbl.fold
+  Key.fold
     (fun (s, id) _ acc -> if s = space then id :: acc else acc)
     t.descs []
   |> List.sort compare
@@ -83,11 +92,11 @@ let put_slice t sim ~space ~id ~off ~len ~cbuf =
   write_fault_point t sim "put_slice";
   let key = (space, id) in
   let cell =
-    match Hashtbl.find_opt t.data key with
+    match Key.find_opt t.data key with
     | Some c -> c
     | None ->
         let c = ref [] in
-        Hashtbl.replace t.data key c;
+        Key.replace t.data key c;
         c
   in
   t.seq <- t.seq + 1;
@@ -98,7 +107,7 @@ let put_slice t sim ~space ~id ~off ~len ~cbuf =
 
 let slices t sim ~space ~id =
   op sim "slices" ~space ~id;
-  match Hashtbl.find_opt t.data (space, id) with
+  match Key.find_opt t.data (space, id) with
   | None -> []
   | Some c ->
       (* replay order is write order: later writes must win where
@@ -107,7 +116,7 @@ let slices t sim ~space ~id =
 
 let drop_slices t sim ~space ~id =
   op sim "drop_slices" ~space ~id;
-  Hashtbl.remove t.data (space, id)
+  Key.remove t.data (space, id)
 
 let slice_count t =
-  Hashtbl.fold (fun _ c acc -> acc + List.length !c) t.data 0
+  Key.fold (fun _ c acc -> acc + List.length !c) t.data 0

@@ -1,0 +1,85 @@
+(* Separate chaining over a power-of-two bucket array, one binding per
+   key (replace semantics only), doubling when the load passes 2. *)
+
+type 'a bucket =
+  | Nil
+  | Cons of { key : int; mutable data : 'a; mutable next : 'a bucket }
+
+type 'a t = { mutable size : int; mutable buckets : 'a bucket array }
+
+let create n =
+  let rec pow2 k = if k >= n || k >= 1 lsl 28 then k else pow2 (2 * k) in
+  { size = 0; buckets = Array.make (pow2 16) Nil }
+
+(* fold the high half into the low bits the mask keeps: namespaced ids
+   ([ns lsl 32 lor id]) and virtual ids (above [1 lsl 40]) spread like
+   small ones *)
+let[@inline] index t key = (key lxor (key lsr 32)) land (Array.length t.buckets - 1)
+
+let length t = t.size
+
+let rec find_in key = function
+  | Nil -> None
+  | Cons c -> if c.key = key then Some c.data else find_in key c.next
+
+let find_opt t key = find_in key t.buckets.(index t key)
+
+let rec mem_in key = function
+  | Nil -> false
+  | Cons c -> c.key = key || mem_in key c.next
+
+let mem t key = mem_in key t.buckets.(index t key)
+
+let resize t =
+  let old = t.buckets in
+  t.buckets <- Array.make (2 * Array.length old) Nil;
+  (* re-link oldest first within each chain, so a chain keeps its
+     relative order *)
+  let rec relink = function
+    | Nil -> ()
+    | Cons c as cell ->
+        relink c.next;
+        let i = index t c.key in
+        c.next <- t.buckets.(i);
+        t.buckets.(i) <- cell
+  in
+  Array.iter relink old
+
+let rec replace_in key data = function
+  | Nil -> false
+  | Cons c ->
+      if c.key = key then begin
+        c.data <- data;
+        true
+      end
+      else replace_in key data c.next
+
+let replace t key data =
+  let i = index t key in
+  if not (replace_in key data t.buckets.(i)) then begin
+    t.buckets.(i) <- Cons { key; data; next = t.buckets.(i) };
+    t.size <- t.size + 1;
+    if t.size > 2 * Array.length t.buckets then resize t
+  end
+
+let remove t key =
+  let i = index t key in
+  let rec go prev = function
+    | Nil -> ()
+    | Cons c as cell ->
+        if c.key = key then begin
+          t.size <- t.size - 1;
+          match prev with
+          | Nil -> t.buckets.(i) <- c.next
+          | Cons p -> p.next <- c.next
+        end
+        else go cell c.next
+  in
+  go Nil t.buckets.(i)
+
+let fold f t acc =
+  let rec chain acc = function
+    | Nil -> acc
+    | Cons c -> chain (f c.key c.data acc) c.next
+  in
+  Array.fold_left chain acc t.buckets

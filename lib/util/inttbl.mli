@@ -1,0 +1,29 @@
+(** Hash tables keyed by [int], for the per-invocation paths.
+
+    The generic [Hashtbl] pays a C call to the polymorphic hash and a
+    polymorphic comparison on every lookup, and a [Hashtbl.Make]
+    instance still pays closure calls for the hash and the equality.
+    Here both are a few integer instructions inside the lookup loop.
+
+    The iteration order of {!fold} differs from a generic [Hashtbl]'s
+    over the same keys, so a table whose iteration order reaches an
+    output must not switch to this one (DESIGN.md §3.5). *)
+
+type 'a t
+
+val create : int -> 'a t
+(** [create n]: an empty table sized for about [n] bindings; it grows. *)
+
+val length : 'a t -> int
+val find_opt : 'a t -> int -> 'a option
+val mem : 'a t -> int -> bool
+
+val replace : 'a t -> int -> 'a -> unit
+(** Bind the key, replacing its binding if it has one. *)
+
+val remove : 'a t -> int -> unit
+(** Drop the key's binding, if any. *)
+
+val fold : (int -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
+(** In an unspecified order that depends only on the sequence of
+    operations. *)

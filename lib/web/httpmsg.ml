@@ -83,6 +83,25 @@ let parse_response s =
       | _ -> Error ("malformed status line: " ^ first))
   | [] -> Error "empty response"
 
+let status_prefix = "HTTP/1.1 "
+
+let status_of_response s =
+  let eol =
+    match String.index_opt s '\n' with Some i -> i | None -> String.length s
+  in
+  let eol = if eol > 0 && s.[eol - 1] = '\r' then eol - 1 else eol in
+  let p = String.length status_prefix in
+  if eol >= p && String.starts_with ~prefix:status_prefix s then
+    let stop =
+      match String.index_from_opt s p ' ' with
+      | Some j when j < eol -> j
+      | Some _ | None -> eol
+    in
+    match int_of_string_opt (String.sub s p (stop - p)) with
+    | Some status -> Ok status
+    | None -> Error ("bad status: " ^ String.sub s 0 eol)
+  else Error ("malformed status line: " ^ String.sub s 0 eol)
+
 let ok ~body =
   {
     rs_status = 200;

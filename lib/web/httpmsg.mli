@@ -23,5 +23,11 @@ type response = {
 
 val render_response : response -> string
 val parse_response : string -> (response, string) result
+
+val status_of_response : string -> (int, string) result
+(** The status code {!parse_response} would return, read from the
+    status line alone: the rest of the message is not split or copied.
+    Its [Error] is {!parse_response}'s too. *)
+
 val ok : body:string -> response
 val not_found : response

@@ -201,9 +201,9 @@ let run ?fault_period_ns cfg sys server =
           [ Comp.VStr req_text ]
       with
       | Ok (Comp.VStr resp) -> (
-          match Httpmsg.parse_response resp with
-          | Ok { Httpmsg.rs_status = 200; _ } -> (200, "ok")
-          | Ok r -> (r.Httpmsg.rs_status, "error")
+          match Httpmsg.status_of_response resp with
+          | Ok 200 -> (200, "ok")
+          | Ok status -> (status, "error")
           | Error _ -> (0, "error"))
       | Ok _ | Error _ -> (0, "error")
       | exception Comp.Crash _ -> (0, "failed")

@@ -182,7 +182,7 @@ let lock_invalid_transitions () =
   Superglue.Interp.invalid_transitions
     (Superglue.Interp.client_config
        ~storage:(Storage.create (Sg_cbuf.Cbuf.create ()))
-       (Superglue.Compiler.builtin "lock").Superglue.Compiler.a_ir)
+       (Superglue.Compiler.builtin "lock"))
 
 (* calling release on a never-taken lock is outside sigma: the
    SuperGlue stub counts it (paper SectionIII-B fault detection) *)

@@ -1026,6 +1026,171 @@ let test_reqjoin_json () =
   | None -> Alcotest.fail "no latency");
   Alcotest.(check int) "version" 1 Reqjoin.json_version
 
+(* [Reqjoin.join] before the sort-and-sweep: every request scans every
+   episode detected before it finished, each episode keeps its own
+   histogram, and the queue profile sorts with the polymorphic compare.
+   The property below holds the new join to its bytes. *)
+module Linear_join = struct
+  open Reqjoin
+
+  let queue_depth_profile reqs =
+    let hist = Hist.create ~mode:(Hist.Log_linear 5) () in
+    let events =
+      List.concat
+        (List.mapi
+           (fun uid r ->
+             if r.rq_outcome = "dropped" then [ (r.rq_arrival_ns, 0, uid, `Sample) ]
+             else
+               [
+                 (r.rq_arrival_ns, 0, uid, `Arrive);
+                 (r.rq_start_ns, 1, uid, `Start);
+               ])
+           reqs)
+    in
+    let events =
+      List.sort
+        (fun (t0, k0, u0, _) (t1, k1, u1, _) -> compare (t0, k0, u0) (t1, k1, u1))
+        events
+    in
+    let depth = ref 0 and max_d = ref 0 in
+    List.iter
+      (fun (_, _, _, ev) ->
+        match ev with
+        | `Arrive ->
+            incr depth;
+            if !depth > !max_d then max_d := !depth;
+            Hist.add hist !depth
+        | `Sample -> Hist.add hist (max 1 (!depth + 1))
+        | `Start -> decr depth)
+      events;
+    (hist, !max_d)
+
+  let join ~episodes reqs =
+    let mode = Hist.Log_linear 5 in
+    let eps =
+      List.sort
+        (fun a b -> compare a.Episode.ep_detect_ns b.Episode.ep_detect_ns)
+        episodes
+      |> Array.of_list
+    in
+    let per_ep = Array.map (fun _ -> Hist.create ~mode ()) eps in
+    let all = Hist.create ~mode () and clean = Hist.create ~mode () in
+    let shadowed = Hist.create ~mode () in
+    let served = ref 0 and errors = ref 0 and dropped = ref 0 and failed = ref 0 in
+    let first_arrival = ref max_int and last_finish = ref min_int in
+    List.iter
+      (fun r ->
+        (match r.rq_outcome with
+        | "ok" -> incr served
+        | "error" -> incr errors
+        | "dropped" -> incr dropped
+        | _ -> incr failed);
+        if r.rq_arrival_ns < !first_arrival then first_arrival := r.rq_arrival_ns;
+        if r.rq_finish_ns > !last_finish then last_finish := r.rq_finish_ns;
+        let lat = latency_ns r in
+        Hist.add all lat;
+        let hit = ref false in
+        let i = ref 0 in
+        while
+          !i < Array.length eps && eps.(!i).Episode.ep_detect_ns <= r.rq_finish_ns
+        do
+          if eps.(!i).Episode.ep_end_ns >= r.rq_arrival_ns then begin
+            hit := true;
+            Hist.add per_ep.(!i) lat
+          end;
+          incr i
+        done;
+        Hist.add (if !hit then shadowed else clean) lat)
+      reqs;
+    let impacts =
+      Array.to_list
+        (Array.mapi
+           (fun i ep ->
+             let h = per_ep.(i) in
+             {
+               ei_cid = ep.Episode.ep_cid;
+               ei_detect_ns = ep.Episode.ep_detect_ns;
+               ei_end_ns = ep.Episode.ep_end_ns;
+               ei_complete = ep.Episode.ep_complete;
+               ei_requests = Hist.n h;
+               ei_p99_ns = Hist.percentile h 0.99;
+               ei_max_ns = Hist.max_value h;
+               ei_mean_ns = Hist.mean h;
+             })
+           eps)
+    in
+    let queue_depth, queue_max = queue_depth_profile reqs in
+    {
+      tj_offered = List.length reqs;
+      tj_served = !served;
+      tj_errors = !errors;
+      tj_dropped = !dropped;
+      tj_failed = !failed;
+      tj_first_arrival_ns = (if !first_arrival = max_int then 0 else !first_arrival);
+      tj_window_ns =
+        (if !last_finish = min_int then 0
+         else max 1 (!last_finish - !first_arrival));
+      tj_all = all;
+      tj_clean = clean;
+      tj_shadowed = shadowed;
+      tj_queue_depth = queue_depth;
+      tj_queue_max = queue_max;
+      tj_episodes = impacts;
+    }
+end
+
+(* random requests in any arrival order (some dropped, some never
+   started), and episodes that overlap, nest, share detect instants or
+   are incomplete *)
+let gen_join_input =
+  let open QCheck.Gen in
+  let req =
+    let* arrival = int_range 0 3000 in
+    let* wait = int_range 0 400 in
+    let* service = int_range 0 900 in
+    let* outcome = oneofl [ "ok"; "ok"; "ok"; "error"; "dropped"; "failed" ] in
+    let* client = int_range 1 50 in
+    let start, finish =
+      if outcome = "dropped" then (arrival, arrival)
+      else (arrival + wait, arrival + wait + service)
+    in
+    return
+      {
+        Reqjoin.rq_client = client;
+        rq_arrival_ns = arrival;
+        rq_start_ns = start;
+        rq_finish_ns = finish;
+        rq_status = (if outcome = "ok" then 200 else 503);
+        rq_outcome = outcome;
+      }
+  in
+  let episode =
+    let* cid = int_range 1 8 in
+    let* detect = oneof [ int_range 0 3500; oneofl [ 0; 500; 1000 ] ] in
+    let* span = oneof [ int_range 0 200; int_range 0 3000 ] in
+    let* complete = bool in
+    return
+      {
+        Episode.ep_cid = cid;
+        ep_seq = detect;
+        ep_detect_ns = detect;
+        ep_trigger = None;
+        ep_complete = complete;
+        ep_end_ns = detect + span;
+        ep_nodes = [];
+      }
+  in
+  pair (list_size (int_range 0 80) req) (list_size (int_range 0 14) episode)
+
+let prop_reqjoin_sweep =
+  QCheck.Test.make ~name:"sweep join renders the linear scan's bytes" ~count:400
+    (QCheck.make gen_join_input)
+    (fun (reqs, episodes) ->
+      let render t = Json.to_string (Reqjoin.to_json t) in
+      String.equal
+        (render (Reqjoin.join ~episodes reqs))
+        (render (Linear_join.join ~episodes reqs)))
+
 let () =
   Alcotest.run "obs"
     [
@@ -1103,5 +1268,6 @@ let () =
             test_reqjoin_attribution;
           Alcotest.test_case "empty-request report renders" `Quick
             test_reqjoin_json;
+          QCheck_alcotest.to_alcotest prop_reqjoin_sweep;
         ] );
     ]

@@ -254,6 +254,41 @@ let test_divert_on_reboot () =
   Alcotest.(check bool) "completed" true (Sim.run sim = Sim.Completed);
   Alcotest.(check bool) "waiter diverted" true !diverted
 
+(* Sim.microreboot emits one Divert per thread suspended inside the
+   rebooted component, in the iteration order of its fiber table; the
+   event stream, and every report built from it, shows that order. The
+   order pinned here is the generic-Hashtbl one, which the invocation
+   path's integer tables must leave alone. *)
+let test_divert_order () =
+  let sim = Sim.create () in
+  let app = Sim.register sim (trivial_spec ()) in
+  let gate = Sim.register sim (gate_spec ()) in
+  Sim.grant sim ~client:app ~server:gate;
+  let blocked = ref [] in
+  for i = 1 to 6 do
+    ignore
+      (Sim.spawn sim ~name:(Printf.sprintf "waiter%d" i) ~home:app (fun sim ->
+           blocked := Sim.current_tid sim :: !blocked;
+           try ignore (Sim.invoke sim ~server:gate "wait" [])
+           with Comp.Diverted _ -> ()))
+  done;
+  (* a lower priority: it runs once all six are blocked in the gate *)
+  ignore
+    (Sim.spawn sim ~prio:20 ~name:"booter" ~home:app (fun sim ->
+         Sim.mark_failed sim gate ~detector:"test";
+         Sim.microreboot sim gate;
+         List.iter (fun tid -> ignore (Sim.wakeup sim tid)) (List.rev !blocked)));
+  Alcotest.(check bool) "completed" true (Sim.run sim = Sim.Completed);
+  let victims =
+    List.filter_map
+      (fun (e : Sg_obs.Event.t) ->
+        match e.kind with
+        | Sg_obs.Event.Divert { cid; victim } when cid = gate -> Some victim
+        | _ -> None)
+      (Sg_obs.Sink.events (Sim.obs sim))
+  in
+  Alcotest.(check (list int)) "divert order" [ 6; 2; 3; 5; 4; 1 ] victims
+
 let test_fatal_segfault () =
   let sim = Sim.create () in
   let app = Sim.register sim (trivial_spec ()) in
@@ -352,6 +387,7 @@ let () =
         [
           Alcotest.test_case "microreboot" `Quick test_microreboot_recovers;
           Alcotest.test_case "divert on reboot" `Quick test_divert_on_reboot;
+          Alcotest.test_case "divert order" `Quick test_divert_order;
           Alcotest.test_case "fatal segfault" `Quick test_fatal_segfault;
           Alcotest.test_case "upcall" `Quick test_upcall;
         ] );

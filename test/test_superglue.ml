@@ -209,6 +209,67 @@ let test_sigma_fault_detection () =
   Alcotest.(check bool) "invalid: alloc then release" true
     (Machine.sigma m "after:lock_alloc" "lock_release" = None)
 
+(* The interpreted stubs ask the artifact's stub plan, resolved once at
+   compile time, what they used to ask the IR and the machine on every
+   call. The two must agree on every declared function and on a name
+   the interface does not declare, for the builtins and for every fs
+   mutant that compiles. *)
+let check_stubplan (a : Compiler.artifact) =
+  let ir = a.Compiler.a_ir and m = a.Compiler.a_machine in
+  let module P = Superglue.Stubplan in
+  let names = "sg_undeclared" :: List.map (fun f -> f.Ir.f_name) ir.Ir.ir_funcs in
+  List.iter
+    (fun fn ->
+      let where what = Printf.sprintf "%s.%s: %s" a.Compiler.a_name fn what in
+      let p = P.find a.Compiler.a_stubplan fn in
+      let get f default = match p with Some p -> f p | None -> default in
+      let desc = Ir.desc_arg_index ir fn and create = Ir.is_create ir fn in
+      Alcotest.(check (option int))
+        (where "desc") desc
+        (get (fun p -> p.P.fn_desc) None);
+      Alcotest.(check (option int))
+        (where "parent")
+        (Option.bind (Ir.func ir fn) Ir.parent_arg_index)
+        (get (fun p -> p.P.fn_parent) None);
+      Alcotest.(check bool)
+        (where "create") create
+        (get (fun p -> p.P.fn_create) false);
+      Alcotest.(check bool)
+        (where "terminal") (Ir.is_terminal ir fn)
+        (get (fun p -> p.P.fn_terminal) false);
+      Alcotest.(check bool)
+        (where "virtual create")
+        ((not ir.Ir.ir_model.Model.global) && create && desc = None)
+        (get (fun p -> p.P.fn_virtual_create) false);
+      Alcotest.(check (list string))
+        (where "allowed from")
+        (List.sort compare
+           (List.filter
+              (fun st -> Machine.sigma m st fn <> None)
+              (Machine.states m)))
+        (List.sort compare (get (fun p -> p.P.fn_from) [])))
+    names
+
+let test_stubplan_matches_ir () =
+  List.iter
+    (fun name -> check_stubplan (Compiler.builtin name))
+    Compiler.builtin_names;
+  let compiled =
+    List.filter_map
+      (fun m ->
+        if m.Sg_analysis.Mutate.m_iface <> "fs" then None
+        else
+          match
+            Compiler.compile ~name:m.Sg_analysis.Mutate.m_iface
+              m.Sg_analysis.Mutate.m_source
+          with
+          | a -> Some a
+          | exception Compiler.Compile_error _ -> None)
+      (Sg_analysis.Mutate.builtin_mutants ())
+  in
+  Alcotest.(check bool) "some fs mutants compile" true (List.length compiled > 3);
+  List.iter check_stubplan compiled
+
 let test_emit_header () =
   let h = Compiler.emit_header (Compiler.builtin "evt").Compiler.a_ir in
   Alcotest.(check bool) "prototype survives" true
@@ -364,6 +425,8 @@ let () =
           Alcotest.test_case "evt plans" `Quick test_plans_evt;
           Alcotest.test_case "mm plans" `Quick test_plans_mm;
           Alcotest.test_case "sigma fault detection" `Quick test_sigma_fault_detection;
+          Alcotest.test_case "stub plan agrees with the IR" `Quick
+            test_stubplan_matches_ir;
           QCheck_alcotest.to_alcotest prop_plans_valid;
         ] );
       ( "faultfree",

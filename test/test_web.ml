@@ -43,6 +43,41 @@ let prop_request_roundtrip =
       | Ok r -> r.Httpmsg.rq_path = "/" ^ path
       | Error _ -> false)
 
+(* Loadgen reads a response's status with [status_of_response], which
+   never splits the body; it must answer what [parse_response] answers,
+   including its error, on well-formed responses, truncations of them,
+   and arbitrary text heavy in the bytes the status line cares about *)
+let gen_response_text =
+  let open QCheck.Gen in
+  let rendered =
+    let* status = oneofl [ 200; 404; 503; 0; -1; 99999 ] in
+    let* body = string_size ~gen:printable (int_range 0 60) in
+    let text =
+      Httpmsg.render_response { (Httpmsg.ok ~body) with Httpmsg.rs_status = status }
+    in
+    let* cut = int_range 0 (String.length text) in
+    oneofl [ text; String.sub text 0 cut ]
+  in
+  let noisy =
+    string_size
+      ~gen:
+        (oneof
+           [ oneofl [ 'H'; 'T'; 'P'; '/'; '1'; '.'; ' '; '\r'; '\n'; '2'; '0' ]; char ])
+      (int_range 0 40)
+  in
+  let prefixed =
+    let* tail = noisy in
+    oneofl [ "HTTP/1.1 " ^ tail; "HTTP/1.1" ^ tail; "HTTP/1.1 200" ^ tail ]
+  in
+  oneof [ rendered; noisy; prefixed ]
+
+let prop_status_of_response =
+  QCheck.Test.make ~name:"status_of_response agrees with parse_response" ~count:1000
+    (QCheck.make ~print:String.escaped gen_response_text)
+    (fun text ->
+      Httpmsg.status_of_response text
+      = Result.map (fun r -> r.Httpmsg.rs_status) (Httpmsg.parse_response text))
+
 let run_server mode ~fault_period_ns ~requests =
   let sys = Sysbuild.build mode in
   let server = Server.install sys in
@@ -274,6 +309,7 @@ let () =
           Alcotest.test_case "malformed rejected" `Quick test_request_malformed;
           Alcotest.test_case "response roundtrip" `Quick test_response_roundtrip;
           QCheck_alcotest.to_alcotest prop_request_roundtrip;
+          QCheck_alcotest.to_alcotest prop_status_of_response;
         ] );
       ( "server",
         [

@@ -368,4 +368,28 @@ EOF
 echo "== perf gate: fresh web-tail throughput against the committed baseline"
 python3 tools/bench_diff.py BENCH_web.json "$tmpdir/BENCH_web.json"
 
+echo "== identity gate: outputs byte-identical to digests pinned at an earlier commit"
+# The -j gates above compare two runs of one build, so a change that
+# moves every run alike passes them. These md5s were computed with the
+# binaries of the commit before the stub plan (CHANGES.md says how); a
+# change that moves one on purpose re-pins it and states old -> new.
+pinned() {
+    got=$(md5sum < "$2" | cut -d' ' -f1)
+    if [ "$got" != "$1" ]; then
+        echo "identity gate: $3 has md5 $got, pinned $1" >&2
+        exit 1
+    fi
+}
+./_build/default/bin/webbench.exe open-loop --requests 20000 --seed 42 \
+    --fault-period-ms 1 --json > "$tmpdir/pin_web.json"
+pinned c22ed93b520c44a3328470be092461c1 "$tmpdir/pin_web.json" \
+    "webbench open-loop --requests 20000 --seed 42 --fault-period-ms 1 --json"
+./_build/default/bin/dst.exe run --seed 1 --count 3000 --no-shrink -j 2 \
+    > "$tmpdir/pin_dst.out"
+pinned 556a15b7701836e76a5ba65c18df0037 "$tmpdir/pin_dst.out" \
+    "superglue-dst run --seed 1 --count 3000 --no-shrink -j 2"
+# the -j 1 --trace stream of the determinism gate above
+pinned a9d6675d2478e4c2ebe48e34fa696b31 "$tmpdir/trace_j1.jsonl" \
+    "superglue-campaign --iface lock -n 40 --seed 3 --trace"
+
 echo "== tier-1 gate OK"
