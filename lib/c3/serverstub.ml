@@ -124,8 +124,7 @@ let wrap ~storage cfg spec =
        name pre-fault descriptors held by clients: re-seed the counter
        past everything the storage registry remembers (G0) *)
     if cfg.ss_global then begin
-      let ids = Storage.descs_in storage ~space:cfg.ss_iface in
-      let max_id = List.fold_left max 0 ids in
+      let max_id = Storage.max_desc_id storage ~space:cfg.ss_iface in
       ignore
         (spec.Sim.sc_dispatch sim cid "__sg_seed_ids"
            [ Comp.VInt (max_id + 1) ])

@@ -25,6 +25,16 @@ let of_string = function
   | "EBP" -> Some EBP
   | _ -> None
 
-let compare = Stdlib.compare
-let equal = ( = )
+let index = function
+  | EAX -> 0
+  | EBX -> 1
+  | ECX -> 2
+  | EDX -> 3
+  | ESI -> 4
+  | EDI -> 5
+  | ESP -> 6
+  | EBP -> 7
+
+let compare a b = Int.compare (index a) (index b)
+let equal a b = index a = index b
 let pp ppf r = Format.pp_print_string ppf (to_string r)

@@ -14,6 +14,11 @@ val is_stack : t -> bool
 
 val to_string : t -> string
 val of_string : string -> t option
+val index : t -> int
+(** Position in {!all}, 0–7: a dense key for per-register tables. *)
+
 val compare : t -> t -> int
+(** Orders registers by {!index}. *)
+
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

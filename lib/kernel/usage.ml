@@ -7,17 +7,43 @@ type use =
   | Read_data of sink
 
 type event = { at : int; reg : Reg.t; use : use }
-type t = { duration_ns : int; events : event array }
 
+type t = {
+  duration_ns : int;
+  events : event array;
+  by_reg : event array;
+  reg_start : int array;
+}
+
+(* a counting sort of the sorted [events] by register: one count pass,
+   one fill pass, so each register's run keeps [events] order, ties
+   included. One flat array, not one per register: the profiles are
+   built at module load, and eight small arrays each moved the web
+   benchmark's peak heap. *)
 let make ~duration_ns events =
-  List.iter
+  let events = Array.of_list events in
+  let n_regs = Array.length Reg.all in
+  let reg_start = Array.make (n_regs + 1) 0 in
+  Array.iter
     (fun e ->
       if e.at < 0 || e.at > duration_ns then
-        invalid_arg "Usage.make: event offset outside operation window")
+        invalid_arg "Usage.make: event offset outside operation window";
+      let r = Reg.index e.reg + 1 in
+      reg_start.(r) <- reg_start.(r) + 1)
     events;
-  let events = Array.of_list events in
-  Array.sort (fun a b -> compare a.at b.at) events;
-  { duration_ns; events }
+  for r = 1 to n_regs do
+    reg_start.(r) <- reg_start.(r) + reg_start.(r - 1)
+  done;
+  Array.sort (fun a b -> Int.compare a.at b.at) events;
+  let by_reg = Array.copy events in
+  let next = Array.sub reg_start 0 n_regs in
+  Array.iter
+    (fun e ->
+      let r = Reg.index e.reg in
+      by_reg.(next.(r)) <- e;
+      next.(r) <- next.(r) + 1)
+    events;
+  { duration_ns; events; by_reg; reg_start }
 
 let duration_ns t = t.duration_ns
 
@@ -28,32 +54,38 @@ type verdict =
   | Propagated
   | Hang
 
+(* the first index in [lo, hi) of [evs] (sorted by [at] there) whose
+   event has [at' >= at], or [hi] if there is none *)
+let first_at_or_after evs ~lo ~hi at =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if evs.(mid).at < at then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
 (* Consequence of a single-event upset, decided by the next access to the
    flipped register (see the .mli for the hardware rationale). *)
 let classify t ~reg ~bit ~at =
-  let next =
-    Array.fold_left
-      (fun acc e ->
-        match acc with
-        | Some _ -> acc
-        | None -> if e.at >= at && Reg.equal e.reg reg then Some e else None)
-      None t.events
-  in
-  match next with
-  | None -> Undetected
-  | Some { use = Write; _ } -> Undetected
-  | Some { use = Read_pointer { bound_bits; escapes }; _ } ->
-      if bit >= bound_bits then Failstop "pagefault"
-      else if escapes then Propagated
-      else Failstop "assert"
-  | Some { use = Read_stackptr { red_bits }; _ } ->
-      if bit < red_bits then Segfault else Failstop "pagefault"
-  | Some { use = Read_data sink; _ } -> (
-      match sink with
-      | Checked -> Failstop "assert"
-      | Returned -> Propagated
-      | Loop_bound -> if bit >= 20 then Hang else if bit >= 4 then Failstop "assert" else Undetected
-      | Scratch -> Undetected)
+  let r = Reg.index reg in
+  let hi = t.reg_start.(r + 1) in
+  let i = first_at_or_after t.by_reg ~lo:t.reg_start.(r) ~hi at in
+  if i = hi then Undetected
+  else
+    match t.by_reg.(i).use with
+    | Write -> Undetected
+    | Read_pointer { bound_bits; escapes } ->
+        if bit >= bound_bits then Failstop "pagefault"
+        else if escapes then Propagated
+        else Failstop "assert"
+    | Read_stackptr { red_bits } ->
+        if bit < red_bits then Segfault else Failstop "pagefault"
+    | Read_data sink -> (
+        match sink with
+        | Checked -> Failstop "assert"
+        | Returned -> Propagated
+        | Loop_bound -> if bit >= 20 then Hang else if bit >= 4 then Failstop "assert" else Undetected
+        | Scratch -> Undetected)
 
 let verdict_to_string = function
   | Undetected -> "undetected"

@@ -45,7 +45,15 @@ type use =
 
 type event = { at : int;  (** ns offset within the operation *) reg : Reg.t; use : use }
 
-type t = private { duration_ns : int; events : event array }
+type t = private {
+  duration_ns : int;
+  events : event array;
+  by_reg : event array;
+      (** [events] grouped by register, each group in [events] order *)
+  reg_start : int array;
+      (** the events of [r] are [by_reg.(reg_start.(Reg.index r))] up to
+          [by_reg.(reg_start.(Reg.index r + 1) - 1)] *)
+}
 (** [events] is sorted by [at]. *)
 
 val make : duration_ns:int -> event list -> t
@@ -64,7 +72,9 @@ type verdict =
 
 val classify : t -> reg:Reg.t -> bit:int -> at:int -> verdict
 (** Consequence of flipping [bit] of [reg] at offset [at] within an
-    operation described by this schedule. *)
+    operation described by this schedule. The deciding access is the
+    first event of [reg] in [events] order with offset [>= at], found by
+    binary search in [by_reg]: O(log n) per flip. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
 val verdict_to_string : verdict -> string

@@ -2,9 +2,11 @@
    per-component counters and latency histograms. Harnesses and the
    SWIFI campaign read these instead of keeping private counters.
    Every event of every run passes through [feed_raw], so the per-cid
-   and per-span tables are [Inttbl]s: no polymorphic hash or compare. *)
+   and per-span tables are [Inttbl]s, and the per-outcome one a
+   [Strtbl]: no polymorphic hash or compare. *)
 
 module Inttbl = Sg_util.Inttbl
+module Strtbl = Sg_util.Strtbl
 
 type t = {
   mutable invocations_total : int;
@@ -26,7 +28,7 @@ type t = {
   mutable injections_total : int;
   mutable perturbs_total : int;
   mutable perturbs_in_walk : int;
-  outcomes : (string, int) Hashtbl.t;
+  outcomes : int Strtbl.t;
   mutable http_requests : int;
   mutable http_errors : int;
   mutable http_reqs_total : int;  (* open-loop request spans (Http_req) *)
@@ -66,7 +68,7 @@ let create () =
     injections_total = 0;
     perturbs_total = 0;
     perturbs_in_walk = 0;
-    outcomes = Hashtbl.create 8;
+    outcomes = Strtbl.create 8;
     http_requests = 0;
     http_errors = 0;
     http_reqs_total = 0;
@@ -85,7 +87,7 @@ let bump tbl key by =
     ((match Inttbl.find_opt tbl key with Some n -> n | None -> 0) + by)
 
 let get_str tbl key =
-  match Hashtbl.find_opt tbl key with Some n -> n | None -> 0
+  match Strtbl.find_opt tbl key with Some n -> n | None -> 0
 
 let feed_raw t ~at_ns ~tid kind =
   match kind with
@@ -154,7 +156,7 @@ let feed_raw t ~at_ns ~tid kind =
   | Event.Storage_op _ -> t.storage_ops_total <- t.storage_ops_total + 1
   | Event.Inject { outcome; _ } ->
       t.injections_total <- t.injections_total + 1;
-      Hashtbl.replace t.outcomes outcome (get_str t.outcomes outcome + 1)
+      Strtbl.replace t.outcomes outcome (get_str t.outcomes outcome + 1)
   | Event.Perturb { in_walk; _ } ->
       t.perturbs_total <- t.perturbs_total + 1;
       if in_walk then t.perturbs_in_walk <- t.perturbs_in_walk + 1
@@ -225,8 +227,8 @@ let pp_summary ppf t =
   if t.perturbs_total > 0 then
     Format.fprintf ppf "perturbations      %d (%d during walks)@."
       t.perturbs_total t.perturbs_in_walk;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.outcomes []
-  |> List.sort compare
+  Strtbl.fold (fun k v acc -> (k, v) :: acc) t.outcomes []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   |> List.iter (fun (k, v) -> Format.fprintf ppf "  outcome %-12s %d@." k v);
   if t.http_requests > 0 then
     Format.fprintf ppf "http requests      %d (%d errors)@." t.http_requests

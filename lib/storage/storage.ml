@@ -1,5 +1,6 @@
 module Sim = Sg_os.Sim
 module Cost = Sg_kernel.Cost
+module Strtbl = Sg_util.Strtbl
 
 type desc_record = {
   dr_creator : Sg_os.Comp.cid;
@@ -18,6 +19,8 @@ end)
 type t = {
   _cbufs : Sg_cbuf.Cbuf.t;
   descs : desc_record Key.t;
+  max_ids : int Strtbl.t;
+      (** space -> [max 0] over its registered ids (G0 reseed point) *)
   data : (int * int * int * Sg_cbuf.Cbuf.id) list ref Key.t;
       (** (seq, off, len, cbuf), newest first *)
   mutable seq : int;
@@ -30,6 +33,7 @@ let create cbufs =
   {
     _cbufs = cbufs;
     descs = Key.create 64;
+    max_ids = Strtbl.create 8;
     data = Key.create 64;
     seq = 0;
     writes = 0;
@@ -66,10 +70,14 @@ let write_fault_point t sim name =
         (Sg_obs.Event.Note { name = "storage-write-fault"; data = name })
   | _ -> ()
 
+let max_desc_id t ~space =
+  Option.value (Strtbl.find_opt t.max_ids space) ~default:0
+
 let register_desc t sim ~space ~id ~creator ~meta =
   op sim "register_desc" ~space ~id;
   write_fault_point t sim "register_desc";
-  Key.replace t.descs (space, id) { dr_creator = creator; dr_meta = meta }
+  Key.replace t.descs (space, id) { dr_creator = creator; dr_meta = meta };
+  if id > max_desc_id t ~space then Strtbl.replace t.max_ids space id
 
 let lookup_desc t sim ~space ~id =
   op sim "lookup_desc" ~space ~id;
@@ -77,15 +85,20 @@ let lookup_desc t sim ~space ~id =
     (fun r -> (r.dr_creator, r.dr_meta))
     (Key.find_opt t.descs (space, id))
 
-let remove_desc t sim ~space ~id =
-  op sim "remove_desc" ~space ~id;
-  Key.remove t.descs (space, id)
-
 let descs_in t ~space =
   Key.fold
     (fun (s, id) _ acc -> if s = space then id :: acc else acc)
     t.descs []
   |> List.sort compare
+
+(* only removing the current max moves it; the rescan is O(registry),
+   and nothing on the recovery path removes descriptors *)
+let remove_desc t sim ~space ~id =
+  op sim "remove_desc" ~space ~id;
+  Key.remove t.descs (space, id);
+  if id = max_desc_id t ~space then
+    Strtbl.replace t.max_ids space
+      (List.fold_left max 0 (descs_in t ~space))
 
 let put_slice t sim ~space ~id ~off ~len ~cbuf =
   op sim "put_slice" ~space ~id;

@@ -32,7 +32,14 @@ val lookup_desc :
   (Sg_os.Comp.cid * (string * Sg_os.Comp.value) list) option
 
 val remove_desc : t -> Sg_os.Sim.t -> space:string -> id:int -> unit
+
 val descs_in : t -> space:string -> int list
+(** The registered ids of [space], ascending. *)
+
+val max_desc_id : t -> space:string -> int
+(** [List.fold_left max 0 (descs_in t ~space)] in O(1): a running max
+    that [register_desc] raises and [remove_desc] rescans only when it
+    removes the current max. Uncharged, like [descs_in]. *)
 
 (** {1 Resource-data slices (G1)} *)
 

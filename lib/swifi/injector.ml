@@ -25,7 +25,7 @@ type t = {
   mutable next_at : int;
   mutable n_injected : int;
   mutable log : event list;
-  counts : (outcome, int) Hashtbl.t;
+  counts : int array;  (** indexed by [outcome_index] *)
 }
 
 let create ?cmon_period_ns ~target ~period_ns ~max_injections ~rng () =
@@ -38,15 +38,22 @@ let create ?cmon_period_ns ~target ~period_ns ~max_injections ~rng () =
     next_at = period_ns;
     n_injected = 0;
     log = [];
-    counts = Hashtbl.create 8;
+    counts = Array.make 5 0;
   }
 
+let outcome_index = function
+  | O_undetected -> 0
+  | O_failstop -> 1
+  | O_segfault -> 2
+  | O_propagated -> 3
+  | O_hang -> 4
+
 let bump t outcome =
-  let c = Option.value (Hashtbl.find_opt t.counts outcome) ~default:0 in
-  Hashtbl.replace t.counts outcome (c + 1)
+  let i = outcome_index outcome in
+  t.counts.(i) <- t.counts.(i) + 1
 
 let injected t = t.n_injected
-let count t o = Option.value (Hashtbl.find_opt t.counts o) ~default:0
+let count t o = t.counts.(outcome_index o)
 let events t = List.rev t.log
 
 let outcome_of_verdict = function

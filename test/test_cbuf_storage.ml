@@ -69,6 +69,59 @@ let test_storage_desc_registry () =
       Alcotest.(check bool) "removed" true
         (Storage.lookup_desc t sim ~space:"evt" ~id:7 = None))
 
+(* G0 reseed point: after every step of a register/remove sequence over
+   two spaces, the running max equals the max of what [descs_in] lists.
+   [Remove_max] and [Clear] force removing the current max and emptying
+   a space. *)
+type desc_op =
+  | Register of string * int
+  | Remove of string * int
+  | Remove_max of string
+  | Clear of string
+
+let prop_max_desc_id =
+  let space = QCheck.Gen.oneofl [ "evt"; "fs" ] in
+  let id = QCheck.Gen.int_range 0 24 in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (5, map2 (fun s i -> Register (s, i)) space id);
+          (2, map2 (fun s i -> Remove (s, i)) space id);
+          (2, map (fun s -> Remove_max s) space);
+          (1, map (fun s -> Clear s) space);
+        ])
+  in
+  let show = function
+    | Register (s, i) -> Printf.sprintf "reg %s %d" s i
+    | Remove (s, i) -> Printf.sprintf "rm %s %d" s i
+    | Remove_max s -> "rm-max " ^ s
+    | Clear s -> "clear " ^ s
+  in
+  QCheck.Test.make ~name:"max_desc_id tracks descs_in" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show ops))
+       QCheck.Gen.(list_size (int_range 0 80) op))
+    (fun ops ->
+      with_sim (fun sim ->
+          let t = Storage.create (Cbuf.create ()) in
+          let remove space id = Storage.remove_desc t sim ~space ~id in
+          List.for_all
+            (fun o ->
+              (match o with
+              | Register (space, id) ->
+                  Storage.register_desc t sim ~space ~id ~creator:1 ~meta:[]
+              | Remove (space, id) -> remove space id
+              | Remove_max space ->
+                  remove space (Storage.max_desc_id t ~space)
+              | Clear space -> List.iter (remove space) (Storage.descs_in t ~space));
+              List.for_all
+                (fun space ->
+                  Storage.max_desc_id t ~space
+                  = List.fold_left max 0 (Storage.descs_in t ~space))
+                [ "evt"; "fs" ])
+            ops))
+
 let test_storage_slices () =
   with_sim (fun sim ->
       let cbufs = Cbuf.create () in
@@ -107,6 +160,7 @@ let () =
       ( "storage",
         [
           Alcotest.test_case "descriptor registry" `Quick test_storage_desc_registry;
+          QCheck_alcotest.to_alcotest prop_max_desc_id;
           Alcotest.test_case "data slices" `Quick test_storage_slices;
           Alcotest.test_case "charges time" `Quick test_storage_charges_time;
         ] );

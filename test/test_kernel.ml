@@ -42,6 +42,20 @@ let test_reg_roundtrip () =
   Alcotest.(check int) "eight registers" 8 (Array.length Reg.all);
   Alcotest.(check int) "six general" 6 (Array.length Reg.general)
 
+let test_reg_index () =
+  Array.iteri
+    (fun i r -> Alcotest.(check int) (Reg.to_string r) i (Reg.index r))
+    Reg.all;
+  (* equal and compare go through [index]; the order is the variant's *)
+  Array.iter
+    (fun a ->
+      Array.iter
+        (fun b ->
+          Alcotest.(check int) "compare" (Stdlib.compare a b) (Reg.compare a b);
+          Alcotest.(check bool) "equal" (a = b) (Reg.equal a b))
+        Reg.all)
+    Reg.all
+
 let test_ktcb_lifecycle () =
   let t = Ktcb.create () in
   let a = Ktcb.spawn t ~name:"a" ~prio:5 ~home:1 in
@@ -206,6 +220,95 @@ let prop_classify_pure =
       in
       Usage.classify u ~reg ~bit ~at = Usage.classify u ~reg ~bit ~at)
 
+(* The linear scan [Usage.classify] used before the per-register index:
+   the first event in [events] order with [at' >= at] on the same
+   register decides. Kept here as the reference the index must match. *)
+let classify_by_scan (u : Usage.t) ~reg ~bit ~at =
+  let next =
+    Array.fold_left
+      (fun acc (e : Usage.event) ->
+        match acc with
+        | Some _ -> acc
+        | None -> if e.at >= at && e.reg = reg then Some e else None)
+      None u.Usage.events
+  in
+  match next with
+  | None -> Usage.Undetected
+  | Some { use = Usage.Write; _ } -> Usage.Undetected
+  | Some { use = Usage.Read_pointer { bound_bits; escapes }; _ } ->
+      if bit >= bound_bits then Usage.Failstop "pagefault"
+      else if escapes then Usage.Propagated
+      else Usage.Failstop "assert"
+  | Some { use = Usage.Read_stackptr { red_bits }; _ } ->
+      if bit < red_bits then Usage.Segfault else Usage.Failstop "pagefault"
+  | Some { use = Usage.Read_data sink; _ } -> (
+      match sink with
+      | Usage.Checked -> Usage.Failstop "assert"
+      | Usage.Returned -> Usage.Propagated
+      | Usage.Loop_bound ->
+          if bit >= 20 then Usage.Hang
+          else if bit >= 4 then Usage.Failstop "assert"
+          else Usage.Undetected
+      | Usage.Scratch -> Usage.Undetected)
+
+(* a random schedule of 0-300 events over a short window (so offsets
+   collide), with deliberate duplicate (at, reg) pairs carrying other
+   uses, and 64 flips at offsets in [0, duration + 1] *)
+let gen_schedule_and_flips =
+  let open QCheck.Gen in
+  let use =
+    oneof
+      [
+        return Usage.Write;
+        map2
+          (fun bound_bits escapes -> Usage.Read_pointer { bound_bits; escapes })
+          (int_range 0 32) bool;
+        map (fun red_bits -> Usage.Read_stackptr { red_bits }) (int_range 0 32);
+        map
+          (fun s -> Usage.Read_data s)
+          (oneofl [ Usage.Checked; Usage.Returned; Usage.Loop_bound; Usage.Scratch ]);
+      ]
+  in
+  let reg = map (fun i -> Reg.all.(i)) (int_bound 7) in
+  int_range 0 400 >>= fun duration_ns ->
+  int_range 0 300 >>= fun n ->
+  list_repeat n
+    (map3 (fun at reg use -> { Usage.at; reg; use }) (int_range 0 duration_ns) reg use)
+  >>= fun events ->
+  (if events = [] then return []
+   else
+     list_size (int_bound 40)
+       (map2
+          (fun (e : Usage.event) use -> { e with Usage.use })
+          (oneofl events) use))
+  >>= fun dups ->
+  shuffle_l (events @ dups) >>= fun events ->
+  list_repeat 64 (triple reg (int_bound 31) (int_range 0 (duration_ns + 1)))
+  >|= fun flips -> (duration_ns, events, flips)
+
+let prop_classify_matches_scan =
+  QCheck.Test.make ~name:"index agrees with the linear scan"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (d, evs, flips) ->
+         Printf.sprintf "duration=%d events=[%s] flips=[%s]" d
+           (String.concat "; "
+              (List.map
+                 (fun (e : Usage.event) ->
+                   Printf.sprintf "%d:%s" e.at (Reg.to_string e.reg))
+                 evs))
+           (String.concat "; "
+              (List.map
+                 (fun (r, b, a) -> Printf.sprintf "%s/%d@%d" (Reg.to_string r) b a)
+                 flips)))
+       gen_schedule_and_flips)
+    (fun (duration_ns, events, flips) ->
+      let u = Usage.make ~duration_ns events in
+      List.for_all
+        (fun (reg, bit, at) ->
+          Usage.classify u ~reg ~bit ~at = classify_by_scan u ~reg ~bit ~at)
+        flips)
+
 let test_cost_scale () =
   let c = Cost.default in
   Alcotest.(check bool) "scale by 1.0 is the identity" true (Cost.scale c 1.0 = c);
@@ -240,6 +343,7 @@ let () =
         [
           Alcotest.test_case "ops" `Quick test_regfile;
           Alcotest.test_case "reg names" `Quick test_reg_roundtrip;
+          Alcotest.test_case "reg index" `Quick test_reg_index;
         ] );
       ( "ktcb",
         [
@@ -264,6 +368,7 @@ let () =
           Alcotest.test_case "data sinks" `Quick test_usage_data_sinks;
           Alcotest.test_case "window builder" `Quick test_usage_window_builder;
           QCheck_alcotest.to_alcotest prop_classify_pure;
+          QCheck_alcotest.to_alcotest prop_classify_matches_scan;
         ] );
       ("cost", [ Alcotest.test_case "scale" `Quick test_cost_scale ]);
       ("kernel", [ Alcotest.test_case "aggregate" `Quick test_kernel_aggregate ]);

@@ -391,5 +391,20 @@ pinned 556a15b7701836e76a5ba65c18df0037 "$tmpdir/pin_dst.out" \
 # the -j 1 --trace stream of the determinism gate above
 pinned a9d6675d2478e4c2ebe48e34fa696b31 "$tmpdir/trace_j1.jsonl" \
     "superglue-campaign --iface lock -n 40 --seed 3 --trace"
+# Table II over all six services, and two --cmon --verify-bounds streams
+# pinned with the binaries of the commit before the indexed register-use
+# classification: evt grows its global-descriptor registry across
+# thousands of reboots (the G0 reseed), sched reaches the --cmon hang path
+./_build/default/bin/campaign.exe -n 2000 --seed 5 -j 2 > "$tmpdir/pin_table2.out"
+pinned 920beef364fff7700c85531cae55b4da "$tmpdir/pin_table2.out" \
+    "superglue-campaign -n 2000 --seed 5 -j 2"
+./_build/default/bin/campaign.exe --iface evt -n 3000 --seed 9 --cmon \
+    --verify-bounds --trace "$tmpdir/pin_evt.jsonl" > /dev/null 2>&1
+pinned fbfb34dd800c6bff803f607a3d3934d7 "$tmpdir/pin_evt.jsonl" \
+    "superglue-campaign --iface evt -n 3000 --seed 9 --cmon --verify-bounds --trace"
+./_build/default/bin/campaign.exe --iface sched -n 3000 --seed 9 --cmon \
+    --verify-bounds --trace "$tmpdir/pin_sched.jsonl" > /dev/null 2>&1
+pinned 549094708697475425afb70c07219b5f "$tmpdir/pin_sched.jsonl" \
+    "superglue-campaign --iface sched -n 3000 --seed 9 --cmon --verify-bounds --trace"
 
 echo "== tier-1 gate OK"
