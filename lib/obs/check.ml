@@ -3,6 +3,8 @@
    is a single forward fold; each rule keeps a small amount of state
    keyed by component or thread. *)
 
+module Inttbl = Sg_util.Inttbl
+
 type violation = { at_seq : int; rule : string; msg : string }
 
 let pp_violation ppf v =
@@ -18,16 +20,16 @@ type expectation =
 type state = {
   mutable last_seq : int;
   mutable last_at : int;
-  failed : (int, string) Hashtbl.t;  (* cid -> detector while failed *)
-  spans : (int, span_info) Hashtbl.t;  (* open span id -> info *)
-  span_stacks : (int, int list ref) Hashtbl.t;  (* tid -> open span ids, LIFO *)
-  pending_divert : (int, (int, unit) Hashtbl.t) Hashtbl.t;
+  failed : string Inttbl.t;  (* cid -> detector while failed *)
+  spans : span_info Inttbl.t;  (* open span id -> info *)
+  span_stacks : int list ref Inttbl.t;  (* tid -> open span ids, LIFO *)
+  pending_divert : unit Inttbl.t Inttbl.t;
       (* tid -> span ids that must unwind faulted before the tid begins
          a new span *)
-  walk_stacks : (int, (int * int) list ref) Hashtbl.t;
+  walk_stacks : (int * int) list ref Inttbl.t;
       (* tid -> open (client, server) walks, LIFO *)
-  recover_depth : (int, int ref) Hashtbl.t;  (* tid -> open recover episodes *)
-  expects : (int, expectation) Hashtbl.t;  (* tid -> pending injection fate *)
+  recover_depth : int ref Inttbl.t;  (* tid -> open recover episodes *)
+  expects : expectation Inttbl.t;  (* tid -> pending injection fate *)
   mutable violations : violation list;  (* newest first *)
 }
 
@@ -35,13 +37,13 @@ let init () =
   {
     last_seq = -1;
     last_at = 0;
-    failed = Hashtbl.create 8;
-    spans = Hashtbl.create 64;
-    span_stacks = Hashtbl.create 16;
-    pending_divert = Hashtbl.create 8;
-    walk_stacks = Hashtbl.create 8;
-    recover_depth = Hashtbl.create 8;
-    expects = Hashtbl.create 8;
+    failed = Inttbl.create 8;
+    spans = Inttbl.create 64;
+    span_stacks = Inttbl.create 16;
+    pending_divert = Inttbl.create 8;
+    walk_stacks = Inttbl.create 8;
+    recover_depth = Inttbl.create 8;
+    expects = Inttbl.create 8;
     violations = [];
   }
 
@@ -51,29 +53,29 @@ let report st ~seq rule fmt =
     fmt
 
 let stack_of tbl tid =
-  match Hashtbl.find_opt tbl tid with
+  match Inttbl.find_opt tbl tid with
   | Some s -> s
   | None ->
       let s = ref [] in
-      Hashtbl.replace tbl tid s;
+      Inttbl.replace tbl tid s;
       s
 
 let depth_of st tid =
-  match Hashtbl.find_opt st.recover_depth tid with
+  match Inttbl.find_opt st.recover_depth tid with
   | Some d -> d
   | None ->
       let d = ref 0 in
-      Hashtbl.replace st.recover_depth tid d;
+      Inttbl.replace st.recover_depth tid d;
       d
 
 (* the injector's fate expectation for this thread, resolved by the
    current event: a detected crash of the target, or the span unwinding
    faulted, depending on outcome class *)
 let resolve_expectation st ~seq ~tid (kind : Event.kind) =
-  match Hashtbl.find_opt st.expects tid with
+  match Inttbl.find_opt st.expects tid with
   | None -> ()
   | Some exp -> (
-      Hashtbl.remove st.expects tid;
+      Inttbl.remove st.expects tid;
       let ok =
         match (exp, kind) with
         | Expect_crash want, Event.Crash { cid; _ } -> cid = want
@@ -101,41 +103,41 @@ let step st (e : Event.t) =
   resolve_expectation st ~seq ~tid e.Event.kind;
   match e.Event.kind with
   | Event.Crash { cid; detector } ->
-      (match Hashtbl.find_opt st.failed cid with
+      (match Inttbl.find_opt st.failed cid with
       | Some prev ->
           report st ~seq "crash-reboot-alternation"
             "component %d crashed (%s) while already failed (%s) without a \
              micro-reboot in between"
             cid detector prev
       | None -> ());
-      Hashtbl.replace st.failed cid detector
+      Inttbl.replace st.failed cid detector
   | Event.Reboot { cid; _ } ->
-      if not (Hashtbl.mem st.failed cid) then
+      if not (Inttbl.mem st.failed cid) then
         report st ~seq "crash-reboot-alternation"
           "component %d micro-rebooted without a preceding detected crash" cid;
-      Hashtbl.remove st.failed cid
+      Inttbl.remove st.failed cid
   | Event.Span_begin { span; server; _ } ->
-      (match Hashtbl.find_opt st.pending_divert tid with
-      | Some pending when Hashtbl.length pending > 0 ->
+      (match Inttbl.find_opt st.pending_divert tid with
+      | Some pending when Inttbl.length pending > 0 ->
           report st ~seq "divert-unwind"
             "tid %d began span %d with %d diverted span(s) still open" tid span
-            (Hashtbl.length pending)
+            (Inttbl.length pending)
       | _ -> ());
-      if Hashtbl.mem st.spans span then
+      if Inttbl.mem st.spans span then
         report st ~seq "span-nesting" "span id %d begun twice" span;
-      Hashtbl.replace st.spans span
+      Inttbl.replace st.spans span
         {
           si_server = server;
           si_tid = tid;
-          si_begun_failed = Hashtbl.mem st.failed server;
+          si_begun_failed = Inttbl.mem st.failed server;
         };
       let stack = stack_of st.span_stacks tid in
       stack := span :: !stack
   | Event.Span_end { span; server; ok } ->
-      (match Hashtbl.find_opt st.spans span with
+      (match Inttbl.find_opt st.spans span with
       | None -> report st ~seq "span-nesting" "span %d ended but never begun" span
       | Some info ->
-          Hashtbl.remove st.spans span;
+          Inttbl.remove st.spans span;
           if info.si_tid <> tid then
             report st ~seq "span-nesting"
               "span %d begun on tid %d but ended on tid %d" span info.si_tid tid;
@@ -155,14 +157,14 @@ let step st (e : Event.t) =
           | _ ->
               report st ~seq "span-nesting"
                 "tid %d ended span %d with no span open" tid span));
-      if ok && Hashtbl.mem st.failed server then
+      if ok && Inttbl.mem st.failed server then
         report st ~seq "no-success-while-failed"
           "successful invocation of component %d while it is failed \
            (crash not yet followed by its micro-reboot)"
           server;
-      (match Hashtbl.find_opt st.pending_divert tid with
-      | Some pending when Hashtbl.mem pending span ->
-          Hashtbl.remove pending span;
+      (match Inttbl.find_opt st.pending_divert tid with
+      | Some pending when Inttbl.mem pending span ->
+          Inttbl.remove pending span;
           if ok then
             report st ~seq "divert-unwind"
               "diverted span %d (tid %d) completed ok instead of unwinding" span
@@ -172,17 +174,17 @@ let step st (e : Event.t) =
       (* the victim's open spans into the rebooted component must unwind
          (end faulted) before the victim re-enters any server *)
       let pending =
-        match Hashtbl.find_opt st.pending_divert victim with
+        match Inttbl.find_opt st.pending_divert victim with
         | Some p -> p
         | None ->
-            let p = Hashtbl.create 4 in
-            Hashtbl.replace st.pending_divert victim p;
+            let p = Inttbl.create 4 in
+            Inttbl.replace st.pending_divert victim p;
             p
       in
       List.iter
         (fun span ->
-          match Hashtbl.find_opt st.spans span with
-          | Some info when info.si_server = cid -> Hashtbl.replace pending span ()
+          match Inttbl.find_opt st.spans span with
+          | Some info when info.si_server = cid -> Inttbl.replace pending span ()
           | _ -> ())
         !(stack_of st.span_stacks victim)
   | Event.Walk_begin { client; server; reason; _ } -> (
@@ -221,9 +223,9 @@ let step st (e : Event.t) =
       else decr d
   | Event.Inject { cid; outcome; _ } -> (
       match outcome with
-      | "failstop" -> Hashtbl.replace st.expects tid (Expect_crash cid)
-      | "hang" -> Hashtbl.replace st.expects tid (Expect_crash_or_fault cid)
-      | "segfault" | "propagated" -> Hashtbl.replace st.expects tid Expect_fault
+      | "failstop" -> Inttbl.replace st.expects tid (Expect_crash cid)
+      | "hang" -> Inttbl.replace st.expects tid (Expect_crash_or_fault cid)
+      | "segfault" | "propagated" -> Inttbl.replace st.expects tid Expect_fault
       | "undetected" -> ()
       | o ->
           report st ~seq "inject-accounting" "unknown injection outcome %S" o)
@@ -232,13 +234,13 @@ let step st (e : Event.t) =
          parallel campaign trace): the simulated system restarts from
          scratch, so every run-scoped obligation resets; only seq /
          virtual-time monotonicity spans the boundary *)
-      Hashtbl.reset st.failed;
-      Hashtbl.reset st.spans;
-      Hashtbl.reset st.span_stacks;
-      Hashtbl.reset st.pending_divert;
-      Hashtbl.reset st.walk_stacks;
-      Hashtbl.reset st.recover_depth;
-      Hashtbl.reset st.expects
+      Inttbl.clear st.failed;
+      Inttbl.clear st.spans;
+      Inttbl.clear st.span_stacks;
+      Inttbl.clear st.pending_divert;
+      Inttbl.clear st.walk_stacks;
+      Inttbl.clear st.recover_depth;
+      Inttbl.clear st.expects
   | Event.Upcall _ | Event.Reflect _ | Event.Storage_op _ | Event.Http _
   | Event.Http_req _ | Event.Perturb _ | Event.Note _ ->
       ()
@@ -253,40 +255,48 @@ let check_mode st ~mode (e : Event.t) =
         "recover-all episode %d->%d in on-demand (T1) mode" client server
   | _ -> ()
 
+(* a table's bindings in key order *)
+let sorted tbl =
+  List.sort
+    (fun (a, _) (b, _) -> Int.compare a b)
+    (Inttbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+(* The open obligations, each category in key order: spans by span id,
+   the tid-keyed ones by tid; a tid's open walks innermost first. *)
 let finish st ~completed =
   if completed then begin
     let seq = st.last_seq in
-    Hashtbl.iter
-      (fun span info ->
+    List.iter
+      (fun (span, info) ->
         report st ~seq "end-of-stream" "span %d (tid %d, server %d) never ended"
           span info.si_tid info.si_server)
-      st.spans;
-    Hashtbl.iter
-      (fun tid stack ->
+      (sorted st.spans);
+    List.iter
+      (fun (tid, stack) ->
         List.iter
           (fun (c, s) ->
             report st ~seq "end-of-stream" "walk %d->%d (tid %d) never ended" c s
               tid)
           !stack)
-      st.walk_stacks;
-    Hashtbl.iter
-      (fun tid d ->
+      (sorted st.walk_stacks);
+    List.iter
+      (fun (tid, d) ->
         if !d > 0 then
           report st ~seq "end-of-stream"
             "%d recover-all episode(s) still open on tid %d" !d tid)
-      st.recover_depth;
-    Hashtbl.iter
-      (fun tid pending ->
-        if Hashtbl.length pending > 0 then
+      (sorted st.recover_depth);
+    List.iter
+      (fun (tid, pending) ->
+        if Inttbl.length pending > 0 then
           report st ~seq "end-of-stream"
             "tid %d still has %d diverted span(s) that never unwound" tid
-            (Hashtbl.length pending))
-      st.pending_divert;
-    Hashtbl.iter
-      (fun tid _ ->
+            (Inttbl.length pending))
+      (sorted st.pending_divert);
+    List.iter
+      (fun (tid, _) ->
         report st ~seq "end-of-stream"
           "tid %d: activated injection with no subsequent detection record" tid)
-      st.expects
+      (sorted st.expects)
   end;
   List.rev st.violations
 

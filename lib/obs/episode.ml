@@ -13,6 +13,8 @@
    id and the node list is already topologically sorted — what
    {!Profile} relies on for its critical-path scan. *)
 
+module Inttbl = Sg_util.Inttbl
+
 type node_kind =
   | N_detect of { detector : string }
   | N_reboot of { epoch : int; image_kb : int; cost_ns : int }
@@ -87,26 +89,26 @@ type open_episode = {
   mutable oe_detect_id : int;
   mutable oe_reboot : int option;  (* reboot node id once seen *)
   mutable oe_last_ns : int;  (* latest activity end attached so far *)
-  oe_walks : (int, int list ref) Hashtbl.t;  (* tid -> open walk node ids *)
-  oe_recovers : (int, int list ref) Hashtbl.t;  (* tid -> open recover ids *)
-  oe_spans : (int, int) Hashtbl.t;  (* open replay span id -> node id *)
+  oe_walks : int list ref Inttbl.t;  (* tid -> open walk node ids *)
+  oe_recovers : int list ref Inttbl.t;  (* tid -> open recover ids *)
+  oe_spans : int Inttbl.t;  (* open replay span id -> node id *)
 }
 
 type builder = {
-  b_open : (int, open_episode) Hashtbl.t;  (* cid -> episode being built *)
-  b_inject : (int, trigger) Hashtbl.t;  (* cid -> most recent injection *)
+  b_open : open_episode Inttbl.t;  (* cid -> episode being built *)
+  b_inject : trigger Inttbl.t;  (* cid -> most recent injection *)
   mutable b_done : t list;  (* newest first *)
 }
 
 let builder () =
-  { b_open = Hashtbl.create 4; b_inject = Hashtbl.create 4; b_done = [] }
+  { b_open = Inttbl.create 4; b_inject = Inttbl.create 4; b_done = [] }
 
 let stack_of tbl tid =
-  match Hashtbl.find_opt tbl tid with
+  match Inttbl.find_opt tbl tid with
   | Some s -> s
   | None ->
       let s = ref [] in
-      Hashtbl.replace tbl tid s;
+      Inttbl.replace tbl tid s;
       s
 
 (* materialize a node; returns its id. [placeholder] nodes (open walks /
@@ -137,7 +139,7 @@ let anchor oe =
 (* innermost open walk on this thread, if any — replay spans that run
    inside a walk depend on it, not directly on the reboot *)
 let enclosing_walk oe tid =
-  match Hashtbl.find_opt oe.oe_walks tid with
+  match Inttbl.find_opt oe.oe_walks tid with
   | Some { contents = id :: _ } -> Some id
   | _ -> None
 
@@ -154,33 +156,24 @@ let seal ~complete ~end_ns oe =
 
 (* activities still in flight when the first access lands (the enclosing
    walk, racing retries) were busy until at least that point: truncate
-   them at the episode end rather than recording a zero duration *)
+   them at the episode end rather than recording a zero duration. Each
+   patch raises one node's end to at least [end_ns], so they commute
+   and the tables' order does not matter. *)
 let truncate_open oe ~end_ns =
-  let patch_stack tbl =
-    Hashtbl.iter
-      (fun _ stack ->
-        List.iter
-          (fun id ->
-            patch oe id (fun n ->
-                { n with n_end_ns = max n.n_end_ns end_ns }))
-          !stack)
-      tbl
-  in
+  let extend id = patch oe id (fun n -> { n with n_end_ns = max n.n_end_ns end_ns }) in
+  let patch_stack tbl = Inttbl.fold (fun _ stack () -> List.iter extend !stack) tbl () in
   patch_stack oe.oe_walks;
   patch_stack oe.oe_recovers;
-  Hashtbl.iter
-    (fun _ id ->
-      patch oe id (fun n -> { n with n_end_ns = max n.n_end_ns end_ns }))
-    oe.oe_spans
+  Inttbl.fold (fun _ id () -> extend id) oe.oe_spans ()
 
 let close b ~complete ~end_ns oe =
-  Hashtbl.remove b.b_open oe.oe_cid;
+  Inttbl.remove b.b_open oe.oe_cid;
   if complete then truncate_open oe ~end_ns;
   b.b_done <- seal ~complete ~end_ns oe :: b.b_done
 
 let close_all b =
-  let open_ = Hashtbl.fold (fun _ oe acc -> oe :: acc) b.b_open [] in
-  (* stable detection order even though Hashtbl.fold is unordered *)
+  let open_ = Inttbl.fold (fun _ oe acc -> oe :: acc) b.b_open [] in
+  (* detection order, whatever the table's order *)
   List.iter
     (close b ~complete:false ~end_ns:0)
     (List.sort (fun a bb -> compare a.oe_seq bb.oe_seq) open_)
@@ -189,7 +182,7 @@ let feed b (e : Event.t) =
   let at = e.Event.at_ns and tid = e.Event.tid in
   match e.Event.kind with
   | Event.Inject { cid; fn; reg; bit; outcome } ->
-      Hashtbl.replace b.b_inject cid
+      Inttbl.replace b.b_inject cid
         { tr_fn = fn; tr_reg = reg; tr_bit = bit; tr_outcome = outcome }
   | Event.Crash { cid; detector } ->
       (* a re-crash before the previous episode reached its first access
@@ -198,7 +191,7 @@ let feed b (e : Event.t) =
          the second fault landed, so truncate them there instead of
          leaving zero durations — otherwise a crash-during-recovery
          double fault mis-attributes the interrupted walk *)
-      (match Hashtbl.find_opt b.b_open cid with
+      (match Inttbl.find_opt b.b_open cid with
       | Some oe ->
           truncate_open oe ~end_ns:at;
           close b ~complete:false ~end_ns:0 oe
@@ -209,9 +202,9 @@ let feed b (e : Event.t) =
           oe_seq = e.Event.seq;
           oe_detect_ns = at;
           oe_trigger =
-            (match Hashtbl.find_opt b.b_inject cid with
+            (match Inttbl.find_opt b.b_inject cid with
             | Some tr ->
-                Hashtbl.remove b.b_inject cid;
+                Inttbl.remove b.b_inject cid;
                 Some tr
             | None -> None);
           oe_nodes = [];
@@ -219,16 +212,16 @@ let feed b (e : Event.t) =
           oe_detect_id = 0;
           oe_reboot = None;
           oe_last_ns = at;
-          oe_walks = Hashtbl.create 4;
-          oe_recovers = Hashtbl.create 4;
-          oe_spans = Hashtbl.create 8;
+          oe_walks = Inttbl.create 4;
+          oe_recovers = Inttbl.create 4;
+          oe_spans = Inttbl.create 8;
         }
       in
       oe.oe_detect_id <-
         push oe ~tid ~start_ns:at ~end_ns:at ~deps:[] (N_detect { detector });
-      Hashtbl.replace b.b_open cid oe
+      Inttbl.replace b.b_open cid oe
   | Event.Reboot { cid; epoch; image_kb; cost_ns } -> (
-      match Hashtbl.find_opt b.b_open cid with
+      match Inttbl.find_opt b.b_open cid with
       | None -> ()  (* stream prefix: a reboot whose crash we never saw *)
       | Some oe ->
           let id =
@@ -238,28 +231,28 @@ let feed b (e : Event.t) =
           in
           oe.oe_reboot <- Some id)
   | Event.Divert { cid; victim } -> (
-      match Hashtbl.find_opt b.b_open cid with
+      match Inttbl.find_opt b.b_open cid with
       | None -> ()
       | Some oe ->
           ignore
             (push oe ~tid ~start_ns:at ~end_ns:at ~deps:[ anchor oe ]
                (N_divert { victim })))
   | Event.Upcall { cid; fn } -> (
-      match Hashtbl.find_opt b.b_open cid with
+      match Inttbl.find_opt b.b_open cid with
       | None -> ()
       | Some oe ->
           ignore
             (push oe ~tid ~start_ns:at ~end_ns:at ~deps:[ anchor oe ]
                (N_upcall { fn })))
   | Event.Reflect { cid; fn } -> (
-      match Hashtbl.find_opt b.b_open cid with
+      match Inttbl.find_opt b.b_open cid with
       | None -> ()
       | Some oe ->
           ignore
             (push oe ~tid ~start_ns:at ~end_ns:at ~deps:[ anchor oe ]
                (N_reflect { fn })))
   | Event.Walk_begin { client; server; iface; desc; reason } -> (
-      match Hashtbl.find_opt b.b_open server with
+      match Inttbl.find_opt b.b_open server with
       | None -> ()
       | Some oe ->
           (* a nested walk depends on the walk it runs inside; a
@@ -276,7 +269,7 @@ let feed b (e : Event.t) =
           let stack = stack_of oe.oe_walks tid in
           stack := id :: !stack)
   | Event.Walk_end { server; ok; _ } -> (
-      match Hashtbl.find_opt b.b_open server with
+      match Inttbl.find_opt b.b_open server with
       | None -> ()
       | Some oe -> (
           match stack_of oe.oe_walks tid with
@@ -291,7 +284,7 @@ let feed b (e : Event.t) =
                   { n with n_end_ns = at; n_kind = kind })
           | _ -> ()))
   | Event.Recover_begin { client; server; iface } -> (
-      match Hashtbl.find_opt b.b_open server with
+      match Inttbl.find_opt b.b_open server with
       | None -> ()
       | Some oe ->
           let id =
@@ -301,7 +294,7 @@ let feed b (e : Event.t) =
           let stack = stack_of oe.oe_recovers tid in
           stack := id :: !stack)
   | Event.Recover_end { server; _ } -> (
-      match Hashtbl.find_opt b.b_open server with
+      match Inttbl.find_opt b.b_open server with
       | None -> ()
       | Some oe -> (
           match stack_of oe.oe_recovers tid with
@@ -318,7 +311,7 @@ let feed b (e : Event.t) =
   | Event.Span_begin { span; client; server; fn } -> (
       (* replay spans: invocations entering the rebooted server after
          its micro-reboot, i.e. the retries racing to first access *)
-      match Hashtbl.find_opt b.b_open server with
+      match Inttbl.find_opt b.b_open server with
       | None -> ()
       | Some oe when oe.oe_reboot = None -> ()
       | Some oe ->
@@ -331,15 +324,15 @@ let feed b (e : Event.t) =
             push oe ~tid ~start_ns:at ~end_ns:at ~deps
               (N_span { span; client; fn; ok = false })
           in
-          Hashtbl.replace oe.oe_spans span id)
+          Inttbl.replace oe.oe_spans span id)
   | Event.Span_end { span; server; ok } -> (
-      match Hashtbl.find_opt b.b_open server with
+      match Inttbl.find_opt b.b_open server with
       | None -> ()
       | Some oe -> (
-          match Hashtbl.find_opt oe.oe_spans span with
+          match Inttbl.find_opt oe.oe_spans span with
           | None -> ()
           | Some id ->
-              Hashtbl.remove oe.oe_spans span;
+              Inttbl.remove oe.oe_spans span;
               patch oe id (fun n ->
                   let kind =
                     match n.n_kind with
@@ -354,7 +347,7 @@ let feed b (e : Event.t) =
       (* chunk boundary: the simulated system restarts from scratch, so
          no in-flight recovery can complete across it *)
       close_all b;
-      Hashtbl.reset b.b_inject
+      Inttbl.clear b.b_inject
   | Event.Storage_op _ | Event.Http _ | Event.Http_req _ | Event.Perturb _
   | Event.Note _ ->
       ()

@@ -38,7 +38,9 @@ type t = {
   counts : int array;
   mutable n : int;
   mutable sum : int;
-  mutable sumsq : float;  (* of ns values; overflows int at ~3e9 ns *)
+  sumsq : float array;
+      (* one cell: the sum of squares of the ns values (an int overflows
+         at ~3e9 ns), kept unboxed so that [add] allocates nothing *)
   mutable min_v : int;
   mutable max_v : int;
 }
@@ -49,7 +51,7 @@ let create ?(mode = Log2) () =
     counts = Array.make (size_of_mode mode) 0;
     n = 0;
     sum = 0;
-    sumsq = 0.0;
+    sumsq = [| 0.0 |];
     min_v = max_int;
     max_v = min_int;
   }
@@ -111,7 +113,7 @@ let add t v =
   t.n <- t.n + 1;
   t.sum <- t.sum + v;
   let fv = float_of_int v in
-  t.sumsq <- t.sumsq +. (fv *. fv);
+  t.sumsq.(0) <- t.sumsq.(0) +. (fv *. fv);
   if v < t.min_v then t.min_v <- v;
   if v > t.max_v then t.max_v <- v
 
@@ -123,7 +125,7 @@ let stddev t =
   if t.n = 0 then 0.0
   else
     let m = mean t in
-    let var = (t.sumsq /. float_of_int t.n) -. (m *. m) in
+    let var = (t.sumsq.(0) /. float_of_int t.n) -. (m *. m) in
     sqrt (Float.max 0.0 var)
 
 let min_value t = if t.n = 0 then 0 else t.min_v
@@ -165,7 +167,7 @@ let merge dst src =
   done;
   dst.n <- dst.n + src.n;
   dst.sum <- dst.sum + src.sum;
-  dst.sumsq <- dst.sumsq +. src.sumsq;
+  dst.sumsq.(0) <- dst.sumsq.(0) +. src.sumsq.(0);
   (* sentinels in an empty histogram must not leak into the merge *)
   if src.n > 0 then begin
     if src.min_v < dst.min_v then dst.min_v <- src.min_v;
@@ -186,7 +188,7 @@ let clear t =
   if t.n > 0 then Array.fill t.counts 0 (index_of_mode t.mode t.max_v + 1) 0;
   t.n <- 0;
   t.sum <- 0;
-  t.sumsq <- 0.0;
+  t.sumsq.(0) <- 0.0;
   t.min_v <- max_int;
   t.max_v <- min_int
 

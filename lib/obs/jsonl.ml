@@ -9,13 +9,16 @@
 (* {2 Keys} *)
 
 (* Every key some event carries. [lit] is what the renderer writes
-   before the value; [slot] is where the parser files it. *)
-type key = { name : string; slot : int; lit : string }
+   before the value; [slot] is where the parser files it, and [len] is
+   the length of [name]. *)
+type key = { name : string; len : int; slot : int; lit : string }
 
 let keys = ref []
 
 let key name =
-  let k = { name; slot = List.length !keys; lit = ",\"" ^ name ^ "\":" } in
+  let k =
+    { name; len = String.length name; slot = List.length !keys; lit = ",\"" ^ name ^ "\":" }
+  in
   keys := k :: !keys;
   k
 
@@ -63,6 +66,9 @@ let by_first =
       t.(c) <- k :: t.(c))
     !keys;
   t
+
+(* no key is longer: a longer one is unknown before any byte is read *)
+let max_key_len = List.fold_left (fun m k -> max m k.len) 0 !keys
 
 (* {2 Rendering} *)
 
@@ -195,6 +201,12 @@ let rec skip_ws line n i =
   then skip_ws line n (i + 1)
   else i
 
+(* [skip_ws] with its common case, no space or tab at [i], inline *)
+let[@inline] ws line n i =
+  if i < n && (match String.unsafe_get line i with ' ' | '\t' -> true | _ -> false)
+  then skip_ws line n (i + 1)
+  else i
+
 let hex_value = function
   | '0' .. '9' as c -> Char.code c - Char.code '0'
   | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
@@ -273,53 +285,59 @@ let unescape line i stop =
   go i;
   Buffer.contents b
 
-(* whether [line] holds [lit] from [i] on *)
-let rec spells line i lit j =
-  j = String.length lit
-  || (String.unsafe_get line (i + j) = String.unsafe_get lit j && spells line i lit (j + 1))
+(* whether [line] holds the first [len] bytes of [lit] from [i] on,
+   given that it holds those before [j] *)
+let rec spells line i lit j len =
+  j = len
+  || (String.unsafe_get line (i + j) = String.unsafe_get lit j
+      && spells line i lit (j + 1) len)
 
-let has_lit line n i lit = i + String.length lit <= n && spells line i lit 0
+let has_lit line n i lit =
+  let len = String.length lit in
+  i + len <= n && spells line i lit 0 len
 
-let rec find_slot line i len = function
-  | [] -> -1
-  | k :: rest ->
-      if String.length k.name = len && spells line i k.name 0 then k.slot
-      else find_slot line i len rest
-
-(* the slot of the key spelled by the [len] bytes at [i], or -1 *)
-let slot_at line i len =
-  if len = 0 then -1 else find_slot line i len by_first.(Char.code (String.unsafe_get line i))
-
-let rec digits_end line n i =
-  if i < n && (match String.unsafe_get line i with '0' .. '9' -> true | _ -> false)
-  then digits_end line n (i + 1)
-  else i
-
-let neg_limit = min_int / 10
-
-(* Minus the value of the digits in [i, j) of the number at [at].
-   Counting down reaches [min_int], so this rejects what
-   [int_of_string] rejects. *)
-let rec neg_digits line at i j acc =
-  if i = j then acc
+(* the slot of the key [name], or -1 *)
+let slot_of name =
+  let len = String.length name in
+  if len = 0 || len > max_key_len then -1
   else
-    let d = Char.code (String.unsafe_get line i) - Char.code '0' in
-    if acc < neg_limit || acc * 10 < min_int + d then
-      fail "number out of range at %d in %s" at line;
-    neg_digits line at (i + 1) j ((acc * 10) - d)
+    match List.find_opt (fun k -> String.equal k.name name) by_first.(Char.code name.[0]) with
+    | Some k -> k.slot
+    | None -> -1
 
 (* The parser's slots: [pos.(2s)] is where the first value of the key
    with slot [s] starts, -1 if none; [pos.(2s + 1)] is that value when it
    is an int, and [string_end]'s result when it is a string (a bool is
    read off its first byte). A later duplicate of a key is checked but
-   not kept. *)
+   not kept. [pos] is one array per domain, reset at the start of each
+   line; a value is read only while its start is set. *)
 type slots = { line : string; pos : int array }
 
+let scratch = Domain.DLS.new_key (fun () -> Array.make (2 * n_slots) (-1))
+
 let store pos slot at v =
-  if slot >= 0 && pos.(2 * slot) < 0 then begin
-    pos.(2 * slot) <- at;
-    pos.((2 * slot) + 1) <- v
+  if slot >= 0 && Array.unsafe_get pos (2 * slot) < 0 then begin
+    Array.unsafe_set pos (2 * slot) at;
+    Array.unsafe_set pos ((2 * slot) + 1) v
   end
+
+let neg_limit = min_int / 10
+
+(* Reads the digits from [i] on of the number at [at], counting [acc]
+   down (minus the value so far), into [slot]; returns the index past
+   them. Counting down reaches [min_int], so this rejects what
+   [int_of_string] rejects. *)
+let rec number line n pos slot at neg i acc =
+  match if i < n then String.unsafe_get line i else ' ' with
+  | '0' .. '9' as c ->
+      let d = Char.code c - Char.code '0' in
+      if acc < neg_limit || acc * 10 < min_int + d then
+        fail "number out of range at %d in %s" at line;
+      number line n pos slot at neg (i + 1) ((acc * 10) - d)
+  | _ ->
+      if (not neg) && acc = min_int then fail "number out of range at %d in %s" at line;
+      store pos slot at (if neg then acc else -acc);
+      i
 
 (* parse the value at [i] into [slot]; returns the index past it *)
 let value line n pos slot i =
@@ -343,41 +361,63 @@ let value line n pos slot i =
       else fail "bad literal at %d in %s" i line
   | ('-' | '0' .. '9') as c ->
       let first = if c = '-' then i + 1 else i in
-      let j = digits_end line n first in
+      let j = number line n pos slot i (c = '-') first 0 in
       if j = first then fail "bad number at %d in %s" i line;
-      let neg = neg_digits line i first j 0 in
-      if c <> '-' && neg = min_int then fail "number out of range at %d in %s" i line;
-      store pos slot i (if c = '-' then neg else -neg);
       j
   | _ -> fail "bad value at %d in %s" i line
 
-let expect line n c i =
+let expect_ws line n c i =
   let i = skip_ws line n i in
   if i >= n || String.unsafe_get line i <> c then fail "expected %C at %d in %s" c i line;
   i + 1
 
+(* [c] at [i], or after spaces and tabs; returns the index past it *)
+let[@inline] expect line n c i =
+  if i < n && String.unsafe_get line i = c then i + 1 else expect_ws line n c i
+
+let no_key = { name = ""; len = 0; slot = -1; lit = "" }
+
+(* The key of [ks] that is spelled at [i] and closed by a quote there,
+   or [no_key]. [ks] all start with the byte at [i]. A known key
+   without escapes, the common case, is read once. *)
+let rec known_key line n i = function
+  | [] -> no_key
+  | k :: rest ->
+      let e = i + k.len in
+      if e < n && String.unsafe_get line e = '"' && spells line i k.name 1 k.len then k
+      else known_key line n i rest
+
 (* the members after '{' up to and including the closing '}' *)
 let rec members line n pos i =
   let i = expect line n '"' i in
-  let e = string_end line n i false in
-  let slot =
-    if e >= 0 then slot_at line i (e - i)
-    else
-      let k = unescape line i (-e - 1) in
-      slot_at k 0 (String.length k)
+  let k =
+    if i >= n then no_key
+    else known_key line n i (Array.unsafe_get by_first (Char.code (String.unsafe_get line i)))
   in
-  let i = expect line n ':' (close_quote e + 1) in
-  let i = skip_ws line n (value line n pos slot (skip_ws line n i)) in
+  if k != no_key then member_value line n pos k.slot (i + k.len + 1)
+  else
+    (* an unknown key, or a key spelled with escapes *)
+    let e = string_end line n i false in
+    let slot = if e >= 0 then -1 else slot_of (unescape line i (-e - 1)) in
+    member_value line n pos slot (close_quote e + 1)
+
+(* the ':' after a key, its value, then ',' and the next member or '}' *)
+and member_value line n pos slot i =
+  let i = expect line n ':' i in
+  let i = ws line n (value line n pos slot (ws line n i)) in
   if i < n && String.unsafe_get line i = ',' then members line n pos (i + 1)
   else if i < n && String.unsafe_get line i = '}' then i + 1
   else fail "expected ',' or '}' at %d in %s" i line
 
 let scan line =
   let n = String.length line in
-  let pos = Array.make (2 * n_slots) (-1) in
-  let i = skip_ws line n (expect line n '{' 0) in
+  let pos = Domain.DLS.get scratch in
+  for s = 0 to n_slots - 1 do
+    Array.unsafe_set pos (2 * s) (-1)
+  done;
+  let i = ws line n (expect line n '{' 0) in
   let i = if i < n && String.unsafe_get line i = '}' then i + 1 else members line n pos i in
-  let i = skip_ws line n i in
+  let i = ws line n i in
   if i <> n then fail "trailing bytes at %d in %s" i line;
   { line; pos }
 
@@ -508,11 +548,17 @@ let dump oc events =
     events
 
 let load ic =
-  let rec go acc =
+  let rec go no acc =
     match input_line ic with
     | line ->
-        let acc = if String.trim line = "" then acc else of_string line :: acc in
-        go acc
+        let acc =
+          if String.trim line = "" then acc
+          else
+            match of_string line with
+            | e -> e :: acc
+            | exception Parse_error msg -> fail "line %d: %s" no msg
+        in
+        go (no + 1) acc
     | exception End_of_file -> List.rev acc
   in
-  go []
+  go 1 []

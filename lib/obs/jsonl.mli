@@ -6,8 +6,9 @@
 
     Both directions take one pass over a line. Rendering writes each
     kind's fields straight into a buffer. Parsing reads every key in
-    place; an unescaped key or an int allocates nothing, and an
-    unescaped string value costs one [String.sub]. *)
+    place into a slot array kept per domain; an unescaped key or an
+    int allocates nothing, and an unescaped string value costs one
+    [String.sub]. *)
 
 exception Parse_error of string
 (** The same exception as {!Sg_util.Json.Parse_error}. *)
@@ -34,4 +35,6 @@ val dump : out_channel -> Event.t list -> unit
 (** One line per event, rendered through one buffer. *)
 
 val load : in_channel -> Event.t list
-(** Reads to EOF, skipping blank lines; raises {!Parse_error}. *)
+(** Reads to EOF, skipping blank lines; raises {!Parse_error} with
+    [of_string]'s message prefixed by the 1-based line number,
+    ["line 42: ..."]. *)

@@ -77,6 +77,12 @@ let remove t key =
   in
   go Nil t.buckets.(i)
 
+let clear t =
+  if t.size > 0 then begin
+    Array.fill t.buckets 0 (Array.length t.buckets) Nil;
+    t.size <- 0
+  end
+
 let fold f t acc =
   let rec chain acc = function
     | Nil -> acc

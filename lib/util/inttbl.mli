@@ -7,7 +7,8 @@
 
     The iteration order of {!fold} differs from a generic [Hashtbl]'s
     over the same keys, so a table whose iteration order reaches an
-    output must not switch to this one (DESIGN.md §3.5). *)
+    output must sort what it folds, or not switch to this one
+    (DESIGN.md §3.5). *)
 
 type 'a t
 
@@ -23,6 +24,9 @@ val replace : 'a t -> int -> 'a -> unit
 
 val remove : 'a t -> int -> unit
 (** Drop the key's binding, if any. *)
+
+val clear : 'a t -> unit
+(** Drop every binding; the table keeps its size. *)
 
 val fold : (int -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
 (** In an unspecified order that depends only on the sequence of

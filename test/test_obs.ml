@@ -258,6 +258,20 @@ let test_hist_buckets_list () =
   Alcotest.(check int) "counts sum to n" (Hist.n h)
     (List.fold_left (fun acc (_, c) -> acc + c) 0 (Hist.buckets_list h))
 
+(* [add] runs at every successful span end: it must not box its sum
+   of squares *)
+let test_hist_add_allocates_nothing () =
+  let h = Hist.create () in
+  Hist.add h 1;
+  let before = Gc.minor_words () in
+  for v = 1 to 10_000 do
+    Hist.add h v
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "10k adds took %.0f minor words" words)
+    true (words < 100.)
+
 (* ---------- JSON-lines codec ---------- *)
 
 let all_kinds =
@@ -361,6 +375,25 @@ let test_jsonl_dump_load () =
       let back = Jsonl.load ic in
       close_in ic;
       Alcotest.(check bool) "dump/load round-trips" true (back = events))
+
+let test_jsonl_load_names_line () =
+  let good =
+    Jsonl.to_string { E.seq = 0; at_ns = 0; tid = 1; kind = E.Crash { cid = 7; detector = "t" } }
+  in
+  let bad = "{\"seq\":1,\"at_ns\":x}" in
+  let plain = match Jsonl.of_string bad with _ -> "" | exception Jsonl.Parse_error m -> m in
+  let path = Filename.temp_file "sgobs" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out path in
+      output_string oc (good ^ "\n\n" ^ bad ^ "\n" ^ good ^ "\n");
+      close_out oc;
+      let ic = open_in path in
+      let got = match Jsonl.load ic with _ -> "" | exception Jsonl.Parse_error m -> m in
+      close_in ic;
+      Alcotest.(check string) "1-based line number, blank lines counted"
+        ("line 3: " ^ plain) got)
 
 let test_jsonl_rejects_garbage () =
   List.iter
@@ -526,6 +559,41 @@ let test_check_end_of_stream () =
   check_rules "open walk at EOF rejected" [ "end-of-stream" ] [ (0, 1, walk ()) ];
   check_rules "open episode at EOF rejected" [ "end-of-stream" ]
     [ (0, 1, rec_begin) ]
+
+(* the open obligations are reported in key order whatever the tables'
+   order: spans by id, then each tid-keyed category by tid *)
+let test_check_end_of_stream_order () =
+  let msgs =
+    List.map
+      (fun v -> v.Check.msg)
+      (Check.run ~completed:true
+         (stream
+            [
+              (0, 1, span_begin ~span:5);
+              (1, 1, span_begin ~span:2);
+              (2, 2, span_begin ~span:9);
+              (3, 3, walk ());
+              (4, 1, walk ());
+              ( 5,
+                1,
+                E.Walk_begin { client = 2; server = 7; iface = "fs"; desc = 4; reason = E.Demand } );
+              (6, 4, rec_begin);
+              (7, 2, rec_begin);
+            ]))
+  in
+  Alcotest.(check (list string))
+    "spans by id, walks by tid (innermost first), episodes by tid"
+    [
+      "span 2 (tid 1, server 7) never ended";
+      "span 5 (tid 1, server 7) never ended";
+      "span 9 (tid 2, server 7) never ended";
+      "walk 2->7 (tid 1) never ended";
+      "walk 1->7 (tid 1) never ended";
+      "walk 1->7 (tid 3) never ended";
+      "1 recover-all episode(s) still open on tid 2";
+      "1 recover-all episode(s) still open on tid 4";
+    ]
+    msgs
 
 (* ---------- metrics fold ---------- *)
 
@@ -829,6 +897,471 @@ let prop_jsonl_total =
       match Jsonl.of_string line with
       | _ -> true
       | exception Jsonl.Parse_error _ -> true)
+
+(* The scanner [Jsonl.of_string] replaced: a fresh slot array per line,
+   numbers read in two passes, whitespace skipped through a call at
+   every token. The differential property below holds the new scanner
+   to its results and its [Parse_error] messages. *)
+module Ref_jsonl = struct
+  type key = { name : string; slot : int }
+
+  let keys = ref []
+
+  let key name =
+    let k = { name; slot = List.length !keys } in
+    keys := k :: !keys;
+    k
+
+  let k_seq = key "seq"
+  let k_at_ns = key "at_ns"
+  let k_tid = key "tid"
+  let k_kind = key "kind"
+  let k_span = key "span"
+  let k_client = key "client"
+  let k_server = key "server"
+  let k_fn = key "fn"
+  let k_ok = key "ok"
+  let k_cid = key "cid"
+  let k_detector = key "detector"
+  let k_epoch = key "epoch"
+  let k_image_kb = key "image_kb"
+  let k_cost_ns = key "cost_ns"
+  let k_victim = key "victim"
+  let k_iface = key "iface"
+  let k_desc = key "desc"
+  let k_reason = key "reason"
+  let k_op = key "op"
+  let k_space = key "space"
+  let k_id = key "id"
+  let k_reg = key "reg"
+  let k_bit = key "bit"
+  let k_outcome = key "outcome"
+  let k_path = key "path"
+  let k_status = key "status"
+  let k_arrival_ns = key "arrival_ns"
+  let k_start_ns = key "start_ns"
+  let k_finish_ns = key "finish_ns"
+  let k_action = key "action"
+  let k_in_walk = key "in_walk"
+  let k_name = key "name"
+  let k_data = key "data"
+  let n_slots = List.length !keys
+
+  let by_first =
+    let t = Array.make 256 [] in
+    List.iter
+      (fun k ->
+        let c = Char.code k.name.[0] in
+        t.(c) <- k :: t.(c))
+      !keys;
+    t
+
+  let fail = Sg_util.Json.fail
+
+  let rec skip_ws line n i =
+    if i < n && (match String.unsafe_get line i with ' ' | '\t' -> true | _ -> false)
+    then skip_ws line n (i + 1)
+    else i
+
+  let hex_value = function
+    | '0' .. '9' as c -> Char.code c - Char.code '0'
+    | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+    | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+    | _ -> -1
+
+  (* The code of the four bytes after a \u at [i], read as
+     [int_of_string ("0x" ^ hex)] reads them: a hex digit, then hex
+     digits or '_'. *)
+  let u_escape line i =
+    let rec go code j =
+      if j = 4 then code
+      else
+        match line.[i + j] with
+        | '_' when j > 0 -> go code (j + 1)
+        | c ->
+            let d = hex_value c in
+            if d < 0 then fail "bad \\u escape %s" (String.sub line i 4);
+            go ((code * 16) + d) (j + 1)
+    in
+    go 0 0
+
+  (* the index just past the escape whose backslash is at [j] *)
+  let skip_escape line n j =
+    let j = j + 1 in
+    if j >= n then fail "dangling escape in %s" line;
+    match String.unsafe_get line j with
+    | '"' | '\\' | '/' | 'n' | 'r' | 't' -> j + 1
+    | 'u' ->
+        if j + 4 >= n then fail "short \\u escape in %s" line;
+        ignore (u_escape line (j + 1));
+        j + 5
+    | c -> fail "bad escape \\%c in %s" c line
+
+  (* Checks the body of a string that starts at [i], just past its
+     opening quote. Returns the index of the closing quote, or [-q - 1]
+     for a closing quote at [q] when the body holds an escape. *)
+  let rec string_end line n i escaped =
+    if i >= n then fail "unterminated string in %s" line
+    else
+      match String.unsafe_get line i with
+      | '"' -> if escaped then -i - 1 else i
+      | '\\' -> string_end line n (skip_escape line n i) true
+      | _ -> string_end line n (i + 1) escaped
+
+  let close_quote e = if e >= 0 then e else -e - 1
+
+  (* the body [i, stop) of a string [string_end] has checked, unescaped *)
+  let unescape line i stop =
+    let b = Buffer.create (stop - i) in
+    let rec go j =
+      if j < stop then
+        match line.[j] with
+        | '\\' -> (
+            match line.[j + 1] with
+            | 'n' ->
+                Buffer.add_char b '\n';
+                go (j + 2)
+            | 'r' ->
+                Buffer.add_char b '\r';
+                go (j + 2)
+            | 't' ->
+                Buffer.add_char b '\t';
+                go (j + 2)
+            | 'u' ->
+                (* emitted escapes are all < 0x20; keep it byte-sized *)
+                Buffer.add_char b (Char.chr (u_escape line (j + 2) land 0xff));
+                go (j + 6)
+            | c ->
+                Buffer.add_char b c;
+                go (j + 2))
+        | c ->
+            Buffer.add_char b c;
+            go (j + 1)
+    in
+    go i;
+    Buffer.contents b
+
+  (* whether [line] holds [lit] from [i] on *)
+  let rec spells line i lit j =
+    j = String.length lit
+    || (String.unsafe_get line (i + j) = String.unsafe_get lit j && spells line i lit (j + 1))
+
+  let has_lit line n i lit = i + String.length lit <= n && spells line i lit 0
+
+  let rec find_slot line i len = function
+    | [] -> -1
+    | k :: rest ->
+        if String.length k.name = len && spells line i k.name 0 then k.slot
+        else find_slot line i len rest
+
+  (* the slot of the key spelled by the [len] bytes at [i], or -1 *)
+  let slot_at line i len =
+    if len = 0 then -1 else find_slot line i len by_first.(Char.code (String.unsafe_get line i))
+
+  let rec digits_end line n i =
+    if i < n && (match String.unsafe_get line i with '0' .. '9' -> true | _ -> false)
+    then digits_end line n (i + 1)
+    else i
+
+  let neg_limit = min_int / 10
+
+  (* Minus the value of the digits in [i, j) of the number at [at].
+     Counting down reaches [min_int], so this rejects what
+     [int_of_string] rejects. *)
+  let rec neg_digits line at i j acc =
+    if i = j then acc
+    else
+      let d = Char.code (String.unsafe_get line i) - Char.code '0' in
+      if acc < neg_limit || acc * 10 < min_int + d then
+        fail "number out of range at %d in %s" at line;
+      neg_digits line at (i + 1) j ((acc * 10) - d)
+
+  (* The parser's slots: [pos.(2s)] is where the first value of the key
+     with slot [s] starts, -1 if none; [pos.(2s + 1)] is that value when it
+     is an int, and [string_end]'s result when it is a string (a bool is
+     read off its first byte). A later duplicate of a key is checked but
+     not kept. *)
+  type slots = { line : string; pos : int array }
+
+  let store pos slot at v =
+    if slot >= 0 && pos.(2 * slot) < 0 then begin
+      pos.(2 * slot) <- at;
+      pos.((2 * slot) + 1) <- v
+    end
+
+  (* parse the value at [i] into [slot]; returns the index past it *)
+  let value line n pos slot i =
+    if i >= n then fail "bad value at %d in %s" i line;
+    match String.unsafe_get line i with
+    | '"' ->
+        let e = string_end line n (i + 1) false in
+        store pos slot i e;
+        close_quote e + 1
+    | 't' ->
+        if has_lit line n i "true" then begin
+          store pos slot i 0;
+          i + 4
+        end
+        else fail "bad literal at %d in %s" i line
+    | 'f' ->
+        if has_lit line n i "false" then begin
+          store pos slot i 0;
+          i + 5
+        end
+        else fail "bad literal at %d in %s" i line
+    | ('-' | '0' .. '9') as c ->
+        let first = if c = '-' then i + 1 else i in
+        let j = digits_end line n first in
+        if j = first then fail "bad number at %d in %s" i line;
+        let neg = neg_digits line i first j 0 in
+        if c <> '-' && neg = min_int then fail "number out of range at %d in %s" i line;
+        store pos slot i (if c = '-' then neg else -neg);
+        j
+    | _ -> fail "bad value at %d in %s" i line
+
+  let expect line n c i =
+    let i = skip_ws line n i in
+    if i >= n || String.unsafe_get line i <> c then fail "expected %C at %d in %s" c i line;
+    i + 1
+
+  (* the members after '{' up to and including the closing '}' *)
+  let rec members line n pos i =
+    let i = expect line n '"' i in
+    let e = string_end line n i false in
+    let slot =
+      if e >= 0 then slot_at line i (e - i)
+      else
+        let k = unescape line i (-e - 1) in
+        slot_at k 0 (String.length k)
+    in
+    let i = expect line n ':' (close_quote e + 1) in
+    let i = skip_ws line n (value line n pos slot (skip_ws line n i)) in
+    if i < n && String.unsafe_get line i = ',' then members line n pos (i + 1)
+    else if i < n && String.unsafe_get line i = '}' then i + 1
+    else fail "expected ',' or '}' at %d in %s" i line
+
+  let scan line =
+    let n = String.length line in
+    let pos = Array.make (2 * n_slots) (-1) in
+    let i = skip_ws line n (expect line n '{' 0) in
+    let i = if i < n && String.unsafe_get line i = '}' then i + 1 else members line n pos i in
+    let i = skip_ws line n i in
+    if i <> n then fail "trailing bytes at %d in %s" i line;
+    { line; pos }
+
+  let start s k =
+    let p = s.pos.(2 * k.slot) in
+    if p < 0 then fail "missing field %s" k.name else p
+
+  let int_f s k =
+    match String.unsafe_get s.line (start s k) with
+    | '-' | '0' .. '9' -> s.pos.((2 * k.slot) + 1)
+    | _ -> fail "field %s: expected int" k.name
+
+  let str_f s k =
+    let p = start s k in
+    if String.unsafe_get s.line p <> '"' then fail "field %s: expected string" k.name
+    else
+      let e = s.pos.((2 * k.slot) + 1) in
+      if e >= 0 then String.sub s.line (p + 1) (e - p - 1)
+      else unescape s.line (p + 1) (-e - 1)
+
+  let bool_f s k =
+    match String.unsafe_get s.line (start s k) with
+    | 't' -> true
+    | 'f' -> false
+    | _ -> fail "field %s: expected bool" k.name
+
+  let of_string line =
+    let f = scan line in
+    let kind =
+      match str_f f k_kind with
+      | "span_begin" ->
+          E.Span_begin
+            {
+              span = int_f f k_span;
+              client = int_f f k_client;
+              server = int_f f k_server;
+              fn = str_f f k_fn;
+            }
+      | "span_end" ->
+          E.Span_end
+            { span = int_f f k_span; server = int_f f k_server; ok = bool_f f k_ok }
+      | "crash" -> E.Crash { cid = int_f f k_cid; detector = str_f f k_detector }
+      | "reboot" ->
+          E.Reboot
+            {
+              cid = int_f f k_cid;
+              epoch = int_f f k_epoch;
+              image_kb = int_f f k_image_kb;
+              cost_ns = int_f f k_cost_ns;
+            }
+      | "divert" -> E.Divert { cid = int_f f k_cid; victim = int_f f k_victim }
+      | "upcall" -> E.Upcall { cid = int_f f k_cid; fn = str_f f k_fn }
+      | "reflect" -> E.Reflect { cid = int_f f k_cid; fn = str_f f k_fn }
+      | "walk_begin" ->
+          let reason_s = str_f f k_reason in
+          let reason =
+            match E.reason_of_string reason_s with
+            | Some r -> r
+            | None -> fail "unknown walk reason %s" reason_s
+          in
+          E.Walk_begin
+            {
+              client = int_f f k_client;
+              server = int_f f k_server;
+              iface = str_f f k_iface;
+              desc = int_f f k_desc;
+              reason;
+            }
+      | "walk_end" ->
+          E.Walk_end
+            { client = int_f f k_client; server = int_f f k_server; ok = bool_f f k_ok }
+      | "recover_begin" ->
+          E.Recover_begin
+            {
+              client = int_f f k_client;
+              server = int_f f k_server;
+              iface = str_f f k_iface;
+            }
+      | "recover_end" ->
+          E.Recover_end { client = int_f f k_client; server = int_f f k_server }
+      | "storage_op" ->
+          E.Storage_op
+            { op = str_f f k_op; space = str_f f k_space; id = int_f f k_id }
+      | "inject" ->
+          E.Inject
+            {
+              cid = int_f f k_cid;
+              fn = str_f f k_fn;
+              reg = str_f f k_reg;
+              bit = int_f f k_bit;
+              outcome = str_f f k_outcome;
+            }
+      | "http" ->
+          E.Http
+            { cid = int_f f k_cid; path = str_f f k_path; status = int_f f k_status }
+      | "http_req" ->
+          E.Http_req
+            {
+              cid = int_f f k_cid;
+              client = int_f f k_client;
+              arrival_ns = int_f f k_arrival_ns;
+              start_ns = int_f f k_start_ns;
+              finish_ns = int_f f k_finish_ns;
+              status = int_f f k_status;
+              outcome = str_f f k_outcome;
+            }
+      | "perturb" ->
+          E.Perturb
+            {
+              iface = str_f f k_iface;
+              fn = str_f f k_fn;
+              action = str_f f k_action;
+              in_walk = bool_f f k_in_walk;
+            }
+      | "note" -> E.Note { name = str_f f k_name; data = str_f f k_data }
+      | k -> fail "unknown event kind %s" k
+    in
+    { E.seq = int_f f k_seq; at_ns = int_f f k_at_ns; tid = int_f f k_tid; kind }
+end
+
+(* A value that tests the number reader's edges, for an int field. *)
+let gen_edge_number =
+  QCheck.Gen.oneofl
+    [
+      string_of_int max_int;
+      string_of_int min_int;
+      "4611686018427387904";
+      "-4611686018427387905";
+      "99999999999999999999";
+      "-0";
+      "007";
+      "-";
+      "- 1";
+      "1-";
+      "12a";
+      "";
+    ]
+
+(* One key of a member rewritten with a \u escape, e.g. "s\u0065q". *)
+let escape_key m =
+  let open QCheck.Gen in
+  let q = String.index_from m 1 '"' in
+  if q <= 1 then return m
+  else
+    map
+      (fun (j, upper) ->
+        let c = m.[1 + j] in
+        String.sub m 0 (1 + j)
+        ^ Printf.sprintf (if upper then "\\u%04X" else "\\u%04x") (Char.code c)
+        ^ String.sub m (2 + j) (String.length m - 2 - j))
+      (pair (int_bound (q - 2)) bool)
+
+(* Lines for the differential property: tolerated lines with escaped
+   and over-long unknown keys, lines with an edge number in one int
+   field, and the damaged lines of [gen_damaged]. *)
+let gen_diff_line =
+  let open QCheck.Gen in
+  let escaped =
+    gen_tolerated >>= fun (_, line) ->
+    let ms = members (String.trim line) in
+    flatten_l
+      (List.map (fun m -> frequency [ (2, return m); (1, escape_key (String.trim m)) ]) ms)
+    >>= fun ms ->
+    oneofl [ []; [ "\"x_unknown_key_longer_than_any\":1" ] ] >>= fun extra ->
+    return ("{" ^ String.concat "," (ms @ extra) ^ "}")
+  in
+  let edge_number =
+    gen_event >>= fun e ->
+    let ms = Array.of_list (members (Jsonl.to_string e)) in
+    int_bound (Array.length ms - 1) >>= fun i ->
+    gen_edge_number >>= fun v ->
+    let m = ms.(i) in
+    let c = String.index m ':' in
+    if c + 1 < String.length m && m.[c + 1] <> '"' then ms.(i) <- String.sub m 0 (c + 1) ^ v;
+    return ("{" ^ String.concat "," (Array.to_list ms) ^ "}")
+  in
+  frequency
+    [ (3, escaped); (2, edge_number); (3, gen_damaged); (1, map snd gen_tolerated) ]
+
+let parse_outcome of_string line =
+  match of_string line with
+  | e -> Ok e
+  | exception Jsonl.Parse_error msg -> Error msg
+
+let prop_jsonl_matches_reference =
+  QCheck.Test.make ~count:4000
+    ~name:"jsonl scanner returns the reference scanner's event or message"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_diff_line)
+    (fun line -> parse_outcome Jsonl.of_string line = parse_outcome Ref_jsonl.of_string line)
+
+(* Each domain parses into scratch slots of its own: the same 10k lines
+   parsed on two domains and on one give equal results. *)
+let test_jsonl_parse_on_domains () =
+  let lines =
+    Array.of_list
+      (QCheck.Gen.generate ~rand:(Random.State.make [| 18 |]) ~n:10_000 gen_diff_line)
+  in
+  let chunk = 100 in
+  let parse_all jobs =
+    let out = Array.make (Array.length lines / chunk) [] in
+    Sg_util.Pool.run ~jobs ~count:(Array.length out)
+      ~task:(fun ~cancelled:_ k ->
+        List.init chunk (fun j -> parse_outcome Jsonl.of_string lines.((k * chunk) + j)))
+      ~consume:(fun k r ->
+        out.(k) <- r;
+        Sg_util.Pool.Continue)
+      ();
+    out
+  in
+  let one = parse_all 1 in
+  let reference =
+    Array.init (Array.length one) (fun k ->
+        List.init chunk (fun j -> parse_outcome Ref_jsonl.of_string lines.((k * chunk) + j)))
+  in
+  Alcotest.(check bool) "2 domains parse what 1 does" true (parse_all 2 = one);
+  Alcotest.(check bool) "and what the reference scanner does" true (one = reference)
 
 (* ---------- episode stitching & profiling ---------- *)
 
@@ -1210,6 +1743,8 @@ let () =
           Alcotest.test_case "buckets_list" `Quick test_hist_buckets_list;
           Alcotest.test_case "log-linear mode" `Quick test_hist_log_linear;
           QCheck_alcotest.to_alcotest prop_hist_merge_exact;
+          Alcotest.test_case "add allocates nothing" `Quick
+            test_hist_add_allocates_nothing;
         ] );
       ( "jsonl",
         [
@@ -1224,6 +1759,11 @@ let () =
             test_jsonl_pinned_lines;
           QCheck_alcotest.to_alcotest prop_jsonl_tolerates;
           QCheck_alcotest.to_alcotest prop_jsonl_total;
+          QCheck_alcotest.to_alcotest prop_jsonl_matches_reference;
+          Alcotest.test_case "load names the failing line" `Quick
+            test_jsonl_load_names_line;
+          Alcotest.test_case "parse on 2 domains equals 1" `Quick
+            test_jsonl_parse_on_domains;
         ] );
       ( "check",
         [
@@ -1239,6 +1779,8 @@ let () =
           Alcotest.test_case "inject accounting" `Quick
             test_check_inject_accounting;
           Alcotest.test_case "end of stream" `Quick test_check_end_of_stream;
+          Alcotest.test_case "end-of-stream reports in key order" `Quick
+            test_check_end_of_stream_order;
         ] );
       ( "metrics",
         [

@@ -406,5 +406,26 @@ pinned fbfb34dd800c6bff803f607a3d3934d7 "$tmpdir/pin_evt.jsonl" \
     --verify-bounds --trace "$tmpdir/pin_sched.jsonl" > /dev/null 2>&1
 pinned 549094708697475425afb70c07219b5f "$tmpdir/pin_sched.jsonl" \
     "superglue-campaign --iface sched -n 3000 --seed 9 --cmon --verify-bounds --trace"
+# The trace read side over the evt stream, pinned with the binaries of
+# the commit before the per-domain scanner slots: sgtrace check on a
+# copy with every 37th line dropped (exit 1), once without its
+# end-of-stream reports and once sorted, as those reports follow the
+# checker's key order; and sgtrace profile --json read from stdin, so
+# that its source is <stdin>, not a path.
+awk 'NR % 37 != 0' "$tmpdir/pin_evt.jsonl" > "$tmpdir/pin_evt_damaged.jsonl"
+rc=0
+./_build/default/bin/sgtrace.exe check "$tmpdir/pin_evt_damaged.jsonl" \
+    > "$tmpdir/pin_check.out" || rc=$?
+[ "$rc" -eq 1 ]
+grep -v end-of-stream "$tmpdir/pin_check.out" > "$tmpdir/pin_check_fold.out"
+pinned 0f4b41dbd1d50347125ad5cb5f1abcb7 "$tmpdir/pin_check_fold.out" \
+    "sgtrace check (evt stream, every 37th line dropped), end-of-stream lines removed"
+LC_ALL=C sort "$tmpdir/pin_check.out" > "$tmpdir/pin_check_sorted.out"
+pinned e51d57edf430a71a8ce6d4ddba0e2bf0 "$tmpdir/pin_check_sorted.out" \
+    "sgtrace check (evt stream, every 37th line dropped), sorted"
+./_build/default/bin/sgtrace.exe profile --json < "$tmpdir/pin_evt.jsonl" \
+    > "$tmpdir/pin_profile.json"
+pinned 6c763833ebb8eac93196a9a8793df525 "$tmpdir/pin_profile.json" \
+    "sgtrace profile --json < (evt stream)"
 
 echo "== tier-1 gate OK"
