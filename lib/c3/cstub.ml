@@ -94,7 +94,13 @@ let walk_invoke sim t fn args =
       ensure_alive sim t.sb_server;
       raise Walk_interrupted
 
+(* T1 on-demand recovery: a descriptor already consistent at the
+   server's epoch costs one compare, before any closure is built *)
 let rec recover_desc ?(even_dead = false) ?(reason = Sg_obs.Event.Demand) sim t d =
+  if (d.Tracker.d_live || even_dead) && d.Tracker.d_epoch <> Sim.epoch sim t.sb_server
+  then walk_desc ~even_dead ~reason sim t d
+
+and walk_desc ~even_dead ~reason sim t d =
   let walk_end ok =
     Sim.emit sim
       (Sg_obs.Event.Walk_end { client = t.sb_client; server = t.sb_server; ok })
@@ -215,111 +221,119 @@ let fault_update sim t =
 
 let replace_nth l n v = List.mapi (fun i x -> if i = n then v else x) l
 
-(* The Fig-4 invocation loop. *)
-let call t sim fn args =
+(* the argument at [idx], [VUnit] past the end *)
+let rec arg_at args idx =
+  match args with
+  | [] -> Comp.VUnit
+  | v :: rest -> if idx = 0 then v else arg_at rest (idx - 1)
+
+(* the arguments with the descriptor id at [idx] translated to [d]'s
+   current server id; the same list when the ids agree *)
+let translate args idx id d =
+  if d.Tracker.d_server_id = id then args
+  else replace_nth args idx (Comp.VInt d.Tracker.d_server_id)
+
+(* D0: a terminate function destroys the children too; they must exist
+   on the recovered server for the recursive revocation to have its side
+   effects. A fresh fault during one child's walk stales the
+   already-recovered ones, so iterate until the whole family is
+   consistent at a single epoch. *)
+let recover_family sim t fn d =
   let cfg = t.sb_cfg in
-  let rec attempt n =
-    if n > max_retries then
-      failwith
-        (Printf.sprintf "%s.%s: fault recovery did not converge"
-           cfg.cfg_iface fn);
-    (* cli_if_desc_update: T1 on-demand recovery of the descriptors this
-       call touches, and translation to their current server ids; a
-       parent-bearing argument is recovered first (D1) *)
-    let args_parented =
-      match cfg.cfg_parent_arg fn with
-      | None -> args
-      | Some idx -> (
-          match List.nth_opt args idx with
-          | Some (Comp.VInt id) -> (
-              match Tracker.find t.sb_tracker id with
-              | Some d when d.Tracker.d_live ->
-                  recover_desc sim t d;
-                  replace_nth args idx (Comp.VInt d.Tracker.d_server_id)
-              | Some _ | None -> args)
-          | Some _ | None -> args)
-    in
-    let args' =
-      match cfg.cfg_desc_arg fn with
-      | None -> args_parented
-      | Some idx -> (
-          Tracker.lookup_charge t.sb_tracker sim;
-          match List.nth_opt args_parented idx with
-          | Some (Comp.VInt id) -> (
-              match Tracker.find t.sb_tracker id with
-              | Some d when d.Tracker.d_live ->
-                  recover_desc sim t d;
-                  (* D0: a terminate function destroys the children too;
-                     they must exist on the recovered server for the
-                     recursive revocation to have its side effects. A
-                     fresh fault during one child's walk stales the
-                     already-recovered ones, so iterate until the whole
-                     family is consistent at a single epoch. *)
-                  if
-                    cfg.cfg_d0_children
-                    && List.exists (String.equal fn) cfg.cfg_terminate_fns
-                  then begin
-                    let rec family acc d =
-                      List.fold_left family (d :: acc)
-                        (Tracker.children t.sb_tracker d.Tracker.d_id)
-                    in
-                    let rec stabilize attempt =
-                      if attempt > max_retries then
-                        failwith
-                          (Printf.sprintf "%s.%s: subtree recovery did not converge"
-                             cfg.cfg_iface fn);
-                      let members = family [] d in
-                      List.iter (fun m -> recover_desc sim t m) members;
-                      let ep = Sim.epoch sim t.sb_server in
-                      if
-                        not
-                          (List.for_all
-                             (fun m -> m.Tracker.d_epoch = ep)
-                             (family [] d))
-                      then stabilize (attempt + 1)
-                    in
-                    stabilize 0
-                  end;
-                  replace_nth args_parented idx (Comp.VInt d.Tracker.d_server_id)
-              | Some _ | None -> args_parented)
-          | Some _ | None -> args_parented)
-    in
-    match
-      (* the DST edge adversary sits here as a man-in-the-middle
-         between stub and server; walk_invoke routes recovery replays
-         through the same hook with in_walk:true *)
-      invoke_hooked sim t ~in_walk:false fn args'
-    with
-    | Ok ret ->
-        (* cli_if_track: descriptor state tracking on the original
-           (client-visible) ids *)
-        cfg.cfg_track sim t.sb_tracker
-          ~epoch:(Sim.epoch sim t.sb_server)
-          fn args ret;
-        if cfg.cfg_virtual_create fn then
-          (* hand the client a stub-virtual id that survives server
-             namespace resets; the stub translates on every call *)
-          match ret with
-          | Comp.VInt raw -> (
-              let v = Tracker.fresh t.sb_tracker in
-              match Tracker.rekey t.sb_tracker ~from:raw ~to_:v with
-              | Some _ -> Ok (Comp.VInt v)
-              | None -> Ok ret)
-          | _ -> Ok ret
-        else Ok ret
-    | Error _ as e -> e
-    | exception Comp.Crash { cid; _ } when cid = t.sb_server ->
-        fault_update sim t;
-        attempt (n + 1)
-    | exception Comp.Diverted { cid } when cid = t.sb_server ->
-        fault_update sim t;
-        attempt (n + 1)
-    | exception Walk_interrupted ->
-        (* a nested recovery was interrupted by a fresh fault *)
-        fault_update sim t;
-        attempt (n + 1)
+  let rec family acc d =
+    List.fold_left family (d :: acc) (Tracker.children t.sb_tracker d.Tracker.d_id)
   in
-  attempt 0
+  let rec stabilize attempt =
+    if attempt > max_retries then
+      failwith
+        (Printf.sprintf "%s.%s: subtree recovery did not converge" cfg.cfg_iface fn);
+    let members = family [] d in
+    List.iter (fun m -> recover_desc sim t m) members;
+    let ep = Sim.epoch sim t.sb_server in
+    if not (List.for_all (fun m -> m.Tracker.d_epoch = ep) (family [] d)) then
+      stabilize (attempt + 1)
+  in
+  stabilize 0
+
+(* The Fig-4 invocation loop. A top-level function rather than a local
+   closure, so that a call needing no recovery allocates nothing here. *)
+let rec attempt t sim fn args n =
+  let cfg = t.sb_cfg in
+  if n > max_retries then
+    failwith
+      (Printf.sprintf "%s.%s: fault recovery did not converge" cfg.cfg_iface fn);
+  (* cli_if_desc_update: T1 on-demand recovery of the descriptors this
+     call touches, and translation to their current server ids; a
+     parent-bearing argument is recovered first (D1) *)
+  let args_parented =
+    match cfg.cfg_parent_arg fn with
+    | None -> args
+    | Some idx -> (
+        match arg_at args idx with
+        | Comp.VInt id ->
+            let d = Tracker.find_or_untracked t.sb_tracker id in
+            if d.Tracker.d_live then begin
+              recover_desc sim t d;
+              translate args idx id d
+            end
+            else args
+        | _ -> args)
+  in
+  let args' =
+    match cfg.cfg_desc_arg fn with
+    | None -> args_parented
+    | Some idx -> (
+        Tracker.lookup_charge t.sb_tracker sim;
+        match arg_at args_parented idx with
+        | Comp.VInt id ->
+            let d = Tracker.find_or_untracked t.sb_tracker id in
+            if d.Tracker.d_live then begin
+              recover_desc sim t d;
+              if
+                cfg.cfg_d0_children
+                && List.exists (String.equal fn) cfg.cfg_terminate_fns
+              then recover_family sim t fn d;
+              translate args_parented idx id d
+            end
+            else args_parented
+        | _ -> args_parented)
+  in
+  match
+    (* the DST edge adversary sits here as a man-in-the-middle
+       between stub and server; walk_invoke routes recovery replays
+       through the same hook with in_walk:true *)
+    invoke_hooked sim t ~in_walk:false fn args'
+  with
+  | Ok ret as ok ->
+      (* cli_if_track: descriptor state tracking on the original
+         (client-visible) ids *)
+      cfg.cfg_track sim t.sb_tracker
+        ~epoch:(Sim.epoch sim t.sb_server)
+        fn args ret;
+      if cfg.cfg_virtual_create fn then
+        (* hand the client a stub-virtual id that survives server
+           namespace resets; the stub translates on every call *)
+        match ret with
+        | Comp.VInt raw -> (
+            let v = Tracker.fresh t.sb_tracker in
+            match Tracker.rekey t.sb_tracker ~from:raw ~to_:v with
+            | Some _ -> Ok (Comp.VInt v)
+            | None -> ok)
+        | _ -> ok
+      else ok
+  | Error _ as e -> e
+  | exception Comp.Crash { cid; _ } when cid = t.sb_server ->
+      fault_update sim t;
+      attempt t sim fn args (n + 1)
+  | exception Comp.Diverted { cid } when cid = t.sb_server ->
+      fault_update sim t;
+      attempt t sim fn args (n + 1)
+  | exception Walk_interrupted ->
+      (* a nested recovery was interrupted by a fresh fault *)
+      fault_update sim t;
+      attempt t sim fn args (n + 1)
+
+let call t sim fn args = attempt t sim fn args 0
 
 let port t =
   { Port.server = t.sb_server; call = (fun sim fn args -> call t sim fn args) }

@@ -63,6 +63,19 @@ let add t sim ?server_id ?parent ~state ~meta ~epoch id =
 
 let find t id = Inttbl.find_opt t.descs id
 
+let untracked =
+  {
+    d_id = -1;
+    d_server_id = -1;
+    d_state = "";
+    d_meta = [];
+    d_parent = None;
+    d_epoch = -1;
+    d_live = false;
+  }
+
+let find_or_untracked t id = Inttbl.find_or t.descs id untracked
+
 let rekey t ~from ~to_ =
   match Inttbl.find_opt t.descs from with
   | None -> None

@@ -62,6 +62,12 @@ val rekey : t -> from:int -> to_:int -> desc option
     [d_id = to_] and [d_server_id = from]. *)
 
 val find : t -> int -> desc option
+
+val find_or_untracked : t -> int -> desc
+(** [find] without boxing an option, for the per-call stub path: an
+    untracked id answers a shared placeholder that is never live and
+    that no caller may modify. *)
+
 val find_exn : t -> int -> desc
 val remove : t -> int -> unit
 val set_state : t -> Sg_os.Sim.t -> desc -> string -> unit

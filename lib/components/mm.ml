@@ -3,11 +3,12 @@ module Comp = Sg_os.Comp
 module Port = Sg_os.Port
 module Frames = Sg_kernel.Frames
 module Kernel = Sg_kernel.Kernel
+module Inttbl = Sg_util.Inttbl
 
 let iface = "mm"
 let page_size = 4096
 
-type key = int * int  (** (component, vaddr) *)
+type key = int  (** [Frames.key ~cid ~vaddr] of (component, vaddr) *)
 
 type mrec = {
   m_frame : Frames.frame;
@@ -15,25 +16,27 @@ type mrec = {
   mutable m_children : key list;
 }
 
-type state = { mutable maps : (key, mrec) Hashtbl.t }
+type state = { mutable maps : mrec Inttbl.t }
 
 let frames sim = (Sim.kernel sim).Kernel.frames
 
 let add_child st parent child =
-  match Hashtbl.find_opt st.maps parent with
+  match Inttbl.find_opt st.maps parent with
   | Some p -> p.m_children <- child :: p.m_children
   | None -> ()
 
 (* Revoke the mapping and its whole subtree: unmap the kernel PTEs, free
    root frames, and drop the manager's records. *)
-let rec revoke st sim ((cid, vaddr) as key) =
-  match Hashtbl.find_opt st.maps key with
+let rec revoke st sim key =
+  match Inttbl.find_opt st.maps key with
   | None -> 0
   | Some r ->
       let n = List.fold_left (fun acc c -> acc + revoke st sim c) 0 r.m_children in
-      ignore (Frames.unmap (frames sim) ~cid ~vaddr);
+      ignore
+        (Frames.unmap (frames sim) ~cid:(Frames.cid_of_key key)
+           ~vaddr:(Frames.vaddr_of_key key));
       if r.m_parent = None then Frames.free_frame (frames sim) r.m_frame;
-      Hashtbl.remove st.maps key;
+      Inttbl.remove st.maps key;
       n + 1
 
 let dispatch st sim _cid fn args =
@@ -42,14 +45,14 @@ let dispatch st sim _cid fn args =
   | "mman_get_page", [ Comp.VInt vaddr ] -> (
       if vaddr mod page_size <> 0 then Error Comp.EINVAL
       else
-        let key = (client, vaddr) in
-        if Hashtbl.mem st.maps key then Error Comp.EINVAL
+        let key = Frames.key ~cid:client ~vaddr in
+        if Inttbl.mem st.maps key then Error Comp.EINVAL
         else
           match Frames.lookup (frames sim) ~cid:client ~vaddr with
           | Some frame ->
               (* the PTE survived a micro-reboot: adopt it (reflection on
                  the component-kernel interface) *)
-              Hashtbl.replace st.maps key
+              Inttbl.replace st.maps key
                 { m_frame = frame; m_parent = None; m_children = [] };
               Ok (Comp.VInt vaddr)
           | None -> (
@@ -59,29 +62,30 @@ let dispatch st sim _cid fn args =
                   match Frames.map (frames sim) ~cid:client ~vaddr frame with
                   | Error `Exists -> Error Comp.EINVAL
                   | Ok () ->
-                      Hashtbl.replace st.maps key
+                      Inttbl.replace st.maps key
                         { m_frame = frame; m_parent = None; m_children = [] };
                       Ok (Comp.VInt vaddr))))
   | "mman_alias_page", [ Comp.VInt svaddr; Comp.VInt dst; Comp.VInt dvaddr ]
     -> (
-      let skey = (client, svaddr) and dkey = (dst, dvaddr) in
-      match Hashtbl.find_opt st.maps skey with
+      let skey = Frames.key ~cid:client ~vaddr:svaddr
+      and dkey = Frames.key ~cid:dst ~vaddr:dvaddr in
+      match Inttbl.find_opt st.maps skey with
       | None -> Error Comp.EINVAL  (* source must be recovered first (D1) *)
       | Some src ->
-          if Hashtbl.mem st.maps dkey then Error Comp.EINVAL
+          if Inttbl.mem st.maps dkey then Error Comp.EINVAL
           else begin
             (match Frames.lookup (frames sim) ~cid:dst ~vaddr:dvaddr with
             | Some _ -> ()  (* PTE survived the reboot: adopt *)
             | None ->
                 ignore (Frames.map (frames sim) ~cid:dst ~vaddr:dvaddr src.m_frame));
-            Hashtbl.replace st.maps dkey
+            Inttbl.replace st.maps dkey
               { m_frame = src.m_frame; m_parent = Some skey; m_children = [] };
             add_child st skey dkey;
             Ok (Comp.VInt dvaddr)
           end)
   | "mman_release_page", [ Comp.VInt vaddr ] ->
-      let key = (client, vaddr) in
-      if not (Hashtbl.mem st.maps key) then Error Comp.EINVAL
+      let key = Frames.key ~cid:client ~vaddr in
+      if not (Inttbl.mem st.maps key) then Error Comp.EINVAL
       else Ok (Comp.VInt (revoke st sim key))
   | ("mman_get_page" | "mman_alias_page" | "mman_release_page"), _ ->
       Error Comp.EINVAL
@@ -100,11 +104,11 @@ let reflect sim _cid fn args =
 let image_kb = 96
 
 let spec () =
-  let st = { maps = Hashtbl.create 64 } in
+  let st = { maps = Inttbl.create 64 } in
   {
     Sim.sc_name = iface;
     sc_image_kb = image_kb;
-    sc_init = (fun _ _ -> st.maps <- Hashtbl.create 64);
+    sc_init = (fun _ _ -> st.maps <- Inttbl.create 64);
     sc_boot_init = (fun _ _ -> ());
     sc_dispatch = (fun sim cid fn args -> dispatch st sim cid fn args);
     sc_reflect = (fun sim cid fn args -> reflect sim cid fn args);

@@ -6,6 +6,7 @@ module Storage = Sg_storage.Storage
 module Tracker = Sg_c3.Tracker
 module Cstub = Sg_c3.Cstub
 module Serverstub = Sg_c3.Serverstub
+module Inttbl = Sg_util.Inttbl
 
 type stubset = {
   st_name : string;
@@ -175,34 +176,54 @@ let build ?(seed = 42) ?cost ?sched ?adversary mode =
     (fun (dependent, target, _) ->
       Sim.grant sim ~client:(iface_cid dependent) ~server:(iface_cid target))
     wakeup_deps;
-  (* memoized ports: one stub (hence one tracker) per client/interface *)
-  let stubs : (Comp.cid * string, Cstub.t) Hashtbl.t = Hashtbl.create 16 in
-  let port ~client ~iface =
-    let server = iface_cid iface in
-    match stubset with
-    | None -> Port.raw server
-    | Some ss ->
-        let key = (client, iface) in
-        let stub =
-          match Hashtbl.find_opt stubs key with
-          | Some s -> s
-          | None ->
-              let s =
-                Cstub.make ?adversary sim ~client ~server
-                  ~flavor:ss.st_flavor (ss.st_client ~iface)
-              in
-              Hashtbl.replace stubs key s;
-              s
-        in
-        Cstub.port stub
+  (* memoized ports: one stub (hence one tracker) per client/interface.
+     Each interface is resolved once, to its server and a table of its
+     clients' ports, so a call costs a string compare per interface
+     ahead of it in boot order and one integer probe *)
+  let slots =
+    List.map
+      (fun (iface, server) ->
+        (iface, server, (Inttbl.create 4 : (Port.t * Cstub.t option) Inttbl.t)))
+      cids
   in
+  let rec slot_of iface = function
+    | [] -> None
+    | ((name, _, _) as slot) :: rest ->
+        if String.equal name iface then Some slot else slot_of iface rest
+  in
+  let resolve ~client ~iface =
+    match slot_of iface slots with
+    | None -> invalid_arg ("Sysbuild: unknown interface " ^ iface)
+    | Some (_, server, ports) -> (
+        match Inttbl.find_opt ports client with
+        | Some entry -> entry
+        | None ->
+            let entry =
+              match stubset with
+              | None -> (Port.raw server, None)
+              | Some ss ->
+                  let s =
+                    Cstub.make ?adversary sim ~client ~server
+                      ~flavor:ss.st_flavor (ss.st_client ~iface)
+                  in
+                  (Cstub.port s, Some s)
+            in
+            Inttbl.replace ports client entry;
+            entry)
+  in
+  let port ~client ~iface = fst (resolve ~client ~iface) in
   (* dependent services are clients of their wakeup targets: wire their
      (possibly stub-interposed) ports *)
   List.iter
     (fun (dependent, (target, _, cell)) ->
       cell := Some (port ~client:(iface_cid dependent) ~iface:target))
     dep_cells;
-  let stub ~client ~iface = Hashtbl.find_opt stubs (client, iface) in
+  let stub ~client ~iface =
+    match slot_of iface slots with
+    | Some (_, _, ports) -> (
+        match Inttbl.find_opt ports client with Some (_, s) -> s | None -> None)
+    | None -> None
+  in
   {
     sys_sim = sim;
     sys_cbufs = cbufs;

@@ -19,16 +19,34 @@ let as_int = function
   | Comp.VBool b -> if b then 1 else 0
   | Comp.VUnit | Comp.VStr _ | Comp.VList _ -> 0
 
-let arg_int args i =
-  match List.nth_opt args i with Some v -> as_int v | None -> 0
+(* The per-call helpers below are plain recursions rather than
+   [List] combinators over a fresh closure: they run on every tracked
+   call, most of which capture nothing. *)
+let rec arg_int args i =
+  match args with
+  | [] -> 0
+  | v :: rest -> if i = 0 then as_int v else arg_int rest (i - 1)
+
+let rec capture args = function
+  | [] -> []
+  | (i, name) :: rest -> (
+      match List.nth_opt args i with
+      | Some v -> (name, v) :: capture args rest
+      | None -> capture args rest)
 
 (* The tracked-data capture: every desc_data-attributed parameter is
    recorded under its declared name. *)
-let tracked_meta (p : Stubplan.fn) args =
-  List.filter_map
-    (fun (i, name) ->
-      match List.nth_opt args i with Some v -> Some (name, v) | None -> None)
-    p.Stubplan.fn_meta
+let tracked_meta (p : Stubplan.fn) args = capture args p.Stubplan.fn_meta
+
+let rec set_metas tr sim d = function
+  | [] -> ()
+  | (k, v) :: rest ->
+      Tracker.set_meta tr sim d k v;
+      set_metas tr sim d rest
+
+let rec mem_state s = function
+  | [] -> false
+  | x :: rest -> String.equal x s || mem_state s rest
 
 let parent_of ir storage sim tr (plan : Stubplan.fn) args =
   match plan.Stubplan.fn_parent with
@@ -88,16 +106,10 @@ let track (a : Compiler.artifact) (p : Stubplan.fn) storage sim tr ~epoch args
             if p.Stubplan.fn_terminal then kill_desc ir.Ir.ir_model tr d
             else begin
               (* fault detection: flag transitions outside sigma *)
-              if
-                not
-                  (List.exists
-                     (String.equal d.Tracker.d_state)
-                     p.Stubplan.fn_from)
-              then Atomic.incr (Stubplan.invalid a.Compiler.a_stubplan);
+              if not (mem_state d.Tracker.d_state p.Stubplan.fn_from) then
+                Atomic.incr (Stubplan.invalid a.Compiler.a_stubplan);
               Tracker.set_state tr sim d p.Stubplan.fn_after;
-              List.iter
-                (fun (k, v) -> Tracker.set_meta tr sim d k v)
-                (tracked_meta p args);
+              set_metas tr sim d (tracked_meta p args);
               match p.Stubplan.fn_retval with
               | Some { Ast.ra_kind = `Set; ra_name; _ } ->
                   Tracker.set_meta tr sim d ra_name ret

@@ -74,16 +74,27 @@ let build ir machine =
 
 let find t fn = Strtbl.find_opt t.fns fn
 
+(* Callers pass function names as literals, so the same name is almost
+   always the same physical string: a few slots compared with [==] answer
+   alternating calls ([lock_take], [lock_release], ...) without hashing
+   the name. A miss looks the name up and takes the next slot in turn. *)
+let memo_slots = 8
+
 let finder t =
-  let last_fn = ref "" and last = ref None in
-  fun fn ->
-    if fn == !last_fn then !last
-    else begin
+  let names = Array.make memo_slots "" and plans = Array.make memo_slots None in
+  let next = ref 0 in
+  let rec probe fn i =
+    if i = memo_slots then begin
       let p = find t fn in
-      last_fn := fn;
-      last := p;
+      names.(!next) <- fn;
+      plans.(!next) <- p;
+      next := (!next + 1) land (memo_slots - 1);
       p
     end
+    else if names.(i) == fn then plans.(i)
+    else probe fn (i + 1)
+  in
+  fun fn -> probe fn 0
 
 let find_exn t fn =
   match find t fn with

@@ -139,18 +139,33 @@ type armed =
 let dispatch_budget = 300_000
 let spin_limit = 100_000
 
+(* the dispatch count at which an armed fault becomes due *)
+let due_at = function
+  | A_flip { nth; _ } | A_crash { nth; _ } | A_double1 { nth; _ } -> nth
+  | A_double2 { fire_at; _ } -> fire_at
+
+let service_of_armed = function
+  | A_flip { service; _ } | A_crash { service; _ } | A_double1 { service; _ }
+  | A_double2 { service; _ } ->
+      service
+
+(* a plan service's dispatch counter, and the lowest count at which one
+   of its armed faults is due ([max_int] when none is armed) *)
+type svc = { sv_iface : string; mutable sv_count : int; mutable sv_due : int }
+
 let install_plan sys plan pending =
   let sim = sys.Sysbuild.sys_sim in
   (* the hook runs on every dispatch: each service cid resolves to its
      interface and that interface's dispatch counter in one integer
      lookup *)
-  let service_of =
-    let tbl = Sg_util.Inttbl.create 8 in
-    List.iter
-      (fun (iface, cid) -> Sg_util.Inttbl.replace tbl cid (iface, ref 0))
-      (Sysbuild.services sys);
-    Sg_util.Inttbl.find_opt tbl
+  let services =
+    List.map
+      (fun (iface, cid) -> (cid, { sv_iface = iface; sv_count = 0; sv_due = max_int }))
+      (Sysbuild.services sys)
   in
+  let by_cid = Sg_util.Inttbl.create 8 in
+  List.iter (fun (cid, sv) -> Sg_util.Inttbl.replace by_cid cid sv) services;
+  let not_a_service = { sv_iface = ""; sv_count = 0; sv_due = max_int } in
   let armed =
     ref
       (List.filter_map
@@ -179,15 +194,31 @@ let install_plan sys plan pending =
            | Plan.Storage_write _ | Plan.Perturb _ -> None)
          plan)
   in
+  (* a dispatch below its service's due count cannot fire anything:
+     the hook then leaves the armed list alone *)
+  let reschedule () =
+    List.iter
+      (fun (_, sv) ->
+        sv.sv_due <-
+          List.fold_left
+            (fun due a ->
+              if String.equal (service_of_armed a) sv.sv_iface then min due (due_at a)
+              else due)
+            max_int !armed)
+      services
+  in
+  reschedule ();
   let total_dispatches = ref 0 in
   let hook sim cid fn =
-    match service_of cid with
-    | None -> ()
-    | Some (iface, c) -> (
+    match Sg_util.Inttbl.find_or by_cid cid not_a_service with
+    | sv when sv == not_a_service -> ()
+    | sv -> (
+        let iface = sv.sv_iface in
         incr total_dispatches;
         if !total_dispatches > dispatch_budget then
           failwith "dst-dispatch-budget: execution did not converge";
-        incr c;
+        sv.sv_count <- sv.sv_count + 1;
+        let c = sv.sv_count in
         (* a pending Restart op crashes the service at its next dispatch *)
         match
           if Hashtbl.length pending = 0 then None
@@ -197,7 +228,7 @@ let install_plan sys plan pending =
             Hashtbl.remove pending iface;
             Sim.mark_failed sim cid ~detector;
             raise (Comp.Crash { cid; detector })
-        | None when List.is_empty !armed -> ()
+        | None when c < sv.sv_due -> ()
         | None ->
             (* fire at most one armed fault per dispatch; >= anchors keep
                faults live when shrinking shifts dispatch counts *)
@@ -205,27 +236,19 @@ let install_plan sys plan pending =
             armed :=
               List.filter_map
                 (fun a ->
-                  if Option.is_some !fired then Some a
-                  else
+                  if
+                    Option.is_some !fired
+                    || not (String.equal (service_of_armed a) iface && c >= due_at a)
+                  then Some a
+                  else begin
+                    fired := Some a;
                     match a with
-                    | A_flip { service; nth; _ } when service = iface && !c >= nth
-                      ->
-                        fired := Some a;
-                        None
-                    | A_crash { service; nth; _ } when service = iface && !c >= nth
-                      ->
-                        fired := Some a;
-                        None
-                    | A_double1 { service; nth; gap } when service = iface && !c >= nth
-                      ->
-                        fired := Some a;
-                        Some (A_double2 { service; fire_at = !c + gap })
-                    | A_double2 { service; fire_at } when service = iface && !c >= fire_at
-                      ->
-                        fired := Some a;
-                        None
-                    | a -> Some a)
+                    | A_double1 { service; gap; _ } ->
+                        Some (A_double2 { service; fire_at = c + gap })
+                    | A_flip _ | A_crash _ | A_double2 _ -> None
+                  end)
                 !armed;
+            reschedule ();
             (match !fired with
             | None -> ()
             | Some (A_flip { reg; bit; at_pm; _ }) ->

@@ -1,14 +1,27 @@
+module Inttbl = Sg_util.Inttbl
+
 type frame = int
 
 type t = {
   total_frames : int;
   mutable next_frame : int;
   free : frame Stack.t;
-  ptes : (int * int, frame) Hashtbl.t;  (** (cid, vaddr) -> frame *)
+  ptes : frame Inttbl.t;  (** [key ~cid ~vaddr] -> frame *)
 }
 
+(* (cid, vaddr) packed into one integer: no tuple to allocate and no
+   polymorphic hash on a page-table probe *)
+let key ~cid ~vaddr =
+  if cid < 0 || cid >= 1 lsl 30 || vaddr < 0 || vaddr >= 1 lsl 32 then
+    invalid_arg
+      (Printf.sprintf "Frames.key: (cid %d, vaddr %d) out of range" cid vaddr);
+  (cid lsl 32) lor vaddr
+
+let cid_of_key k = k lsr 32
+let vaddr_of_key k = k land 0xffff_ffff
+
 let create ?(total_frames = 65536) () =
-  { total_frames; next_frame = 0; free = Stack.create (); ptes = Hashtbl.create 256 }
+  { total_frames; next_frame = 0; free = Stack.create (); ptes = Inttbl.create 256 }
 
 let alloc_frame t =
   match Stack.pop_opt t.free with
@@ -24,27 +37,30 @@ let alloc_frame t =
 let free_frame t f = Stack.push f t.free
 
 let map t ~cid ~vaddr frame =
-  if Hashtbl.mem t.ptes (cid, vaddr) then Error `Exists
+  let k = key ~cid ~vaddr in
+  if Inttbl.mem t.ptes k then Error `Exists
   else begin
-    Hashtbl.replace t.ptes (cid, vaddr) frame;
+    Inttbl.replace t.ptes k frame;
     Ok ()
   end
 
 let unmap t ~cid ~vaddr =
-  match Hashtbl.find_opt t.ptes (cid, vaddr) with
+  let k = key ~cid ~vaddr in
+  match Inttbl.find_opt t.ptes k with
   | None -> Error `Absent
   | Some frame ->
-      Hashtbl.remove t.ptes (cid, vaddr);
+      Inttbl.remove t.ptes k;
       Ok frame
 
-let lookup t ~cid ~vaddr = Hashtbl.find_opt t.ptes (cid, vaddr)
+let lookup t ~cid ~vaddr = Inttbl.find_opt t.ptes (key ~cid ~vaddr)
 
 let mappings_of t ~cid =
-  Hashtbl.fold
-    (fun (c, vaddr) frame acc -> if c = cid then (vaddr, frame) :: acc else acc)
+  Inttbl.fold
+    (fun k frame acc ->
+      if cid_of_key k = cid then (vaddr_of_key k, frame) :: acc else acc)
     t.ptes []
   |> List.sort compare
 
-let mapping_count t = Hashtbl.length t.ptes
+let mapping_count t = Inttbl.length t.ptes
 
 let frames_in_use t = t.next_frame - Stack.length t.free

@@ -10,6 +10,14 @@ type frame = int
 
 type t
 
+val key : cid:int -> vaddr:int -> int
+(** The page tables' key: ([cid], [vaddr]) packed into one integer.
+    Raises [Invalid_argument] unless [0 <= cid < 2^30] and
+    [0 <= vaddr < 2^32]; so do {!map}, {!unmap} and {!lookup}. *)
+
+val cid_of_key : int -> int
+val vaddr_of_key : int -> int
+
 val create : ?total_frames:int -> unit -> t
 val alloc_frame : t -> frame option
 (** [None] when physical memory is exhausted. *)

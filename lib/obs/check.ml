@@ -52,21 +52,28 @@ let report st ~seq rule fmt =
     (fun msg -> st.violations <- { at_seq = seq; rule; msg } :: st.violations)
     fmt
 
-let stack_of tbl tid =
-  match Inttbl.find_opt tbl tid with
-  | Some s -> s
-  | None ->
-      let s = ref [] in
-      Inttbl.replace tbl tid s;
-      s
+(* Every span event probes these tables; [Inttbl.find_or] against a
+   sentinel no table ever holds answers without boxing an option. The
+   sentinels are built at module load and never handed out. *)
+let no_span = { si_server = -1; si_tid = -1; si_begun_failed = false }
+let no_pending : unit Inttbl.t = Inttbl.create 1
+let no_span_stack : int list ref = ref []
+let no_walk_stack : (int * int) list ref = ref []
+let no_depth = ref 0
 
-let depth_of st tid =
-  match Inttbl.find_opt st.recover_depth tid with
-  | Some d -> d
-  | None ->
-      let d = ref 0 in
-      Inttbl.replace st.recover_depth tid d;
-      d
+(* the thread's entry, created on first use *)
+let entry_of tbl ~none tid =
+  let s = Inttbl.find_or tbl tid none in
+  if s != none then s
+  else begin
+    let s = ref !none in
+    Inttbl.replace tbl tid s;
+    s
+  end
+
+let span_stack st tid = entry_of st.span_stacks ~none:no_span_stack tid
+let walk_stack st tid = entry_of st.walk_stacks ~none:no_walk_stack tid
+let depth_of st tid = entry_of st.recover_depth ~none:no_depth tid
 
 (* the injector's fate expectation for this thread, resolved by the
    current event: a detected crash of the target, or the span unwinding
@@ -117,12 +124,11 @@ let step st (e : Event.t) =
           "component %d micro-rebooted without a preceding detected crash" cid;
       Inttbl.remove st.failed cid
   | Event.Span_begin { span; server; _ } ->
-      (match Inttbl.find_opt st.pending_divert tid with
-      | Some pending when Inttbl.length pending > 0 ->
-          report st ~seq "divert-unwind"
-            "tid %d began span %d with %d diverted span(s) still open" tid span
-            (Inttbl.length pending)
-      | _ -> ());
+      (let pending = Inttbl.find_or st.pending_divert tid no_pending in
+       if Inttbl.length pending > 0 then
+         report st ~seq "divert-unwind"
+           "tid %d began span %d with %d diverted span(s) still open" tid span
+           (Inttbl.length pending));
       if Inttbl.mem st.spans span then
         report st ~seq "span-nesting" "span id %d begun twice" span;
       Inttbl.replace st.spans span
@@ -131,12 +137,13 @@ let step st (e : Event.t) =
           si_tid = tid;
           si_begun_failed = Inttbl.mem st.failed server;
         };
-      let stack = stack_of st.span_stacks tid in
+      let stack = span_stack st tid in
       stack := span :: !stack
   | Event.Span_end { span; server; ok } ->
-      (match Inttbl.find_opt st.spans span with
-      | None -> report st ~seq "span-nesting" "span %d ended but never begun" span
-      | Some info ->
+      (match Inttbl.find_or st.spans span no_span with
+      | info when info == no_span ->
+          report st ~seq "span-nesting" "span %d ended but never begun" span
+      | info ->
           Inttbl.remove st.spans span;
           if info.si_tid <> tid then
             report st ~seq "span-nesting"
@@ -148,7 +155,7 @@ let step st (e : Event.t) =
             report st ~seq "no-success-while-failed"
               "span %d into component %d begun while failed but ended ok" span
               server;
-          (match stack_of st.span_stacks tid with
+          (match span_stack st tid with
           | { contents = top :: rest } as stack when top = span -> stack := rest
           | { contents = top :: _ } ->
               report st ~seq "span-nesting"
@@ -162,14 +169,14 @@ let step st (e : Event.t) =
           "successful invocation of component %d while it is failed \
            (crash not yet followed by its micro-reboot)"
           server;
-      (match Inttbl.find_opt st.pending_divert tid with
-      | Some pending when Inttbl.mem pending span ->
-          Inttbl.remove pending span;
-          if ok then
-            report st ~seq "divert-unwind"
-              "diverted span %d (tid %d) completed ok instead of unwinding" span
-              tid
-      | _ -> ())
+      let pending = Inttbl.find_or st.pending_divert tid no_pending in
+      if Inttbl.mem pending span then begin
+        Inttbl.remove pending span;
+        if ok then
+          report st ~seq "divert-unwind"
+            "diverted span %d (tid %d) completed ok instead of unwinding" span
+            tid
+      end
   | Event.Divert { cid; victim } ->
       (* the victim's open spans into the rebooted component must unwind
          (end faulted) before the victim re-enters any server *)
@@ -186,9 +193,9 @@ let step st (e : Event.t) =
           match Inttbl.find_opt st.spans span with
           | Some info when info.si_server = cid -> Inttbl.replace pending span ()
           | _ -> ())
-        !(stack_of st.span_stacks victim)
+        !(span_stack st victim)
   | Event.Walk_begin { client; server; reason; _ } -> (
-      let stack = stack_of st.walk_stacks tid in
+      let stack = walk_stack st tid in
       stack := (client, server) :: !stack;
       let d = !(depth_of st tid) in
       match reason with
@@ -204,7 +211,7 @@ let step st (e : Event.t) =
               server
       | Event.Dep | Event.Upcall_driven -> ())
   | Event.Walk_end { client; server; _ } -> (
-      match stack_of st.walk_stacks tid with
+      match walk_stack st tid with
       | { contents = (c, s) :: rest } as stack ->
           stack := rest;
           if c <> client || s <> server then

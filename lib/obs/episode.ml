@@ -103,6 +103,27 @@ type builder = {
 let builder () =
   { b_open = Inttbl.create 4; b_inject = Inttbl.create 4; b_done = [] }
 
+(* [b_open] is probed on every event of a stream, most often for a
+   component with no episode open: [open_of] answers [no_episode] then,
+   without boxing an option *)
+let no_episode =
+  {
+    oe_cid = -1;
+    oe_seq = -1;
+    oe_detect_ns = 0;
+    oe_trigger = None;
+    oe_nodes = [];
+    oe_next_id = 0;
+    oe_detect_id = 0;
+    oe_reboot = None;
+    oe_last_ns = 0;
+    oe_walks = Inttbl.create 1;
+    oe_recovers = Inttbl.create 1;
+    oe_spans = Inttbl.create 1;
+  }
+
+let open_of b cid = Inttbl.find_or b.b_open cid no_episode
+
 let stack_of tbl tid =
   match Inttbl.find_opt tbl tid with
   | Some s -> s
@@ -191,11 +212,11 @@ let feed b (e : Event.t) =
          the second fault landed, so truncate them there instead of
          leaving zero durations — otherwise a crash-during-recovery
          double fault mis-attributes the interrupted walk *)
-      (match Inttbl.find_opt b.b_open cid with
-      | Some oe ->
+      (match open_of b cid with
+      | oe when oe == no_episode -> ()
+      | oe ->
           truncate_open oe ~end_ns:at;
-          close b ~complete:false ~end_ns:0 oe
-      | None -> ());
+          close b ~complete:false ~end_ns:0 oe);
       let oe =
         {
           oe_cid = cid;
@@ -221,9 +242,10 @@ let feed b (e : Event.t) =
         push oe ~tid ~start_ns:at ~end_ns:at ~deps:[] (N_detect { detector });
       Inttbl.replace b.b_open cid oe
   | Event.Reboot { cid; epoch; image_kb; cost_ns } -> (
-      match Inttbl.find_opt b.b_open cid with
-      | None -> ()  (* stream prefix: a reboot whose crash we never saw *)
-      | Some oe ->
+      match open_of b cid with
+      | oe when oe == no_episode ->
+          ()  (* stream prefix: a reboot whose crash we never saw *)
+      | oe ->
           let id =
             push oe ~tid ~start_ns:at ~end_ns:(at + cost_ns)
               ~deps:[ oe.oe_detect_id ]
@@ -231,30 +253,30 @@ let feed b (e : Event.t) =
           in
           oe.oe_reboot <- Some id)
   | Event.Divert { cid; victim } -> (
-      match Inttbl.find_opt b.b_open cid with
-      | None -> ()
-      | Some oe ->
+      match open_of b cid with
+      | oe when oe == no_episode -> ()
+      | oe ->
           ignore
             (push oe ~tid ~start_ns:at ~end_ns:at ~deps:[ anchor oe ]
                (N_divert { victim })))
   | Event.Upcall { cid; fn } -> (
-      match Inttbl.find_opt b.b_open cid with
-      | None -> ()
-      | Some oe ->
+      match open_of b cid with
+      | oe when oe == no_episode -> ()
+      | oe ->
           ignore
             (push oe ~tid ~start_ns:at ~end_ns:at ~deps:[ anchor oe ]
                (N_upcall { fn })))
   | Event.Reflect { cid; fn } -> (
-      match Inttbl.find_opt b.b_open cid with
-      | None -> ()
-      | Some oe ->
+      match open_of b cid with
+      | oe when oe == no_episode -> ()
+      | oe ->
           ignore
             (push oe ~tid ~start_ns:at ~end_ns:at ~deps:[ anchor oe ]
                (N_reflect { fn })))
   | Event.Walk_begin { client; server; iface; desc; reason } -> (
-      match Inttbl.find_opt b.b_open server with
-      | None -> ()
-      | Some oe ->
+      match open_of b server with
+      | oe when oe == no_episode -> ()
+      | oe ->
           (* a nested walk depends on the walk it runs inside; a
              top-level walk depends on the reboot *)
           let deps =
@@ -269,9 +291,9 @@ let feed b (e : Event.t) =
           let stack = stack_of oe.oe_walks tid in
           stack := id :: !stack)
   | Event.Walk_end { server; ok; _ } -> (
-      match Inttbl.find_opt b.b_open server with
-      | None -> ()
-      | Some oe -> (
+      match open_of b server with
+      | oe when oe == no_episode -> ()
+      | oe -> (
           match stack_of oe.oe_walks tid with
           | { contents = id :: rest } as stack ->
               stack := rest;
@@ -284,9 +306,9 @@ let feed b (e : Event.t) =
                   { n with n_end_ns = at; n_kind = kind })
           | _ -> ()))
   | Event.Recover_begin { client; server; iface } -> (
-      match Inttbl.find_opt b.b_open server with
-      | None -> ()
-      | Some oe ->
+      match open_of b server with
+      | oe when oe == no_episode -> ()
+      | oe ->
           let id =
             push oe ~tid ~start_ns:at ~end_ns:at ~deps:[ anchor oe ]
               (N_recover { client; iface; ok = false })
@@ -294,9 +316,9 @@ let feed b (e : Event.t) =
           let stack = stack_of oe.oe_recovers tid in
           stack := id :: !stack)
   | Event.Recover_end { server; _ } -> (
-      match Inttbl.find_opt b.b_open server with
-      | None -> ()
-      | Some oe -> (
+      match open_of b server with
+      | oe when oe == no_episode -> ()
+      | oe -> (
           match stack_of oe.oe_recovers tid with
           | { contents = id :: rest } as stack ->
               stack := rest;
@@ -311,10 +333,10 @@ let feed b (e : Event.t) =
   | Event.Span_begin { span; client; server; fn } -> (
       (* replay spans: invocations entering the rebooted server after
          its micro-reboot, i.e. the retries racing to first access *)
-      match Inttbl.find_opt b.b_open server with
-      | None -> ()
-      | Some oe when oe.oe_reboot = None -> ()
-      | Some oe ->
+      match open_of b server with
+      | oe when oe == no_episode -> ()
+      | oe when oe.oe_reboot = None -> ()
+      | oe ->
           let deps =
             match enclosing_walk oe tid with
             | Some w -> [ w ]
@@ -326,12 +348,12 @@ let feed b (e : Event.t) =
           in
           Inttbl.replace oe.oe_spans span id)
   | Event.Span_end { span; server; ok } -> (
-      match Inttbl.find_opt b.b_open server with
-      | None -> ()
-      | Some oe -> (
-          match Inttbl.find_opt oe.oe_spans span with
-          | None -> ()
-          | Some id ->
+      match open_of b server with
+      | oe when oe == no_episode -> ()
+      | oe -> (
+          match Inttbl.find_or oe.oe_spans span (-1) with
+          | -1 -> ()
+          | id ->
               Inttbl.remove oe.oe_spans span;
               patch oe id (fun n ->
                   let kind =

@@ -2,11 +2,81 @@
    per-component counters and latency histograms. Harnesses and the
    SWIFI campaign read these instead of keeping private counters.
    Every event of every run passes through [feed_raw], so the per-cid
-   and per-span tables are [Inttbl]s, and the per-outcome one a
-   [Strtbl]: no polymorphic hash or compare. *)
+   tables are [Inttbl]s bumped in one probe, the per-outcome one a
+   [Strtbl], and the open spans a map that allocates nothing per span:
+   no polymorphic hash or compare, and no boxing on an invocation. *)
 
 module Inttbl = Sg_util.Inttbl
 module Strtbl = Sg_util.Strtbl
+
+(* Open spans, span id -> begin ns: linear probing over unboxed arrays,
+   with backward-shift deletion, so a begin and its end allocate nothing
+   once the table has grown to the number of spans open at once. Span
+   ids are dense, so the low bits spread them. *)
+module Spans = struct
+  type t = {
+    mutable keys : int array;
+    mutable times : int array;
+    mutable used : Bytes.t;  (* '\001' where a slot holds a span *)
+    mutable n : int;
+  }
+
+  let make cap =
+    { keys = Array.make cap 0; times = Array.make cap 0;
+      used = Bytes.make cap '\000'; n = 0 }
+
+  let create () = make 64
+  let[@inline] used t i = Bytes.unsafe_get t.used i <> '\000'
+  let time t i = t.times.(i)
+
+  (* top-level loops: a local one would capture, and allocate, a closure *)
+  let rec probe t span m i =
+    if (not (used t i)) || t.keys.(i) = span then i
+    else probe t span m ((i + 1) land m)
+
+  (* the slot holding [span], or the empty slot where it would go *)
+  let slot t span =
+    let m = Array.length t.keys - 1 in
+    probe t span m (span land m)
+
+  let rec set t span at_ns =
+    let i = slot t span in
+    if used t i then t.times.(i) <- at_ns
+    else if 2 * (t.n + 1) > Array.length t.keys then begin
+      let keys = t.keys and times = t.times and was_used = t.used in
+      let bigger = make (2 * Array.length keys) in
+      t.keys <- bigger.keys;
+      t.times <- bigger.times;
+      t.used <- bigger.used;
+      t.n <- 0;
+      Array.iteri
+        (fun j key -> if Bytes.get was_used j <> '\000' then set t key times.(j))
+        keys;
+      set t span at_ns
+    end
+    else begin
+      t.keys.(i) <- span;
+      t.times.(i) <- at_ns;
+      Bytes.unsafe_set t.used i '\001';
+      t.n <- t.n + 1
+    end
+
+  (* backward shift: pull each later entry of the probe run into the
+     hole unless its home slot lies cyclically in (hole, j] *)
+  let rec shift t m hole j =
+    let j = (j + 1) land m in
+    if not (used t j) then Bytes.unsafe_set t.used hole '\000'
+    else if (j - (t.keys.(j) land m)) land m >= (j - hole) land m then begin
+      t.keys.(hole) <- t.keys.(j);
+      t.times.(hole) <- t.times.(j);
+      shift t m j j
+    end
+    else shift t m hole j
+
+  let remove_at t i =
+    t.n <- t.n - 1;
+    shift t (Array.length t.keys - 1) i i
+end
 
 type t = {
   mutable invocations_total : int;
@@ -38,7 +108,7 @@ type t = {
   first_access_hist : Hist.t;
   reboot_cost_hist : Hist.t;
   (* transient state for duration tracking *)
-  open_spans : int Inttbl.t;  (* span id -> begin ns *)
+  open_spans : Spans.t;
   open_walks : (int * int * int) list ref Inttbl.t;
       (* tid -> (client, server, begin-ns) stack; ends are matched by
          pair, not blind LIFO, so overlapping walks of different pairs
@@ -77,14 +147,10 @@ let create () =
     walk_hist = Hist.create ();
     first_access_hist = Hist.create ();
     reboot_cost_hist = Hist.create ();
-    open_spans = Inttbl.create 64;
+    open_spans = Spans.create ();
     open_walks = Inttbl.create 16;
     first_access_pending = Inttbl.create 8;
   }
-
-let bump tbl key by =
-  Inttbl.replace tbl key
-    ((match Inttbl.find_opt tbl key with Some n -> n | None -> 0) + by)
 
 let get_str tbl key =
   match Strtbl.find_opt tbl key with Some n -> n | None -> 0
@@ -93,29 +159,32 @@ let feed_raw t ~at_ns ~tid kind =
   match kind with
   | Event.Span_begin { span; server; _ } ->
       t.invocations_total <- t.invocations_total + 1;
-      bump t.invocations_by_server server 1;
-      Inttbl.replace t.open_spans span at_ns
+      Inttbl.add t.invocations_by_server server 1;
+      Spans.set t.open_spans span at_ns
   | Event.Span_end { span; server; ok } ->
-      (match Inttbl.find_opt t.open_spans span with
-      | Some t0 ->
-          Inttbl.remove t.open_spans span;
-          if ok then Hist.add t.span_hist (at_ns - t0)
-      | None -> ());
+      (* a duplicate begin replaced the time; an unknown end is ignored *)
+      let i = Spans.slot t.open_spans span in
+      if Spans.used t.open_spans i then begin
+        let t0 = Spans.time t.open_spans i in
+        Spans.remove_at t.open_spans i;
+        if ok then Hist.add t.span_hist (at_ns - t0)
+      end;
       if ok then begin
         t.spans_ok <- t.spans_ok + 1;
-        match Inttbl.find_opt t.first_access_pending server with
-        | Some reboot_ns ->
-            Inttbl.remove t.first_access_pending server;
-            Hist.add t.first_access_hist (at_ns - reboot_ns)
-        | None -> ()
+        if Inttbl.length t.first_access_pending > 0 then
+          match Inttbl.find_opt t.first_access_pending server with
+          | Some reboot_ns ->
+              Inttbl.remove t.first_access_pending server;
+              Hist.add t.first_access_hist (at_ns - reboot_ns)
+          | None -> ()
       end
       else t.spans_fault <- t.spans_fault + 1
   | Event.Crash { cid; _ } ->
       t.crashes_total <- t.crashes_total + 1;
-      bump t.crashes_by_cid cid 1
+      Inttbl.add t.crashes_by_cid cid 1
   | Event.Reboot { cid; cost_ns; _ } ->
       t.reboots_total <- t.reboots_total + 1;
-      bump t.reboots_by_cid cid 1;
+      Inttbl.add t.reboots_by_cid cid 1;
       t.reboot_ns_total <- t.reboot_ns_total + cost_ns;
       Hist.add t.reboot_cost_hist cost_ns;
       Inttbl.replace t.first_access_pending cid at_ns
@@ -124,8 +193,8 @@ let feed_raw t ~at_ns ~tid kind =
   | Event.Reflect _ -> t.reflects_total <- t.reflects_total + 1
   | Event.Walk_begin { client; server; _ } ->
       t.walks_total <- t.walks_total + 1;
-      bump t.walks_by_client client 1;
-      bump t.walks_by_server server 1;
+      Inttbl.add t.walks_by_client client 1;
+      Inttbl.add t.walks_by_server server 1;
       let stack =
         match Inttbl.find_opt t.open_walks tid with
         | Some s -> s
@@ -173,7 +242,7 @@ let feed t (e : Event.t) =
 
 let attach t sink = Sink.subscribe_fold sink (feed_raw t)
 
-let get tbl key = match Inttbl.find_opt tbl key with Some n -> n | None -> 0
+let get tbl key = Inttbl.find_or tbl key 0
 
 let invocations ?cid t =
   match cid with

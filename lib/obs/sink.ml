@@ -35,6 +35,20 @@ let retains t kind =
   | All -> true
   | Recovery -> Event.is_recovery_relevant kind
 
+(* recursive fan-outs rather than [List.iter] over a fresh closure, so
+   an emission allocates nothing but what its subscribers do *)
+let rec notify e = function
+  | [] -> ()
+  | f :: rest ->
+      f e;
+      notify e rest
+
+let rec fold_into ~at_ns ~tid kind = function
+  | [] -> ()
+  | f :: rest ->
+      f ~at_ns ~tid kind;
+      fold_into ~at_ns ~tid kind rest
+
 let emit t ~at_ns ~tid kind =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
@@ -49,9 +63,9 @@ let emit t ~at_ns ~tid kind =
       t.log <- e :: t.log;
       t.log_len <- t.log_len + 1
     end;
-    List.iter (fun f -> f e) t.subscribers
+    notify e t.subscribers
   end;
-  List.iter (fun f -> f ~at_ns ~tid kind) t.folds
+  fold_into ~at_ns ~tid kind t.folds
 
 let count t = t.log_len
 let events t = List.rev t.log

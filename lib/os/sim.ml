@@ -10,7 +10,11 @@ type t = {
   mutable next_cid : int;
   fibers : (Ktcb.tid, fiber) Hashtbl.t;
       (** a generic [Hashtbl] on purpose: [microreboot] emits its
-          [Divert] events in this table's iteration order *)
+          [Divert] events in this table's iteration order; lookups by
+          tid go through [by_tid] *)
+  mutable by_tid : fiber array;
+      (** the same fibers indexed by tid (dense from 1, slot 0 unused),
+          for [wakeup]'s lookup without a polymorphic hash *)
   mutable current : fiber option;
   upcalls : (int * string, t -> Comp.value list -> Comp.value Comp.outcome) Hashtbl.t;
   mutable on_dispatch : (t -> Comp.cid -> string -> unit) option;
@@ -87,6 +91,7 @@ let create ?(cost = Cost.default) ?(seed = 42) ?retention ?(sched = `Indexed) ()
     names = Hashtbl.create 16;
     next_cid = 1;
     fibers = Hashtbl.create 16;
+    by_tid = [||];
     current = None;
     upcalls = Hashtbl.create 16;
     on_dispatch = None;
@@ -139,7 +144,8 @@ let cid_of_name t name = Hashtbl.find_opt t.names name
 let name_of t cid = (centry_exn t cid).ce_spec.sc_name
 let grant t ~client ~server = Captbl.grant t.sk.Kernel.captbl ~client ~server
 let epoch t cid = (centry_exn t cid).ce_epoch
-let is_failed t cid = (centry_exn t cid).ce_status <> `Alive
+let is_failed t cid =
+  match (centry_exn t cid).ce_status with `Failed _ -> true | `Alive -> false
 
 let mark_failed t cid ~detector =
   let ce = centry_exn t cid in
@@ -214,10 +220,17 @@ let sleeper_live entry =
 let spawn t ?(prio = 10) ~name ~home f =
   let tcb = Ktcb.spawn t.sk.Kernel.threads ~name ~prio ~home in
   let fiber = { f_tcb = tcb; f_resume = Start f; f_last_run = 0; f_sleep_gen = 0 } in
-  Hashtbl.replace t.fibers tcb.Ktcb.tid fiber;
+  let tid = tcb.Ktcb.tid in
+  Hashtbl.replace t.fibers tid fiber;
+  if tid >= Array.length t.by_tid then begin
+    let grown = Array.make (max 16 (2 * tid)) fiber in
+    Array.blit t.by_tid 0 grown 0 (Array.length t.by_tid);
+    t.by_tid <- grown
+  end;
+  t.by_tid.(tid) <- fiber;
   t.live <- t.live + 1;
   if t.sched = `Indexed then ready_push t fiber;
-  tcb.Ktcb.tid
+  tid
 
 let block t =
   let tcb = current_tcb t in
@@ -250,12 +263,12 @@ let wakeup t tid =
           in
           charge t (cost t).Cost.wakeup_ns;
           tcb.Ktcb.state <- Ktcb.Runnable;
-          (if t.sched = `Indexed then
-             match Hashtbl.find_opt t.fibers tid with
-             | Some fiber ->
-                 if was_sleeping then fiber.f_sleep_gen <- fiber.f_sleep_gen + 1;
-                 ready_push t fiber
-             | None -> ());
+          (* every kernel thread of a simulation is one of its fibers *)
+          if t.sched = `Indexed then begin
+            let fiber = t.by_tid.(tid) in
+            if was_sleeping then fiber.f_sleep_gen <- fiber.f_sleep_gen + 1;
+            ready_push t fiber
+          end;
           true
       | Ktcb.Runnable | Ktcb.Exited -> false)
 
@@ -305,40 +318,52 @@ let maybe_preempt t =
 
 (* {1 Components: invocation, reflection, upcalls, reboot} *)
 
+(* One invocation in one handler frame: no body closure and no
+   [Fun.protect]. A server fault (a [Crash] of the server itself) marks
+   it failed while the server is still on the invocation stack, then
+   the stack is restored and the span ends faulted — the order the
+   dispatch hook, the checker and every stream rely on. *)
 let invoke t ~server fn args =
   let tcb = current_tcb t in
-  let client = self_cid t in
+  let client =
+    match tcb.Ktcb.stack with
+    | cid :: _ -> cid
+    | [] -> invalid_arg "Sim.self_cid: empty invocation stack"
+  in
   if not (Captbl.allowed t.sk.Kernel.captbl ~client ~server) then Error Comp.EPERM
   else begin
     t.next_span <- t.next_span + 1;
     let span = t.next_span in
     emit t (Sg_obs.Event.Span_begin { span; client; server; fn });
     charge t (cost t).Cost.invocation_ns;
-    let body () =
-      let ce = centry_exn t server in
-      (match ce.ce_status with
-      | `Failed d -> raise (Comp.Crash { cid = server; detector = "vectored:" ^ d })
-      | `Alive -> ());
-      Ktcb.enter_component tcb server;
-      Fun.protect
-        ~finally:(fun () -> Ktcb.leave_component tcb)
-        (fun () ->
+    match centry_exn t server with
+    | exception e ->
+        emit t (Sg_obs.Event.Span_end { span; server; ok = false });
+        raise e
+    | { ce_status = `Failed d; _ } ->
+        emit t (Sg_obs.Event.Span_end { span; server; ok = false });
+        raise (Comp.Crash { cid = server; detector = "vectored:" ^ d })
+    | ce -> (
+        Ktcb.enter_component tcb server;
+        match
           (match t.on_dispatch with Some hook -> hook t server fn | None -> ());
           (match ce.ce_spec.sc_usage fn with
           | Some u -> charge t (Usage.duration_ns u)
           | None -> charge t (cost t).Cost.dispatch_ns);
-          try ce.ce_spec.sc_dispatch t server fn args
-          with Comp.Crash { cid; detector } as e ->
-            if cid = server then mark_failed t server ~detector;
+          ce.ce_spec.sc_dispatch t server fn args
+        with
+        | r ->
+            Ktcb.leave_component tcb;
+            emit t (Sg_obs.Event.Span_end { span; server; ok = true });
+            r
+        | exception e ->
+            (match e with
+            | Comp.Crash { cid; detector } when cid = server ->
+                mark_failed t server ~detector
+            | _ -> ());
+            Ktcb.leave_component tcb;
+            emit t (Sg_obs.Event.Span_end { span; server; ok = false });
             raise e)
-    in
-    match body () with
-    | r ->
-        emit t (Sg_obs.Event.Span_end { span; server; ok = true });
-        r
-    | exception e ->
-        emit t (Sg_obs.Event.Span_end { span; server; ok = false });
-        raise e
   end
 
 let reflect t ~server fn args =

@@ -24,6 +24,12 @@ let rec find_in key = function
 
 let find_opt t key = find_in key t.buckets.(index t key)
 
+let rec find_or_in key default = function
+  | Nil -> default
+  | Cons c -> if c.key = key then c.data else find_or_in key default c.next
+
+let find_or t key default = find_or_in key default t.buckets.(index t key)
+
 let rec mem_in key = function
   | Nil -> false
   | Cons c -> c.key = key || mem_in key c.next
@@ -54,13 +60,27 @@ let rec replace_in key data = function
       end
       else replace_in key data c.next
 
+let insert t i key data =
+  t.buckets.(i) <- Cons { key; data; next = t.buckets.(i) };
+  t.size <- t.size + 1;
+  if t.size > 2 * Array.length t.buckets then resize t
+
 let replace t key data =
   let i = index t key in
-  if not (replace_in key data t.buckets.(i)) then begin
-    t.buckets.(i) <- Cons { key; data; next = t.buckets.(i) };
-    t.size <- t.size + 1;
-    if t.size > 2 * Array.length t.buckets then resize t
-  end
+  if not (replace_in key data t.buckets.(i)) then insert t i key data
+
+let rec add_in key by = function
+  | Nil -> false
+  | Cons c ->
+      if c.key = key then begin
+        c.data <- c.data + by;
+        true
+      end
+      else add_in key by c.next
+
+let add t key by =
+  let i = index t key in
+  if not (add_in key by t.buckets.(i)) then insert t i key by
 
 let remove t key =
   let i = index t key in

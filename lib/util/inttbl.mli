@@ -17,10 +17,19 @@ val create : int -> 'a t
 
 val length : 'a t -> int
 val find_opt : 'a t -> int -> 'a option
+
+val find_or : 'a t -> int -> 'a -> 'a
+(** [find_or t key default]: the key's binding, or [default]; unlike
+    {!find_opt} it allocates nothing. *)
+
 val mem : 'a t -> int -> bool
 
 val replace : 'a t -> int -> 'a -> unit
 (** Bind the key, replacing its binding if it has one. *)
+
+val add : int t -> int -> int -> unit
+(** [add t key n]: add [n] to the key's count, binding it to [n] if it
+    has none; one probe, and no allocation once the key is bound. *)
 
 val remove : 'a t -> int -> unit
 (** Drop the key's binding, if any. *)

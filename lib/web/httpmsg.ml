@@ -52,13 +52,19 @@ type response = {
   rs_body : string;
 }
 
+(* One exactly sized concatenation: a [Printf.sprintf] buffer doubles
+   past the minor heap's largest block and is allocated on the major
+   heap, once per response. *)
 let render_response r =
-  let hs =
-    ("Content-Length", string_of_int (String.length r.rs_body)) :: r.rs_headers
-    |> List.map (fun (k, v) -> k ^ ": " ^ v ^ "\r\n")
-    |> String.concat ""
+  let headers =
+    List.fold_right
+      (fun (k, v) acc -> k :: ": " :: v :: "\r\n" :: acc)
+      (("Content-Length", string_of_int (String.length r.rs_body)) :: r.rs_headers)
+      [ "\r\n"; r.rs_body ]
   in
-  Printf.sprintf "HTTP/1.1 %d %s\r\n%s\r\n%s" r.rs_status r.rs_reason hs r.rs_body
+  String.concat ""
+    ("HTTP/1.1 " :: string_of_int r.rs_status :: " " :: r.rs_reason :: "\r\n"
+   :: headers)
 
 let parse_response s =
   match split_lines s with

@@ -108,7 +108,19 @@ let test_captbl () =
   Alcotest.(check (list int)) "servers_of" [ 2; 3 ] (Captbl.servers_of c ~client:1);
   Alcotest.(check (list int)) "clients_of" [ 1; 4 ] (Captbl.clients_of c ~server:2);
   Captbl.revoke c ~client:1 ~server:2;
-  Alcotest.(check bool) "revoked" false (Captbl.allowed c ~client:1 ~server:2)
+  Alcotest.(check bool) "revoked" false (Captbl.allowed c ~client:1 ~server:2);
+  (* a (client, server) pair is one packed int: the widest cid keeps
+     its pair apart from its neighbours, a wider one is refused *)
+  let top = (1 lsl 30) - 1 in
+  Captbl.grant c ~client:top ~server:top;
+  Alcotest.(check bool) "widest pair" true (Captbl.allowed c ~client:top ~server:top);
+  Alcotest.(check bool) "swapped pair" false (Captbl.allowed c ~client:top ~server:1);
+  Alcotest.(check (list int)) "servers_of widest" [ top ] (Captbl.servers_of c ~client:top);
+  Alcotest.(check bool) "out of range is never allowed" false
+    (Captbl.allowed c ~client:(top + 1) ~server:2);
+  Alcotest.check_raises "out of range is refused"
+    (Invalid_argument "Captbl: cid pair (-1, 2) out of range") (fun () ->
+      Captbl.grant c ~client:(-1) ~server:2)
 
 let test_frames () =
   let f = Frames.create ~total_frames:2 () in
@@ -134,7 +146,23 @@ let test_frames_reflection () =
   ignore (Frames.map f ~cid:2 ~vaddr:0x1000 fr1);
   Alcotest.(check (list (pair int int)))
     "mappings_of sorted" [ (0x1000, fr1); (0x2000, fr2) ]
-    (Frames.mappings_of f ~cid:1)
+    (Frames.mappings_of f ~cid:1);
+  (* (cid, vaddr) is one packed int: the top page of a 32-bit space
+     stays with its cid, and a wider address is refused *)
+  let top = (1 lsl 32) - 0x1000 in
+  ignore (Frames.map f ~cid:1 ~vaddr:top fr1);
+  Alcotest.(check (list (pair int int)))
+    "top page" [ (0x1000, fr1) ] (Frames.mappings_of f ~cid:2);
+  Alcotest.(check (option int)) "top page lookup" (Some fr1)
+    (Frames.lookup f ~cid:1 ~vaddr:top);
+  Alcotest.(check (option int)) "not another cid's" None
+    (Frames.lookup f ~cid:2 ~vaddr:top);
+  List.iter
+    (fun (cid, vaddr) ->
+      match Frames.lookup f ~cid ~vaddr with
+      | _ -> Alcotest.failf "(%d, %d) accepted" cid vaddr
+      | exception Invalid_argument _ -> ())
+    [ (1, 1 lsl 32); (1, -0x1000); (-1, 0x1000); (1 lsl 30, 0x1000) ]
 
 (* Usage schedule classification: the SWIFI outcome model. *)
 

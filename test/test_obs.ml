@@ -667,6 +667,118 @@ let test_metrics_fold () =
     (Invalid_argument "Metrics.walks: give client or server, not both")
     (fun () -> ignore (Metrics.walks ~client:1 ~server:7 m))
 
+(* The span half of the fold against a reference model of it: a generic
+   [Hashtbl] of open spans where a duplicate begin replaces the time and
+   an end without a begin is ignored, counters per server, and the first
+   successful span end after a reboot. Streams mix duplicate begins,
+   ends without begins, interleaved threads, ids that collide modulo
+   any power of two, negative ids, many spans open at once, and chunk
+   restarts (span ids counting from 1 again under spans still open). *)
+type span_op =
+  | Op_begin of int * int * int  (* span, tid, server *)
+  | Op_next of int * int  (* the chunk's next span id, on tid into server *)
+  | Op_end of int * int * int * bool  (* span, tid, server, ok *)
+  | Op_reboot of int
+  | Op_restart
+
+let gen_span_op =
+  let open QCheck.Gen in
+  let span =
+    frequency
+      [
+        (4, int_range 0 15);
+        (2, int_range 0 400);
+        (2, map2 (fun k r -> (k * 64) + r) (int_range 0 8) (int_range 0 2));
+        (1, int_range (-20) (-1));
+      ]
+  and tid = int_range 1 4
+  and server = int_range 1 5 in
+  frequency
+    [
+      (4, map3 (fun sp t sv -> Op_begin (sp, t, sv)) span tid server);
+      (4, map2 (fun t sv -> Op_next (t, sv)) tid server);
+      ( 5,
+        map3
+          (fun (sp, t) sv ok -> Op_end (sp, t, sv, ok))
+          (pair span tid) server bool );
+      (1, map (fun c -> Op_reboot c) server);
+      (1, return Op_restart);
+    ]
+
+let stream_of_ops ops =
+  let next = ref 0 and at = ref 0 in
+  stream
+    (List.map
+       (fun op ->
+         at := !at + 1 + (!at * 7 mod 13);
+         let kind, tid =
+           match op with
+           | Op_begin (span, tid, server) ->
+               (E.Span_begin { span; client = 1; server; fn = "f" }, tid)
+           | Op_next (tid, server) ->
+               incr next;
+               (E.Span_begin { span = !next; client = 1; server; fn = "f" }, tid)
+           | Op_end (span, tid, server, ok) -> (E.Span_end { span; server; ok }, tid)
+           | Op_reboot cid ->
+               (E.Reboot { cid; epoch = 1; image_kb = 1; cost_ns = 3 }, 0)
+           | Op_restart ->
+               next := 0;
+               (E.Note { name = "sys-reboot"; data = "" }, 0)
+         in
+         (!at, tid, kind))
+       ops)
+
+(* the fold as a plain reference: (invocations by server, ok, faulted,
+   span histogram, first-access histogram) *)
+let reference_span_fold events =
+  let open_spans = Hashtbl.create 16 and pending = Hashtbl.create 4 in
+  let by_server = Array.make 6 0 and ok_n = ref 0 and fault_n = ref 0 in
+  let spans = Hist.create () and first = Hist.create () in
+  List.iter
+    (fun (e : E.t) ->
+      match e.kind with
+      | E.Span_begin { span; server; _ } ->
+          by_server.(server) <- by_server.(server) + 1;
+          Hashtbl.replace open_spans span e.at_ns
+      | E.Span_end { span; server; ok } ->
+          (match Hashtbl.find_opt open_spans span with
+          | Some t0 ->
+              Hashtbl.remove open_spans span;
+              if ok then Hist.add spans (e.at_ns - t0)
+          | None -> ());
+          if ok then begin
+            incr ok_n;
+            match Hashtbl.find_opt pending server with
+            | Some r ->
+                Hashtbl.remove pending server;
+                Hist.add first (e.at_ns - r)
+            | None -> ()
+          end
+          else incr fault_n
+      | E.Reboot { cid; _ } -> Hashtbl.replace pending cid e.at_ns
+      | _ -> ())
+    events;
+  (by_server, !ok_n, !fault_n, spans, first)
+
+let hist_view h = (Hist.n h, Hist.sum h, Hist.min_value h, Hist.max_value h, Hist.buckets_list h)
+
+let prop_metrics_span_map =
+  QCheck.Test.make ~count:500 ~name:"span map folds like the reference model"
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 600) gen_span_op))
+    (fun ops ->
+      let events = stream_of_ops ops in
+      let m = Metrics.create () in
+      List.iter (Metrics.feed m) events;
+      let by_server, ok_n, fault_n, spans, first = reference_span_fold events in
+      Metrics.invocations m = Array.fold_left ( + ) 0 by_server
+      && List.for_all
+           (fun c -> Metrics.invocations ~cid:c m = by_server.(c))
+           [ 0; 1; 2; 3; 4; 5 ]
+      && Metrics.spans_ok m = ok_n
+      && Metrics.spans_fault m = fault_n
+      && hist_view (Metrics.span_hist m) = hist_view spans
+      && hist_view (Metrics.first_access_hist m) = hist_view first)
+
 let wbegin client server =
   E.Walk_begin { client; server; iface = "fs"; desc = 1; reason = E.Demand }
 
@@ -1789,6 +1901,7 @@ let () =
             test_metrics_walk_pairing;
           Alcotest.test_case "interrupted walk pairing" `Quick
             test_metrics_walk_interrupted;
+          QCheck_alcotest.to_alcotest prop_metrics_span_map;
         ] );
       ( "episode",
         [

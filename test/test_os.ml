@@ -341,6 +341,200 @@ let test_dispatch_hook_runs () =
   ignore (Sim.run sim);
   Alcotest.(check bool) "hook saw dispatch" true (!seen = [ (counter, "inc") ])
 
+(* {1 The ways out of Sim.invoke}
+
+   Each case leaves an invocation a different way. Whatever the way,
+   the caller's invocation stack is restored, only a crash of the
+   server itself marks it failed, and the span's events come in the
+   order begin, the crash if any, then a faulted end. *)
+
+let span_events sim ~tid =
+  List.filter_map
+    (fun (e : Sg_obs.Event.t) ->
+      if e.tid <> tid then None
+      else
+        match e.kind with
+        | Sg_obs.Event.Span_begin { server; _ } -> Some (Printf.sprintf "begin %d" server)
+        | Sg_obs.Event.Crash { cid; _ } -> Some (Printf.sprintf "crash %d" cid)
+        | Sg_obs.Event.Span_end { server; ok; _ } ->
+            Some (Printf.sprintf "end %d ok=%b" server ok)
+        | _ -> None)
+    (Sg_obs.Sink.events (Sim.obs sim))
+
+(* run [body] on a fresh thread homed in [app]; returns its tid and the
+   invocation stacks before and after *)
+let exit_case sim ~app body =
+  let before = ref [] and after = ref [] in
+  let tid =
+    Sim.spawn sim ~name:"caller" ~home:app (fun sim ->
+        before := (Sim.current_tcb sim).Sg_kernel.Ktcb.stack;
+        body sim;
+        after := (Sim.current_tcb sim).Sg_kernel.Ktcb.stack)
+  in
+  (tid, before, after)
+
+let check_stack before after =
+  Alcotest.(check (list int)) "invocation stack restored" !before !after
+
+let test_exit_server_crash () =
+  let sim = Sim.create ~retention:Sg_obs.Sink.All () in
+  let app = Sim.register sim (trivial_spec ()) in
+  let poison = ref true in
+  let counter = Sim.register sim (counter_spec poison) in
+  Sim.grant sim ~client:app ~server:counter;
+  let raised = ref false in
+  let tid, before, after =
+    exit_case sim ~app (fun sim ->
+        try ignore (Sim.invoke sim ~server:counter "inc" [])
+        with Comp.Crash { cid; _ } when cid = counter -> raised := true)
+  in
+  Alcotest.(check bool) "completed" true (Sim.run sim = Sim.Completed);
+  Alcotest.(check bool) "Crash reached the client" true !raised;
+  check_stack before after;
+  Alcotest.(check bool) "server marked failed" true (Sim.is_failed sim counter);
+  Alcotest.(check (list string)) "events"
+    [ Printf.sprintf "begin %d" counter; Printf.sprintf "crash %d" counter;
+      Printf.sprintf "end %d ok=false" counter ]
+    (span_events sim ~tid)
+
+let test_exit_diverted () =
+  let sim = Sim.create ~retention:Sg_obs.Sink.All () in
+  let app = Sim.register sim (trivial_spec ()) in
+  let gate = Sim.register sim (gate_spec ()) in
+  Sim.grant sim ~client:app ~server:gate;
+  let diverted = ref false in
+  let tid, before, after =
+    exit_case sim ~app (fun sim ->
+        try ignore (Sim.invoke sim ~server:gate "wait" [])
+        with Comp.Diverted { cid } when cid = gate -> diverted := true)
+  in
+  ignore
+    (Sim.spawn sim ~prio:20 ~name:"booter" ~home:app (fun sim ->
+         Sim.microreboot sim gate;
+         ignore (Sim.wakeup sim tid)));
+  Alcotest.(check bool) "completed" true (Sim.run sim = Sim.Completed);
+  Alcotest.(check bool) "Diverted reached the client" true !diverted;
+  check_stack before after;
+  Alcotest.(check bool) "a divert marks nothing failed" false (Sim.is_failed sim gate);
+  Alcotest.(check (list string)) "events"
+    [ Printf.sprintf "begin %d" gate; Printf.sprintf "end %d ok=false" gate ]
+    (span_events sim ~tid)
+
+let test_exit_unrelated_exception () =
+  let sim = Sim.create ~retention:Sg_obs.Sink.All () in
+  let app = Sim.register sim (trivial_spec ()) in
+  let other = Sim.register sim (trivial_spec ~name:"other" ()) in
+  let relay =
+    Sim.register sim
+      (trivial_spec ~name:"relay"
+         ~dispatch:(fun _ _ fn _ ->
+           match fn with
+           | "crash-other" -> raise (Comp.Crash { cid = other; detector = "test" })
+           | _ -> failwith "relay: boom")
+         ())
+  in
+  Sim.grant sim ~client:app ~server:relay;
+  let caught = ref [] in
+  let tid, before, after =
+    exit_case sim ~app (fun sim ->
+        (try ignore (Sim.invoke sim ~server:relay "crash-other" [])
+         with Comp.Crash { cid; _ } -> caught := Printf.sprintf "crash %d" cid :: !caught);
+        try ignore (Sim.invoke sim ~server:relay "boom" [])
+        with Failure msg -> caught := msg :: !caught)
+  in
+  Alcotest.(check bool) "completed" true (Sim.run sim = Sim.Completed);
+  Alcotest.(check (list string)) "both exceptions reached the client"
+    [ "relay: boom"; Printf.sprintf "crash %d" other ]
+    !caught;
+  check_stack before after;
+  Alcotest.(check bool) "the server is not marked failed" false (Sim.is_failed sim relay);
+  Alcotest.(check bool) "nor is the component the crash names" false
+    (Sim.is_failed sim other);
+  let span = [ Printf.sprintf "begin %d" relay; Printf.sprintf "end %d ok=false" relay ] in
+  Alcotest.(check (list string)) "events" (span @ span) (span_events sim ~tid)
+
+let test_exit_eperm () =
+  let sim = Sim.create ~retention:Sg_obs.Sink.All () in
+  let app = Sim.register sim (trivial_spec ()) in
+  let poison = ref false in
+  let counter = Sim.register sim (counter_spec poison) in
+  let got = ref None in
+  let tid, before, after =
+    exit_case sim ~app (fun sim -> got := Some (Sim.invoke sim ~server:counter "inc" []))
+  in
+  Alcotest.(check bool) "completed" true (Sim.run sim = Sim.Completed);
+  Alcotest.(check bool) "EPERM" true (!got = Some (Error Comp.EPERM));
+  check_stack before after;
+  Alcotest.(check bool) "nothing marked failed" false (Sim.is_failed sim counter);
+  Alcotest.(check (list string)) "no span" [] (span_events sim ~tid);
+  Alcotest.(check int) "no invocation counted" 0 (Sim.invocations sim)
+
+(* {1 Allocation budget}
+
+   The fixed bookkeeping of one invocation (span events, capability
+   check, handler frame, metrics fold, stub lookups) is counted in minor
+   words, which do not depend on host speed. The ceilings sit at what
+   the invocation path allocates now; a change that adds boxing on it
+   fails here before any benchmark notices. A null invocation's 12
+   words are its two span events and the invocation-stack cell; a lock
+   call adds the client's argument list and the stub, server and lock
+   bookkeeping (DESIGN.md §3.5). *)
+
+let words_per_call ~calls f =
+  let before = Gc.minor_words () in
+  f ();
+  (Gc.minor_words () -. before) /. float_of_int calls
+
+let check_budget what ~ceiling words =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.1f words per invocation, ceiling %.0f" what words
+       ceiling)
+    true (words <= ceiling)
+
+let test_null_invocation_budget () =
+  let sim = Sim.create () in
+  let app = Sim.register sim (trivial_spec ()) in
+  let null = Sim.register sim (trivial_spec ~name:"null" ()) in
+  Sim.grant sim ~client:app ~server:null;
+  let port = Port.raw null in
+  let n = 10_000 in
+  let words = ref nan in
+  ignore
+    (Sim.spawn sim ~name:"w" ~home:app (fun sim ->
+         ignore (Port.call port sim "null" []);
+         words :=
+           words_per_call ~calls:n (fun () ->
+               for _ = 1 to n do
+                 ignore (Port.call port sim "null" [])
+               done)));
+  Alcotest.(check bool) "completed" true (Sim.run sim = Sim.Completed);
+  Alcotest.(check int) "every invocation counted" (n + 1) (Sim.invocations sim);
+  check_budget "null server via Port.raw" ~ceiling:12. !words
+
+let test_superglue_lock_budget () =
+  let module Sysbuild = Sg_components.Sysbuild in
+  let module Lock = Sg_components.Lock in
+  let sys = Sysbuild.build Superglue.Stubset.mode in
+  let sim = sys.Sysbuild.sys_sim in
+  let app = sys.Sysbuild.sys_app1 in
+  let port = sys.Sysbuild.sys_port ~client:app ~iface:"lock" in
+  let pairs = 10_000 in
+  let words = ref nan in
+  ignore
+    (Sim.spawn sim ~name:"w" ~home:app (fun sim ->
+         let l = Lock.alloc port sim in
+         Lock.take port sim l;
+         Lock.release port sim l;
+         words :=
+           words_per_call ~calls:(2 * pairs) (fun () ->
+               for _ = 1 to pairs do
+                 Lock.take port sim l;
+                 Lock.release port sim l
+               done)));
+  Alcotest.(check bool) "completed" true (Sim.run sim = Sim.Completed);
+  check_budget "lock_take/lock_release via the superglue stubs" ~ceiling:43.
+    !words
+
 let test_determinism () =
   (* Two identical simulations produce identical clocks and counters. *)
   let build () =
@@ -382,6 +576,11 @@ let () =
           Alcotest.test_case "crash marks failed" `Quick test_crash_marks_failed_and_vectored;
           Alcotest.test_case "block inside server" `Quick test_block_inside_server;
           Alcotest.test_case "dispatch hook" `Quick test_dispatch_hook_runs;
+          Alcotest.test_case "exit: server crash" `Quick test_exit_server_crash;
+          Alcotest.test_case "exit: diverted after reboot" `Quick test_exit_diverted;
+          Alcotest.test_case "exit: unrelated exception" `Quick
+            test_exit_unrelated_exception;
+          Alcotest.test_case "exit: EPERM" `Quick test_exit_eperm;
         ] );
       ( "recovery-substrate",
         [
@@ -392,4 +591,9 @@ let () =
           Alcotest.test_case "upcall" `Quick test_upcall;
         ] );
       ("determinism", [ Alcotest.test_case "same seed same run" `Quick test_determinism ]);
+      ( "allocation-budget",
+        [
+          Alcotest.test_case "null invocation" `Quick test_null_invocation_budget;
+          Alcotest.test_case "superglue lock call" `Quick test_superglue_lock_budget;
+        ] );
     ]

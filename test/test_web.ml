@@ -34,6 +34,22 @@ let test_response_roundtrip () =
       Alcotest.(check string) "body" "payload" r.Httpmsg.rs_body
   | Error e -> Alcotest.fail e
 
+(* the exact bytes of a rendered response: status line, Content-Length
+   first, then the response's own headers, a blank line, the body *)
+let test_response_bytes () =
+  Alcotest.(check string) "200"
+    "HTTP/1.1 200 OK\r\nContent-Length: 7\r\nServer: composite-httpd\r\n\
+     Content-Type: text/html\r\n\r\npayload"
+    (Httpmsg.render_response (Httpmsg.ok ~body:"payload"));
+  Alcotest.(check string) "404"
+    "HTTP/1.1 404 Not Found\r\nContent-Length: 16\r\n\
+     Server: composite-httpd\r\n\r\n<html>404</html>"
+    (Httpmsg.render_response Httpmsg.not_found);
+  Alcotest.(check string) "empty body, no headers of its own"
+    "HTTP/1.1 204 No Content\r\nContent-Length: 0\r\n\r\n"
+    (Httpmsg.render_response
+       { Httpmsg.rs_status = 204; rs_reason = "No Content"; rs_headers = []; rs_body = "" })
+
 let prop_request_roundtrip =
   QCheck.Test.make ~name:"request paths round-trip" ~count:200
     QCheck.(string_gen_of_size (Gen.int_range 1 40) (Gen.char_range 'a' 'z'))
@@ -308,6 +324,7 @@ let () =
           Alcotest.test_case "request roundtrip" `Quick test_request_roundtrip;
           Alcotest.test_case "malformed rejected" `Quick test_request_malformed;
           Alcotest.test_case "response roundtrip" `Quick test_response_roundtrip;
+          Alcotest.test_case "response bytes" `Quick test_response_bytes;
           QCheck_alcotest.to_alcotest prop_request_roundtrip;
           QCheck_alcotest.to_alcotest prop_status_of_response;
         ] );
