@@ -16,7 +16,14 @@
 
    Both modes are closed under [merge] (bucket-wise count addition), so
    merging per-domain histograms equals histogramming the concatenated
-   samples — the property [Pardriver]/[Pool] determinism rests on. *)
+   samples — the property [Pardriver]/[Pool] determinism rests on.
+
+   Buckets are allocated on demand: [create] allocates none, and the
+   first sample past the end of the array grows it. Every sample lies in
+   buckets [index min_v, index max_v], so [percentile], [clear] and
+   [merge] touch only that range, and a latency histogram whose samples
+   share two octaves costs a few hundred words, not the 1888 of a full
+   [Log_linear 5] layout. *)
 
 type mode = Log2 | Log_linear of int
 
@@ -35,7 +42,9 @@ let size_of_mode = function
 
 type t = {
   mode : mode;
-  counts : int array;
+  cap : int;  (* [size_of_mode mode] *)
+  mutable counts : int array;
+      (* buckets [0, length); every bucket past the end is empty *)
   mutable n : int;
   mutable sum : int;
   sumsq : float array;
@@ -48,7 +57,8 @@ type t = {
 let create ?(mode = Log2) () =
   {
     mode;
-    counts = Array.make (size_of_mode mode) 0;
+    cap = size_of_mode mode;
+    counts = [||];
     n = 0;
     sum = 0;
     sumsq = [| 0.0 |];
@@ -107,8 +117,22 @@ let bounds_of_mode mode i =
         let lo = (1 lsl (b - 1)) + ((i mod m) * width) in
         (lo, lo + width - 1)
 
+(* make bucket [i >= length counts] addressable. A [Log2] histogram
+   takes all of its 64 buckets at once; a [Log_linear] one grows to a
+   quarter past [i], so a run of ever larger samples reallocates a
+   logarithmic number of times *)
+let grow t i =
+  let len = Array.length t.counts in
+  let size =
+    match t.mode with Log2 -> t.cap | Log_linear _ -> min t.cap (i + 1 + (i / 4))
+  in
+  let counts = Array.make size 0 in
+  Array.blit t.counts 0 counts 0 len;
+  t.counts <- counts
+
 let add t v =
   let i = index_of_mode t.mode v in
+  if i >= Array.length t.counts then grow t i;
   t.counts.(i) <- t.counts.(i) + 1;
   t.n <- t.n + 1;
   t.sum <- t.sum + v;
@@ -131,40 +155,97 @@ let stddev t =
 let min_value t = if t.n = 0 then 0 else t.min_v
 let max_value t = if t.n = 0 then 0 else t.max_v
 
+(* the 1-based rank of the [p]-quantile among [n] samples, [p] clamped
+   to [0;1] *)
+let rank n p =
+  let p = if p < 0.0 then 0.0 else if p > 1.0 then 1.0 else p in
+  let x = int_of_float (ceil (p *. float_of_int n)) in
+  if x < 1 then 1 else x
+
+(* interpolate linearly within the winning bucket [i], which holds [c]
+   samples after [before] smaller ones: the value a rank [target] sample
+   would have if the bucket's samples were spread evenly over its range,
+   clamped to the observed [min_v, max_v] *)
+let interpolate mode i ~before ~c ~target ~min_v ~max_v =
+  let lo, hi = bounds_of_mode mode i in
+  let frac = float_of_int (target - before) /. float_of_int c in
+  let v = lo + int_of_float (frac *. float_of_int (hi - lo)) in
+  let v = if v > max_v then max_v else v in
+  if v < min_v then min_v else v
+
 let percentile t p =
   if t.n = 0 then 0
   else begin
-    let p = if p < 0.0 then 0.0 else if p > 1.0 then 1.0 else p in
-    let target =
-      let x = int_of_float (ceil (p *. float_of_int t.n)) in
-      if x < 1 then 1 else x
-    in
-    let nbuckets = Array.length t.counts in
+    let target = rank t.n p in
+    let last = index_of_mode t.mode t.max_v in
     let rec go i before =
-      if i >= nbuckets then t.max_v
+      if i > last then t.max_v
       else
         let c = t.counts.(i) in
-        if before + c >= target then begin
-          (* interpolate linearly within the winning bucket: the value a
-             rank [target] sample would have if the bucket's [c] samples
-             were spread evenly over its range *)
-          let lo, hi = bounds_of_mode t.mode i in
-          let frac = float_of_int (target - before) /. float_of_int c in
-          let v = lo + int_of_float (frac *. float_of_int (hi - lo)) in
-          let v = if v > t.max_v then t.max_v else v in
-          if v < t.min_v then t.min_v else v
-        end
+        if before + c >= target then
+          interpolate t.mode i ~before ~c ~target ~min_v:t.min_v ~max_v:t.max_v
         else go (i + 1) (before + c)
     in
-    go 0 0
+    go (index_of_mode t.mode t.min_v) 0
+  end
+
+(* the [k]-th largest of [a], [1 <= k <= length a]: a min-heap of the
+   [k] largest seen so far, O(n log k) *)
+let kth_largest (a : int array) k =
+  let heap = Array.sub a 0 k in
+  let rec sift i =
+    let l = (2 * i) + 1 in
+    if l < k then begin
+      let c = if l + 1 < k && heap.(l + 1) < heap.(l) then l + 1 else l in
+      if heap.(c) < heap.(i) then begin
+        let x = heap.(i) in
+        heap.(i) <- heap.(c);
+        heap.(c) <- x;
+        sift c
+      end
+    end
+  in
+  for i = (k / 2) - 1 downto 0 do
+    sift i
+  done;
+  for j = k to Array.length a - 1 do
+    if a.(j) > heap.(0) then begin
+      heap.(0) <- a.(j);
+      sift 0
+    end
+  done;
+  heap.(0)
+
+let percentile_of_samples mode a p =
+  let n = Array.length a in
+  if n = 0 then 0
+  else begin
+    let target = rank n p in
+    (* the rank's sample is the (n - target + 1)-th largest: one heap
+       entry for a p99 over fewer than 100 samples *)
+    let i = index_of_mode mode (kth_largest a (n - target + 1)) in
+    let before = ref 0 and c = ref 0 in
+    let min_v = ref max_int and max_v = ref min_int in
+    for k = 0 to n - 1 do
+      let v = a.(k) in
+      let j = index_of_mode mode v in
+      if j < i then incr before else if j = i then incr c;
+      if v < !min_v then min_v := v;
+      if v > !max_v then max_v := v
+    done;
+    interpolate mode i ~before:!before ~c:!c ~target ~min_v:!min_v ~max_v:!max_v
   end
 
 let merge dst src =
   if dst.mode <> src.mode then
     invalid_arg "Hist.merge: histograms use different bucketing modes";
-  for i = 0 to Array.length dst.counts - 1 do
-    dst.counts.(i) <- dst.counts.(i) + src.counts.(i)
-  done;
+  if src.n > 0 then begin
+    let last = index_of_mode src.mode src.max_v in
+    if last >= Array.length dst.counts then grow dst last;
+    for i = index_of_mode src.mode src.min_v to last do
+      dst.counts.(i) <- dst.counts.(i) + src.counts.(i)
+    done
+  end;
   dst.n <- dst.n + src.n;
   dst.sum <- dst.sum + src.sum;
   dst.sumsq.(0) <- dst.sumsq.(0) +. src.sumsq.(0);
@@ -175,17 +256,21 @@ let merge dst src =
   end
 
 let buckets_list t =
-  let rec go i acc =
-    if i < 0 then acc
-    else
-      go (i - 1)
-        (if t.counts.(i) = 0 then acc else (i, t.counts.(i)) :: acc)
-  in
-  go (Array.length t.counts - 1) []
+  if t.n = 0 then []
+  else begin
+    let first = index_of_mode t.mode t.min_v in
+    let rec go i acc =
+      if i < first then acc
+      else go (i - 1) (if t.counts.(i) = 0 then acc else (i, t.counts.(i)) :: acc)
+    in
+    go (index_of_mode t.mode t.max_v) []
+  end
 
 let clear t =
-  (* every sample sits at or below [max_v]'s bucket: the rest is zero *)
-  if t.n > 0 then Array.fill t.counts 0 (index_of_mode t.mode t.max_v + 1) 0;
+  if t.n > 0 then begin
+    let first = index_of_mode t.mode t.min_v in
+    Array.fill t.counts first (index_of_mode t.mode t.max_v + 1 - first) 0
+  end;
   t.n <- 0;
   t.sum <- 0;
   t.sumsq.(0) <- 0.0;

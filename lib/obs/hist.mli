@@ -8,7 +8,14 @@
     percentiles (p99/p999) must resolve finer than 2x steps.
 
     Percentiles interpolate linearly within the winning bucket and are
-    clamped to the observed [min]/[max]. *)
+    clamped to the observed [min]/[max].
+
+    Buckets are allocated on demand: {!create} allocates no bucket
+    array, {!add} and {!merge} grow it to the highest bucket they need
+    (never past the mode's full layout), and {!percentile}, {!clear} and
+    {!buckets_list} touch only the buckets between the observed [min]'s
+    and [max]'s. A [Log2] histogram takes its 64 buckets on its first
+    sample. *)
 
 type mode =
   | Log2  (** power-of-two buckets; the default *)
@@ -41,6 +48,13 @@ val percentile : t -> float -> int
     rank-[ceil (p*n)] sample's bucket is located exactly; the returned
     value interpolates the rank's position across the bucket's value
     range (clamped to the observed min/max). *)
+
+val percentile_of_samples : mode -> int array -> float -> int
+(** [percentile_of_samples mode a p] is [percentile h p] for a histogram
+    [h] of [mode] holding exactly the samples of [a], in any order,
+    without building [h]: its cost depends on [length a], not on the
+    number of buckets, and is linear for a p99 over fewer than 100
+    samples. *)
 
 val merge : t -> t -> unit
 (** [merge dst src] folds [src] into [dst] without replaying events;

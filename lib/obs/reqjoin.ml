@@ -68,47 +68,121 @@ type t = {
    resolves far finer than the 2x steps of the default Log2 layout *)
 let hist_mode = Hist.Log_linear 5
 
-(* the sweep's events: an arrival (+1), a start (-1) or the arrival of
-   a dropped request, which samples the backlog without joining it *)
-type qev = Arrive | Start | Sample
+(* [merge_runs key p tmp lo mid hi] merges the sorted runs [lo, mid)
+   and [mid, hi) of the permutation [p], ordered by [key]. Entries of
+   the left run no greater than the right run's first, and entries of
+   the right run no less than the left run's last, are already in place,
+   so only the overlap between them moves: on keys that are each a few
+   places from their sorted position the merge costs that overlap, not
+   the runs' length. Ties keep the left entry first. *)
+let merge_runs (key : int array) p tmp lo mid hi =
+  let last_left = key.(p.(mid - 1)) and first_right = key.(p.(mid)) in
+  if last_left > first_right then begin
+    let a = ref (mid - 1) in
+    while !a > lo && key.(p.(!a - 1)) > first_right do
+      decr a
+    done;
+    let b = ref (mid + 1) in
+    while !b < hi && key.(p.(!b)) < last_left do
+      incr b
+    done;
+    let len = mid - !a in
+    Array.blit p !a tmp 0 len;
+    let i = ref 0 and j = ref mid and o = ref !a in
+    while !i < len && !j < !b do
+      if key.(p.(!j)) < key.(tmp.(!i)) then begin
+        p.(!o) <- p.(!j);
+        incr j
+      end
+      else begin
+        p.(!o) <- tmp.(!i);
+        incr i
+      end;
+      incr o
+    done;
+    (* a right-run remainder already sits at [!o = !j, !b) *)
+    Array.blit tmp !i p !o (len - !i)
+  end
+
+(* [stable_order key n]: the indices [0, n) in ascending order of their
+   keys, equal keys in index order. Runs of [insertion_run] are
+   insertion-sorted, then merged bottom-up with [merge_runs]: linear
+   when every key is a few places from its sorted position (the request
+   records of a run, which arrive in finish order), O(n log n) on any
+   order. *)
+let insertion_run = 16
+
+let stable_order (key : int array) n =
+  let p = Array.make n 0 in
+  for i = 0 to n - 1 do
+    p.(i) <- i
+  done;
+  let lo = ref 0 in
+  while !lo < n do
+    let hi = min n (!lo + insertion_run) in
+    for i = !lo + 1 to hi - 1 do
+      let x = p.(i) in
+      let j = ref (i - 1) in
+      while !j >= !lo && key.(p.(!j)) > key.(x) do
+        p.(!j + 1) <- p.(!j);
+        decr j
+      done;
+      p.(!j + 1) <- x
+    done;
+    lo := hi
+  done;
+  let tmp = Array.make n 0 in
+  let width = ref insertion_run in
+  while !width < n do
+    let lo = ref 0 in
+    while !lo + !width < n do
+      let mid = !lo + !width in
+      let hi = min n (mid + !width) in
+      merge_runs key p tmp !lo mid hi;
+      lo := hi
+    done;
+    width := 2 * !width
+  done;
+  p
 
 let queue_depth_profile reqs =
-  (* sweep arrival (+1) and start (-1) instants in time order; each
-     arrival samples the backlog including itself. Arrivals sort before
-     starts at equal timestamps so an immediately-served request still
-     samples depth 1; the uid makes the order total, hence the profile
+  (* merge arrival (+1) and start (-1) instants in time order; each
+     arrival samples the backlog including itself, a dropped request's
+     arrival samples it without joining. At an equal instant arrivals
+     and drops go first, in list order, so an immediately-served request
+     still samples depth 1: the order is total, hence the profile
      deterministic for any input permutation. *)
+  let n = List.length reqs in
+  let arrival = Array.make n 0 and dropped = Array.make n false in
+  let start = Array.make n 0 and starts = ref 0 in
+  List.iteri
+    (fun uid r ->
+      arrival.(uid) <- r.rq_arrival_ns;
+      if r.rq_outcome = "dropped" then dropped.(uid) <- true
+      else begin
+        start.(!starts) <- r.rq_start_ns;
+        incr starts
+      end)
+    reqs;
+  let starts = !starts in
+  let by_arrival = stable_order arrival n in
+  let by_start = stable_order start starts in
   let hist = Hist.create ~mode:hist_mode () in
-  let events =
-    List.concat
-      (List.mapi
-         (fun uid r ->
-           if r.rq_outcome = "dropped" then [ (r.rq_arrival_ns, 0, uid, Sample) ]
-           else
-             [ (r.rq_arrival_ns, 0, uid, Arrive); (r.rq_start_ns, 1, uid, Start) ])
-         reqs)
-    |> Array.of_list
-  in
-  (* lexicographic on (instant, arrivals first, uid), with integer
-     compares: a total order, so any sort gives the same sequence *)
-  Array.stable_sort
-    (fun ((t0 : int), (k0 : int), (u0 : int), _) (t1, k1, u1, _) ->
-      if t0 <> t1 then Int.compare t0 t1
-      else if k0 <> k1 then Int.compare k0 k1
-      else Int.compare u0 u1)
-    events;
-  let depth = ref 0 in
-  let max_d = ref 0 in
-  Array.iter
-    (fun (_, _, _, ev) ->
-      match ev with
-      | Arrive ->
-          incr depth;
-          if !depth > !max_d then max_d := !depth;
-          Hist.add hist !depth
-      | Sample -> Hist.add hist (max 1 (!depth + 1))
-      | Start -> decr depth)
-    events;
+  let depth = ref 0 and max_d = ref 0 and next_start = ref 0 in
+  for i = 0 to n - 1 do
+    let uid = by_arrival.(i) in
+    let t = arrival.(uid) in
+    while !next_start < starts && start.(by_start.(!next_start)) < t do
+      decr depth;
+      incr next_start
+    done;
+    if dropped.(uid) then Hist.add hist (max 1 (!depth + 1))
+    else begin
+      incr depth;
+      if !depth > !max_d then max_d := !depth;
+      Hist.add hist !depth
+    end
+  done;
   (hist, !max_d)
 
 (* the first index in [0, n) whose [a.(i) >= v], [n] if none; [a] is
@@ -171,25 +245,26 @@ let join ?(episodes = []) reqs =
       done;
       Hist.add (if !hit then shadowed else clean) lat)
     reqs;
-  (* one scratch histogram summarises every episode in turn: n, p99,
-     max and mean do not depend on the order of the samples *)
-  let scratch = Hist.create ~mode:hist_mode () in
   let impacts =
     Array.to_list
       (Array.mapi
          (fun i ep ->
-           let h = scratch in
-           if Hist.n h > 0 then Hist.clear h;
-           List.iter (Hist.add h) per_ep.(i);
+           let lats = Array.of_list per_ep.(i) in
+           let n = Array.length lats in
+           let max_v = ref min_int and sum = ref 0 in
+           for j = 0 to n - 1 do
+             if lats.(j) > !max_v then max_v := lats.(j);
+             sum := !sum + lats.(j)
+           done;
            {
              ei_cid = ep.E.ep_cid;
              ei_detect_ns = ep.E.ep_detect_ns;
              ei_end_ns = ep.E.ep_end_ns;
              ei_complete = ep.E.ep_complete;
-             ei_requests = Hist.n h;
-             ei_p99_ns = Hist.percentile h 0.99;
-             ei_max_ns = Hist.max_value h;
-             ei_mean_ns = Hist.mean h;
+             ei_requests = n;
+             ei_p99_ns = Hist.percentile_of_samples hist_mode lats 0.99;
+             ei_max_ns = (if n = 0 then 0 else !max_v);
+             ei_mean_ns = (if n = 0 then 0.0 else float_of_int !sum /. float_of_int n);
            })
          eps)
   in

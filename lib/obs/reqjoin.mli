@@ -10,8 +10,18 @@
     timestamps alone yield offered-vs-served throughput and a
     queue-depth (arrived but not yet started) overload profile.
 
+    The queue-depth profile merges the arrival and start instants in
+    time order; at an equal instant arrivals and drops come first, in
+    list order, then starts. Both are sorted in O(n log n) on any
+    order, and in linear time on records in finish order, as
+    [Loadgen] produces them. An episode's row is computed from its own
+    samples, at a cost independent of the histogram layout.
+
     The join is a pure function of the request records and episodes:
-    replaying a dumped stream reproduces the report bit-for-bit. *)
+    replaying a dumped stream reproduces the report bit-for-bit when the
+    stream was kept in full ([Sink.All], as [sgtrace dump] keeps it).
+    The default [Recovery] retention keeps no [Http_req] span and none
+    of the accesses that close an episode. *)
 
 type req = {
   rq_client : int;

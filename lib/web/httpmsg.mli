@@ -22,12 +22,17 @@ type response = {
 }
 
 val render_response : response -> string
+(** Status line, [Content-Length], the response's own headers, a blank
+    line and the body, built in one string of the exact length. *)
+
 val parse_response : string -> (response, string) result
+(** The status code must be exactly three ASCII digits (RFC 9112
+    [status-code = 3DIGIT]); any other spelling is a bad status. *)
 
 val status_of_response : string -> (int, string) result
-(** The status code {!parse_response} would return, read from the
-    status line alone: the rest of the message is not split or copied.
-    Its [Error] is {!parse_response}'s too. *)
+(** The status code {!parse_response} would return, read in place from
+    the status line alone: the rest of the message is not split or
+    copied. Its [Error] is {!parse_response}'s too. *)
 
 val ok : body:string -> response
 val not_found : response

@@ -717,6 +717,28 @@ let prop_parse_total = total "Json.parse is total on damaged artifacts" Json.par
 let prop_artifact_total =
   total "Artifact.of_string is total on damaged artifacts" Artifact.of_string
 
+(* ------------------------------------------------------------------ *)
+(* Allocation budget                                                   *)
+
+(* Minor words per scenario over a fixed seed range, each judged by the
+   full oracle. Minor words do not depend on host speed; the ceiling
+   sits at what the range allocates now. *)
+let test_scenario_budget () =
+  let seeds = 200 in
+  (* the first run also fills the compiled-interface caches *)
+  ignore (Dst.run_seed 1);
+  let before = Gc.minor_words () in
+  let failed = ref 0 in
+  for seed = 1 to seeds do
+    if Dst.report_failed (Dst.run_seed seed) then incr failed
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int seeds in
+  Alcotest.(check int) "no failing seed" 0 !failed;
+  let ceiling = 16150. in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per scenario, ceiling %.0f" words ceiling)
+    true (words <= ceiling)
+
 let () =
   Alcotest.run "dst"
     [
@@ -799,4 +821,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_parse_total;
           QCheck_alcotest.to_alcotest prop_artifact_total;
         ] );
+      ( "allocation",
+        [ Alcotest.test_case "scenarios 1..200" `Quick test_scenario_budget ] );
     ]

@@ -272,6 +272,178 @@ let test_hist_add_allocates_nothing () =
     (Printf.sprintf "10k adds took %.0f minor words" words)
     true (words < 100.)
 
+(* [Hist] before on-demand buckets: every bucket allocated by [create],
+   every scan from bucket 0 over the full layout. The property below
+   holds the on-demand histogram to its results. *)
+module Fixed_hist = struct
+  type t = {
+    mode : Hist.mode;
+    counts : int array;
+    mutable n : int;
+    mutable sum : int;
+    mutable sumsq : float;
+    mutable min_v : int;
+    mutable max_v : int;
+  }
+
+  let size = function Hist.Log2 -> 64 | Hist.Log_linear k -> (64 - k) * (1 lsl k)
+
+  let create mode =
+    {
+      mode;
+      counts = Array.make (size mode) 0;
+      n = 0;
+      sum = 0;
+      sumsq = 0.0;
+      min_v = max_int;
+      max_v = min_int;
+    }
+
+  let rec bits v = if v = 0 then 0 else 1 + bits (v lsr 1)
+
+  let index mode v =
+    match mode with
+    | Hist.Log2 -> Hist.bucket_of v
+    | Hist.Log_linear k ->
+        let m = 1 lsl k in
+        if v <= 0 then 0
+        else if v < 2 * m then v
+        else
+          let b = bits v in
+          ((b - k - 1) * m) + (v asr (b - 1 - k))
+
+  let add t v =
+    let i = index t.mode v in
+    t.counts.(i) <- t.counts.(i) + 1;
+    t.n <- t.n + 1;
+    t.sum <- t.sum + v;
+    let fv = float_of_int v in
+    t.sumsq <- t.sumsq +. (fv *. fv);
+    if v < t.min_v then t.min_v <- v;
+    if v > t.max_v then t.max_v <- v
+
+  let merge dst src =
+    Array.iteri (fun i c -> dst.counts.(i) <- dst.counts.(i) + c) src.counts;
+    dst.n <- dst.n + src.n;
+    dst.sum <- dst.sum + src.sum;
+    dst.sumsq <- dst.sumsq +. src.sumsq;
+    if src.n > 0 then begin
+      if src.min_v < dst.min_v then dst.min_v <- src.min_v;
+      if src.max_v > dst.max_v then dst.max_v <- src.max_v
+    end
+
+  let clear t =
+    Array.fill t.counts 0 (Array.length t.counts) 0;
+    t.n <- 0;
+    t.sum <- 0;
+    t.sumsq <- 0.0;
+    t.min_v <- max_int;
+    t.max_v <- min_int
+
+  let mean t = if t.n = 0 then 0.0 else float_of_int t.sum /. float_of_int t.n
+
+  let stddev t =
+    if t.n = 0 then 0.0
+    else
+      let m = mean t in
+      sqrt (Float.max 0.0 ((t.sumsq /. float_of_int t.n) -. (m *. m)))
+
+  let percentile t p =
+    if t.n = 0 then 0
+    else begin
+      let p = if p < 0.0 then 0.0 else if p > 1.0 then 1.0 else p in
+      let target = max 1 (int_of_float (ceil (p *. float_of_int t.n))) in
+      let rec go i before =
+        if i >= Array.length t.counts then t.max_v
+        else
+          let c = t.counts.(i) in
+          if before + c >= target then begin
+            let lo, hi = Hist.bounds_of_mode t.mode i in
+            let frac = float_of_int (target - before) /. float_of_int c in
+            let v = lo + int_of_float (frac *. float_of_int (hi - lo)) in
+            max t.min_v (min t.max_v v)
+          end
+          else go (i + 1) (before + c)
+      in
+      go 0 0
+    end
+
+  let buckets_list t =
+    List.filter (fun (_, c) -> c > 0) (List.mapi (fun i c -> (i, c)) (Array.to_list t.counts))
+end
+
+(* on-demand buckets change no result: random adds, merges of a second
+   histogram (which grows the destination) and clears, in every mode,
+   checked after each step against [Fixed_hist]; and
+   [percentile_of_samples] over the samples added since the last clear
+   equals [percentile] *)
+let prop_hist_on_demand =
+  let value =
+    QCheck.Gen.(
+      oneof
+        [
+          int_range (-3) 70;
+          int_range 0 5_000;
+          int_range 0 2_000_000;
+          map (fun b -> 1 lsl b) (int_range 10 61);
+          oneofl [ max_int; min_int; 0 ];
+        ])
+  in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (12, map (fun v -> `Add v) value);
+          (2, map (fun vs -> `Merge vs) (list_size (int_range 0 20) value));
+          (1, return `Clear);
+        ])
+  in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (oneofl [ Hist.Log2; Hist.Log_linear 1; Hist.Log_linear 2; Hist.Log_linear 5; Hist.Log_linear 8 ])
+        (list_size (int_range 0 60) op))
+  in
+  QCheck.Test.make ~count:500 ~name:"on-demand buckets = fixed-width reference"
+    (QCheck.make gen) (fun (mode, ops) ->
+      let h = Hist.create ~mode () and r = Fixed_hist.create mode in
+      let samples = ref [] in
+      let agrees () =
+        Hist.buckets_list h = Fixed_hist.buckets_list r
+        && Hist.n h = r.Fixed_hist.n
+        && Hist.sum h = r.Fixed_hist.sum
+        && Hist.min_value h = (if r.Fixed_hist.n = 0 then 0 else r.Fixed_hist.min_v)
+        && Hist.max_value h = (if r.Fixed_hist.n = 0 then 0 else r.Fixed_hist.max_v)
+        && Float.equal (Hist.mean h) (Fixed_hist.mean r)
+        && Float.equal (Hist.stddev h) (Fixed_hist.stddev r)
+        && List.for_all
+             (fun p ->
+               Hist.percentile h p = Fixed_hist.percentile r p
+               && Hist.percentile_of_samples mode (Array.of_list !samples) p
+                  = Hist.percentile h p)
+             [ 0.0; 0.01; 0.5; 0.9; 0.99; 0.999; 1.0 ]
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | `Add v ->
+              Hist.add h v;
+              Fixed_hist.add r v;
+              samples := v :: !samples
+          | `Merge vs ->
+              let src = Hist.create ~mode () and rsrc = Fixed_hist.create mode in
+              List.iter (Hist.add src) vs;
+              List.iter (Fixed_hist.add rsrc) vs;
+              Hist.merge h src;
+              Fixed_hist.merge r rsrc;
+              samples := vs @ !samples
+          | `Clear ->
+              Hist.clear h;
+              Fixed_hist.clear r;
+              samples := []);
+          agrees ())
+        ops)
+
 (* ---------- JSON-lines codec ---------- *)
 
 let all_kinds =
@@ -1784,15 +1956,19 @@ module Linear_join = struct
     }
 end
 
-(* random requests in any arrival order (some dropped, some never
-   started), and episodes that overlap, nest, share detect instants or
-   are incomplete *)
+(* random requests (some dropped, some never started), and episodes
+   that overlap, nest, share detect instants or are incomplete. Half the
+   inputs draw every instant from a pool of a dozen, so drops share
+   their instant with other arrivals and with starts, and starts share
+   theirs. The records come in generation order, in finish order (as
+   [Loadgen] records them) or in reverse finish order; most inputs hold
+   up to 80 requests, some up to 2000. *)
 let gen_join_input =
   let open QCheck.Gen in
-  let req =
-    let* arrival = int_range 0 3000 in
-    let* wait = int_range 0 400 in
-    let* service = int_range 0 900 in
+  let req ~dense =
+    let* arrival = if dense then int_range 0 12 else int_range 0 3000 in
+    let* wait = if dense then int_range 0 3 else int_range 0 400 in
+    let* service = if dense then int_range 0 4 else int_range 0 900 in
     let* outcome = oneofl [ "ok"; "ok"; "ok"; "error"; "dropped"; "failed" ] in
     let* client = int_range 1 50 in
     let start, finish =
@@ -1825,7 +2001,15 @@ let gen_join_input =
         ep_nodes = [];
       }
   in
-  pair (list_size (int_range 0 80) req) (list_size (int_range 0 14) episode)
+  let by_finish =
+    List.stable_sort (fun a b -> Int.compare a.Reqjoin.rq_finish_ns b.Reqjoin.rq_finish_ns)
+  in
+  let* dense = bool in
+  let* reqs =
+    list_size (frequency [ (6, int_range 0 80); (1, int_range 0 2000) ]) (req ~dense)
+  in
+  let* order = oneofl [ Fun.id; by_finish; (fun l -> List.rev (by_finish l)) ] in
+  pair (return (order reqs)) (list_size (int_range 0 14) episode)
 
 let prop_reqjoin_sweep =
   QCheck.Test.make ~name:"sweep join renders the linear scan's bytes" ~count:400
@@ -1857,6 +2041,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_hist_merge_exact;
           Alcotest.test_case "add allocates nothing" `Quick
             test_hist_add_allocates_nothing;
+          QCheck_alcotest.to_alcotest prop_hist_on_demand;
         ] );
       ( "jsonl",
         [

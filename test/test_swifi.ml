@@ -152,6 +152,26 @@ let test_base_mode_recovers_nothing () =
   let r = Campaign.run ~mode:Sysbuild.Base ~iface:"fs" ~injections:100 () in
   Alcotest.(check int) "no recovery without stubs" 0 r.Campaign.r_recovered
 
+(* Minor words per injection over one campaign chunk per service, as
+   [Campaign.run] cuts them (400 iterations, a fault every 20 us).
+   Minor words do not depend on host speed; the ceiling sits at what
+   the chunks allocate now. *)
+let test_injection_budget () =
+  let chunk iface =
+    Campaign.run_chunk ~mode:Superglue.Stubset.mode ~iface ~seed:5 ~period_ns:20_000
+      ~iters:400 ~budget:350_000 ~cmon_period_ns:None ()
+  in
+  (* the first chunk also fills the compiled-interface caches *)
+  ignore (chunk "lock");
+  let before = Gc.minor_words () in
+  let injected = List.fold_left (fun acc i -> acc + fst (chunk i)) 0 Workloads.all_ifaces in
+  let words = (Gc.minor_words () -. before) /. float_of_int injected in
+  Alcotest.(check bool) "faults injected" true (injected > 0);
+  let ceiling = 795. in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per injection, ceiling %.0f" words ceiling)
+    true (words <= ceiling)
+
 let () =
   Alcotest.run "sg_swifi"
     [
@@ -167,6 +187,8 @@ let () =
           Alcotest.test_case "c3 recovers" `Quick test_c3_mode_also_recovers;
           Alcotest.test_case "base does not recover" `Quick test_base_mode_recovers_nothing;
         ] );
+      ( "allocation",
+        [ Alcotest.test_case "one chunk per service" `Quick test_injection_budget ] );
       ( "pardriver",
         [
           QCheck_alcotest.to_alcotest prop_pardriver_invariant;

@@ -94,6 +94,157 @@ let prop_status_of_response =
       Httpmsg.status_of_response text
       = Result.map (fun r -> r.Httpmsg.rs_status) (Httpmsg.parse_response text))
 
+(* RFC 9112: status-code = 3DIGIT. Any other spelling [int_of_string]
+   accepts (hex, a sign, underscores, more or fewer digits) is a bad
+   status, for [status_of_response] and [parse_response] alike *)
+let test_status_three_digits () =
+  List.iter
+    (fun (text, expect) ->
+      let line = List.hd (String.split_on_char '\r' text) in
+      let expect =
+        match expect with Some code -> Ok code | None -> Error ("bad status: " ^ line)
+      in
+      Alcotest.(check (result int string)) text expect (Httpmsg.status_of_response text);
+      Alcotest.(check (result int string))
+        ("parse_response " ^ text) expect
+        (Result.map (fun r -> r.Httpmsg.rs_status) (Httpmsg.parse_response text)))
+    [
+      ("HTTP/1.1 200 OK\r\n\r\n", Some 200);
+      ("HTTP/1.1 404 Not Found", Some 404);
+      ("HTTP/1.1 503", Some 503);
+      ("HTTP/1.1 000 Zero", Some 0);
+      ("HTTP/1.1 0x1F OK", None);
+      ("HTTP/1.1 -5 X", None);
+      ("HTTP/1.1 1_000 X", None);
+      ("HTTP/1.1 +20 X", None);
+      ("HTTP/1.1 20 X", None);
+      ("HTTP/1.1 2000 X", None);
+      ("HTTP/1.1 2a0 X", None);
+      ("HTTP/1.1  200 X", None);
+      ("HTTP/1.1 ", None);
+    ]
+
+(* [parse_request] and [render_response] as they were when they split
+   lines into lists and concatenated strings: the differential
+   properties below hold the index-based versions to their results,
+   error messages and bytes *)
+module List_httpmsg = struct
+  let split_lines s =
+    String.split_on_char '\n' s
+    |> List.map (fun l ->
+           let n = String.length l in
+           if n > 0 && l.[n - 1] = '\r' then String.sub l 0 (n - 1) else l)
+
+  let parse_header line =
+    match String.index_opt line ':' with
+    | None -> Error ("malformed header: " ^ line)
+    | Some i ->
+        let key = String.sub line 0 i in
+        let v = String.sub line (i + 1) (String.length line - i - 1) in
+        Ok (String.lowercase_ascii key, String.trim v)
+
+  let parse_request s =
+    match split_lines s with
+    | [] | [ "" ] -> Error "empty request"
+    | first :: rest -> (
+        match String.split_on_char ' ' first with
+        | [ m; path; version ] ->
+            let rec headers acc = function
+              | [] | "" :: _ -> Ok (List.rev acc)
+              | line :: rest -> (
+                  match parse_header line with
+                  | Ok kv -> headers (kv :: acc) rest
+                  | Error e -> Error e)
+            in
+            Result.map
+              (fun hs ->
+                {
+                  Httpmsg.rq_method = m;
+                  rq_path = path;
+                  rq_version = version;
+                  rq_headers = hs;
+                })
+              (headers [] rest)
+        | _ -> Error ("malformed request line: " ^ first))
+
+  let render_response (r : Httpmsg.response) =
+    let headers =
+      List.fold_right
+        (fun (k, v) acc -> k :: ": " :: v :: "\r\n" :: acc)
+        (("Content-Length", string_of_int (String.length r.rs_body)) :: r.rs_headers)
+        [ "\r\n"; r.rs_body ]
+    in
+    String.concat ""
+      ("HTTP/1.1 " :: string_of_int r.rs_status :: " " :: r.rs_reason :: "\r\n"
+     :: headers)
+end
+
+(* request texts: rendered requests, lines joined by CRLF or LF at
+   random (mixed within one text), headers with and without ':', extra
+   and missing spaces, stray '\r' and whitespace around values, empty
+   text, and bodies empty or 4 KB after the blank line *)
+let gen_request_text =
+  let open QCheck.Gen in
+  let token = string_size ~gen:(oneofl [ 'a'; 'Z'; '/'; '.'; '-'; '1' ]) (int_range 0 8) in
+  let padding = oneofl [ ""; ""; " "; "  "; "\t"; " \r"; "\012" ] in
+  let request_line =
+    oneof
+      [
+        map3 (fun m p v -> m ^ " " ^ p ^ " " ^ v) (oneofl [ "GET"; "POST"; "get" ]) token
+          (oneofl [ "HTTP/1.1"; "HTTP/1.0" ]);
+        map2 (fun a b -> a ^ " " ^ b) token token;
+        map3 (fun a b c -> a ^ "  " ^ b ^ " " ^ c) token token token;
+        map (fun l -> String.concat " " l) (list_size (int_range 0 5) token);
+      ]
+  in
+  let header =
+    frequency
+      [
+        ( 6,
+          let* key = string_size ~gen:(oneofl [ 'H'; 'o'; 's'; 'T'; '-'; 'x' ]) (int_range 0 10) in
+          let* pre = padding and* post = padding in
+          let* value = string_size ~gen:(oneofl [ 'a'; ' '; ':'; 'B'; '9' ]) (int_range 0 12) in
+          return (key ^ ":" ^ pre ^ value ^ post) );
+        (1, token);
+        (1, return " ");
+      ]
+  in
+  let body = oneof [ return ""; return (String.make 4096 'b'); string_size (int_range 0 40) ] in
+  let* first = request_line in
+  let* headers = list_size (int_range 0 6) header in
+  let* blank = bool in
+  let* body = body in
+  let lines = (first :: headers) @ if blank then [ ""; body ] else [] in
+  let* ends = list_repeat (List.length lines) (oneofl [ "\r\n"; "\n" ]) in
+  let* terminated = bool in
+  let text =
+    String.concat "" (List.map2 (fun l e -> l ^ e) lines ends)
+  in
+  let text =
+    if terminated || text = "" then text
+    else String.sub text 0 (String.length text - String.length (List.nth ends (List.length ends - 1)))
+  in
+  oneof [ return text; return ""; return "\r"; return "\n"; return ("  " ^ text) ]
+
+let prop_parse_request_differential =
+  QCheck.Test.make ~name:"parse_request = the line-list parser" ~count:2000
+    (QCheck.make ~print:String.escaped gen_request_text)
+    (fun text -> Httpmsg.parse_request text = List_httpmsg.parse_request text)
+
+let gen_response =
+  let open QCheck.Gen in
+  let text = string_size ~gen:printable (int_range 0 16) in
+  let* status = oneof [ oneofl [ 200; 404; 503; 0; -1; 99999; max_int; min_int ]; int ] in
+  let* reason = text in
+  let* headers = list_size (int_range 0 5) (pair text text) in
+  let* body = oneof [ return ""; return (String.make 4096 'x'); string_size (int_range 0 300) ] in
+  return { Httpmsg.rs_status = status; rs_reason = reason; rs_headers = headers; rs_body = body }
+
+let prop_render_response_differential =
+  QCheck.Test.make ~name:"render_response = the concatenating renderer" ~count:1000
+    (QCheck.make gen_response)
+    (fun r -> String.equal (Httpmsg.render_response r) (List_httpmsg.render_response r))
+
 let run_server mode ~fault_period_ns ~requests =
   let sys = Sysbuild.build mode in
   let server = Server.install sys in
@@ -280,6 +431,71 @@ let test_validate () =
   | _ -> Alcotest.fail "run accepted rate 0"
   | exception Invalid_argument _ -> ()
 
+(* A faulted open-loop run's stream, written with [Jsonl.dump] and read
+   back with [Jsonl.load], joins with [Reqjoin.of_events] to the bytes
+   of the live join. The run makes [Loadgen.run_open]'s calls one by
+   one on a sink that keeps every event, as [sgtrace dump] does: under
+   the default [Recovery] retention the stream holds no [Http_req] span
+   and none of the accesses that complete an episode, so [run_open]'s
+   own report (every episode incomplete) is not what a dump replays. *)
+let test_replayed_join () =
+  let sys = Sysbuild.build ~seed:small_cfg.Loadgen.lg_seed Superglue.Stubset.mode in
+  let sim = sys.Sysbuild.sys_sim in
+  Sg_obs.Sink.set_retention (Sim.obs sim) Sg_obs.Sink.All;
+  let server = Server.install sys in
+  let res = Loadgen.run ~fault_period_ns:2_000_000 small_cfg sys server in
+  let events = Sg_obs.Sink.events (Sim.obs sim) in
+  let live =
+    Reqjoin.join ~episodes:(Sg_obs.Episode.of_events events) res.Loadgen.lr_reqs
+  in
+  let path = Filename.temp_file "replayed_join" ".jsonl" in
+  let replayed =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Out_channel.with_open_text path (fun oc -> Sg_obs.Jsonl.dump oc events);
+        In_channel.with_open_text path Sg_obs.Jsonl.load)
+  in
+  Alcotest.(check bool) "some episode completed" true
+    (List.exists (fun e -> e.Reqjoin.ei_complete) live.Reqjoin.tj_episodes);
+  let render t = Sg_util.Json.to_string (Reqjoin.to_json t) in
+  Alcotest.(check string) "replayed join renders the live bytes" (render live)
+    (render (Reqjoin.of_events replayed))
+
+(* Minor words per request over the calls one open-loop run makes
+   ([Loadgen.run_open]'s, one by one): build, install, 250 Poisson
+   requests at 6000 req/s with a fault every ms, episode stitching and
+   the join. Minor words do not depend on host speed; the ceiling sits
+   at what the run allocates now. *)
+let test_request_budget () =
+  let cfg =
+    {
+      Loadgen.default with
+      Loadgen.lg_arrival = Loadgen.Poisson { rate_rps = 6_000.0 };
+      lg_requests = 250;
+      lg_seed = 7;
+    }
+  in
+  let run () =
+    let sys = Sysbuild.build ~seed:cfg.Loadgen.lg_seed Superglue.Stubset.mode in
+    let server = Server.install sys in
+    let res = Loadgen.run ~fault_period_ns:1_000_000 cfg sys server in
+    let episodes =
+      Sg_obs.Episode.of_events (Sg_obs.Sink.events (Sim.obs sys.Sysbuild.sys_sim))
+    in
+    Reqjoin.join ~episodes res.Loadgen.lr_reqs
+  in
+  (* the first run also fills the compiled-interface caches *)
+  ignore (run ());
+  let before = Gc.minor_words () in
+  let join = run () in
+  let words = (Gc.minor_words () -. before) /. float_of_int cfg.Loadgen.lg_requests in
+  Alcotest.(check int) "every request offered" 250 join.Reqjoin.tj_offered;
+  let ceiling = 1229. in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per request, ceiling %.0f" words ceiling)
+    true (words <= ceiling)
+
 let prop_interarrival_poisson =
   QCheck.Test.make ~name:"poisson interarrival mean tracks the rate" ~count:20
     QCheck.(int_range 0 10_000)
@@ -327,6 +543,10 @@ let () =
           Alcotest.test_case "response bytes" `Quick test_response_bytes;
           QCheck_alcotest.to_alcotest prop_request_roundtrip;
           QCheck_alcotest.to_alcotest prop_status_of_response;
+          Alcotest.test_case "status code is three digits" `Quick
+            test_status_three_digits;
+          QCheck_alcotest.to_alcotest prop_parse_request_differential;
+          QCheck_alcotest.to_alcotest prop_render_response_differential;
         ] );
       ( "server",
         [
@@ -349,6 +569,9 @@ let () =
           Alcotest.test_case "sweep deterministic across jobs" `Quick
             test_open_loop_determinism;
           Alcotest.test_case "validate rejects bad configs" `Quick test_validate;
+          Alcotest.test_case "replayed stream joins to the live bytes" `Quick
+            test_replayed_join;
+          Alcotest.test_case "allocation budget per request" `Quick test_request_budget;
           QCheck_alcotest.to_alcotest prop_interarrival_poisson;
           QCheck_alcotest.to_alcotest prop_interarrival_bursty;
         ] );

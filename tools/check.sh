@@ -387,6 +387,11 @@ pinned() {
     --fault-period-ms 1 --json > "$tmpdir/pin_web.json"
 pinned c22ed93b520c44a3328470be092461c1 "$tmpdir/pin_web.json" \
     "webbench open-loop --requests 20000 --seed 42 --fault-period-ms 1 --json"
+# the fault-free and 3 ms report of the -j gate above, pinned with the
+# binaries of the commit before the linear queue sweep: it holds the
+# fault-free join to its bytes across commits, not only across -j
+pinned 25b2cdc3be52b73d28a42eb03c4cc48c "$tmpdir/webbench_j1.json" \
+    "webbench open-loop --requests 2000 --seed 42 --fault-period-ms 0,3 --json -j 1"
 ./_build/default/bin/dst.exe run --seed 1 --count 3000 --no-shrink -j 2 \
     > "$tmpdir/pin_dst.out"
 pinned 556a15b7701836e76a5ba65c18df0037 "$tmpdir/pin_dst.out" \
