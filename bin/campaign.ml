@@ -160,6 +160,12 @@ let run mode iface injections seed cmon jobs trace profile verify_bounds =
   | _, _, true, None ->
       prerr_endline "superglue-campaign: --verify-bounds requires --iface";
       exit 2
+  | _, _, _, Some iface
+    when not (List.mem iface Sg_components.Workloads.all_ifaces) ->
+      Printf.eprintf "superglue-campaign: unknown interface %s (have: %s)\n"
+        iface
+        (String.concat " " Sg_components.Workloads.all_ifaces);
+      exit 2
   | _ -> (
       let writer = Option.map make_trace_writer trace in
       let on_chunk = Option.map fst writer in

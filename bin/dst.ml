@@ -135,6 +135,9 @@ let run_cmd_fn seed count mutant out jobs no_shrink quiet =
         | None -> (None, Dst.default_profile))
   in
   match sut with
+  | _ when count <= 0 ->
+      Printf.eprintf "superglue-dst: --count must be positive (got %d)\n" count;
+      2
   | None ->
       Printf.eprintf "superglue-dst: unknown mutant %s\n" (Option.get mutant);
       2

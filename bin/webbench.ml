@@ -45,6 +45,11 @@ let faults_arg =
         ~doc:"Crash one system service every MS virtual milliseconds.")
 
 let run_fig7 mode requests fault_ms timeline =
+  (match fault_ms with
+  | Some ms when ms <= 0 ->
+      prerr_endline "webbench: --fault-period-ms must be positive";
+      exit 2
+  | _ -> ());
   let fault_period_ns = Option.map (fun ms -> ms * 1_000_000) fault_ms in
   match mode with
   | None -> Sg_harness.Fig7.print ~requests ()
@@ -228,10 +233,14 @@ let run_open_loop mode_name arrival rate burst_rate quiet_ms burst_ms requests
   | Error msg ->
       prerr_endline ("webbench: " ^ msg);
       exit 2
+  | Ok () when List.exists (fun ms -> ms < 0) periods ->
+      prerr_endline
+        "webbench: --fault-period-ms entries must be 0 (fault-free) or positive";
+      exit 2
   | Ok () ->
       let mode = mode_of_name mode_name in
       let periods =
-        List.map (fun ms -> if ms <= 0 then None else Some (ms * 1_000_000)) periods
+        List.map (fun ms -> if ms = 0 then None else Some (ms * 1_000_000)) periods
       in
       let outcomes = Loadgen.sweep ~jobs ~mode ~periods cfg in
       if json then print_string (Sg_util.Json.to_string (report_json ~mode_name cfg outcomes))

@@ -31,7 +31,6 @@ type t = {
       (** Indexed backend: sleeping fibers keyed (until_ns, tid); stale
           entries are invalidated by the per-fiber generation counter *)
   mutable live : int;  (** fibers spawned and not yet finished *)
-  debug_divert : bool;  (** SG_DEBUG_DIVERT, read once at creation *)
 }
 
 and spec = {
@@ -104,7 +103,6 @@ let create ?(cost = Cost.default) ?(seed = 42) ?retention ?(sched = `Indexed) ()
     ready = Runq.Ready.create ();
     sleepq = Runq.Sleep.create ();
     live = 0;
-    debug_divert = Sys.getenv_opt "SG_DEBUG_DIVERT" <> None;
   }
 
 let obs t = t.sim_obs
@@ -485,11 +483,6 @@ let run_fiber t fiber =
       match fiber.f_tcb.Ktcb.divert with
       | Some cid ->
           fiber.f_tcb.Ktcb.divert <- None;
-          if t.debug_divert then
-            Printf.eprintf "divert tid=%d from cid=%d (stack innermost=%s)\n"
-              fiber.f_tcb.Ktcb.tid cid
-              (match Ktcb.current_component fiber.f_tcb with
-               | Some c -> string_of_int c | None -> "-");
           Effect.Deep.discontinue k (Comp.Diverted { cid })
       | None -> Effect.Deep.continue k ()));
   t.current <- None

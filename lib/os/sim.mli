@@ -53,8 +53,8 @@ type run_result = Completed | Fatal of fatal | Deadlock
     [sched] selects the dispatcher backend. [`Indexed] (the default)
     maintains the ready and sleeper sets incrementally in {!Runq} heaps;
     [`Scan] is the legacy O(threads)-per-decision list scan, kept as the
-    reference implementation for the golden-trace determinism tests and
-    the [bench sched] comparison. Both backends dispatch threads in the
+    reference implementation for the golden-trace determinism tests.
+    Both backends dispatch threads in the
     exact same [(prio, last_run, tid)] order, so every observable
     behaviour — event streams, virtual times, campaign outcomes — is
     bit-for-bit identical across them. *)

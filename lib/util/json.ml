@@ -1,7 +1,7 @@
 (* The one JSON value, printer and parser behind every machine-readable
-   report (sgc-*, sg-profile, sg-reqjoin, sg-webbench, DST artifacts,
-   BENCH_* files). Only the event-line codec ([Sg_obs.Jsonl]) writes
-   JSON by hand, and it shares this module's escaper. *)
+   report (sgc-*, sg-profile, sg-reqjoin, sg-webbench, DST artifacts).
+   Only the event-line codec ([Sg_obs.Jsonl]) writes JSON by hand, and
+   it shares this module's escaper. *)
 
 type t =
   | Null

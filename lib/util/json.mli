@@ -2,8 +2,8 @@
     its printer and parser.
 
     Reports: [sgc-lint], [sgc-bound], [sgc-taint], [sgc-race],
-    [sg-profile], [sg-reqjoin], [sg-webbench], DST artifacts
-    ([superglue-dst]) and the [BENCH_*] files. Only the event-line codec
+    [sg-profile], [sg-reqjoin], [sg-webbench] and DST artifacts
+    ([superglue-dst]). Only the event-line codec
     [Sg_obs.Jsonl] renders JSON by hand, for speed, and it uses
     {!add_escaped} from here. *)
 
@@ -56,6 +56,6 @@ val get_str : t -> string -> string
     @raise Parse_error when it is missing or of another type. *)
 
 val versioned_report : schema:string -> version:int -> (string * t) list -> t
-(** The envelope of every report but the [BENCH_*] files: a top-level
+(** The envelope of every report: a top-level
     object whose first two fields are [version] then [schema], followed
     by the schema-specific fields in the given order. *)

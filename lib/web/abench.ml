@@ -22,6 +22,9 @@ let client_spec =
   }
 
 let run ?(concurrency = 10) ?fault_period_ns ~requests sys server =
+  (match fault_period_ns with
+  | Some p when p <= 0 -> invalid_arg "Abench.run: fault_period_ns must be positive"
+  | _ -> ());
   let sim = sys.Sysbuild.sys_sim in
   let client = Sim.register sim client_spec in
   Sim.grant sim ~client ~server:server.Server.ws_http;

@@ -25,7 +25,8 @@ val run :
 (** Run to completion ([Sg_os.Sim.run] inside). [fault_period_ns], when
     given, crashes one system service every period, rotating over the
     six services (the paper's "one crash every 10 seconds into a
-    different system-level component"). *)
+    different system-level component"). Raises [Invalid_argument] when
+    [fault_period_ns <= 0]. *)
 
 val apache_reference : requests:int -> result
 (** The external Apache/Linux reference point of Fig 7: a monolithic

@@ -152,6 +152,9 @@ type result = {
 
 let run ?fault_period_ns cfg sys server =
   validate_exn cfg;
+  (match fault_period_ns with
+  | Some p when p <= 0 -> invalid_arg "Loadgen.run: fault_period_ns must be positive"
+  | _ -> ());
   let sim = sys.Sysbuild.sys_sim in
   let client = Sim.register sim client_spec in
   Sim.grant sim ~client ~server:server.Server.ws_http;

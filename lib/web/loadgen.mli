@@ -62,7 +62,8 @@ val run :
 (** Drive one open-loop run against an installed server, then
     [Sim.run] to completion. With [fault_period_ns], a SWIFI thread
     crashes a rotating system service each period (as [Abench.run]).
-    Raises [Invalid_argument] on a config {!validate} rejects, and
+    Raises [Invalid_argument] on a config {!validate} rejects or when
+    [fault_period_ns <= 0], and
     [Failure] if the simulation deadlocks or faults fatally. *)
 
 type outcome = {

@@ -260,6 +260,19 @@ let test_server_serves () =
   Alcotest.(check bool) "logger kept up" true (!(server.Server.ws_logged) >= 500);
   Alcotest.(check bool) "throughput positive" true (r.Abench.ab_rps > 0.0)
 
+(* a SWIFI thread that sleeps a non-positive period wakes at once and
+   starves the clients below it, so the run refuses such a period *)
+let test_abench_period_positive () =
+  List.iter
+    (fun period ->
+      match
+        run_server Superglue.Stubset.mode ~fault_period_ns:(Some period)
+          ~requests:10
+      with
+      | _ -> Alcotest.failf "Abench.run accepted fault period %d" period
+      | exception Invalid_argument _ -> ())
+    [ 0; -1 ]
+
 let test_server_survives_fault_storm () =
   let sys, _, r =
     run_server Superglue.Stubset.mode
@@ -431,6 +444,17 @@ let test_validate () =
   | _ -> Alcotest.fail "run accepted rate 0"
   | exception Invalid_argument _ -> ()
 
+let test_loadgen_period_positive () =
+  List.iter
+    (fun period ->
+      match
+        Loadgen.run_open ~mode:Superglue.Stubset.mode ~fault_period_ns:period
+          small_cfg
+      with
+      | _ -> Alcotest.failf "Loadgen.run accepted fault period %d" period
+      | exception Invalid_argument _ -> ())
+    [ 0; -1 ]
+
 (* A faulted open-loop run's stream, written with [Jsonl.dump] and read
    back with [Jsonl.load], joins with [Reqjoin.of_events] to the bytes
    of the live join. The run makes [Loadgen.run_open]'s calls one by
@@ -555,6 +579,8 @@ let () =
           Alcotest.test_case "base dies under faults" `Quick test_base_dies_under_faults;
           Alcotest.test_case "stub cost ordering" `Quick test_stub_modes_cost_more;
           Alcotest.test_case "apache reference" `Quick test_apache_reference;
+          Alcotest.test_case "rejects a non-positive fault period" `Quick
+            test_abench_period_positive;
           Alcotest.test_case "timeline coalesces equal timestamps" `Quick
             test_timeline_coalesce;
           Alcotest.test_case "timeline marks every crash" `Quick
@@ -569,6 +595,8 @@ let () =
           Alcotest.test_case "sweep deterministic across jobs" `Quick
             test_open_loop_determinism;
           Alcotest.test_case "validate rejects bad configs" `Quick test_validate;
+          Alcotest.test_case "rejects a non-positive fault period" `Quick
+            test_loadgen_period_positive;
           Alcotest.test_case "replayed stream joins to the live bytes" `Quick
             test_replayed_join;
           Alcotest.test_case "allocation budget per request" `Quick test_request_budget;

@@ -16,40 +16,21 @@ dune build @all
 echo "== dune runtest"
 dune runtest
 
-echo "== perf smoke: bench sched --quick writes valid BENCH_sched.json"
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
-./_build/default/bench/main.exe sched --quick --out "$tmpdir/BENCH_sched.json" > /dev/null
-python3 - "$tmpdir/BENCH_sched.json" <<'EOF'
-import json, sys
-b = json.load(open(sys.argv[1]))
-assert b["bench"] == "sched"
-for k in ("scan", "indexed"):
-    assert b[k]["wall_s"] > 0 and b[k]["dispatch_per_s"] > 0
-assert b["speedup_indexed_vs_scan"] > 0
-EOF
 
-echo "== perf smoke: bench campaign-scale --quick writes valid BENCH_campaign.json"
-./_build/default/bench/main.exe campaign-scale --quick \
-    --out "$tmpdir/BENCH_campaign.json" > /dev/null
-python3 - "$tmpdir/BENCH_campaign.json" <<'EOF'
-import json, sys
-r = json.load(open(sys.argv[1]))
-assert r["bench"] == "campaign-scale" and r["quick"] is True
-assert r["services"] == 6
-assert r["injections_total"] == r["injections_per_service"] * 6
-assert r["host_cores"] >= 1
-assert [row["j"] for row in r["jobs"]] == [1, 2, 4]
-for row in r["jobs"]:
-    assert row["wall_s"] > 0 and row["injections_per_s"] > 0
-assert r["verify_bounds"]["violations"] == 0
-assert r["verify_bounds"]["complete"] >= 1
-EOF
+# pinned MD5 FILE WHAT: FILE's md5 must be MD5, a digest computed with
+# the binaries of an earlier commit (CHANGES.md says which); a change
+# that moves one on purpose re-pins it and states old -> new.
+pinned() {
+    got=$(md5sum < "$2" | cut -d' ' -f1)
+    if [ "$got" != "$1" ]; then
+        echo "identity gate: $3 has md5 $got, pinned $1" >&2
+        exit 1
+    fi
+}
 
-echo "== perf gate: fresh campaign throughput against the committed baseline"
-python3 tools/bench_diff.py BENCH_campaign.json "$tmpdir/BENCH_campaign.json"
-
-echo "== perf smoke: sgtrace check passes on a -j 2 campaign stream"
+echo "== trace smoke: sgtrace check passes on a -j 2 campaign stream"
 ./_build/default/bin/campaign.exe --iface lock -n 40 --seed 3 -j 2 \
     --trace "$tmpdir/trace.jsonl" > /dev/null 2>&1
 ./_build/default/bin/sgtrace.exe check --incomplete "$tmpdir/trace.jsonl" > /dev/null
@@ -174,12 +155,52 @@ echo "== bound cross-validation: no stitched episode exceeds the static bound"
 grep -q "violations=0" "$tmpdir/vb1.out"
 grep -q "violations=0" "$tmpdir/vb2.out"
 
+echo "== bound gate: a million injections, every stitched episode complete and within its bound"
+# 166666 faults into each of the six services at -j 2 (885,998
+# episodes). The md5 was pinned from -j 1 runs with the binaries of the
+# commit before this stage, so it holds the rows and bound checks to
+# their bytes across commits and across -j alike.
+for i in sched mm fs lock evt timer; do
+    ./_build/default/bin/campaign.exe --iface "$i" -n 166666 --seed 1 -j 2 \
+        --verify-bounds
+done > "$tmpdir/million.out"
+python3 - "$tmpdir/million.out" <<'EOF'
+import sys
+rows = [dict(kv.split("=") for kv in l.split()[2:])
+        for l in open(sys.argv[1]) if l.startswith("bound-check ")]
+assert len(rows) == 6
+for r in rows:
+    assert r["violations"] == "0" and r["complete"] == r["episodes"], r
+assert sum(int(r["episodes"]) for r in rows) == 885998
+EOF
+pinned 83e49af4ebd95aa05397785f7bb0100a "$tmpdir/million.out" \
+    "superglue-campaign --iface (each) -n 166666 --seed 1 --verify-bounds"
+
+echo "== exit-code gate: superglue-campaign exits 2 with one line on an unknown --iface"
+rc=0
+./_build/default/bin/campaign.exe --iface bogus -n 10 > "$tmpdir/campaign_bogus.out" \
+    2> "$tmpdir/campaign_bogus.err" || rc=$?
+[ "$rc" -eq 2 ]
+[ ! -s "$tmpdir/campaign_bogus.out" ]
+[ "$(cat "$tmpdir/campaign_bogus.err")" = \
+    "superglue-campaign: unknown interface bogus (have: sched mm fs lock evt timer)" ]
+
 echo "== dst gate: fixed-seed campaign over all six services passes clean"
 # seeds 1..3000: the crash, divert and walk paths of the invocation loop
 # under thousands of generated plans (the first known fatal seed, 5692,
 # lies beyond this range; see ROADMAP.md item 1)
 ./_build/default/bin/dst.exe run --seed 1 --count 3000 -j 2 -q > "$tmpdir/dst_run.out"
 grep -q "0 failure(s), services=6" "$tmpdir/dst_run.out"
+
+echo "== dst gate: run exits 2 with one line on a non-positive --count"
+for count in 0 -1; do
+    rc=0
+    ./_build/default/bin/dst.exe run --count="$count" > "$tmpdir/dst_count.out" \
+        2> "$tmpdir/dst_count.err" || rc=$?
+    [ "$rc" -eq 2 ]
+    [ ! -s "$tmpdir/dst_count.out" ]
+    [ "$(wc -l < "$tmpdir/dst_count.err")" -eq 1 ]
+done
 
 echo "== dst gate: --jobs campaign output byte-identical to the sequential run"
 ./_build/default/bin/dst.exe run --seed 1 --count 3000 -j 1 > "$tmpdir/dst_run_j1.out"
@@ -331,6 +352,7 @@ for run in r["runs"]:
         if lat["n"]:
             assert (lat["min_ns"] <= lat["p50_ns"] <= lat["p99_ns"]
                     <= lat["p999_ns"] <= lat["max_ns"])
+assert r["runs"][0]["faults"] == 0 and r["runs"][0]["reboots"] == 0
 clean = r["runs"][0]["join"]
 assert clean["episodes_total"] == 0 and clean["latency"]["shadowed"]["n"] == 0
 faulted = r["runs"][1]["join"]
@@ -340,13 +362,21 @@ assert len(faulted["episodes"]) == faulted["episodes_total"]
 assert any(e["requests"] > 0 for e in faulted["episodes"])
 EOF
 
-echo "== webbench gate: open-loop rejects a zero or NaN rate and zero workers with exit 2"
-for bad in "--rate 0" "--rate nan" "--workers 0"; do
+echo "== webbench gate: rejects a zero or NaN rate, zero workers and a non-positive fault period with exit 2"
+# open-loop takes 0 as its fault-free period but no negative one; fig7
+# takes no period <= 0 (a SWIFI thread that sleeps 0 ns starves the
+# clients). One error line each, before any run.
+for bad in "open-loop --rate 0 --json" "open-loop --rate nan --json" \
+    "open-loop --workers 0 --json" "open-loop --fault-period-ms=-1 --json" \
+    "fig7 --mode superglue --fault-period-ms=0" \
+    "fig7 --mode superglue --fault-period-ms=-1"; do
     rc=0
     # shellcheck disable=SC2086
-    ./_build/default/bin/webbench.exe open-loop --requests 200 $bad --json \
-        > /dev/null 2>&1 || rc=$?
+    ./_build/default/bin/webbench.exe $bad --requests 200 \
+        > "$tmpdir/webbench_bad.out" 2> "$tmpdir/webbench_bad.err" || rc=$?
     [ "$rc" -eq 2 ]
+    [ ! -s "$tmpdir/webbench_bad.out" ]
+    [ "$(wc -l < "$tmpdir/webbench_bad.err")" -eq 1 ]
 done
 
 echo "== webbench gate: open-loop report byte-identical at -j 1 and -j 2"
@@ -354,35 +384,11 @@ echo "== webbench gate: open-loop report byte-identical at -j 1 and -j 2"
     --fault-period-ms 0,3 --json -j 2 > "$tmpdir/webbench_j2.json"
 cmp "$tmpdir/webbench_j1.json" "$tmpdir/webbench_j2.json"
 
-echo "== perf smoke: bench web-tail --quick writes valid BENCH_web.json"
-./_build/default/bench/main.exe web-tail --quick \
-    --out "$tmpdir/BENCH_web.json" > /dev/null
-python3 - "$tmpdir/BENCH_web.json" <<'EOF'
-import json, sys
-r = json.load(open(sys.argv[1]))
-assert r["bench"] == "web-tail" and r["quick"] is True
-assert r["mode"] == "superglue" and r["requests"] >= 1
-assert [row["j"] for row in r["jobs"]] == [1, 2, 4]
-for row in r["jobs"]:
-    assert row["wall_s"] > 0 and row["req_per_s"] > 0
-assert [row["fault_period_ms"] for row in r["rows"]] == [0, 3, 1]
-EOF
-
-echo "== perf gate: fresh web-tail throughput against the committed baseline"
-python3 tools/bench_diff.py BENCH_web.json "$tmpdir/BENCH_web.json"
-
 echo "== identity gate: outputs byte-identical to digests pinned at an earlier commit"
 # The -j gates above compare two runs of one build, so a change that
 # moves every run alike passes them. These md5s were computed with the
-# binaries of the commit before the stub plan (CHANGES.md says how); a
-# change that moves one on purpose re-pins it and states old -> new.
-pinned() {
-    got=$(md5sum < "$2" | cut -d' ' -f1)
-    if [ "$got" != "$1" ]; then
-        echo "identity gate: $3 has md5 $got, pinned $1" >&2
-        exit 1
-    fi
-}
+# binaries of the commit before the stub plan unless noted (CHANGES.md
+# says how).
 ./_build/default/bin/webbench.exe open-loop --requests 20000 --seed 42 \
     --fault-period-ms 1 --json > "$tmpdir/pin_web.json"
 pinned c22ed93b520c44a3328470be092461c1 "$tmpdir/pin_web.json" \
