@@ -126,7 +126,7 @@ let obs () =
             Sg_obs.Check.run ~mode:`Ondemand ~completed:true events
           in
           let m = Sim.metrics sim in
-          last_metrics := Some m;
+          last_metrics := Some (events, m);
           Printf.printf "%-10s %-6s %8d %8d %7d %7d %10d\n" mode_name iface
             (List.length events)
             (Sg_obs.Metrics.invocations m)
@@ -145,9 +145,9 @@ let obs () =
     ];
   match !last_metrics with
   | None -> ()
-  | Some m ->
+  | Some (events, m) ->
       print_endline "\nmetrics fold of the last run:";
-      Format.printf "%a@?" Sg_obs.Metrics.pp_summary m
+      Format.printf "%a@?" (Sg_obs.Metrics.pp_summary events) m
 
 let all =
   [

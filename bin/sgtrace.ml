@@ -177,7 +177,7 @@ let summary file =
       let m = Sg_obs.Metrics.create () in
       List.iter (Sg_obs.Metrics.feed m) events;
       Printf.printf "%d events\n" (List.length events);
-      Format.printf "%a@?" Sg_obs.Metrics.pp_summary m;
+      Format.printf "%a@?" (Sg_obs.Metrics.pp_summary events) m;
       0)
 
 let json_arg =

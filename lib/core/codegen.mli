@@ -21,9 +21,6 @@ val emit : Compiler.artifact -> string
 val emit_side : Compiler.artifact -> Templates.side -> string
 (** One back-end run: only the fragments of the given side. *)
 
-val module_name : string -> string
-(** ["evt"] → ["Sg_gen_evt"]. *)
-
 val included_templates : Compiler.artifact -> (string * Templates.side) list
 (** Names of the template-predicate pairs included for this interface —
     the compiler's per-interface diagnostic. *)

@@ -263,9 +263,3 @@ let parse src =
     | tok -> fail t "unexpected %s at top level" (Lexer.token_to_string tok)
   in
   items [] None
-
-let parse_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> parse (really_input_string ic (in_channel_length ic)))

@@ -8,6 +8,3 @@ val parse : string -> Ast.t
 (** Parse an interface specification from a string.
     @raise Parse_error on syntax errors
     @raise Lexer.Lex_error on illegal characters *)
-
-val parse_file : string -> Ast.t
-(** [parse_file path] reads and parses the file at [path]. *)

@@ -623,25 +623,26 @@ let setup_ops sys pending ops =
 
 (* ---------- the oracle ---------- *)
 
-let injected_outcome events cid outcome =
-  (* [events] is newest-first: the most recent injection explains the
-     fatal iff it targeted the fatal component with the fatal outcome *)
-  let rec last = function
-    | [] -> None
-    | { Sg_obs.Event.kind = Sg_obs.Event.Inject { cid = icid; outcome = ioc; _ }; _ }
-      :: _ ->
-        Some (icid, ioc)
-    | _ :: rest -> last rest
+(* a fatal is tolerated iff the run's last injection targeted the fatal
+   component with the fatal outcome *)
+let injected_outcome stream cid outcome =
+  let last =
+    List.fold_left
+      (fun acc (e : Sg_obs.Event.t) ->
+        match e.Sg_obs.Event.kind with
+        | Sg_obs.Event.Inject { cid = icid; outcome = ioc; _ } -> Some (icid, ioc)
+        | _ -> acc)
+      None stream
   in
-  match last events with
+  match last with
   | Some (icid, ioc) -> icid = cid && ioc = outcome
   | None -> false
 
-let fatal_tolerated events = function
-  | Sim.Fatal (Sim.Fatal_segfault cid) -> injected_outcome events cid "segfault"
+let fatal_tolerated stream = function
+  | Sim.Fatal (Sim.Fatal_segfault cid) -> injected_outcome stream cid "segfault"
   | Sim.Fatal (Sim.Fatal_propagated cid) ->
-      injected_outcome events cid "propagated"
-  | Sim.Fatal (Sim.Fatal_hang cid) -> injected_outcome events cid "hang"
+      injected_outcome stream cid "propagated"
+  | Sim.Fatal (Sim.Fatal_hang cid) -> injected_outcome stream cid "hang"
   | _ -> false
 
 let bound_of sys cid =
@@ -669,10 +670,14 @@ let run ?(sut = Pristine) sc =
   let adversary = adversary_of_plan sc.sc_plan in
   let sys = Sysbuild.build ~seed:sc.sc_seed ?adversary mode in
   let sim = sys.Sysbuild.sys_sim in
-  let events = ref [] in
-  Sg_obs.Sink.subscribe (Sim.obs sim) (fun e -> events := e :: !events);
+  (* the sink keeps the run's one event list; the checker and the
+     episode stitcher judge it as it is emitted *)
+  let obs = Sim.obs sim in
+  Sg_obs.Sink.set_retention obs Sg_obs.Sink.All;
+  let chk = Sg_obs.Check.create () in
+  Sg_obs.Sink.subscribe obs (Sg_obs.Check.feed chk);
   let epb = Sg_obs.Episode.builder () in
-  Sg_obs.Sink.subscribe (Sim.obs sim) (Sg_obs.Episode.feed epb);
+  Sg_obs.Episode.attach epb obs;
   let pending : (string, string) Hashtbl.t = Hashtbl.create 4 in
   install_plan sys sc.sc_plan pending;
   Storage.arm_write_faults sys.Sysbuild.sys_storage
@@ -684,7 +689,7 @@ let run ?(sut = Pristine) sc =
         Workloads.setup ~params:(classic_params iface knob) sys ~iface ~iters
   in
   let result = Sim.run sim in
-  let stream = List.rev !events in
+  let stream = Sg_obs.Sink.events obs in
   let episodes = Sg_obs.Episode.finish epb in
   let verdict =
     let fatal_failure =
@@ -692,7 +697,7 @@ let run ?(sut = Pristine) sc =
       | Sim.Completed -> None
       | Sim.Deadlock -> Some "deadlock: all threads blocked"
       | Sim.Fatal f ->
-          if fatal_tolerated !events result then None
+          if fatal_tolerated stream result then None
           else Some (Sim.fatal_to_string f)
     in
     match fatal_failure with
@@ -703,7 +708,7 @@ let run ?(sut = Pristine) sc =
         | _ :: _ -> Fail_postcond postv
         | [] -> (
             let violations =
-              Sg_obs.Check.run ~completed:(result = Sim.Completed) stream
+              Sg_obs.Check.finish chk ~completed:(result = Sim.Completed)
             in
             match violations with
             | _ :: _ ->
@@ -733,7 +738,7 @@ let run ?(sut = Pristine) sc =
   {
     oc_verdict = verdict;
     oc_result = result;
-    oc_events = List.length stream;
+    oc_events = Sg_obs.Sink.count obs;
     oc_storage_faults = Storage.write_faults_hit sys.Sysbuild.sys_storage;
     oc_stream = stream;
     oc_episodes = episodes;

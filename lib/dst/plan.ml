@@ -119,13 +119,6 @@ let generate ~config ~services rng =
     List.init n (fun _ -> gen_fault config ~services rng)
   end
 
-let fault_service = function
-  | Flip { fl_service; _ } -> Some fl_service
-  | Storage_write _ -> None
-  | Crash { cr_service; _ } -> Some cr_service
-  | Double { db_service; _ } -> Some db_service
-  | Perturb { pb_iface; _ } -> Some pb_iface
-
 let fault_label = function
   | Flip { fl_service; fl_nth; fl_reg; fl_bit; fl_at_pm } ->
       Printf.sprintf "flip(%s@%d %s bit %d at %d‰)" fl_service fl_nth fl_reg

@@ -74,7 +74,6 @@ val generate :
     services the op sequence actually touches). Empty when [services]
     is empty. Raises [Invalid_argument] when no weight is positive. *)
 
-val fault_service : fault -> string option
 val fault_label : fault -> string
 
 val fault_to_json : fault -> Sg_util.Json.t

@@ -202,68 +202,3 @@ let loc () =
           | None -> 0);
       })
     Workloads.all_ifaces
-
-(* ---------- rendering ---------- *)
-
-let f2 = Printf.sprintf "%.2f"
-
-let print_all ?reps () =
-  let rows_a = infrastructure ?reps () in
-  print_endline
-    "Fig 6(a) - infrastructure overhead of descriptor state tracking\n\
-     (microseconds added per workload iteration; mean over seeds)";
-  Table.print
-    ~header:[ "Component"; "base us/iter"; "C3 +us"; "C3 sd"; "SuperGlue +us"; "SG sd" ]
-    (List.map
-       (fun r ->
-         [
-           r.o_iface;
-           f2 r.o_base_us;
-           f2 r.o_c3.Stats.mean;
-           f2 r.o_c3.Stats.stdev;
-           f2 r.o_sg.Stats.mean;
-           f2 r.o_sg.Stats.stdev;
-         ])
-       rows_a);
-  print_newline ();
-  let rows_b = recovery ?reps () in
-  print_endline
-    "Fig 6(b) - per-descriptor recovery overhead\n\
-     (microseconds from fault state to expected state)";
-  Table.print
-    ~header:[ "Component"; "C3 us"; "C3 sd"; "SuperGlue us"; "SG sd"; "n" ]
-    (List.map
-       (fun r ->
-         [
-           r.v_iface;
-           f2 r.v_c3.Stats.mean;
-           f2 r.v_c3.Stats.stdev;
-           f2 r.v_sg.Stats.mean;
-           f2 r.v_sg.Stats.stdev;
-           string_of_int r.v_sg.Stats.n;
-         ])
-       rows_b);
-  print_newline ();
-  let rows_c = loc () in
-  print_endline
-    "Fig 6(c) - recovery code size (non-blank LOC)\n\
-     (declarative IDL vs generated stub code vs hand-written C3 stubs)";
-  Table.print
-    ~header:[ "Component"; "SuperGlue IDL"; "generated"; "hand-written C3" ]
-    (List.map
-       (fun r ->
-         [
-           r.l_iface;
-           string_of_int r.l_idl;
-           string_of_int r.l_generated;
-           string_of_int r.l_c3;
-         ])
-       rows_c);
-  let idl_avg =
-    List.fold_left (fun acc r -> acc + r.l_idl) 0 rows_c / List.length rows_c
-  in
-  Printf.printf
-    "average IDL file: %d LOC (paper: %d); the compiler expands each into\n\
-     an order of magnitude more recovery code, replacing the error-prone\n\
-     hand-written stubs.\n"
-    idl_avg Paper.avg_idl_loc

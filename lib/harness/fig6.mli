@@ -38,7 +38,3 @@ type loc_row = {
 }
 
 val loc : unit -> loc_row list
-
-val print_all : ?reps:int -> unit -> unit
-(** Render the three panels as tables with the paper's headline
-    observations. *)

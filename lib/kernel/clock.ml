@@ -11,4 +11,3 @@ let advance_to t deadline = if deadline > t.now then t.now <- deadline
 let ns_of_us us = int_of_float (us *. 1_000.0)
 let us_of_ns ns = float_of_int ns /. 1_000.0
 let s_of_ns ns = float_of_int ns /. 1e9
-let ns_of_ms ms = int_of_float (ms *. 1_000_000.0)

@@ -24,4 +24,3 @@ val advance_to : t -> int -> unit
 val ns_of_us : float -> int
 val us_of_ns : int -> float
 val s_of_ns : int -> float
-val ns_of_ms : float -> int

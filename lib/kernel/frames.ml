@@ -62,5 +62,3 @@ let mappings_of t ~cid =
   |> List.sort compare
 
 let mapping_count t = Inttbl.length t.ptes
-
-let frames_in_use t = t.next_frame - Stack.length t.free

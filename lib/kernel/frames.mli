@@ -35,4 +35,3 @@ val mappings_of : t -> cid:int -> (int * frame) list
     vaddr. *)
 
 val mapping_count : t -> int
-val frames_in_use : t -> int

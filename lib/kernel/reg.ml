@@ -2,7 +2,6 @@ type t = EAX | EBX | ECX | EDX | ESI | EDI | ESP | EBP
 
 let all = [| EAX; EBX; ECX; EDX; ESI; EDI; ESP; EBP |]
 let general = [| EAX; EBX; ECX; EDX; ESI; EDI |]
-let is_stack = function ESP | EBP -> true | EAX | EBX | ECX | EDX | ESI | EDI -> false
 
 let to_string = function
   | EAX -> "EAX"

@@ -9,9 +9,6 @@ val all : t array
 val general : t array
 (** The six general-purpose registers. *)
 
-val is_stack : t -> bool
-(** [true] for ESP and EBP. *)
-
 val to_string : t -> string
 val of_string : string -> t option
 val index : t -> int

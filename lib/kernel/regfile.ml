@@ -20,11 +20,6 @@ let set t r v = t.(index r) <- Word32.mask v
 let flip_bit t r i = t.(index r) <- Word32.flip_bit t.(index r) i
 let apply_mask t r m = t.(index r) <- Word32.apply_mask t.(index r) m
 
-let randomize rng t =
-  Array.iter
-    (fun r -> set t r (Int64.to_int (Rng.int64 rng) land 0xFFFFFFFF))
-    Reg.all
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>";
   Array.iter

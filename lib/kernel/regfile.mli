@@ -20,8 +20,4 @@ val apply_mask : t -> Reg.t -> Sg_util.Word32.t -> unit
 (** XOR a full 32-bit fault mask into a register (paper's
     [0xFFFFFFFF]-mask formulation). *)
 
-val randomize : Sg_util.Rng.t -> t -> unit
-(** Fill all registers with pseudo-random live values; models the register
-    contents of a thread mid-execution. *)
-
 val pp : Format.formatter -> t -> unit

@@ -94,8 +94,6 @@ let verdict_to_string = function
   | Propagated -> "propagated"
   | Hang -> "hang"
 
-let pp_verdict ppf v = Format.pp_print_string ppf (verdict_to_string v)
-
 let window ?(start = 0) ~duration_ns ~per_reg ~stride () =
   if stride <= 0 then invalid_arg "Usage.window: stride must be positive";
   let rec go at acc =

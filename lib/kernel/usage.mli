@@ -76,7 +76,6 @@ val classify : t -> reg:Reg.t -> bit:int -> at:int -> verdict
     first event of [reg] in [events] order with offset [>= at], found by
     binary search in [by_reg]: O(log n) per flip. *)
 
-val pp_verdict : Format.formatter -> verdict -> unit
 val verdict_to_string : verdict -> string
 
 (** Helpers for building realistic schedules concisely. *)

@@ -1,7 +1,8 @@
 (* Trace-invariant checker: validates a full event stream (retention
    [All]) against the recovery-ordering rules of the paper. The checker
-   is a single forward fold; each rule keeps a small amount of state
-   keyed by component or thread. *)
+   is a single forward fold, fed live from a sink or over a held list;
+   each rule keeps a small amount of state keyed by component or
+   thread. *)
 
 module Inttbl = Sg_util.Inttbl
 
@@ -17,7 +18,8 @@ type expectation =
   | Expect_crash_or_fault of int  (* hang: Crash cid or a faulted span end *)
   | Expect_fault  (* segfault/propagated: next event on tid ends a span faulted *)
 
-type state = {
+type t = {
+  ondemand : bool;  (* [~mode:`Ondemand]: no eager walk, no recover-all *)
   mutable last_seq : int;
   mutable last_at : int;
   failed : string Inttbl.t;  (* cid -> detector while failed *)
@@ -33,8 +35,9 @@ type state = {
   mutable violations : violation list;  (* newest first *)
 }
 
-let init () =
+let create ?mode () =
   {
+    ondemand = mode = Some `Ondemand;
     last_seq = -1;
     last_at = 0;
     failed = Inttbl.create 8;
@@ -97,7 +100,7 @@ let resolve_expectation st ~seq ~tid (kind : Event.kind) =
            (next event: %s)"
           tid (Event.kind_name kind))
 
-let step st (e : Event.t) =
+let feed st (e : Event.t) =
   let seq = e.Event.seq and tid = e.Event.tid in
   (* monotone sequence numbers and virtual timestamps *)
   if seq <= st.last_seq then
@@ -203,7 +206,10 @@ let step st (e : Event.t) =
           if d = 0 then
             report st ~seq "walk-discipline"
               "eager (T0) walk %d->%d outside a recover-all episode" client
-              server
+              server;
+          if st.ondemand then
+            report st ~seq "walk-discipline"
+              "eager (T0) walk %d->%d in on-demand (T1) mode" client server
       | Event.Demand ->
           if d > 0 then
             report st ~seq "walk-discipline"
@@ -221,7 +227,11 @@ let step st (e : Event.t) =
       | _ ->
           report st ~seq "walk-discipline" "walk end %d->%d with no walk open"
             client server)
-  | Event.Recover_begin _ -> incr (depth_of st tid)
+  | Event.Recover_begin { client; server; _ } ->
+      incr (depth_of st tid);
+      if st.ondemand then
+        report st ~seq "walk-discipline"
+          "recover-all episode %d->%d in on-demand (T1) mode" client server
   | Event.Recover_end _ ->
       let d = depth_of st tid in
       if !d = 0 then
@@ -251,16 +261,6 @@ let step st (e : Event.t) =
   | Event.Upcall _ | Event.Reflect _ | Event.Storage_op _ | Event.Http _
   | Event.Http_req _ | Event.Perturb _ | Event.Note _ ->
       ()
-
-let check_mode st ~mode (e : Event.t) =
-  match (mode, e.Event.kind) with
-  | `Ondemand, Event.Walk_begin { client; server; reason = Event.Eager; _ } ->
-      report st ~seq:e.Event.seq "walk-discipline"
-        "eager (T0) walk %d->%d in on-demand (T1) mode" client server
-  | `Ondemand, Event.Recover_begin { client; server; _ } ->
-      report st ~seq:e.Event.seq "walk-discipline"
-        "recover-all episode %d->%d in on-demand (T1) mode" client server
-  | _ -> ()
 
 (* a table's bindings in key order *)
 let sorted tbl =
@@ -308,10 +308,6 @@ let finish st ~completed =
   List.rev st.violations
 
 let run ?mode ?(completed = false) events =
-  let st = init () in
-  List.iter
-    (fun e ->
-      step st e;
-      match mode with Some m -> check_mode st ~mode:m e | None -> ())
-    events;
+  let st = create ?mode () in
+  List.iter (feed st) events;
   finish st ~completed

@@ -37,10 +37,27 @@ type violation = { at_seq : int; rule : string; msg : string }
 
 val pp_violation : Format.formatter -> violation -> unit
 
+(** {2 Online checking}
+
+    The checker is one forward fold, so it can judge a run while it
+    runs: subscribe {!feed} to the sink, then {!finish} once the run
+    returns. *)
+
+type t
+
+val create : ?mode:[ `Ondemand | `Eager ] -> unit -> t
+(** [mode] additionally enforces the T0/T1 rules. *)
+
+val feed : t -> Event.t -> unit
+(** Fold one event, in stream order. *)
+
+val finish : t -> completed:bool -> violation list
+(** Violations in stream order; [[]] means the stream fed so far
+    satisfies every invariant. [completed] additionally requires it to
+    end quiescent. *)
+
 val run :
   ?mode:[ `Ondemand | `Eager ] -> ?completed:bool -> Event.t list ->
   violation list
-(** Returns violations in stream order; [[]] means the stream satisfies
-    every invariant. [mode] additionally enforces the T0/T1 rules;
-    [completed] (default false) additionally requires the stream to end
-    quiescent. *)
+(** {!finish} of a fresh checker fed the whole list; [completed]
+    defaults to false. *)

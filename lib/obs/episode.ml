@@ -199,9 +199,8 @@ let close_all b =
     (close b ~complete:false ~end_ns:0)
     (List.sort (fun a bb -> compare a.oe_seq bb.oe_seq) open_)
 
-let feed b (e : Event.t) =
-  let at = e.Event.at_ns and tid = e.Event.tid in
-  match e.Event.kind with
+let feed_raw b ~seq ~at_ns:at ~tid kind =
+  match kind with
   | Event.Inject { cid; fn; reg; bit; outcome } ->
       Inttbl.replace b.b_inject cid
         { tr_fn = fn; tr_reg = reg; tr_bit = bit; tr_outcome = outcome }
@@ -220,7 +219,7 @@ let feed b (e : Event.t) =
       let oe =
         {
           oe_cid = cid;
-          oe_seq = e.Event.seq;
+          oe_seq = seq;
           oe_detect_ns = at;
           oe_trigger =
             (match Inttbl.find_opt b.b_inject cid with
@@ -374,6 +373,11 @@ let feed b (e : Event.t) =
   | Event.Note _ ->
       ()
 
+let feed b (e : Event.t) =
+  feed_raw b ~seq:e.Event.seq ~at_ns:e.Event.at_ns ~tid:e.Event.tid e.Event.kind
+
+let attach b sink = Sink.subscribe_fold sink (feed_raw b)
+
 let finish b =
   close_all b;
   let eps = List.rev b.b_done in
@@ -391,16 +395,6 @@ let span_ns ep = ep.ep_end_ns - ep.ep_detect_ns
 (* Bound checking: only complete episodes have a meaningful span (an
    incomplete one was abandoned mid-recovery, e.g. by a re-crash or the
    end of the trace, so its span undercounts). *)
-
-let max_complete_span_ns eps =
-  List.fold_left
-    (fun acc ep ->
-      if not ep.ep_complete then acc
-      else
-        match acc with
-        | None -> Some (span_ns ep)
-        | Some m -> Some (max m (span_ns ep)))
-    None eps
 
 let over_bound_by ~bound_of eps =
   List.filter

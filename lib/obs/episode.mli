@@ -66,10 +66,6 @@ val duration_ns : node -> int
 val span_ns : t -> int
 (** Detection to episode end, in virtual nanoseconds. *)
 
-val max_complete_span_ns : t list -> int option
-(** Largest {!span_ns} over the complete episodes; [None] when there is
-    none. Incomplete episodes are skipped: their spans undercount. *)
-
 val over_bound_by : bound_of:(int -> int option) -> t list -> t list
 (** The complete episodes whose span exceeds their static bound — the
     counterexamples a recovery-latency bound must never see. [bound_of
@@ -88,6 +84,10 @@ val feed : builder -> Event.t -> unit
 (** Fold one event, in stream order. A ["sys-reboot"] note (chunk
     boundary in a concatenated campaign trace) abandons all in-flight
     episodes as incomplete. *)
+
+val attach : builder -> Sink.t -> unit
+(** {!feed} every later emission of the sink, without boxing an
+    {!Event.t} for it ({!Sink.subscribe_fold}). *)
 
 val finish : builder -> t list
 (** Seal remaining in-flight episodes as incomplete and return every

@@ -1,82 +1,15 @@
 (* Metrics: a sink subscriber that folds the event stream into
-   per-component counters and latency histograms. Harnesses and the
-   SWIFI campaign read these instead of keeping private counters.
+   per-component counters and the first-access histogram. Harnesses and
+   the SWIFI campaign read these instead of keeping private counters.
    Every event of every run passes through [feed_raw], so the per-cid
-   tables are [Inttbl]s bumped in one probe, the per-outcome one a
-   [Strtbl], and the open spans a map that allocates nothing per span:
-   no polymorphic hash or compare, and no boxing on an invocation. *)
+   tables are [Inttbl]s bumped in one probe and the per-outcome one a
+   [Strtbl]: no polymorphic hash or compare, no per-span or per-walk
+   state, and no boxing on an invocation. Span, walk and sojourn
+   latencies have no reader on a live run; [latencies] works them out
+   from a held stream. *)
 
 module Inttbl = Sg_util.Inttbl
 module Strtbl = Sg_util.Strtbl
-
-(* Open spans, span id -> begin ns: linear probing over unboxed arrays,
-   with backward-shift deletion, so a begin and its end allocate nothing
-   once the table has grown to the number of spans open at once. Span
-   ids are dense, so the low bits spread them. *)
-module Spans = struct
-  type t = {
-    mutable keys : int array;
-    mutable times : int array;
-    mutable used : Bytes.t;  (* '\001' where a slot holds a span *)
-    mutable n : int;
-  }
-
-  let make cap =
-    { keys = Array.make cap 0; times = Array.make cap 0;
-      used = Bytes.make cap '\000'; n = 0 }
-
-  let create () = make 64
-  let[@inline] used t i = Bytes.unsafe_get t.used i <> '\000'
-  let time t i = t.times.(i)
-
-  (* top-level loops: a local one would capture, and allocate, a closure *)
-  let rec probe t span m i =
-    if (not (used t i)) || t.keys.(i) = span then i
-    else probe t span m ((i + 1) land m)
-
-  (* the slot holding [span], or the empty slot where it would go *)
-  let slot t span =
-    let m = Array.length t.keys - 1 in
-    probe t span m (span land m)
-
-  let rec set t span at_ns =
-    let i = slot t span in
-    if used t i then t.times.(i) <- at_ns
-    else if 2 * (t.n + 1) > Array.length t.keys then begin
-      let keys = t.keys and times = t.times and was_used = t.used in
-      let bigger = make (2 * Array.length keys) in
-      t.keys <- bigger.keys;
-      t.times <- bigger.times;
-      t.used <- bigger.used;
-      t.n <- 0;
-      Array.iteri
-        (fun j key -> if Bytes.get was_used j <> '\000' then set t key times.(j))
-        keys;
-      set t span at_ns
-    end
-    else begin
-      t.keys.(i) <- span;
-      t.times.(i) <- at_ns;
-      Bytes.unsafe_set t.used i '\001';
-      t.n <- t.n + 1
-    end
-
-  (* backward shift: pull each later entry of the probe run into the
-     hole unless its home slot lies cyclically in (hole, j] *)
-  let rec shift t m hole j =
-    let j = (j + 1) land m in
-    if not (used t j) then Bytes.unsafe_set t.used hole '\000'
-    else if (j - (t.keys.(j) land m)) land m >= (j - hole) land m then begin
-      t.keys.(hole) <- t.keys.(j);
-      t.times.(hole) <- t.times.(j);
-      shift t m j j
-    end
-    else shift t m hole j
-
-  let remove_at t i =
-    t.n <- t.n - 1;
-    shift t (Array.length t.keys - 1) i i
-end
 
 type t = {
   mutable invocations_total : int;
@@ -90,7 +23,6 @@ type t = {
   mutable reboot_ns_total : int;
   mutable upcalls_total : int;
   mutable diverts_total : int;
-  mutable reflects_total : int;
   mutable walks_total : int;
   walks_by_client : int Inttbl.t;
   walks_by_server : int Inttbl.t;
@@ -101,19 +33,7 @@ type t = {
   outcomes : int Strtbl.t;
   mutable http_requests : int;
   mutable http_errors : int;
-  mutable http_reqs_total : int;  (* open-loop request spans (Http_req) *)
-  sojourn_hist : Hist.t;  (* Http_req finish - arrival, queueing included *)
-  span_hist : Hist.t;
-  walk_hist : Hist.t;
   first_access_hist : Hist.t;
-  reboot_cost_hist : Hist.t;
-  (* transient state for duration tracking *)
-  open_spans : Spans.t;
-  open_walks : (int * int * int) list ref Inttbl.t;
-      (* tid -> (client, server, begin-ns) stack; ends are matched by
-         pair, not blind LIFO, so overlapping walks of different pairs
-         on one thread (and interrupted walks that never end) cannot
-         cross-charge durations *)
   first_access_pending : int Inttbl.t;  (* server cid -> reboot ns *)
 }
 
@@ -130,7 +50,6 @@ let create () =
     reboot_ns_total = 0;
     upcalls_total = 0;
     diverts_total = 0;
-    reflects_total = 0;
     walks_total = 0;
     walks_by_client = Inttbl.create 16;
     walks_by_server = Inttbl.create 16;
@@ -141,34 +60,19 @@ let create () =
     outcomes = Strtbl.create 8;
     http_requests = 0;
     http_errors = 0;
-    http_reqs_total = 0;
-    sojourn_hist = Hist.create ();
-    span_hist = Hist.create ();
-    walk_hist = Hist.create ();
     first_access_hist = Hist.create ();
-    reboot_cost_hist = Hist.create ();
-    open_spans = Spans.create ();
-    open_walks = Inttbl.create 16;
     first_access_pending = Inttbl.create 8;
   }
 
 let get_str tbl key =
   match Strtbl.find_opt tbl key with Some n -> n | None -> 0
 
-let feed_raw t ~at_ns ~tid kind =
+let feed_raw t ~seq:_ ~at_ns ~tid:_ kind =
   match kind with
-  | Event.Span_begin { span; server; _ } ->
+  | Event.Span_begin { server; _ } ->
       t.invocations_total <- t.invocations_total + 1;
-      Inttbl.add t.invocations_by_server server 1;
-      Spans.set t.open_spans span at_ns
-  | Event.Span_end { span; server; ok } ->
-      (* a duplicate begin replaced the time; an unknown end is ignored *)
-      let i = Spans.slot t.open_spans span in
-      if Spans.used t.open_spans i then begin
-        let t0 = Spans.time t.open_spans i in
-        Spans.remove_at t.open_spans i;
-        if ok then Hist.add t.span_hist (at_ns - t0)
-      end;
+      Inttbl.add t.invocations_by_server server 1
+  | Event.Span_end { server; ok; _ } ->
       if ok then begin
         t.spans_ok <- t.spans_ok + 1;
         if Inttbl.length t.first_access_pending > 0 then
@@ -186,42 +90,13 @@ let feed_raw t ~at_ns ~tid kind =
       t.reboots_total <- t.reboots_total + 1;
       Inttbl.add t.reboots_by_cid cid 1;
       t.reboot_ns_total <- t.reboot_ns_total + cost_ns;
-      Hist.add t.reboot_cost_hist cost_ns;
       Inttbl.replace t.first_access_pending cid at_ns
   | Event.Divert _ -> t.diverts_total <- t.diverts_total + 1
   | Event.Upcall _ -> t.upcalls_total <- t.upcalls_total + 1
-  | Event.Reflect _ -> t.reflects_total <- t.reflects_total + 1
   | Event.Walk_begin { client; server; _ } ->
       t.walks_total <- t.walks_total + 1;
       Inttbl.add t.walks_by_client client 1;
-      Inttbl.add t.walks_by_server server 1;
-      let stack =
-        match Inttbl.find_opt t.open_walks tid with
-        | Some s -> s
-        | None ->
-            let s = ref [] in
-            Inttbl.replace t.open_walks tid s;
-            s
-      in
-      stack := (client, server, at_ns) :: !stack
-  | Event.Walk_end { client; server; ok } -> (
-      match Inttbl.find_opt t.open_walks tid with
-      | Some stack -> (
-          (* pop the innermost walk of this client/server pair, leaving
-             any non-matching (still-open) walks in place *)
-          let rec split acc = function
-            | [] -> None
-            | (c, s, t0) :: rest when c = client && s = server ->
-                Some (t0, List.rev_append acc rest)
-            | w :: rest -> split (w :: acc) rest
-          in
-          match split [] !stack with
-          | Some (t0, rest) ->
-              stack := rest;
-              if ok then Hist.add t.walk_hist (at_ns - t0)
-          | None -> ())
-      | None -> ())
-  | Event.Recover_begin _ | Event.Recover_end _ -> ()
+      Inttbl.add t.walks_by_server server 1
   | Event.Storage_op _ -> t.storage_ops_total <- t.storage_ops_total + 1
   | Event.Inject { outcome; _ } ->
       t.injections_total <- t.injections_total + 1;
@@ -232,13 +107,12 @@ let feed_raw t ~at_ns ~tid kind =
   | Event.Http { status; _ } ->
       t.http_requests <- t.http_requests + 1;
       if status >= 400 then t.http_errors <- t.http_errors + 1
-  | Event.Http_req { arrival_ns; finish_ns; _ } ->
-      t.http_reqs_total <- t.http_reqs_total + 1;
-      Hist.add t.sojourn_hist (finish_ns - arrival_ns)
-  | Event.Note _ -> ()
+  | Event.Reflect _ | Event.Walk_end _ | Event.Recover_begin _
+  | Event.Recover_end _ | Event.Http_req _ | Event.Note _ ->
+      ()
 
 let feed t (e : Event.t) =
-  feed_raw t ~at_ns:e.Event.at_ns ~tid:e.Event.tid e.Event.kind
+  feed_raw t ~seq:e.Event.seq ~at_ns:e.Event.at_ns ~tid:e.Event.tid e.Event.kind
 
 let attach t sink = Sink.subscribe_fold sink (feed_raw t)
 
@@ -266,7 +140,6 @@ let spans_ok t = t.spans_ok
 let spans_fault t = t.spans_fault
 let upcalls t = t.upcalls_total
 let diverts t = t.diverts_total
-let reflects t = t.reflects_total
 let storage_ops t = t.storage_ops_total
 let injections t = t.injections_total
 let perturbs t = t.perturbs_total
@@ -275,14 +148,57 @@ let outcome_count t s = get_str t.outcomes s
 let reboot_ns_total t = t.reboot_ns_total
 let http_requests t = t.http_requests
 let http_errors t = t.http_errors
-let http_reqs t = t.http_reqs_total
-let sojourn_hist t = t.sojourn_hist
-let span_hist t = t.span_hist
-let walk_hist t = t.walk_hist
 let first_access_hist t = t.first_access_hist
-let reboot_cost_hist t = t.reboot_cost_hist
 
-let pp_summary ppf t =
+(* ---------- latencies of a held stream ---------- *)
+
+type latencies = { span_hist : Hist.t; walk_hist : Hist.t; sojourn_hist : Hist.t }
+
+(* One pass in stream order, so each histogram sees its samples in the
+   order a live fold would have added them. A duplicate span begin
+   replaces the begin time and an unknown end is ignored; only [ok]
+   ends are recorded. A walk end closes the innermost open walk of the
+   same (client, server) on its thread, so overlapping walks of
+   different pairs cannot cross-charge, and walks it does not match
+   stay open. *)
+let latencies events =
+  let l = { span_hist = Hist.create (); walk_hist = Hist.create (); sojourn_hist = Hist.create () } in
+  let spans = Inttbl.create 64 and walks = Inttbl.create 16 in
+  let rec pop client server acc = function
+    | [] -> None
+    | (c, s, t0) :: rest when c = client && s = server ->
+        Some (t0, List.rev_append acc rest)
+    | w :: rest -> pop client server (w :: acc) rest
+  in
+  List.iter
+    (fun (e : Event.t) ->
+      let at = e.Event.at_ns and tid = e.Event.tid in
+      match e.Event.kind with
+      | Event.Span_begin { span; _ } -> Inttbl.replace spans span at
+      | Event.Span_end { span; ok; _ } -> (
+          match Inttbl.find_opt spans span with
+          | Some t0 ->
+              Inttbl.remove spans span;
+              if ok then Hist.add l.span_hist (at - t0)
+          | None -> ())
+      | Event.Walk_begin { client; server; _ } ->
+          let open_ = Option.value ~default:[] (Inttbl.find_opt walks tid) in
+          Inttbl.replace walks tid ((client, server, at) :: open_)
+      | Event.Walk_end { client; server; ok } -> (
+          let open_ = Option.value ~default:[] (Inttbl.find_opt walks tid) in
+          match pop client server [] open_ with
+          | Some (t0, rest) ->
+              Inttbl.replace walks tid rest;
+              if ok then Hist.add l.walk_hist (at - t0)
+          | None -> ())
+      | Event.Http_req { arrival_ns; finish_ns; _ } ->
+          Hist.add l.sojourn_hist (finish_ns - arrival_ns)
+      | _ -> ())
+    events;
+  l
+
+let pp_summary events ppf t =
+  let l = latencies events in
   Format.fprintf ppf "invocations        %d@." t.invocations_total;
   Format.fprintf ppf "  ok / faulted     %d / %d@." t.spans_ok t.spans_fault;
   Format.fprintf ppf "crashes            %d@." t.crashes_total;
@@ -302,8 +218,8 @@ let pp_summary ppf t =
   if t.http_requests > 0 then
     Format.fprintf ppf "http requests      %d (%d errors)@." t.http_requests
       t.http_errors;
-  if t.http_reqs_total > 0 then
-    Format.fprintf ppf "request sojourn    %a@." Hist.pp t.sojourn_hist;
-  Format.fprintf ppf "span latency       %a@." Hist.pp t.span_hist;
-  Format.fprintf ppf "walk latency       %a@." Hist.pp t.walk_hist;
+  if Hist.n l.sojourn_hist > 0 then
+    Format.fprintf ppf "request sojourn    %a@." Hist.pp l.sojourn_hist;
+  Format.fprintf ppf "span latency       %a@." Hist.pp l.span_hist;
+  Format.fprintf ppf "walk latency       %a@." Hist.pp l.walk_hist;
   Format.fprintf ppf "first-access lat.  %a@." Hist.pp t.first_access_hist

@@ -1,19 +1,20 @@
 (** Recovery metrics folded from the event stream.
 
     A {!t} is a pure consumer: attach it to a sink (or {!feed} it events
-    replayed from a JSON-lines dump) and read counters and histograms.
-    Counters mirror what the harnesses previously kept privately:
-    invocations per server, crash/reboot accounting, descriptor walks
-    per client, SWIFI outcome tallies, and latency histograms for
-    invocation spans, walks, first post-reboot access, and reboot
-    cost. *)
+    replayed from a JSON-lines dump) and read counters. Counters mirror
+    what the harnesses previously kept privately: invocations per
+    server, crash/reboot accounting, descriptor walks per client, SWIFI
+    outcome tallies, and the first post-reboot access latency. Every
+    simulator attaches one, so the fold keeps no state per span or per
+    walk; span, walk and request-sojourn latencies come from
+    {!latencies} over a held stream. *)
 
 type t
 
 val create : unit -> t
 
 val feed : t -> Event.t -> unit
-(** Fold one event. Order matters for histogram pairing. *)
+(** Fold one event. Order matters for first-access pairing. *)
 
 val attach : t -> Sink.t -> unit
 (** Subscribe [feed] to a sink. *)
@@ -31,7 +32,6 @@ val spans_ok : t -> int
 val spans_fault : t -> int
 val upcalls : t -> int
 val diverts : t -> int
-val reflects : t -> int
 val storage_ops : t -> int
 val injections : t -> int
 
@@ -47,19 +47,26 @@ val reboot_ns_total : t -> int
 val http_requests : t -> int
 val http_errors : t -> int
 
-val http_reqs : t -> int
-(** Open-loop request spans ({!Event.Http_req}) folded so far. *)
-
-val sojourn_hist : t -> Hist.t
-(** Arrival-to-finish latency of open-loop requests (queueing included). *)
-
-val span_hist : t -> Hist.t
-val walk_hist : t -> Hist.t
-
 val first_access_hist : t -> Hist.t
 (** Virtual ns from a component's micro-reboot to the first subsequent
     successful invocation of it (the paper's first-access recovery
     latency). *)
 
-val reboot_cost_hist : t -> Hist.t
-val pp_summary : Format.formatter -> t -> unit
+type latencies = {
+  span_hist : Hist.t;  (** begin to [ok] end of each invocation span *)
+  walk_hist : Hist.t;  (** begin to [ok] end of each descriptor walk *)
+  sojourn_hist : Hist.t;
+      (** arrival to finish of each open-loop request ({!Event.Http_req}),
+          queueing included *)
+}
+
+val latencies : Event.t list -> latencies
+(** One offline pass over a stream in order. A duplicate span begin
+    replaces the begin time, an end with no open begin is ignored, and
+    only [ok] ends are recorded. A walk end closes the innermost open
+    walk of the same (client, server) on its thread; walks it does not
+    match stay open. *)
+
+val pp_summary : Event.t list -> Format.formatter -> t -> unit
+(** [pp_summary events]: the counters of [t] and the {!latencies} of
+    [events], the stream [t] was fed. *)

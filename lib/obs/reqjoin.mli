@@ -18,10 +18,8 @@
     samples, at a cost independent of the histogram layout.
 
     The join is a pure function of the request records and episodes:
-    replaying a dumped stream reproduces the report bit-for-bit when the
-    stream was kept in full ([Sink.All], as [sgtrace dump] keeps it).
-    The default [Recovery] retention keeps no [Http_req] span and none
-    of the accesses that close an episode. *)
+    replaying a stream kept in full ([Sink.All], as [sgtrace dump]
+    keeps it) reproduces the live report bit-for-bit. *)
 
 type req = {
   rq_client : int;

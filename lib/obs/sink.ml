@@ -10,9 +10,10 @@ type t = {
   mutable log : Event.t list;  (* newest first *)
   mutable log_len : int;
   mutable subscribers : (Event.t -> unit) list;
-  mutable folds : (at_ns:int -> tid:int -> Event.kind -> unit) list;
+  mutable folds : (seq:int -> at_ns:int -> tid:int -> Event.kind -> unit) list;
       (* unboxed fan-out: sees every emission without forcing the event
-         record to be constructed (the metrics fold attaches here) *)
+         record to be constructed (the metrics fold and live episode
+         stitching attach here) *)
 }
 
 let create ?(retention = Recovery) () =
@@ -43,11 +44,11 @@ let rec notify e = function
       f e;
       notify e rest
 
-let rec fold_into ~at_ns ~tid kind = function
+let rec fold_into ~seq ~at_ns ~tid kind = function
   | [] -> ()
   | f :: rest ->
-      f ~at_ns ~tid kind;
-      fold_into ~at_ns ~tid kind rest
+      f ~seq ~at_ns ~tid kind;
+      fold_into ~seq ~at_ns ~tid kind rest
 
 let emit t ~at_ns ~tid kind =
   let seq = t.next_seq in
@@ -65,7 +66,7 @@ let emit t ~at_ns ~tid kind =
     end;
     notify e t.subscribers
   end;
-  fold_into ~at_ns ~tid kind t.folds
+  fold_into ~seq ~at_ns ~tid kind t.folds
 
 let count t = t.log_len
 let events t = List.rev t.log

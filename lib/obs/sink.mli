@@ -26,12 +26,13 @@ val emit : t -> at_ns:int -> tid:int -> Event.kind -> unit
 val subscribe : t -> (Event.t -> unit) -> unit
 (** Called synchronously on every emission, regardless of retention. *)
 
-val subscribe_fold : t -> (at_ns:int -> tid:int -> Event.kind -> unit) -> unit
-(** Like {!subscribe}, but receives the emission unboxed (no {!Event.t}
-    record is built for it) and without the sequence number. With the
-    default [Recovery] policy most emissions are spans that nobody
-    retains; folding over the raw fields keeps the dispatcher hot path
-    allocation-free. The metrics fold attaches this way. *)
+val subscribe_fold :
+  t -> (seq:int -> at_ns:int -> tid:int -> Event.kind -> unit) -> unit
+(** Like {!subscribe}, but receives the emission unboxed: no {!Event.t}
+    record is built for it. With the default [Recovery] policy most
+    emissions are spans that nobody retains; folding over the raw fields
+    keeps the dispatcher hot path allocation-free. The metrics fold and
+    live episode stitching attach this way. *)
 
 val events : t -> Event.t list
 (** Retained events, oldest first. *)

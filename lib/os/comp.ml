@@ -24,16 +24,12 @@ let errno_to_string = function
   | EPERM -> "EPERM"
   | EFAULT -> "EFAULT"
 
-let pp_errno ppf e = Format.pp_print_string ppf (errno_to_string e)
-
 let rec value_to_string = function
   | VUnit -> "()"
   | VBool b -> string_of_bool b
   | VInt i -> string_of_int i
   | VStr s -> Printf.sprintf "%S" s
   | VList vs -> "[" ^ String.concat "; " (List.map value_to_string vs) ^ "]"
-
-let pp_value ppf v = Format.pp_print_string ppf (value_to_string v)
 
 let int_exn = function
   | VInt i -> i

@@ -44,9 +44,7 @@ exception Sys_propagated of { cid : cid }
     client before detection (paper Table II column 5). *)
 
 val errno_to_string : errno -> string
-val pp_errno : Format.formatter -> errno -> unit
 val value_to_string : value -> string
-val pp_value : Format.formatter -> value -> unit
 
 val int_exn : value -> int
 (** Raises [Invalid_argument] on a non-integer value; interface marshaling

@@ -6,7 +6,6 @@ type t = {
   sim_rng : Rng.t;
   mutable components : centry array;
       (** indexed by cid; cids are dense from 1, slot 0 is unused *)
-  names : (string, int) Hashtbl.t;
   mutable next_cid : int;
   fibers : (Ktcb.tid, fiber) Hashtbl.t;
       (** a generic [Hashtbl] on purpose: [microreboot] emits its
@@ -87,7 +86,6 @@ let create ?(cost = Cost.default) ?(seed = 42) ?retention ?(sched = `Indexed) ()
     sk = Kernel.create ~cost ();
     sim_rng = Rng.create seed;
     components = [||];
-    names = Hashtbl.create 16;
     next_cid = 1;
     fibers = Hashtbl.create 16;
     by_tid = [||];
@@ -134,12 +132,9 @@ let register t spec =
     t.components <- grown
   end;
   t.components.(cid) <- ce;
-  Hashtbl.replace t.names spec.sc_name cid;
   spec.sc_init t cid;
   cid
 
-let cid_of_name t name = Hashtbl.find_opt t.names name
-let name_of t cid = (centry_exn t cid).ce_spec.sc_name
 let grant t ~client ~server = Captbl.grant t.sk.Kernel.captbl ~client ~server
 let epoch t cid = (centry_exn t cid).ce_epoch
 let is_failed t cid =
@@ -296,23 +291,6 @@ let pick_next_scan t =
 let yield (_ : t) =
   (* remains runnable; the dispatcher will pick the best candidate *)
   Effect.perform Yield_eff
-
-let maybe_preempt t =
-  let me = current_fiber t in
-  let higher =
-    match t.sched with
-    | `Scan ->
-        List.exists
-          (fun f -> f != me && f.f_tcb.Ktcb.prio < me.f_tcb.Ktcb.prio)
-          (runnable_fibers t)
-    | `Indexed -> (
-        (* the executing fiber is never in the ready heap, so the top —
-           which carries the minimum priority — is the best contender *)
-        match Runq.Ready.peek t.ready with
-        | Some ((prio, _, _), _) -> prio < me.f_tcb.Ktcb.prio
-        | None -> false)
-  in
-  if higher then yield t
 
 (* {1 Components: invocation, reflection, upcalls, reboot} *)
 

@@ -71,8 +71,6 @@ val charge : t -> int -> unit
 val register : t -> spec -> Comp.cid
 (** Register a component and run its [sc_init]. *)
 
-val cid_of_name : t -> string -> Comp.cid option
-val name_of : t -> Comp.cid -> string
 val grant : t -> client:Comp.cid -> server:Comp.cid -> unit
 
 (** {1 Component status} *)
@@ -138,8 +136,6 @@ val wakeup : t -> Sg_kernel.Ktcb.tid -> bool
     blocked. Triggers a preemption check at the next safe point. *)
 
 val yield : t -> unit
-val maybe_preempt : t -> unit
-(** Yield iff a strictly higher-priority thread is runnable. *)
 
 (** {1 Fault-injection hook} *)
 

@@ -44,7 +44,7 @@ let run_chunk ?on_event ?(episodes = false) ~mode ~iface ~seed ~period_ns
   let epb =
     if episodes then begin
       let b = Sg_obs.Episode.builder () in
-      Sg_obs.Sink.subscribe (Sim.obs sim) (Sg_obs.Episode.feed b);
+      Sg_obs.Episode.attach b (Sim.obs sim);
       Some b
     end
     else None

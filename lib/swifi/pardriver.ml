@@ -113,23 +113,6 @@ let run ?(seed = 1) ?(period_ns = 20_000) ?(chunk_iters = 400) ?cmon_period_ns
       ~iface ~period_ns ~chunk_iters ~cmon_period_ns
   in
   if injections <= 0 then Campaign.empty iface
-  else if jobs = 1 then begin
-    (* plain sequential loop — same seeds, same budgets, same arithmetic
-       as [Campaign.run], so the result (and any emitted trace) is
-       byte-identical to the single-core driver. Kept apart from the
-       pool path because only here is each chunk's exact budget known
-       up front, which saves re-running the final chunk. *)
-    let rec go acc chunk_seed =
-      let remaining = injections - acc.Campaign.r_injected in
-      if remaining <= 0 then acc
-      else begin
-        let r = run_one ~chunk_seed ~budget:remaining in
-        deliver chunk_seed r;
-        go (Campaign.add acc r.cr_row) (chunk_seed + 1)
-      end
-    in
-    go (Campaign.empty iface) seed
-  end
   else begin
     (* The first chunk's sequential budget is [injections] itself, so run
        it in this domain before engaging the pool: its injection count

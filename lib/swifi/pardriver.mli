@@ -15,9 +15,9 @@
     — the row {!Campaign.run} produces with the same parameters, for
     every [jobs].
 
-    [jobs = 1] is a plain sequential loop with the same seeds and
-    budgets as {!Campaign.run}: output (including any trace delivered
-    through [on_chunk]) is byte-identical to the single-core driver.
+    [jobs = 1] takes the same path, with the calling domain as the only
+    worker: output (including any trace delivered through [on_chunk])
+    is byte-identical to {!Campaign.run} and to every other [jobs].
 
     [on_chunk] is called in merge (seed) order, once per chunk whose row
     was used, with that chunk's full event stream (every emission, as a

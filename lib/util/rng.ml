@@ -46,14 +46,6 @@ let choose t a =
   if Array.length a = 0 then invalid_arg "Rng.choose: empty array";
   a.(int t (Array.length a))
 
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
 let exponential t ~mean =
   let u = 1.0 -. float t 1.0 in
   -.mean *. log u

@@ -45,9 +45,6 @@ val choose : t -> 'a array -> 'a
 (** Uniform choice from a non-empty array. Raises [Invalid_argument] on an
     empty array. *)
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)
-
 val exponential : t -> mean:float -> float
 (** Exponentially distributed value with the given mean; used for Poisson
     fault inter-arrival times (paper §V-A). *)

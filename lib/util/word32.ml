@@ -18,5 +18,3 @@ let popcount w =
   go 0 (mask w)
 
 let to_hex w = Printf.sprintf "0x%08X" (mask w)
-let of_int32 i = mask (Int32.to_int i land 0xFFFFFFFF)
-let to_int32 w = Int32.of_int (mask w)

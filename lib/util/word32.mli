@@ -22,6 +22,3 @@ val popcount : t -> int
 
 val to_hex : t -> string
 (** Rendering such as ["0xDEADBEEF"]. *)
-
-val of_int32 : int32 -> t
-val to_int32 : t -> int32

