@@ -92,7 +92,7 @@ let ablation () =
    print the metrics fold of the last run. *)
 let obs () =
   hr "Observability: crash-storm event streams + invariant checker";
-  let last_metrics = ref None in
+  let last_events = ref None in
   Printf.printf "%-10s %-6s %8s %8s %7s %7s %10s\n" "mode" "iface" "events"
     "spans" "reboots" "walks" "violations";
   List.iter
@@ -126,7 +126,7 @@ let obs () =
             Sg_obs.Check.run ~mode:`Ondemand ~completed:true events
           in
           let m = Sim.metrics sim in
-          last_metrics := Some (events, m);
+          last_events := Some events;
           Printf.printf "%-10s %-6s %8d %8d %7d %7d %10d\n" mode_name iface
             (List.length events)
             (Sg_obs.Metrics.invocations m)
@@ -143,11 +143,11 @@ let obs () =
       ("c3", Sysbuild.Stubbed Sysbuild.c3_stubset);
       ("superglue", Superglue.Stubset.mode);
     ];
-  match !last_metrics with
+  match !last_events with
   | None -> ()
-  | Some (events, m) ->
+  | Some events ->
       print_endline "\nmetrics fold of the last run:";
-      Format.printf "%a@?" (Sg_obs.Metrics.pp_summary events) m
+      Format.printf "%a@?" Sg_obs.Metrics.pp_summary events
 
 let all =
   [

@@ -174,10 +174,8 @@ let check file recovery_mode incomplete =
 
 let summary file =
   with_events file (fun events ->
-      let m = Sg_obs.Metrics.create () in
-      List.iter (Sg_obs.Metrics.feed m) events;
       Printf.printf "%d events\n" (List.length events);
-      Format.printf "%a@?" (Sg_obs.Metrics.pp_summary events) m;
+      Format.printf "%a@?" Sg_obs.Metrics.pp_summary events;
       0)
 
 let json_arg =

@@ -258,9 +258,7 @@ let install_plan sys plan pending =
                   | None -> 0
                 in
                 let at = min dur (at_pm * dur / 1000) in
-                Injector.apply_flip sim ~cid ~fn ~reg ~bit ~at
-                  ~record:(fun _ -> ())
-                  ()
+                Injector.apply_flip sim ~cid ~fn ~reg ~bit ~at ()
             | Some (A_crash { detector; _ }) ->
                 Sim.mark_failed sim cid ~detector;
                 raise (Comp.Crash { cid; detector })

@@ -16,7 +16,7 @@ let measure ~mode_name ~mode ~descriptors =
   let sys = Sysbuild.build mode in
   let sim = sys.Sysbuild.sys_sim in
   let epb = Sg_obs.Episode.builder () in
-  Sg_obs.Sink.subscribe (Sim.obs sim) (Sg_obs.Episode.feed epb);
+  Sg_obs.Episode.attach epb (Sim.obs sim);
   let app = sys.Sysbuild.sys_app1 in
   let port = sys.Sysbuild.sys_port ~client:app ~iface:"fs" in
   let latency = ref 0.0 in

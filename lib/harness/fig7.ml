@@ -21,7 +21,7 @@ let one_run ~mode ~requests ~seed ~fault_period_ns =
   (* stitch recovery episodes alongside the run: the subscriber only
      observes the stream, so throughput numbers are untouched *)
   let epb = Sg_obs.Episode.builder () in
-  Sg_obs.Sink.subscribe (Sim.obs sim) (Sg_obs.Episode.feed epb);
+  Sg_obs.Episode.attach epb (Sim.obs sim);
   let server = Server.install sys in
   let r = Abench.run ?fault_period_ns ~requests sys server in
   (r, Sg_obs.Metrics.reboots (Sim.metrics sim), Sg_obs.Episode.finish epb)

@@ -84,8 +84,8 @@ type open_episode = {
   oe_seq : int;
   oe_detect_ns : int;
   oe_trigger : trigger option;
-  mutable oe_nodes : node list;  (* newest first *)
-  mutable oe_next_id : int;
+  mutable oe_nodes : node array;  (* indexed by id; [oe_n] are in use *)
+  mutable oe_n : int;
   mutable oe_detect_id : int;
   mutable oe_reboot : int option;  (* reboot node id once seen *)
   mutable oe_last_ns : int;  (* latest activity end attached so far *)
@@ -112,8 +112,8 @@ let no_episode =
     oe_seq = -1;
     oe_detect_ns = 0;
     oe_trigger = None;
-    oe_nodes = [];
-    oe_next_id = 0;
+    oe_nodes = [||];
+    oe_n = 0;
     oe_detect_id = 0;
     oe_reboot = None;
     oe_last_ns = 0;
@@ -133,24 +133,30 @@ let stack_of tbl tid =
       s
 
 (* materialize a node; returns its id. [placeholder] nodes (open walks /
-   recover-alls / spans) are patched in place when their end arrives. *)
+   recover-alls / spans) are patched in place when their end arrives.
+   Ids are dense, so the nodes live in a doubling array indexed by id. *)
 let push oe ~tid ~start_ns ~end_ns ~deps kind =
-  let id = oe.oe_next_id in
-  oe.oe_next_id <- id + 1;
-  oe.oe_nodes <-
+  let id = oe.oe_n in
+  let n =
     { n_id = id; n_kind = kind; n_tid = tid; n_start_ns = start_ns;
       n_end_ns = end_ns; n_deps = deps }
-    :: oe.oe_nodes;
+  in
+  let cap = Array.length oe.oe_nodes in
+  if id = cap then begin
+    (* seed the fresh cells with [n]: no dummy node needed *)
+    let a = Array.make (if cap = 0 then 8 else 2 * cap) n in
+    Array.blit oe.oe_nodes 0 a 0 id;
+    oe.oe_nodes <- a
+  end;
+  oe.oe_nodes.(id) <- n;
+  oe.oe_n <- id + 1;
   if end_ns > oe.oe_last_ns then oe.oe_last_ns <- end_ns;
   id
 
 let patch oe id f =
-  oe.oe_nodes <-
-    List.map (fun n -> if n.n_id = id then f n else n) oe.oe_nodes;
-  List.iter
-    (fun n -> if n.n_id = id && n.n_end_ns > oe.oe_last_ns then
-        oe.oe_last_ns <- n.n_end_ns)
-    oe.oe_nodes
+  let n = f oe.oe_nodes.(id) in
+  oe.oe_nodes.(id) <- n;
+  if n.n_end_ns > oe.oe_last_ns then oe.oe_last_ns <- n.n_end_ns
 
 (* the causal parent of fresh recovery work: the reboot once it exists,
    the detection before that *)
@@ -172,7 +178,7 @@ let seal ~complete ~end_ns oe =
     ep_trigger = oe.oe_trigger;
     ep_complete = complete;
     ep_end_ns = (if complete then end_ns else max oe.oe_last_ns oe.oe_detect_ns);
-    ep_nodes = List.rev oe.oe_nodes;
+    ep_nodes = List.init oe.oe_n (Array.get oe.oe_nodes);
   }
 
 (* activities still in flight when the first access lands (the enclosing
@@ -227,8 +233,8 @@ let feed_raw b ~seq ~at_ns:at ~tid kind =
                 Inttbl.remove b.b_inject cid;
                 Some tr
             | None -> None);
-          oe_nodes = [];
-          oe_next_id = 0;
+          oe_nodes = [||];
+          oe_n = 0;
           oe_detect_id = 0;
           oe_reboot = None;
           oe_last_ns = at;

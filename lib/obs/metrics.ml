@@ -1,114 +1,64 @@
-(* Metrics: a sink subscriber that folds the event stream into
-   per-component counters and the first-access histogram. Harnesses and
-   the SWIFI campaign read these instead of keeping private counters.
-   Every event of every run passes through [feed_raw], so the per-cid
-   tables are [Inttbl]s bumped in one probe and the per-outcome one a
+(* Metrics: a sink subscriber that folds the event stream into the
+   counters a live run reads, and the first-access histogram. Every
+   event of every run passes through [feed_raw], so the one per-cid
+   table is an [Inttbl] bumped in one probe and the per-outcome one a
    [Strtbl]: no polymorphic hash or compare, no per-span or per-walk
-   state, and no boxing on an invocation. Span, walk and sojourn
-   latencies have no reader on a live run; [latencies] works them out
-   from a held stream. *)
+   state, and no boxing on an invocation. Every other fact of a run
+   has no live reader; [summary] works it out from a held stream. *)
 
 module Inttbl = Sg_util.Inttbl
 module Strtbl = Sg_util.Strtbl
 
 type t = {
-  mutable invocations_total : int;
-  invocations_by_server : int Inttbl.t;
-  mutable spans_ok : int;
-  mutable spans_fault : int;
-  mutable crashes_total : int;
-  crashes_by_cid : int Inttbl.t;
-  mutable reboots_total : int;
-  reboots_by_cid : int Inttbl.t;
-  mutable reboot_ns_total : int;
-  mutable upcalls_total : int;
-  mutable diverts_total : int;
-  mutable walks_total : int;
+  mutable invocations : int;
+  mutable reboots : int;
+  mutable walks : int;
   walks_by_client : int Inttbl.t;
-  walks_by_server : int Inttbl.t;
-  mutable storage_ops_total : int;
-  mutable injections_total : int;
-  mutable perturbs_total : int;
-  mutable perturbs_in_walk : int;
+  mutable injections : int;
   outcomes : int Strtbl.t;
-  mutable http_requests : int;
-  mutable http_errors : int;
   first_access_hist : Hist.t;
   first_access_pending : int Inttbl.t;  (* server cid -> reboot ns *)
 }
 
 let create () =
   {
-    invocations_total = 0;
-    invocations_by_server = Inttbl.create 16;
-    spans_ok = 0;
-    spans_fault = 0;
-    crashes_total = 0;
-    crashes_by_cid = Inttbl.create 16;
-    reboots_total = 0;
-    reboots_by_cid = Inttbl.create 16;
-    reboot_ns_total = 0;
-    upcalls_total = 0;
-    diverts_total = 0;
-    walks_total = 0;
+    invocations = 0;
+    reboots = 0;
+    walks = 0;
     walks_by_client = Inttbl.create 16;
-    walks_by_server = Inttbl.create 16;
-    storage_ops_total = 0;
-    injections_total = 0;
-    perturbs_total = 0;
-    perturbs_in_walk = 0;
+    injections = 0;
     outcomes = Strtbl.create 8;
-    http_requests = 0;
-    http_errors = 0;
     first_access_hist = Hist.create ();
     first_access_pending = Inttbl.create 8;
   }
 
-let get_str tbl key =
-  match Strtbl.find_opt tbl key with Some n -> n | None -> 0
+let outcome_count t key =
+  match Strtbl.find_opt t.outcomes key with Some n -> n | None -> 0
 
 let feed_raw t ~seq:_ ~at_ns ~tid:_ kind =
   match kind with
-  | Event.Span_begin { server; _ } ->
-      t.invocations_total <- t.invocations_total + 1;
-      Inttbl.add t.invocations_by_server server 1
+  | Event.Span_begin _ -> t.invocations <- t.invocations + 1
   | Event.Span_end { server; ok; _ } ->
-      if ok then begin
-        t.spans_ok <- t.spans_ok + 1;
-        if Inttbl.length t.first_access_pending > 0 then
-          match Inttbl.find_opt t.first_access_pending server with
-          | Some reboot_ns ->
-              Inttbl.remove t.first_access_pending server;
-              Hist.add t.first_access_hist (at_ns - reboot_ns)
-          | None -> ()
+      if ok && Inttbl.length t.first_access_pending > 0 then begin
+        match Inttbl.find_opt t.first_access_pending server with
+        | Some reboot_ns ->
+            Inttbl.remove t.first_access_pending server;
+            Hist.add t.first_access_hist (at_ns - reboot_ns)
+        | None -> ()
       end
-      else t.spans_fault <- t.spans_fault + 1
-  | Event.Crash { cid; _ } ->
-      t.crashes_total <- t.crashes_total + 1;
-      Inttbl.add t.crashes_by_cid cid 1
-  | Event.Reboot { cid; cost_ns; _ } ->
-      t.reboots_total <- t.reboots_total + 1;
-      Inttbl.add t.reboots_by_cid cid 1;
-      t.reboot_ns_total <- t.reboot_ns_total + cost_ns;
+  | Event.Reboot { cid; _ } ->
+      t.reboots <- t.reboots + 1;
       Inttbl.replace t.first_access_pending cid at_ns
-  | Event.Divert _ -> t.diverts_total <- t.diverts_total + 1
-  | Event.Upcall _ -> t.upcalls_total <- t.upcalls_total + 1
-  | Event.Walk_begin { client; server; _ } ->
-      t.walks_total <- t.walks_total + 1;
-      Inttbl.add t.walks_by_client client 1;
-      Inttbl.add t.walks_by_server server 1
-  | Event.Storage_op _ -> t.storage_ops_total <- t.storage_ops_total + 1
+  | Event.Walk_begin { client; _ } ->
+      t.walks <- t.walks + 1;
+      Inttbl.add t.walks_by_client client 1
   | Event.Inject { outcome; _ } ->
-      t.injections_total <- t.injections_total + 1;
-      Strtbl.replace t.outcomes outcome (get_str t.outcomes outcome + 1)
-  | Event.Perturb { in_walk; _ } ->
-      t.perturbs_total <- t.perturbs_total + 1;
-      if in_walk then t.perturbs_in_walk <- t.perturbs_in_walk + 1
-  | Event.Http { status; _ } ->
-      t.http_requests <- t.http_requests + 1;
-      if status >= 400 then t.http_errors <- t.http_errors + 1
-  | Event.Reflect _ | Event.Walk_end _ | Event.Recover_begin _
-  | Event.Recover_end _ | Event.Http_req _ | Event.Note _ ->
+      t.injections <- t.injections + 1;
+      Strtbl.replace t.outcomes outcome (outcome_count t outcome + 1)
+  | Event.Crash _ | Event.Divert _ | Event.Upcall _ | Event.Reflect _
+  | Event.Walk_end _ | Event.Recover_begin _ | Event.Recover_end _
+  | Event.Storage_op _ | Event.Perturb _ | Event.Http _ | Event.Http_req _
+  | Event.Note _ ->
       ()
 
 let feed t (e : Event.t) =
@@ -116,53 +66,53 @@ let feed t (e : Event.t) =
 
 let attach t sink = Sink.subscribe_fold sink (feed_raw t)
 
-let get tbl key = Inttbl.find_or tbl key 0
+let invocations t = t.invocations
+let reboots t = t.reboots
 
-let invocations ?cid t =
-  match cid with
-  | None -> t.invocations_total
-  | Some c -> get t.invocations_by_server c
+let walks ?client t =
+  match client with
+  | None -> t.walks
+  | Some c -> Inttbl.find_or t.walks_by_client c 0
 
-let reboots ?cid t =
-  match cid with None -> t.reboots_total | Some c -> get t.reboots_by_cid c
-
-let crashes ?cid t =
-  match cid with None -> t.crashes_total | Some c -> get t.crashes_by_cid c
-
-let walks ?client ?server t =
-  match (client, server) with
-  | None, None -> t.walks_total
-  | Some c, None -> get t.walks_by_client c
-  | None, Some s -> get t.walks_by_server s
-  | Some _, Some _ -> invalid_arg "Metrics.walks: give client or server, not both"
-
-let spans_ok t = t.spans_ok
-let spans_fault t = t.spans_fault
-let upcalls t = t.upcalls_total
-let diverts t = t.diverts_total
-let storage_ops t = t.storage_ops_total
-let injections t = t.injections_total
-let perturbs t = t.perturbs_total
-let perturbs_in_walk t = t.perturbs_in_walk
-let outcome_count t s = get_str t.outcomes s
-let reboot_ns_total t = t.reboot_ns_total
-let http_requests t = t.http_requests
-let http_errors t = t.http_errors
+let injections t = t.injections
 let first_access_hist t = t.first_access_hist
 
-(* ---------- latencies of a held stream ---------- *)
+(* ---------- the summary of a held stream ---------- *)
 
-type latencies = { span_hist : Hist.t; walk_hist : Hist.t; sojourn_hist : Hist.t }
+type summary = {
+  metrics : t;
+  spans_ok : int;
+  spans_fault : int;
+  crashes : int;
+  reboot_ns : int;
+  diverts : int;
+  upcalls : int;
+  storage_ops : int;
+  perturbs : int;
+  perturbs_in_walk : int;
+  http_requests : int;
+  http_errors : int;
+  span_hist : Hist.t;
+  walk_hist : Hist.t;
+  sojourn_hist : Hist.t;
+}
 
 (* One pass in stream order, so each histogram sees its samples in the
-   order a live fold would have added them. A duplicate span begin
-   replaces the begin time and an unknown end is ignored; only [ok]
-   ends are recorded. A walk end closes the innermost open walk of the
-   same (client, server) on its thread, so overlapping walks of
-   different pairs cannot cross-charge, and walks it does not match
-   stay open. *)
-let latencies events =
-  let l = { span_hist = Hist.create (); walk_hist = Hist.create (); sojourn_hist = Hist.create () } in
+   order a live fold would have added them, and a fresh [t] is fed the
+   same events, so first access is paired by [feed_raw]'s one rule. A
+   duplicate span begin replaces the begin time and an unknown end is
+   ignored; only [ok] ends are recorded. A walk end closes the innermost
+   open walk of the same (client, server) on its thread, so overlapping
+   walks of different pairs cannot cross-charge, and walks it does not
+   match stay open. *)
+let summary events =
+  let m = create () in
+  let spans_ok = ref 0 and spans_fault = ref 0 and crashes = ref 0 in
+  let reboot_ns = ref 0 and diverts = ref 0 and upcalls = ref 0 in
+  let storage_ops = ref 0 and perturbs = ref 0 and perturbs_in_walk = ref 0 in
+  let http_requests = ref 0 and http_errors = ref 0 in
+  let span_hist = Hist.create () and walk_hist = Hist.create () in
+  let sojourn_hist = Hist.create () in
   let spans = Inttbl.create 64 and walks = Inttbl.create 16 in
   let rec pop client server acc = function
     | [] -> None
@@ -172,15 +122,28 @@ let latencies events =
   in
   List.iter
     (fun (e : Event.t) ->
+      feed m e;
       let at = e.Event.at_ns and tid = e.Event.tid in
       match e.Event.kind with
       | Event.Span_begin { span; _ } -> Inttbl.replace spans span at
       | Event.Span_end { span; ok; _ } -> (
+          incr (if ok then spans_ok else spans_fault);
           match Inttbl.find_opt spans span with
           | Some t0 ->
               Inttbl.remove spans span;
-              if ok then Hist.add l.span_hist (at - t0)
+              if ok then Hist.add span_hist (at - t0)
           | None -> ())
+      | Event.Crash _ -> incr crashes
+      | Event.Reboot { cost_ns; _ } -> reboot_ns := !reboot_ns + cost_ns
+      | Event.Divert _ -> incr diverts
+      | Event.Upcall _ -> incr upcalls
+      | Event.Storage_op _ -> incr storage_ops
+      | Event.Perturb { in_walk; _ } ->
+          incr perturbs;
+          if in_walk then incr perturbs_in_walk
+      | Event.Http { status; _ } ->
+          incr http_requests;
+          if status >= 400 then incr http_errors
       | Event.Walk_begin { client; server; _ } ->
           let open_ = Option.value ~default:[] (Inttbl.find_opt walks tid) in
           Inttbl.replace walks tid ((client, server, at) :: open_)
@@ -189,37 +152,55 @@ let latencies events =
           match pop client server [] open_ with
           | Some (t0, rest) ->
               Inttbl.replace walks tid rest;
-              if ok then Hist.add l.walk_hist (at - t0)
+              if ok then Hist.add walk_hist (at - t0)
           | None -> ())
       | Event.Http_req { arrival_ns; finish_ns; _ } ->
-          Hist.add l.sojourn_hist (finish_ns - arrival_ns)
-      | _ -> ())
+          Hist.add sojourn_hist (finish_ns - arrival_ns)
+      | Event.Reflect _ | Event.Recover_begin _ | Event.Recover_end _
+      | Event.Inject _ | Event.Note _ ->
+          ())
     events;
-  l
+  {
+    metrics = m;
+    spans_ok = !spans_ok;
+    spans_fault = !spans_fault;
+    crashes = !crashes;
+    reboot_ns = !reboot_ns;
+    diverts = !diverts;
+    upcalls = !upcalls;
+    storage_ops = !storage_ops;
+    perturbs = !perturbs;
+    perturbs_in_walk = !perturbs_in_walk;
+    http_requests = !http_requests;
+    http_errors = !http_errors;
+    span_hist;
+    walk_hist;
+    sojourn_hist;
+  }
 
-let pp_summary events ppf t =
-  let l = latencies events in
-  Format.fprintf ppf "invocations        %d@." t.invocations_total;
-  Format.fprintf ppf "  ok / faulted     %d / %d@." t.spans_ok t.spans_fault;
-  Format.fprintf ppf "crashes            %d@." t.crashes_total;
-  Format.fprintf ppf "micro-reboots      %d (%d ns)@." t.reboots_total
-    t.reboot_ns_total;
-  Format.fprintf ppf "diverted threads   %d@." t.diverts_total;
-  Format.fprintf ppf "upcalls            %d@." t.upcalls_total;
-  Format.fprintf ppf "descriptor walks   %d@." t.walks_total;
-  Format.fprintf ppf "storage ops        %d@." t.storage_ops_total;
-  Format.fprintf ppf "injections         %d@." t.injections_total;
-  if t.perturbs_total > 0 then
-    Format.fprintf ppf "perturbations      %d (%d during walks)@."
-      t.perturbs_total t.perturbs_in_walk;
-  Strtbl.fold (fun k v acc -> (k, v) :: acc) t.outcomes []
+let pp_summary ppf events =
+  let s = summary events in
+  let m = s.metrics in
+  Format.fprintf ppf "invocations        %d@." m.invocations;
+  Format.fprintf ppf "  ok / faulted     %d / %d@." s.spans_ok s.spans_fault;
+  Format.fprintf ppf "crashes            %d@." s.crashes;
+  Format.fprintf ppf "micro-reboots      %d (%d ns)@." m.reboots s.reboot_ns;
+  Format.fprintf ppf "diverted threads   %d@." s.diverts;
+  Format.fprintf ppf "upcalls            %d@." s.upcalls;
+  Format.fprintf ppf "descriptor walks   %d@." m.walks;
+  Format.fprintf ppf "storage ops        %d@." s.storage_ops;
+  Format.fprintf ppf "injections         %d@." m.injections;
+  if s.perturbs > 0 then
+    Format.fprintf ppf "perturbations      %d (%d during walks)@." s.perturbs
+      s.perturbs_in_walk;
+  Strtbl.fold (fun k v acc -> (k, v) :: acc) m.outcomes []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   |> List.iter (fun (k, v) -> Format.fprintf ppf "  outcome %-12s %d@." k v);
-  if t.http_requests > 0 then
-    Format.fprintf ppf "http requests      %d (%d errors)@." t.http_requests
-      t.http_errors;
-  if Hist.n l.sojourn_hist > 0 then
-    Format.fprintf ppf "request sojourn    %a@." Hist.pp l.sojourn_hist;
-  Format.fprintf ppf "span latency       %a@." Hist.pp l.span_hist;
-  Format.fprintf ppf "walk latency       %a@." Hist.pp l.walk_hist;
-  Format.fprintf ppf "first-access lat.  %a@." Hist.pp t.first_access_hist
+  if s.http_requests > 0 then
+    Format.fprintf ppf "http requests      %d (%d errors)@." s.http_requests
+      s.http_errors;
+  if Hist.n s.sojourn_hist > 0 then
+    Format.fprintf ppf "request sojourn    %a@." Hist.pp s.sojourn_hist;
+  Format.fprintf ppf "span latency       %a@." Hist.pp s.span_hist;
+  Format.fprintf ppf "walk latency       %a@." Hist.pp s.walk_hist;
+  Format.fprintf ppf "first-access lat.  %a@." Hist.pp m.first_access_hist

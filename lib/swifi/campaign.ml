@@ -13,7 +13,6 @@ type row = {
   r_undetected : int;
   r_reboots : int;
   r_first_access : Sg_obs.Hist.t;
-  r_episodes : Sg_obs.Episode.t list;
 }
 
 let empty iface =
@@ -27,28 +26,18 @@ let empty iface =
     r_undetected = 0;
     r_reboots = 0;
     r_first_access = Sg_obs.Hist.create ();
-    r_episodes = [];
   }
 
 (* One workload execution with the injector armed; the outcome of each
    injected fault is accounted per the paper's definitions. The counts
    are read back from the simulator's metrics fold over the structured
    event stream (the injector emits one [Inject] event per fault). *)
-let run_chunk ?on_event ?(episodes = false) ~mode ~iface ~seed ~period_ns
-    ~iters ~budget ~cmon_period_ns () =
+let run_chunk ?on_event ?episodes ~mode ~iface ~seed ~period_ns ~iters ~budget
+    ~cmon_period_ns () =
   let sys = Sysbuild.build ~seed mode in
   let sim = sys.Sysbuild.sys_sim in
-  (match on_event with
-  | Some f -> Sg_obs.Sink.subscribe (Sim.obs sim) f
-  | None -> ());
-  let epb =
-    if episodes then begin
-      let b = Sg_obs.Episode.builder () in
-      Sg_obs.Episode.attach b (Sim.obs sim);
-      Some b
-    end
-    else None
-  in
+  Option.iter (Sg_obs.Sink.subscribe (Sim.obs sim)) on_event;
+  Option.iter (fun b -> Sg_obs.Episode.attach b (Sim.obs sim)) episodes;
   let check = Workloads.setup sys ~iface ~iters in
   let inj =
     Injector.create ?cmon_period_ns
@@ -99,14 +88,10 @@ let run_chunk ?on_event ?(episodes = false) ~mode ~iface ~seed ~period_ns
       r_other = other;
       r_undetected = undetected;
       r_reboots = Sg_obs.Metrics.reboots m;
-      r_first_access =
-        (* a private copy: the simulator (and its metrics) is dropped
-           when the chunk ends *)
-        (let h = Sg_obs.Hist.create () in
-         Sg_obs.Hist.merge h (Sg_obs.Metrics.first_access_hist m);
-         h);
-      r_episodes =
-        (match epb with Some b -> Sg_obs.Episode.finish b | None -> []);
+      (* handed over, not copied: the simulator (and its metrics) is
+         dropped when the chunk ends, and [add] merges into a fresh
+         histogram *)
+      r_first_access = Sg_obs.Metrics.first_access_hist m;
     } )
 
 let add a b =
@@ -126,17 +111,16 @@ let add a b =
        Sg_obs.Hist.merge h a.r_first_access;
        Sg_obs.Hist.merge h b.r_first_access;
        h);
-    r_episodes = a.r_episodes @ b.r_episodes;
   }
 
 let run ?(seed = 1) ?(period_ns = 20_000) ?(chunk_iters = 400) ?cmon_period_ns
-    ?on_event ?episodes ~mode ~iface ~injections () =
+    ?on_event ~mode ~iface ~injections () =
   let rec go acc chunk_seed =
     let remaining = injections - acc.r_injected in
     if remaining <= 0 then acc
     else
       let _injected, row =
-        run_chunk ?on_event ?episodes ~mode ~iface ~seed:chunk_seed ~period_ns
+        run_chunk ?on_event ~mode ~iface ~seed:chunk_seed ~period_ns
           ~iters:chunk_iters ~budget:remaining ~cmon_period_ns ()
       in
       (* even when the workload finished before the first injection was

@@ -23,9 +23,6 @@ type row = {
   r_first_access : Sg_obs.Hist.t;
       (** reboot-to-first-successful-access latency distribution, merged
           across chunks with {!Sg_obs.Hist.merge} *)
-  r_episodes : Sg_obs.Episode.t list;
-      (** stitched recovery episodes in campaign order, chunk-local
-          timestamps; empty unless the run was asked for [episodes] *)
 }
 
 val empty : string -> row
@@ -38,7 +35,7 @@ val add : row -> row -> row
 
 val run_chunk :
   ?on_event:(Sg_obs.Event.t -> unit) ->
-  ?episodes:bool ->
+  ?episodes:Sg_obs.Episode.builder ->
   mode:Sg_components.Sysbuild.mode ->
   iface:string ->
   seed:int ->
@@ -52,7 +49,12 @@ val run_chunk :
     for at most [budget] faults; returns the number actually injected
     and the accounted row. Chunks are deterministic functions of
     [(mode, iface, seed)] plus the injection parameters, and share no
-    mutable state — {!Pardriver} runs them on separate domains. *)
+    mutable state — {!Pardriver} runs them on separate domains.
+    [on_event] is subscribed to the chunk simulator's sink, and the
+    [episodes] builder attached to it ({!Sg_obs.Episode.attach}): the
+    caller finishes the builder to get the chunk's recovery episodes.
+    The row's [r_first_access] is the chunk's own histogram, not a
+    copy. *)
 
 val run :
   ?seed:int ->
@@ -60,7 +62,6 @@ val run :
   ?chunk_iters:int ->
   ?cmon_period_ns:int ->
   ?on_event:(Sg_obs.Event.t -> unit) ->
-  ?episodes:bool ->
   mode:Sg_components.Sysbuild.mode ->
   iface:string ->
   injections:int ->
@@ -72,10 +73,9 @@ val run :
     a budget overrun plus one monitor period and recovered like other
     fail-stop faults, emptying the "other" column. [on_event] is
     subscribed to every chunk simulator's observability sink, in run
-    order — the full structured event stream of the campaign. With
-    [episodes:true] each chunk additionally stitches its stream into
-    recovery episodes ({!Sg_obs.Episode}), collected into
-    [r_episodes]. *)
+    order — the full structured event stream of the campaign.
+    {!Pardriver.run}'s [on_episodes] stitches each chunk's recovery
+    episodes. *)
 
 val activation_ratio : row -> float
 (** |F_a| / |F_a ∪ F_u| — the fraction of injected faults activated. *)

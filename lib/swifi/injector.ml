@@ -8,14 +8,6 @@ module Rng = Sg_util.Rng
 
 type outcome = O_undetected | O_failstop | O_segfault | O_propagated | O_hang
 
-type event = {
-  ev_at_ns : int;
-  ev_fn : string;
-  ev_reg : Reg.t;
-  ev_bit : int;
-  ev_outcome : outcome;
-}
-
 type t = {
   target : Comp.cid;
   period_ns : int;
@@ -24,8 +16,6 @@ type t = {
   rng : Rng.t;
   mutable next_at : int;
   mutable n_injected : int;
-  mutable log : event list;
-  counts : int array;  (** indexed by [outcome_index] *)
 }
 
 let create ?cmon_period_ns ~target ~period_ns ~max_injections ~rng () =
@@ -37,24 +27,9 @@ let create ?cmon_period_ns ~target ~period_ns ~max_injections ~rng () =
     rng;
     next_at = period_ns;
     n_injected = 0;
-    log = [];
-    counts = Array.make 5 0;
   }
 
-let outcome_index = function
-  | O_undetected -> 0
-  | O_failstop -> 1
-  | O_segfault -> 2
-  | O_propagated -> 3
-  | O_hang -> 4
-
-let bump t outcome =
-  let i = outcome_index outcome in
-  t.counts.(i) <- t.counts.(i) + 1
-
 let injected t = t.n_injected
-let count t o = t.counts.(outcome_index o)
-let events t = List.rev t.log
 
 let outcome_of_verdict = function
   | Usage.Undetected -> O_undetected
@@ -73,20 +48,16 @@ let outcome_to_string = function
 (* The flip itself, factored out so plan-driven campaigns (Sg_dst) can
    apply a *chosen* (reg, bit, at) flip at a chosen dispatch instead of
    drawing one — same register-file mutation, same classification, same
-   [Inject] event, same fault exceptions. [record] runs after
-   classification and before any exception, mirroring the periodic
-   hook's bump-then-raise order. [cmon_slack] is forced lazily, only on
-   the Hang path, so the periodic injector's Rng draw order is
-   untouched. *)
-let apply_flip sim ~cid ~fn ~reg ~bit ~at ?cmon ~record () =
+   [Inject] event, same fault exceptions. The [Inject] event is the one
+   record of a flip. [cmon_slack] is forced lazily, only on the Hang
+   path, so the periodic injector's Rng draw order is untouched. *)
+let apply_flip sim ~cid ~fn ~reg ~bit ~at ?cmon () =
   match Sim.usage_of sim cid fn with
   | None -> ()
   | Some usage ->
       let tcb = Sim.current_tcb sim in
       Regfile.flip_bit tcb.Ktcb.regs reg bit;
       let verdict = Usage.classify usage ~reg ~bit ~at in
-      let outcome = outcome_of_verdict verdict in
-      record outcome;
       Sim.emit sim
         (Sg_obs.Event.Inject
            {
@@ -94,7 +65,7 @@ let apply_flip sim ~cid ~fn ~reg ~bit ~at ?cmon ~record () =
              fn;
              reg = Reg.to_string reg;
              bit;
-             outcome = outcome_to_string outcome;
+             outcome = outcome_to_string (outcome_of_verdict verdict);
            });
       (match verdict with
       | Usage.Undetected -> ()
@@ -135,13 +106,6 @@ let hook t sim cid fn =
             (fun monitor_period () -> Rng.int t.rng monitor_period)
             t.cmon_period_ns
         in
-        let record outcome =
-          bump t outcome;
-          t.log <-
-            { ev_at_ns = Sim.now sim; ev_fn = fn; ev_reg = reg; ev_bit = bit;
-              ev_outcome = outcome }
-            :: t.log
-        in
-        apply_flip sim ~cid ~fn ~reg ~bit ~at ?cmon ~record ()
+        apply_flip sim ~cid ~fn ~reg ~bit ~at ?cmon ()
 
 let install sim t = Sim.set_on_dispatch sim (Some (fun sim cid fn -> hook t sim cid fn))

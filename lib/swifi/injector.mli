@@ -7,7 +7,12 @@
     consequence is classified by the operation's register-usage schedule
     ({!Sg_kernel.Usage.classify}); detected fail-stop faults crash the
     component (vectoring to the booter via {!Sg_os.Comp.Crash}),
-    unrecoverable outcomes abort the whole system run. *)
+    unrecoverable outcomes abort the whole system run.
+
+    Each flip emits one {!Sg_obs.Event.Inject} event, and that event is
+    the injection's only record: the simulator's {!Sg_obs.Metrics} fold
+    tallies the outcomes, and a sink that retains the event keeps the
+    per-injection log. *)
 
 type outcome =
   | O_undetected
@@ -15,14 +20,6 @@ type outcome =
   | O_segfault
   | O_propagated
   | O_hang
-
-type event = {
-  ev_at_ns : int;
-  ev_fn : string;
-  ev_reg : Sg_kernel.Reg.t;
-  ev_bit : int;
-  ev_outcome : outcome;
-}
 
 type t
 
@@ -53,26 +50,20 @@ val apply_flip :
   bit:int ->
   at:int ->
   ?cmon:(unit -> int) ->
-  record:(outcome -> unit) ->
   unit ->
   unit
 (** Apply one *chosen* register bit-flip at the current dispatch — the
     plan-driven entry point ({!Sg_dst}). Flips [bit] of [reg] in the
     executing thread's register file, classifies the consequence against
-    the operation's usage schedule at offset [at], calls [record] with
-    the outcome, emits the {!Sg_obs.Event.Inject} event and then raises
-    the fault exception the classification demands (nothing for
-    [O_undetected]). [cmon], when given, models the latent-fault monitor
+    the operation's usage schedule at offset [at], emits the
+    {!Sg_obs.Event.Inject} event and then raises the fault exception the
+    classification demands (nothing for [O_undetected]). [cmon], when given, models the latent-fault monitor
     exactly as {!create}'s [cmon_period_ns]: a hang is converted to a
     detected fail-stop after the budget overrun plus the slack the thunk
     returns. No-op when the operation has no usage schedule. *)
 
-val hook : t -> Sg_os.Sim.t -> Sg_os.Comp.cid -> string -> unit
-(** The raw hook, for composing with other dispatch instrumentation. *)
-
 val injected : t -> int
-val count : t -> outcome -> int
-val events : t -> event list
-(** Chronological injection log. *)
+(** Injections made so far; the injector stops at [max_injections]. *)
 
 val outcome_to_string : outcome -> string
+(** The outcome's name in {!Sg_obs.Event.Inject} events. *)

@@ -66,7 +66,7 @@ end
 
 type chunk_result = {
   cr_injected : int;
-  cr_row : Campaign.row;  (* [r_episodes = []]: they travel separately *)
+  cr_row : Campaign.row;
   cr_events : Sg_obs.Event.t list;  (* in order; empty unless collecting *)
   cr_episodes : Sg_obs.Episode.t list;  (* empty unless stitching *)
 }
@@ -75,15 +75,17 @@ let run_one ~collect ~episodes ~mode ~iface ~period_ns ~chunk_iters
     ~cmon_period_ns ~chunk_seed ~budget =
   let events = if collect then Some (Ebuf.create ()) else None in
   let on_event = Option.map (fun b e -> Ebuf.push b e) events in
+  let episodes = if episodes then Some (Sg_obs.Episode.builder ()) else None in
   let injected, row =
-    Campaign.run_chunk ?on_event ~episodes ~mode ~iface ~seed:chunk_seed
+    Campaign.run_chunk ?on_event ?episodes ~mode ~iface ~seed:chunk_seed
       ~period_ns ~iters:chunk_iters ~budget ~cmon_period_ns ()
   in
   {
     cr_injected = injected;
-    cr_row = { row with Campaign.r_episodes = [] };
+    cr_row = row;
     cr_events = (match events with Some b -> Ebuf.to_list b | None -> []);
-    cr_episodes = row.Campaign.r_episodes;
+    cr_episodes =
+      (match episodes with Some b -> Sg_obs.Episode.finish b | None -> []);
   }
 
 (* Batch size in chunk seeds: aim for ~[target_injections] per work item

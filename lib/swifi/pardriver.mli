@@ -27,12 +27,13 @@
     [bin/campaign.ml]). Events are only collected when [on_chunk] is
     given.
 
-    [on_episodes] turns on per-chunk recovery-episode stitching (see
-    {!Campaign.run}) and streams each used chunk's episode list in merge
-    (seed) order; the lists are deterministic across [jobs] because
-    discarded speculative chunks also discard their episodes. The
-    returned row never accumulates them ([r_episodes = []]), so a
-    million-injection campaign can be bound-checked in constant memory.
+    [on_episodes] turns on per-chunk recovery-episode stitching (each
+    chunk's builder attached through {!Campaign.run_chunk}'s [episodes])
+    and streams each used chunk's episode list in merge (seed) order;
+    the lists are deterministic across [jobs] because discarded
+    speculative chunks also discard their episodes. The returned row
+    carries counts only, so a million-injection campaign can be
+    bound-checked in constant memory.
 
     An exception from a worker chunk propagates in the calling domain
     after every spawned domain has been joined; no chunk result outlives

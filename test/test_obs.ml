@@ -803,27 +803,33 @@ let test_metrics_fold () =
       ]
   in
   List.iter (Metrics.feed m) events;
-  let l = Metrics.latencies events in
+  let s = Metrics.summary events in
   Alcotest.(check int) "invocations" 3 (Metrics.invocations m);
-  Alcotest.(check int) "invocations into 7" 3 (Metrics.invocations ~cid:7 m);
-  Alcotest.(check int) "invocations into 8" 0 (Metrics.invocations ~cid:8 m);
-  Alcotest.(check int) "spans ok" 2 (Metrics.spans_ok m);
-  Alcotest.(check int) "spans faulted" 1 (Metrics.spans_fault m);
-  Alcotest.(check int) "crashes of 7" 1 (Metrics.crashes ~cid:7 m);
+  Alcotest.(check int) "spans ok" 2 s.Metrics.spans_ok;
+  Alcotest.(check int) "spans faulted" 1 s.Metrics.spans_fault;
+  Alcotest.(check int) "crashes" 1 s.Metrics.crashes;
   Alcotest.(check int) "reboots" 1 (Metrics.reboots m);
-  Alcotest.(check int) "reboot cost total" 5 (Metrics.reboot_ns_total m);
-  Alcotest.(check int) "diverts" 1 (Metrics.diverts m);
-  Alcotest.(check int) "upcalls" 1 (Metrics.upcalls m);
+  Alcotest.(check int) "reboot cost total" 5 s.Metrics.reboot_ns;
+  Alcotest.(check int) "diverts" 1 s.Metrics.diverts;
+  Alcotest.(check int) "upcalls" 1 s.Metrics.upcalls;
+  Alcotest.(check int) "walks" 1 (Metrics.walks m);
   Alcotest.(check int) "walks by client" 1 (Metrics.walks ~client:1 m);
-  Alcotest.(check int) "walks by server" 1 (Metrics.walks ~server:7 m);
-  Alcotest.(check int) "storage ops" 1 (Metrics.storage_ops m);
+  Alcotest.(check int) "no walks by another client" 0 (Metrics.walks ~client:7 m);
+  Alcotest.(check int) "storage ops" 1 s.Metrics.storage_ops;
   Alcotest.(check int) "injections" 1 (Metrics.injections m);
   Alcotest.(check int) "hang outcomes" 1 (Metrics.outcome_count m "hang");
-  Alcotest.(check int) "http requests" 2 (Metrics.http_requests m);
-  Alcotest.(check int) "http errors" 1 (Metrics.http_errors m);
-  Alcotest.(check int) "perturbations" 2 (Metrics.perturbs m);
-  Alcotest.(check int) "in-walk perturbations" 1 (Metrics.perturbs_in_walk m);
-  (let summary = Format.asprintf "%a" (Metrics.pp_summary events) m in
+  Alcotest.(check int) "http requests" 2 s.Metrics.http_requests;
+  Alcotest.(check int) "http errors" 1 s.Metrics.http_errors;
+  Alcotest.(check int) "perturbations" 2 s.Metrics.perturbs;
+  Alcotest.(check int) "in-walk perturbations" 1 s.Metrics.perturbs_in_walk;
+  (* the summary's own fold counts what the live one does *)
+  let sm = s.Metrics.metrics in
+  Alcotest.(check (list int)) "summary fold = live fold"
+    [ Metrics.invocations m; Metrics.reboots m; Metrics.walks m;
+      Metrics.injections m; Metrics.outcome_count m "hang" ]
+    [ Metrics.invocations sm; Metrics.reboots sm; Metrics.walks sm;
+      Metrics.injections sm; Metrics.outcome_count sm "hang" ];
+  (let summary = Format.asprintf "%a" Metrics.pp_summary events in
    let has needle =
      let nl = String.length needle and sl = String.length summary in
      let rec go i = i + nl <= sl && (String.sub summary i nl = needle || go (i + 1)) in
@@ -832,17 +838,16 @@ let test_metrics_fold () =
    Alcotest.(check bool)
      "summary counts walk-time perturbations" true
      (has "perturbations      2 (1 during walks)"));
-  Alcotest.(check int) "span latencies recorded" 2 (Hist.n l.Metrics.span_hist);
-  Alcotest.(check int) "walk latency 6 ns" 6 (Hist.sum l.Metrics.walk_hist);
+  Alcotest.(check int) "span latencies recorded" 2 (Hist.n s.Metrics.span_hist);
+  Alcotest.(check int) "walk latency 6 ns" 6 (Hist.sum s.Metrics.walk_hist);
   (* the first ok span end after the reboot: 60 - 20 = 40 ns... except
      span 1 ended before the reboot, so the first is span 3 at 60 ns *)
   Alcotest.(check int) "first-access latency" 40
     (Hist.sum (Metrics.first_access_hist m));
-  Alcotest.check_raises "walks rejects both filters"
-    (Invalid_argument "Metrics.walks: give client or server, not both")
-    (fun () -> ignore (Metrics.walks ~client:1 ~server:7 m))
+  Alcotest.(check int) "summary first-access latency" 40
+    (Hist.sum (Metrics.first_access_hist sm))
 
-(* The span half of the counter fold and of [Metrics.latencies] against
+(* The span half of the counter fold and of [Metrics.summary] against
    a reference model of both: a generic [Hashtbl] of open spans where a
    duplicate begin replaces the time and an end without a begin is
    ignored, counters per server, and the first successful span end
@@ -902,17 +907,17 @@ let stream_of_ops ops =
          (!at, tid, kind))
        ops)
 
-(* the fold as a plain reference: (invocations by server, ok, faulted,
-   span histogram, first-access histogram) *)
+(* the fold as a plain reference: (invocations, ok, faulted, span
+   histogram, first-access histogram) *)
 let reference_span_fold events =
   let open_spans = Hashtbl.create 16 and pending = Hashtbl.create 4 in
-  let by_server = Array.make 6 0 and ok_n = ref 0 and fault_n = ref 0 in
+  let invocations = ref 0 and ok_n = ref 0 and fault_n = ref 0 in
   let spans = Hist.create () and first = Hist.create () in
   List.iter
     (fun (e : E.t) ->
       match e.kind with
-      | E.Span_begin { span; server; _ } ->
-          by_server.(server) <- by_server.(server) + 1;
+      | E.Span_begin { span; _ } ->
+          incr invocations;
           Hashtbl.replace open_spans span e.at_ns
       | E.Span_end { span; server; ok } ->
           (match Hashtbl.find_opt open_spans span with
@@ -932,7 +937,7 @@ let reference_span_fold events =
       | E.Reboot { cid; _ } -> Hashtbl.replace pending cid e.at_ns
       | _ -> ())
     events;
-  (by_server, !ok_n, !fault_n, spans, first)
+  (!invocations, !ok_n, !fault_n, spans, first)
 
 let hist_view h = (Hist.n h, Hist.sum h, Hist.min_value h, Hist.max_value h, Hist.buckets_list h)
 
@@ -943,15 +948,14 @@ let prop_metrics_span_map =
       let events = stream_of_ops ops in
       let m = Metrics.create () in
       List.iter (Metrics.feed m) events;
-      let by_server, ok_n, fault_n, spans, first = reference_span_fold events in
-      Metrics.invocations m = Array.fold_left ( + ) 0 by_server
-      && List.for_all
-           (fun c -> Metrics.invocations ~cid:c m = by_server.(c))
-           [ 0; 1; 2; 3; 4; 5 ]
-      && Metrics.spans_ok m = ok_n
-      && Metrics.spans_fault m = fault_n
-      && hist_view (Metrics.latencies events).Metrics.span_hist = hist_view spans
-      && hist_view (Metrics.first_access_hist m) = hist_view first)
+      let s = Metrics.summary events in
+      let invocations, ok_n, fault_n, spans, first = reference_span_fold events in
+      Metrics.invocations m = invocations
+      && s.Metrics.spans_ok = ok_n
+      && s.Metrics.spans_fault = fault_n
+      && hist_view s.Metrics.span_hist = hist_view spans
+      && hist_view (Metrics.first_access_hist m) = hist_view first
+      && hist_view (Metrics.first_access_hist s.Metrics.metrics) = hist_view first)
 
 let wbegin client server =
   E.Walk_begin { client; server; iface = "fs"; desc = 1; reason = E.Demand }
@@ -964,7 +968,7 @@ let test_metrics_walk_pairing () =
      would cross them and record durations {20, 40}; correct pairing
      records {30, 30}. *)
   let walks =
-    (Metrics.latencies
+    (Metrics.summary
        (stream
           [
             (0, 1, wbegin 1 7);
@@ -982,7 +986,7 @@ let test_metrics_walk_interrupted () =
   (* an interrupted walk pops its begin without recording, and must not
      shift the pairing of the retry or of an enclosing walk *)
   let walks =
-    (Metrics.latencies
+    (Metrics.summary
        (stream
           [
             (0, 1, wbegin 3 9);
@@ -1003,7 +1007,7 @@ let test_metrics_walk_interrupted () =
     (Hist.min_value walks);
   Alcotest.(check int) "outer walk unaffected" 20 (Hist.max_value walks);
   (* an end with no matching open walk is ignored *)
-  let unmatched = Metrics.latencies (stream [ (5, 1, wend 4 4) ]) in
+  let unmatched = Metrics.summary (stream [ (5, 1, wend 4 4) ]) in
   Alcotest.(check int) "unmatched end ignored" 0
     (Hist.n unmatched.Metrics.walk_hist)
 

@@ -8,6 +8,17 @@ module Workloads = Sg_components.Workloads
 module Injector = Sg_swifi.Injector
 module Campaign = Sg_swifi.Campaign
 module Rng = Sg_util.Rng
+module Event = Sg_obs.Event
+module Hist = Sg_obs.Hist
+module Metrics = Sg_obs.Metrics
+
+(* The functions of the [Inject] events a run's sink kept: with the
+   sink's default retention, every injection's one record. *)
+let injected_fns sim =
+  List.filter_map
+    (fun (e : Event.t) ->
+      match e.Event.kind with Event.Inject { fn; _ } -> Some fn | _ -> None)
+    (Sg_obs.Sink.events (Sim.obs sim))
 
 let test_injector_counts () =
   let sys = Sysbuild.build Superglue.Stubset.mode in
@@ -19,18 +30,22 @@ let test_injector_counts () =
   in
   Injector.install sim inj;
   ignore (Sim.run sim);
+  let m = Sim.metrics sim in
   let total =
     List.fold_left
-      (fun acc o -> acc + Injector.count inj o)
+      (fun acc o -> acc + Metrics.outcome_count m (Injector.outcome_to_string o))
       0
       [
         Injector.O_undetected; Injector.O_failstop; Injector.O_segfault;
         Injector.O_propagated; Injector.O_hang;
       ]
   in
+  Alcotest.(check bool) "faults injected" true (Injector.injected inj > 0);
   Alcotest.(check int) "outcomes sum to injections" (Injector.injected inj) total;
-  Alcotest.(check int) "log length matches" (Injector.injected inj)
-    (List.length (Injector.events inj));
+  Alcotest.(check int) "metrics count every injection" (Injector.injected inj)
+    (Metrics.injections m);
+  Alcotest.(check int) "one Inject event per injection" (Injector.injected inj)
+    (List.length (injected_fns sim));
   Alcotest.(check bool) "respects the budget" true (Injector.injected inj <= 40)
 
 let test_injector_only_hits_target () =
@@ -43,12 +58,15 @@ let test_injector_only_hits_target () =
   in
   Injector.install sim inj;
   ignore (Sim.run sim);
+  let fns = injected_fns sim in
+  Alcotest.(check int) "one Inject event per injection" (Injector.injected inj)
+    (List.length fns);
+  Alcotest.(check bool) "faults injected" true (fns <> []);
   List.iter
-    (fun ev ->
-      let fn = ev.Injector.ev_fn in
+    (fun fn ->
       if not (String.length fn > 5 && String.sub fn 0 5 = "lock_") then
         Alcotest.failf "injected during foreign dispatch %s" fn)
-    (Injector.events inj)
+    fns
 
 let test_campaign_deterministic () =
   let run () =
@@ -152,6 +170,44 @@ let test_base_mode_recovers_nothing () =
   let r = Campaign.run ~mode:Sysbuild.Base ~iface:"fs" ~injections:100 () in
   Alcotest.(check int) "no recovery without stubs" 0 r.Campaign.r_recovered
 
+(* A chunk's row against the summary of every event the chunk emitted:
+   the counts the row reads from the simulator's live metrics fold are
+   the ones an offline fold of the whole stream finds. The C'MON chunk
+   moves hangs into the recovered column, so the columns are compared
+   as failstop + hang = recovered + other. *)
+let test_row_matches_stream () =
+  List.iter
+    (fun (iface, cmon_period_ns) ->
+      let events = ref [] in
+      let _, r =
+        Campaign.run_chunk
+          ~on_event:(fun e -> events := e :: !events)
+          ~mode:Superglue.Stubset.mode ~iface ~seed:5 ~period_ns:20_000
+          ~iters:400 ~budget:350_000 ~cmon_period_ns ()
+      in
+      let m = (Metrics.summary (List.rev !events)).Metrics.metrics in
+      let n = Metrics.outcome_count m in
+      let hist h =
+        (Hist.n h, Hist.sum h, Hist.min_value h, Hist.max_value h, Hist.buckets_list h)
+      in
+      Alcotest.(check bool) (iface ^ ": faults injected") true (r.Campaign.r_injected > 0);
+      Alcotest.(check (list int))
+        (iface ^ ": injected, undetected, segfault, propagated, failstop + hang, reboots")
+        [
+          Metrics.injections m; n "undetected"; n "segfault"; n "propagated";
+          n "failstop" + n "hang"; Metrics.reboots m;
+        ]
+        [
+          r.Campaign.r_injected; r.Campaign.r_undetected; r.Campaign.r_segfault;
+          r.Campaign.r_propagated; r.Campaign.r_recovered + r.Campaign.r_other;
+          r.Campaign.r_reboots;
+        ];
+      Alcotest.(check bool)
+        (iface ^ ": first-access histogram")
+        true
+        (hist (Metrics.first_access_hist m) = hist r.Campaign.r_first_access))
+    (("sched", Some 5_000) :: List.map (fun i -> (i, None)) Workloads.all_ifaces)
+
 (* Minor words per injection over one campaign chunk per service, as
    [Campaign.run] cuts them (400 iterations, a fault every 20 us).
    Minor words do not depend on host speed; the ceiling sits at what
@@ -167,7 +223,7 @@ let test_injection_budget () =
   let injected = List.fold_left (fun acc i -> acc + fst (chunk i)) 0 Workloads.all_ifaces in
   let words = (Gc.minor_words () -. before) /. float_of_int injected in
   Alcotest.(check bool) "faults injected" true (injected > 0);
-  let ceiling = 759. in
+  let ceiling = 737. in
   Alcotest.(check bool)
     (Printf.sprintf "%.1f minor words per injection, ceiling %.0f" words ceiling)
     true (words <= ceiling)
@@ -184,6 +240,7 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick test_campaign_deterministic;
           Alcotest.test_case "accounting" `Quick test_campaign_accounting;
+          Alcotest.test_case "row matches its stream" `Quick test_row_matches_stream;
           Alcotest.test_case "c3 recovers" `Quick test_c3_mode_also_recovers;
           Alcotest.test_case "base does not recover" `Quick test_base_mode_recovers_nothing;
         ] );

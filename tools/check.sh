@@ -457,5 +457,11 @@ pinned 314d652841fbff0a7252105383dcf20b "$tmpdir/pin_summary.out" \
     > "$tmpdir/pin_summary_damaged.out"
 pinned 4764800f630af2b7cdca8ee97d21c123 "$tmpdir/pin_summary_damaged.out" \
     "sgtrace summary (evt stream, every 37th line dropped)"
+# Fig 7 and the ablation, pinned with the binaries of the commit before
+# they stitched episodes through an unboxed subscriber; they also read
+# the live reboot and per-client walk counters.
+./_build/default/bench/main.exe fig7 ablation > "$tmpdir/pin_fig7.out"
+pinned 91593811cdc9b614c7d4700e3ae4110a "$tmpdir/pin_fig7.out" \
+    "bench/main.exe fig7 ablation"
 
 echo "== tier-1 gate OK"
