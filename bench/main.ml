@@ -10,7 +10,6 @@
 
 module Sysbuild = Sg_components.Sysbuild
 module Workloads = Sg_components.Workloads
-module Sim = Sg_os.Sim
 
 let hr title =
   Printf.printf "\n==== %s %s\n%!" title
@@ -99,33 +98,20 @@ let obs () =
     (fun (mode_name, mode) ->
       List.iter
         (fun iface ->
-          let sys = Sysbuild.build mode in
-          let sim = sys.Sysbuild.sys_sim in
-          Sg_obs.Sink.set_retention (Sim.obs sim) Sg_obs.Sink.All;
-          let check = Workloads.setup sys ~iface ~iters:30 in
-          let target = Sysbuild.cid_of_iface sys iface in
-          let count = ref 0 in
-          Sim.set_on_dispatch sim
-            (Some
-               (fun sim cid _ ->
-                 if cid = target then begin
-                   incr count;
-                   if !count mod 7 = 0 then begin
-                     Sim.mark_failed sim cid ~detector:"storm";
-                     raise (Sg_os.Comp.Crash { cid; detector = "storm" })
-                   end
-                 end));
-          (match Sim.run sim with
-          | Sim.Completed -> ()
-          | r -> failwith (Format.asprintf "obs %s: %a" iface Sim.pp_run_result r));
-          (match check () with
-          | [] -> ()
-          | v -> failwith ("obs " ^ iface ^ ": " ^ String.concat "; " v));
-          let events = Sg_obs.Sink.events (Sim.obs sim) in
+          let events =
+            match
+              Workloads.run_storm (Sysbuild.build mode) ~iface ~iters:30
+                ~every:(Some 7) ~detector:"storm"
+            with
+            | Ok events -> events
+            | Error msg -> failwith ("obs " ^ iface ^ ": " ^ msg)
+          in
           let violations =
             Sg_obs.Check.run ~mode:`Ondemand ~completed:true events
           in
-          let m = Sim.metrics sim in
+          (* the stream is the whole run, so its fold is the live one *)
+          let m = Sg_obs.Metrics.create () in
+          List.iter (Sg_obs.Metrics.feed m) events;
           last_events := Some events;
           Printf.printf "%-10s %-6s %8d %8d %7d %7d %10d\n" mode_name iface
             (List.length events)

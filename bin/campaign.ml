@@ -6,12 +6,10 @@ module Campaign = Sg_swifi.Campaign
 module Sysbuild = Sg_components.Sysbuild
 
 let mode_arg =
-  let names = List.map (fun (name, _) -> (name, name)) Sg_harness.Paper.modes in
   Arg.(
     value
-    & opt (enum names) "superglue"
-    & info [ "mode" ] ~docv:"MODE"
-        ~doc:("System configuration: " ^ doc_alts_enum names ^ "."))
+    & opt Modearg.conv Modearg.superglue
+    & info [ "mode" ] ~docv:"MODE" ~doc:(Modearg.doc ^ "."))
 
 let iface_arg =
   Arg.(
@@ -147,8 +145,7 @@ let report_bounds ~iface ~bound_ns (b : Campaign.bounds) =
     violations;
   violations <> []
 
-let run mode iface injections seed cmon jobs trace profile verify_bounds =
-  let mode = List.assoc mode Sg_harness.Paper.modes in
+let run (_, mode) iface injections seed cmon jobs trace profile verify_bounds =
   let cmon_period_ns = if cmon then Some 5_000 else None in
   match (trace, profile, verify_bounds, iface) with
   | Some _, _, _, None ->

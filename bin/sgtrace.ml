@@ -2,7 +2,8 @@
 
    sgtrace dump     run a workload (optionally under a crash storm) with
                     full event retention and write JSON-lines to stdout
-                    or a file
+                    or a file; exit 1 with one stderr line when the run
+                    does not complete or its postconditions fail
    sgtrace check    validate a JSON-lines stream against the recovery
                     invariants; non-zero exit on any violation
    sgtrace summary  replay a JSON-lines stream through the metrics fold
@@ -15,18 +16,14 @@
                     tail impact, throughput and queue depth (or --json) *)
 
 open Cmdliner
-module Sim = Sg_os.Sim
-module Comp = Sg_os.Comp
 module Sysbuild = Sg_components.Sysbuild
 module Workloads = Sg_components.Workloads
 
 let mode_arg =
-  let names = List.map (fun (name, _) -> (name, name)) Sg_harness.Paper.modes in
   Arg.(
     value
-    & opt (enum names) "superglue"
-    & info [ "mode" ] ~docv:"MODE"
-        ~doc:("System configuration: " ^ doc_alts_enum names ^ "."))
+    & opt Modearg.conv Modearg.superglue
+    & info [ "mode" ] ~docv:"MODE" ~doc:(Modearg.doc ^ "."))
 
 let iface_arg =
   Arg.(
@@ -81,37 +78,7 @@ let incomplete_arg =
           "The stream is a prefix of a run: skip the end-of-stream \
            quiescence checks.")
 
-(* run one workload with full retention, return the event stream *)
-let collect ~mode ~iface ~iters ~seed ~storm =
-  let sys = Sysbuild.build ~seed (List.assoc mode Sg_harness.Paper.modes) in
-  let sim = sys.Sysbuild.sys_sim in
-  Sg_obs.Sink.set_retention (Sim.obs sim) Sg_obs.Sink.All;
-  let check = Workloads.setup sys ~iface ~iters in
-  (match storm with
-  | None -> ()
-  | Some k ->
-      let target = Sysbuild.cid_of_iface sys iface in
-      let count = ref 0 in
-      Sim.set_on_dispatch sim
-        (Some
-           (fun sim cid _ ->
-             if cid = target then begin
-               incr count;
-               if !count mod k = 0 then begin
-                 Sim.mark_failed sim cid ~detector:"sgtrace-storm";
-                 raise (Comp.Crash { cid; detector = "sgtrace-storm" })
-               end
-             end)));
-  (match Sim.run sim with
-  | Sim.Completed -> ()
-  | r -> failwith (Format.asprintf "sgtrace: run ended %a" Sim.pp_run_result r));
-  (match check () with
-  | [] -> ()
-  | v ->
-      failwith ("sgtrace: workload postconditions failed: " ^ String.concat "; " v));
-  Sg_obs.Sink.events (Sim.obs sim)
-
-let dump mode iface iters seed storm out =
+let dump (_, mode) iface iters seed storm out =
   if (match storm with Some k -> k <= 0 | None -> false) then begin
     prerr_endline "sgtrace: --storm must be positive";
     2
@@ -121,19 +88,25 @@ let dump mode iface iters seed storm out =
       (String.concat " " Workloads.all_ifaces);
     2
   end
-  else begin
-    let events = collect ~mode ~iface ~iters ~seed ~storm in
-    (match out with
-    | None -> Sg_obs.Jsonl.dump stdout events
-    | Some path ->
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () -> Sg_obs.Jsonl.dump oc events);
-        Printf.eprintf "sgtrace: wrote %d events to %s\n" (List.length events)
-          path);
-    0
-  end
+  else
+    match
+      Workloads.run_storm (Sysbuild.build ~seed mode) ~iface ~iters ~every:storm
+        ~detector:"sgtrace-storm"
+    with
+    | Error msg ->
+        Printf.eprintf "sgtrace: %s\n" msg;
+        1
+    | Ok events ->
+        (match out with
+        | None -> Sg_obs.Jsonl.dump stdout events
+        | Some path ->
+            let oc = open_out path in
+            Fun.protect
+              ~finally:(fun () -> close_out_noerr oc)
+              (fun () -> Sg_obs.Jsonl.dump oc events);
+            Printf.eprintf "sgtrace: wrote %d events to %s\n"
+              (List.length events) path);
+        0
 
 let load_events = function
   | None -> Sg_obs.Jsonl.load stdin
@@ -213,7 +186,10 @@ let dump_cmd =
   in
   Cmd.v
     (Cmd.info "dump"
-       ~doc:"Run a workload with full event retention and export JSON-lines.")
+       ~doc:
+         "Run a workload with full event retention and export JSON-lines; \
+          exits 1 when the run does not complete or fails its \
+          postconditions, 2 on bad arguments.")
     term
 
 let check_cmd =

@@ -14,18 +14,14 @@ module Abench = Sg_web.Abench
 module Loadgen = Sg_web.Loadgen
 module Reqjoin = Sg_obs.Reqjoin
 
-let mode_names = List.map (fun (name, _) -> (name, name)) Sg_harness.Paper.modes
-let mode_of_name name = List.assoc name Sg_harness.Paper.modes
-let mode_doc = "System configuration: " ^ Arg.doc_alts_enum mode_names
-
 (* ---------- fig7 (closed-loop, the original harness) ---------- *)
 
 let mode_arg =
   Arg.(
     value
-    & opt (some (enum mode_names)) None
+    & opt (some Modearg.conv) None
     & info [ "mode" ] ~docv:"MODE"
-        ~doc:(mode_doc ^ "; default: the full Fig 7 comparison."))
+        ~doc:(Modearg.doc ^ "; default: the full Fig 7 comparison."))
 
 let requests_arg =
   Arg.(value & opt int 50_000 & info [ "requests" ] ~docv:"N" ~doc:"HTTP requests.")
@@ -53,8 +49,8 @@ let run_fig7 mode requests fault_ms timeline =
   let fault_period_ns = Option.map (fun ms -> ms * 1_000_000) fault_ms in
   match mode with
   | None -> Sg_harness.Fig7.print ~requests ()
-  | Some name ->
-      let sys = Sysbuild.build (mode_of_name name) in
+  | Some (_, mode) ->
+      let sys = Sysbuild.build mode in
       let server = Server.install sys in
       let r = Abench.run ?fault_period_ns ~requests sys server in
       Printf.printf
@@ -78,8 +74,8 @@ let fig7_cmd =
 let ol_mode_arg =
   Arg.(
     value
-    & opt (enum mode_names) "superglue"
-    & info [ "mode" ] ~docv:"MODE" ~doc:(mode_doc ^ "."))
+    & opt Modearg.conv Modearg.superglue
+    & info [ "mode" ] ~docv:"MODE" ~doc:(Modearg.doc ^ "."))
 
 let arrival_arg =
   Arg.(
@@ -215,7 +211,7 @@ let print_text ~mode_name outcomes =
       Format.printf "%a@?" Reqjoin.pp o.oc_join)
     outcomes
 
-let run_open_loop mode_name arrival rate burst_rate quiet_ms burst_ms requests
+let run_open_loop (mode_name, mode) arrival rate burst_rate quiet_ms burst_ms requests
     clients workers queue_cap keepalive seed periods jobs json =
   let cfg =
     {
@@ -238,7 +234,6 @@ let run_open_loop mode_name arrival rate burst_rate quiet_ms burst_ms requests
         "webbench: --fault-period-ms entries must be 0 (fault-free) or positive";
       exit 2
   | Ok () ->
-      let mode = mode_of_name mode_name in
       let periods =
         List.map (fun ms -> if ms = 0 then None else Some (ms * 1_000_000)) periods
       in

@@ -353,13 +353,12 @@ let check_sg025 ~wakeup_deps artifacts =
 
 (* ---------- the pass ---------- *)
 
-let analyze ?wakeup_deps ?boot_order arts =
+let analyze ?wakeup_deps arts =
   let wakeup_deps =
     match wakeup_deps with
     | Some d -> d
     | None -> Sysgraph.default_wakeup_deps
   in
-  ignore boot_order;
   let walks =
     List.map
       (fun a -> { w_iface = a.Compiler.a_name; w_replayed = replay_set a })

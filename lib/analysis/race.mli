@@ -69,16 +69,14 @@ val free_data : Superglue.Ir.t -> string -> string list
 
 val analyze :
   ?wakeup_deps:(string * string * string) list ->
-  ?boot_order:string list ->
   Compiler.artifact list ->
   report
 (** Classify every (walker, edge) pair and report SG021–SG025
     interference findings. [wakeup_deps] defaults to the real system
-    wiring ({!Sysgraph.default_wakeup_deps}); [boot_order] is accepted
-    for interface symmetry with the other passes and ignored (the
-    order is checked by SG012/SG015). Entry order is deterministic:
-    walkers then edges in artifact order, functions in declaration
-    order. *)
+    wiring ({!Sysgraph.default_wakeup_deps}); the boot order does not
+    enter the verdicts (SG012/SG015 check it). Entry order is
+    deterministic: walkers then edges in artifact order, functions in
+    declaration order. *)
 
 val render : report -> string
 (** The verdict table grouped by walker, prefixed by each service's

@@ -439,13 +439,12 @@ let check_sg019 art =
 
 (* ---------- the pass ---------- *)
 
-let analyze ?wakeup_deps ?boot_order arts =
+let analyze ?wakeup_deps arts =
   let wakeup_deps =
     match wakeup_deps with
     | Some d -> d
     | None -> Sysgraph.default_wakeup_deps
   in
-  ignore boot_order;
   let entries =
     List.concat_map (entries_of_artifact ~wakeup_deps) arts
   in

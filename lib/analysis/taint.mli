@@ -69,7 +69,6 @@ val read_shaped : Ir.t -> Ir.func -> bool
 
 val analyze :
   ?wakeup_deps:(string * string * string) list ->
-  ?boot_order:string list ->
   Superglue.Compiler.artifact list ->
   report
 (** Total and deterministic: never raises for artifacts the compiler

@@ -103,8 +103,8 @@ let app_spec name =
     sc_usage = (fun _ -> None);
   }
 
-let build ?(seed = 42) ?cost ?sched ?adversary mode =
-  let sim = Sim.create ?cost ~seed ?sched () in
+let build ?(seed = 42) ?adversary mode =
+  let sim = Sim.create ~seed () in
   let cbufs = Cbuf.create () in
   let storage = Storage.create cbufs in
   let stubset =

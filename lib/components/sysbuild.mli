@@ -67,18 +67,11 @@ type system = {
       (** the underlying stub, when the system is stubbed *)
 }
 
-val build :
-  ?seed:int ->
-  ?cost:Sg_kernel.Cost.t ->
-  ?sched:[ `Scan | `Indexed ] ->
-  ?adversary:Sg_c3.Adversary.t ->
-  mode ->
-  system
-(** [sched] selects the dispatcher backend (see {!Sg_os.Sim.create});
-    both backends produce identical executions. [adversary] is shared
-    by every client stub of the system ({!Sg_c3.Cstub.make}), so its
-    nth-invocation trigger counts invocations system-wide; it has no
-    effect in [Base] mode (raw ports bypass the stub engine). *)
+val build : ?seed:int -> ?adversary:Sg_c3.Adversary.t -> mode -> system
+(** [adversary] is shared by every client stub of the system
+    ({!Sg_c3.Cstub.make}), so its nth-invocation trigger counts
+    invocations system-wide; it has no effect in [Base] mode (raw ports
+    bypass the stub engine). *)
 
 val services : system -> (string * Sg_os.Comp.cid) list
 (** The six injectable system services, by interface name. *)

@@ -322,3 +322,29 @@ let setup ?(params = default_params) sys ~iface ~iters =
   | "evt" -> setup_evt sys ~params ~iters
   | "timer" -> setup_timer sys ~params ~iters
   | _ -> invalid_arg ("Workloads.setup: unknown interface " ^ iface)
+
+let run_storm sys ~iface ~iters ~every ~detector =
+  let sim = sys.Sysbuild.sys_sim in
+  Sg_obs.Sink.set_retention (Sim.obs sim) Sg_obs.Sink.All;
+  let check = setup sys ~iface ~iters in
+  Option.iter
+    (fun every ->
+      let target = Sysbuild.cid_of_iface sys iface in
+      let count = ref 0 in
+      Sim.set_on_dispatch sim
+        (Some
+           (fun sim cid _ ->
+             if cid = target then begin
+               incr count;
+               if !count mod every = 0 then begin
+                 Sim.mark_failed sim cid ~detector;
+                 raise (Comp.Crash { cid; detector })
+               end
+             end)))
+    every;
+  match Sim.run sim with
+  | Sim.Completed -> (
+      match check () with
+      | [] -> Ok (Sg_obs.Sink.events (Sim.obs sim))
+      | v -> Error ("workload postconditions failed: " ^ String.concat "; " v))
+  | r -> Error (Format.asprintf "run ended %a" Sim.pp_run_result r)

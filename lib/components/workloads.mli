@@ -43,6 +43,21 @@ val setup :
     and returns its postcondition check. Raises [Invalid_argument] for an
     unknown interface or out-of-range [params]. *)
 
+val run_storm :
+  Sysbuild.system ->
+  iface:string ->
+  iters:int ->
+  every:int option ->
+  detector:string ->
+  (Sg_obs.Event.t list, string) result
+(** [run_storm sys ~iface ~iters ~every:(Some k) ~detector] sets the
+    freshly built [sys]'s sink to retention [All], sets up the [iface]
+    workload, fail-stops the [iface] service (crash detector [detector])
+    on every [k]-th dispatch into it, runs the simulation and checks the
+    postconditions. It returns the whole event stream, or one line
+    saying how the run ended (fatal, deadlock) or which postconditions
+    failed. [~every:None] runs the workload without faults. *)
+
 val all_ifaces : string list
 (** The six services, in the paper's order:
     sched, mm, fs, lock, evt, timer. *)

@@ -44,7 +44,10 @@ let config ~name ~mode ~requests ~reps ~fault_period_ns =
         (List.concat_map (fun (_, _, eps) -> eps) runs);
   }
 
-let run ?(requests = 50_000) ?(reps = 3) ?(fault_period_ns = 250_000_000) () =
+(* one crash per 250 virtual ms in the with-faults configurations *)
+let fault_period_ns = 250_000_000
+
+let run ?(requests = 50_000) ?(reps = 3) () =
   let apache =
     let r = Abench.apache_reference ~requests in
     {
@@ -85,8 +88,8 @@ let run ?(requests = 50_000) ?(reps = 3) ?(fault_period_ns = 250_000_000) () =
       })
     rows
 
-let print ?requests ?reps () =
-  let rows = run ?requests ?reps () in
+let print ?requests () =
+  let rows = run ?requests () in
   print_endline
     "Fig 7 - web server throughput (requests per second)\n\
      (paper: apache 17600, base 16200, c3 14500 (-10.5%), superglue 14281\n\

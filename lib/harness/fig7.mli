@@ -16,9 +16,11 @@ type row = {
           runs, or the Apache reference) *)
 }
 
-val run : ?requests:int -> ?reps:int -> ?fault_period_ns:int -> unit -> row list
-(** Defaults: 50 000 requests, concurrency 10 (fixed, as in the paper),
-    3 repetitions, one crash per 250 virtual milliseconds in the
-    with-faults configurations. *)
+val run : ?requests:int -> ?reps:int -> unit -> row list
+(** Defaults: 50 000 requests and 3 repetitions. {!Sg_web.Abench} keeps
+    10 requests in flight (fixed, as in the paper), and the with-faults
+    configurations crash one system service every 250 virtual
+    milliseconds. *)
 
-val print : ?requests:int -> ?reps:int -> unit -> unit
+val print : ?requests:int -> unit -> unit
+(** {!run} with 3 repetitions, as a table. *)

@@ -6,10 +6,10 @@ type t = {
   frames : Frames.t;
 }
 
-let create ?(cost = Cost.default) () =
+let create () =
   {
     clock = Clock.create ();
-    cost;
+    cost = Cost.default;
     threads = Ktcb.create ();
     captbl = Captbl.create ();
     frames = Frames.create ();

@@ -13,7 +13,9 @@ type t = {
   frames : Frames.t;
 }
 
-val create : ?cost:Cost.t -> unit -> t
+val create : unit -> t
+(** A fresh kernel with the calibrated {!Cost.default} model. *)
+
 val now : t -> int
 val charge : t -> int -> unit
 (** Advance virtual time by a cost in nanoseconds. *)

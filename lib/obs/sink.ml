@@ -16,9 +16,9 @@ type t = {
          stitching attach here) *)
 }
 
-let create ?(retention = Recovery) () =
+let create () =
   {
-    retention;
+    retention = Recovery;
     next_seq = 0;
     log = [];
     log_len = 0;

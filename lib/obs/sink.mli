@@ -16,9 +16,13 @@ type retention = All | Recovery
 
 type t
 
-val create : ?retention:retention -> unit -> t
+val create : unit -> t
+(** A sink with retention [Recovery]. *)
+
 val retention : t -> retention
 val set_retention : t -> retention -> unit
+(** The one way to choose a policy; set it before the events it should
+    keep are emitted. *)
 
 val emit : t -> at_ns:int -> tid:int -> Event.kind -> unit
 (** Stamp, retain per policy, and notify all subscribers. *)

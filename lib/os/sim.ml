@@ -22,13 +22,12 @@ type t = {
   sim_obs : Sg_obs.Sink.t;
   sim_metrics : Sg_obs.Metrics.t;
   mutable next_span : int;
-  sched : [ `Scan | `Indexed ];
   ready : fiber Runq.Ready.t;
-      (** Indexed backend: exactly the runnable, non-finished fibers
-          except the one currently executing, keyed (prio, last_run, tid) *)
+      (** exactly the runnable, non-finished fibers except the one
+          currently executing, keyed (prio, last_run, tid) *)
   sleepq : sleeper Runq.Sleep.t;
-      (** Indexed backend: sleeping fibers keyed (until_ns, tid); stale
-          entries are invalidated by the per-fiber generation counter *)
+      (** sleeping fibers keyed (until_ns, tid); stale entries are
+          invalidated by the per-fiber generation counter *)
   mutable live : int;  (** fibers spawned and not yet finished *)
 }
 
@@ -78,12 +77,12 @@ type _ Effect.t +=
   | Block_eff : unit Effect.t
   | Yield_eff : unit Effect.t
 
-let create ?(cost = Cost.default) ?(seed = 42) ?retention ?(sched = `Indexed) () =
-  let sim_obs = Sg_obs.Sink.create ?retention () in
+let create ?(seed = 42) () =
+  let sim_obs = Sg_obs.Sink.create () in
   let sim_metrics = Sg_obs.Metrics.create () in
   Sg_obs.Metrics.attach sim_metrics sim_obs;
   {
-    sk = Kernel.create ~cost ();
+    sk = Kernel.create ();
     sim_rng = Rng.create seed;
     components = [||];
     next_cid = 1;
@@ -97,7 +96,6 @@ let create ?(cost = Cost.default) ?(seed = 42) ?retention ?(sched = `Indexed) ()
     sim_obs;
     sim_metrics;
     next_span = 0;
-    sched;
     ready = Runq.Ready.create ();
     sleepq = Runq.Sleep.create ();
     live = 0;
@@ -188,16 +186,15 @@ let client_cid t =
   | [ home ] -> home
   | [] -> invalid_arg "Sim.client_cid: empty invocation stack"
 
-(* {2 Ready / sleeper queue maintenance (Indexed backend)}
+(* {2 Ready / sleeper queue maintenance}
 
    Every thread-state transition funnels through the functions below, so
    the queues are maintained incrementally and exactly: the ready heap
    holds precisely the runnable, unfinished fibers other than the one
    executing; the sleeper heap holds one live entry per sleeping fiber
-   (plus lazily-discarded stale ones). The pop order (prio, last_run,
-   tid) is the same total order the legacy scan minimised, so dispatch
-   sequences are bit-for-bit identical across backends — enforced by the
-   golden-trace determinism test. *)
+   (plus lazily-discarded stale ones). Threads dispatch in (prio,
+   last_run, tid) order; the golden-trace tests pin the resulting
+   dispatch sequence and event streams. *)
 
 let ready_push t fiber =
   Runq.Ready.push t.ready
@@ -222,7 +219,7 @@ let spawn t ?(prio = 10) ~name ~home f =
   end;
   t.by_tid.(tid) <- fiber;
   t.live <- t.live + 1;
-  if t.sched = `Indexed then ready_push t fiber;
+  ready_push t fiber;
   tid
 
 let block t =
@@ -238,11 +235,9 @@ let sleep_until t until_ns =
   let in_component = self_cid t in
   charge t (cost t).Cost.block_ns;
   tcb.Ktcb.state <- Ktcb.Sleeping { until_ns; in_component };
-  if t.sched = `Indexed then begin
-    fiber.f_sleep_gen <- fiber.f_sleep_gen + 1;
-    Runq.Sleep.push t.sleepq (until_ns, tcb.Ktcb.tid)
-      { sl_fiber = fiber; sl_gen = fiber.f_sleep_gen }
-  end;
+  fiber.f_sleep_gen <- fiber.f_sleep_gen + 1;
+  Runq.Sleep.push t.sleepq (until_ns, tcb.Ktcb.tid)
+    { sl_fiber = fiber; sl_gen = fiber.f_sleep_gen };
   Effect.perform Block_eff
 
 let wakeup t tid =
@@ -257,36 +252,11 @@ let wakeup t tid =
           charge t (cost t).Cost.wakeup_ns;
           tcb.Ktcb.state <- Ktcb.Runnable;
           (* every kernel thread of a simulation is one of its fibers *)
-          if t.sched = `Indexed then begin
-            let fiber = t.by_tid.(tid) in
-            if was_sleeping then fiber.f_sleep_gen <- fiber.f_sleep_gen + 1;
-            ready_push t fiber
-          end;
+          let fiber = t.by_tid.(tid) in
+          if was_sleeping then fiber.f_sleep_gen <- fiber.f_sleep_gen + 1;
+          ready_push t fiber;
           true
       | Ktcb.Runnable | Ktcb.Exited -> false)
-
-(* {2 The legacy list-scan scheduler}
-
-   Kept verbatim as the [`Scan] backend: the reference implementation
-   the indexed queues are validated (and benchmarked) against. *)
-
-let runnable_fibers t =
-  Hashtbl.fold
-    (fun _ f acc ->
-      if f.f_tcb.Ktcb.state = Ktcb.Runnable && f.f_resume <> Finished then
-        f :: acc
-      else acc)
-    t.fibers []
-
-let pick_next_scan t =
-  let better a b =
-    let pa = (a.f_tcb.Ktcb.prio, a.f_last_run, a.f_tcb.Ktcb.tid) in
-    let pb = (b.f_tcb.Ktcb.prio, b.f_last_run, b.f_tcb.Ktcb.tid) in
-    if pa <= pb then a else b
-  in
-  match runnable_fibers t with
-  | [] -> None
-  | f :: rest -> Some (List.fold_left better f rest)
 
 let yield (_ : t) =
   (* remains runnable; the dispatcher will pick the best candidate *)
@@ -465,88 +435,39 @@ let run_fiber t fiber =
       | None -> Effect.Deep.continue k ()));
   t.current <- None
 
-(* dequeue for dispatch; [requeue] puts the fiber back iff it is still
-   runnable after its slice (it yielded rather than blocked or exited) *)
-let next_fiber t =
-  match t.sched with
-  | `Scan -> pick_next_scan t
-  | `Indexed -> (
-      match Runq.Ready.pop t.ready with
-      | Some (_, fiber) -> Some fiber
-      | None -> None)
-
+(* [run] dequeues a fiber for dispatch; [requeue] puts it back iff it is
+   still runnable after its slice (it yielded rather than blocked or
+   exited) *)
 let requeue t fiber =
-  if t.sched = `Indexed then
-    match (fiber.f_resume, fiber.f_tcb.Ktcb.state) with
-    | (Start _ | Suspended _), Ktcb.Runnable -> ready_push t fiber
-    | _ -> ()
+  match (fiber.f_resume, fiber.f_tcb.Ktcb.state) with
+  | (Start _ | Suspended _), Ktcb.Runnable -> ready_push t fiber
+  | _ -> ()
 
-let earliest_sleeper_scan t =
-  List.fold_left
-    (fun acc tcb ->
-      match tcb.Ktcb.state with
-      | Ktcb.Sleeping { until_ns; _ } -> (
-          match acc with
-          | Some best when best <= until_ns -> acc
-          | _ -> Some until_ns)
-      | Ktcb.Runnable | Ktcb.Blocked _ | Ktcb.Exited -> acc)
-    None
-    (Ktcb.all t.sk.Kernel.threads)
-
-let rec earliest_sleeper_indexed t =
+let rec earliest_wakeup t =
   match Runq.Sleep.peek t.sleepq with
   | None -> None
   | Some ((until_ns, _), entry) ->
       if sleeper_live entry then Some until_ns
       else begin
         ignore (Runq.Sleep.pop t.sleepq);
-        earliest_sleeper_indexed t
+        earliest_wakeup t
       end
 
-let earliest_wakeup t =
-  match t.sched with
-  | `Scan -> earliest_sleeper_scan t
-  | `Indexed -> earliest_sleeper_indexed t
-
-let wake_expired_scan t =
-  List.iter
-    (fun tcb ->
-      match tcb.Ktcb.state with
-      | Ktcb.Sleeping { until_ns; _ } when until_ns <= now t ->
-          tcb.Ktcb.state <- Ktcb.Runnable
-      | Ktcb.Sleeping _ | Ktcb.Runnable | Ktcb.Blocked _ | Ktcb.Exited -> ())
-    (Ktcb.all t.sk.Kernel.threads)
-
-let rec wake_expired_indexed t =
+let rec wake_expired_sleepers t =
   match Runq.Sleep.peek t.sleepq with
   | None -> ()
   | Some ((until_ns, _), entry) ->
       if not (sleeper_live entry) then begin
         ignore (Runq.Sleep.pop t.sleepq);
-        wake_expired_indexed t
+        wake_expired_sleepers t
       end
       else if until_ns <= now t then begin
         ignore (Runq.Sleep.pop t.sleepq);
         entry.sl_fiber.f_sleep_gen <- entry.sl_fiber.f_sleep_gen + 1;
         entry.sl_fiber.f_tcb.Ktcb.state <- Ktcb.Runnable;
         ready_push t entry.sl_fiber;
-        wake_expired_indexed t
+        wake_expired_sleepers t
       end
-
-let wake_expired_sleepers t =
-  match t.sched with
-  | `Scan -> wake_expired_scan t
-  | `Indexed -> wake_expired_indexed t
-
-let live_threads t =
-  List.filter
-    (fun tcb -> tcb.Ktcb.state <> Ktcb.Exited)
-    (Ktcb.all t.sk.Kernel.threads)
-
-let no_live_threads t =
-  match t.sched with
-  | `Scan -> live_threads t = []
-  | `Indexed -> t.live = 0
 
 let rec run t =
   match t.sim_fatal with
@@ -555,8 +476,8 @@ let rec run t =
       (* busy threads advance the clock through charges, so timed sleeps
          can expire while others run *)
       wake_expired_sleepers t;
-      match next_fiber t with
-      | Some fiber ->
+      match Runq.Ready.pop t.ready with
+      | Some (_, fiber) ->
           run_fiber t fiber;
           requeue t fiber;
           run t
@@ -566,4 +487,4 @@ let rec run t =
               Clock.advance_to t.sk.Kernel.clock until_ns;
               wake_expired_sleepers t;
               run t
-          | None -> if no_live_threads t then Completed else Deadlock))
+          | None -> if t.live = 0 then Completed else Deadlock))

@@ -46,22 +46,17 @@ type run_result = Completed | Fatal of fatal | Deadlock
 
 (** {1 Construction} *)
 
-(** [retention] sets the built-in observability sink's policy (default
-    [Recovery]); pass [All] to retain the full event stream for
-    {!Sg_obs.Check.run} or JSON-lines export.
+(** A simulator with the calibrated {!Sg_kernel.Cost.default} model.
+    Its built-in observability sink starts with retention [Recovery];
+    set [All] with {!Sg_obs.Sink.set_retention} on {!obs} to retain the
+    full event stream for {!Sg_obs.Check.run} or JSON-lines export.
 
-    [sched] selects the dispatcher backend. [`Indexed] (the default)
-    maintains the ready and sleeper sets incrementally in {!Runq} heaps;
-    [`Scan] is the legacy O(threads)-per-decision list scan, kept as the
-    reference implementation for the golden-trace determinism tests.
-    Both backends dispatch threads in the
-    exact same [(prio, last_run, tid)] order, so every observable
-    behaviour — event streams, virtual times, campaign outcomes — is
-    bit-for-bit identical across them. *)
-val create :
-  ?cost:Sg_kernel.Cost.t -> ?seed:int -> ?retention:Sg_obs.Sink.retention ->
-  ?sched:[ `Scan | `Indexed ] ->
-  unit -> t
+    The dispatcher keeps the ready and sleeper sets incrementally in
+    {!Runq} heaps and runs threads in [(prio, last_run, tid)] order. The
+    golden-trace tests pin its dispatch sequence and crash-storm event
+    streams to digests recorded from the earlier O(threads) list-scan
+    reference dispatcher, which made the same decisions. *)
+val create : ?seed:int -> unit -> t
 val kernel : t -> Sg_kernel.Kernel.t
 val cost : t -> Sg_kernel.Cost.t
 val rng : t -> Sg_util.Rng.t

@@ -113,8 +113,10 @@ let add a b =
        h);
   }
 
-let run ?(seed = 1) ?(period_ns = 20_000) ?(chunk_iters = 400) ?cmon_period_ns
-    ?on_event ~mode ~iface ~injections () =
+let period_ns = 20_000
+let chunk_iters = 400
+
+let run ?(seed = 1) ?cmon_period_ns ?on_event ~mode ~iface ~injections () =
   let rec go acc chunk_seed =
     let remaining = injections - acc.r_injected in
     if remaining <= 0 then acc

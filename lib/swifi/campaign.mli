@@ -56,10 +56,14 @@ val run_chunk :
     The row's [r_first_access] is the chunk's own histogram, not a
     copy. *)
 
+val period_ns : int
+(** Virtual time between injections in {!run}'s chunks: 20 µs. *)
+
+val chunk_iters : int
+(** Workload iterations of each of {!run}'s chunks: 400. *)
+
 val run :
   ?seed:int ->
-  ?period_ns:int ->
-  ?chunk_iters:int ->
   ?cmon_period_ns:int ->
   ?on_event:(Sg_obs.Event.t -> unit) ->
   mode:Sg_components.Sysbuild.mode ->

@@ -71,14 +71,15 @@ type chunk_result = {
   cr_episodes : Sg_obs.Episode.t list;  (* empty unless stitching *)
 }
 
-let run_one ~collect ~episodes ~mode ~iface ~period_ns ~chunk_iters
-    ~cmon_period_ns ~chunk_seed ~budget =
+let run_one ~collect ~episodes ~mode ~iface ~cmon_period_ns ~chunk_seed
+    ~budget =
   let events = if collect then Some (Ebuf.create ()) else None in
   let on_event = Option.map (fun b e -> Ebuf.push b e) events in
   let episodes = if episodes then Some (Sg_obs.Episode.builder ()) else None in
   let injected, row =
     Campaign.run_chunk ?on_event ?episodes ~mode ~iface ~seed:chunk_seed
-      ~period_ns ~iters:chunk_iters ~budget ~cmon_period_ns ()
+      ~period_ns:Campaign.period_ns ~iters:Campaign.chunk_iters ~budget
+      ~cmon_period_ns ()
   in
   {
     cr_injected = injected;
@@ -103,8 +104,8 @@ let derive_batch ~jobs ~injections ~first_injected =
   let by_balance = max 1 (est_chunks / (4 * jobs)) in
   max 1 (min by_target by_balance)
 
-let run ?(seed = 1) ?(period_ns = 20_000) ?(chunk_iters = 400) ?cmon_period_ns
-    ?on_chunk ?on_episodes ~jobs ~mode ~iface ~injections () =
+let run ?(seed = 1) ?cmon_period_ns ?on_chunk ?on_episodes ~jobs ~mode ~iface
+    ~injections () =
   let jobs = max 1 jobs in
   let deliver chunk_seed r =
     (match on_chunk with Some f -> f ~seed:chunk_seed r.cr_events | None -> ());
@@ -112,7 +113,7 @@ let run ?(seed = 1) ?(period_ns = 20_000) ?(chunk_iters = 400) ?cmon_period_ns
   in
   let run_one =
     run_one ~collect:(on_chunk <> None) ~episodes:(on_episodes <> None) ~mode
-      ~iface ~period_ns ~chunk_iters ~cmon_period_ns
+      ~iface ~cmon_period_ns
   in
   if injections <= 0 then Campaign.empty iface
   else begin

@@ -41,8 +41,6 @@
 
 val run :
   ?seed:int ->
-  ?period_ns:int ->
-  ?chunk_iters:int ->
   ?cmon_period_ns:int ->
   ?on_chunk:(seed:int -> Sg_obs.Event.t list -> unit) ->
   ?on_episodes:(seed:int -> Sg_obs.Episode.t list -> unit) ->

@@ -1,25 +1,17 @@
-type align = Left | Right
-
-let pad align width s =
+let pad ~left width s =
   let n = String.length s in
   if n >= width then s
   else
     let fill = String.make (width - n) ' ' in
-    match align with Left -> s ^ fill | Right -> fill ^ s
+    if left then s ^ fill else fill ^ s
 
-let render ?aligns ~header rows =
+let render ~header rows =
   let arity = List.length header in
   List.iter
     (fun row ->
       if List.length row <> arity then
         invalid_arg "Table.render: row arity mismatch")
     rows;
-  let aligns =
-    match aligns with
-    | Some a when List.length a = arity -> a
-    | Some _ -> invalid_arg "Table.render: aligns arity mismatch"
-    | None -> Left :: List.init (arity - 1) (fun _ -> Right)
-  in
   let widths =
     List.mapi
       (fun i h ->
@@ -32,12 +24,12 @@ let render ?aligns ~header rows =
     "+" ^ String.concat "+" (List.map (fun w -> String.make (w + 2) '-') widths)
     ^ "+"
   in
+  (* the first column is left-aligned, the rest right-aligned *)
   let line cells =
     let padded =
-      List.map2
-        (fun (w, a) c -> " " ^ pad a w c ^ " ")
-        (List.combine widths aligns)
-        cells
+      List.mapi
+        (fun i (w, c) -> " " ^ pad ~left:(i = 0) w c ^ " ")
+        (List.combine widths cells)
     in
     "|" ^ String.concat "|" padded ^ "|"
   in
@@ -49,5 +41,4 @@ let render ?aligns ~header rows =
   Buffer.add_string buf sep;
   Buffer.contents buf
 
-let print ?aligns ~header rows =
-  print_endline (render ?aligns ~header rows)
+let print ~header rows = print_endline (render ~header rows)

@@ -3,11 +3,9 @@
     Used by the harness to print rows in the same layout as the paper's
     Table II and Figure 6/7 data. *)
 
-type align = Left | Right
+val render : header:string list -> string list list -> string
+(** [render ~header rows] lays out a boxed ASCII table, the first column
+    left-aligned and the rest right-aligned. All rows must have the same
+    arity as [header]. *)
 
-val render : ?aligns:align list -> header:string list -> string list list -> string
-(** [render ~header rows] lays out a boxed ASCII table. All rows must have
-    the same arity as [header]; [aligns] defaults to left for the first
-    column and right for the rest. *)
-
-val print : ?aligns:align list -> header:string list -> string list list -> unit
+val print : header:string list -> string list list -> unit

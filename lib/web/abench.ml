@@ -21,7 +21,10 @@ let client_spec =
     sc_usage = (fun _ -> None);
   }
 
-let run ?(concurrency = 10) ?fault_period_ns ~requests sys server =
+(* clients in flight, fixed as in the paper *)
+let concurrency = 10
+
+let run ?fault_period_ns ~requests sys server =
   (match fault_period_ns with
   | Some p when p <= 0 -> invalid_arg "Abench.run: fault_period_ns must be positive"
   | _ -> ());
@@ -34,7 +37,7 @@ let run ?(concurrency = 10) ?fault_period_ns ~requests sys server =
   let faults = ref 0 in
   let start_ns = ref 0 in
   let finish_ns = ref 0 in
-  let req_text = Httpmsg.render_request ~path:"/index.html" () in
+  let req_text = Httpmsg.render_request ~path:"/index.html" in
   for i = 1 to concurrency do
     ignore
       (Sim.spawn sim ~prio:5

@@ -1,11 +1,12 @@
 (** An [ab]-style closed-loop HTTP load generator (paper §V-E: "ab sends
     50000 requests with a maximum of 10 requests concurrently").
 
-    Spawns [concurrency] client fibers in a network-client component;
-    each sends real HTTP request text to the server and validates the
-    response. Throughput is completed requests over the virtual time the
-    benchmark window took. Optionally a fault-injection thread crashes a
-    rotating system service at a fixed period during the run. *)
+    Spawns 10 client fibers (fixed, as in the paper) in a network-client
+    component; each sends real HTTP request text to the server and
+    validates the response. Throughput is completed requests over the
+    virtual time the benchmark window took. Optionally a fault-injection
+    thread crashes a rotating system service at a fixed period during
+    the run. *)
 
 type result = {
   ab_requests : int;  (** requests completed *)
@@ -16,7 +17,6 @@ type result = {
 }
 
 val run :
-  ?concurrency:int ->
   ?fault_period_ns:int ->
   requests:int ->
   Sg_components.Sysbuild.system ->

@@ -84,12 +84,9 @@ let parse_request s =
             }
   end
 
-let render_request ?(headers = [ ("Host", "localhost"); ("User-Agent", "ab/2.3") ])
-    ~path () =
-  let hs =
-    headers |> List.map (fun (k, v) -> k ^ ": " ^ v ^ "\r\n") |> String.concat ""
-  in
-  Printf.sprintf "GET %s HTTP/1.1\r\n%s\r\n" path hs
+let render_request ~path =
+  Printf.sprintf
+    "GET %s HTTP/1.1\r\nHost: localhost\r\nUser-Agent: ab/2.3\r\n\r\n" path
 
 type response = {
   rs_status : int;

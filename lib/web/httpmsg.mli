@@ -12,7 +12,8 @@ type request = {
 }
 
 val parse_request : string -> (request, string) result
-val render_request : ?headers:(string * string) list -> path:string -> unit -> string
+val render_request : path:string -> string
+(** An [ab]-style GET with its [Host] and [User-Agent] headers. *)
 
 type response = {
   rs_status : int;

@@ -173,7 +173,7 @@ let run ?fault_period_ns cfg sys server =
   let start_ns = ref 0 in
   let end_ns = ref 0 in
   let reqs = ref [] in
-  let req_text = Httpmsg.render_request ~path:"/index.html" () in
+  let req_text = Httpmsg.render_request ~path:"/index.html" in
   let record sim r =
     reqs := r :: !reqs;
     Sim.emit sim

@@ -29,19 +29,13 @@ type t = {
           (10 virtual ms) — the data behind the Fig 7 timeline *)
 }
 
-val install :
-  ?app_work_ns:int ->
-  ?docs:(string * string) list ->
-  Sg_components.Sysbuild.system ->
-  t
-(** Register the server components, seed the file system with the
-    document set (default: one ~1 KiB [/index.html]), and start the
-    logger and stats threads. [app_work_ns] is the per-request
-    application compute (network stack, parsing, copying) outside the
-    system services; the default is calibrated so the fault-free base
-    configuration serves ≈16 200 requests/second (paper Fig 7). *)
-
-val default_app_work_ns : int
+val install : Sg_components.Sysbuild.system -> t
+(** Register the server components, seed the file system with one
+    ~1 KiB [/index.html], and start the logger and stats threads. Each
+    request also charges 49 µs of application compute (network stack,
+    parsing, copying) outside the system services, calibrated so the
+    fault-free base configuration serves ≈16 200 requests/second (paper
+    Fig 7). *)
 
 val stop : Sg_components.Sysbuild.system -> t -> unit
 (** Ask the logger and stats threads to exit (lets the run drain). *)

@@ -799,8 +799,8 @@ let test_fixtures () =
           let wakeup_deps, boot_order = fixture_system path in
           let ds =
             Analysis.lint ?wakeup_deps ?boot_order [ a ]
-            @ (Taint.analyze ?wakeup_deps ?boot_order [ a ]).Taint.t_diags
-            @ (Race.analyze ?wakeup_deps ?boot_order [ a ]).Race.r_diags
+            @ (Taint.analyze ?wakeup_deps [ a ]).Taint.t_diags
+            @ (Race.analyze ?wakeup_deps [ a ]).Race.r_diags
           in
           match expect with
           | "clean" ->

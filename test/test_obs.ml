@@ -36,7 +36,8 @@ let test_sink_retention () =
       (E.Reboot { cid = 7; epoch = 1; image_kb = 64; cost_ns = 5 });
     Sink.emit sink ~at_ns:40 ~tid:1 (E.Span_end { span = 1; server = 7; ok = false })
   in
-  let all = Sink.create ~retention:Sink.All () in
+  let all = Sink.create () in
+  Sink.set_retention all Sink.All;
   fill all;
   Alcotest.(check int) "All retains everything" 4 (Sink.count all);
   Alcotest.(check (list int))

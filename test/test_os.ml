@@ -377,7 +377,8 @@ let check_stack before after =
   Alcotest.(check (list int)) "invocation stack restored" !before !after
 
 let test_exit_server_crash () =
-  let sim = Sim.create ~retention:Sg_obs.Sink.All () in
+  let sim = Sim.create () in
+  Sg_obs.Sink.set_retention (Sim.obs sim) Sg_obs.Sink.All;
   let app = Sim.register sim (trivial_spec ()) in
   let poison = ref true in
   let counter = Sim.register sim (counter_spec poison) in
@@ -398,7 +399,8 @@ let test_exit_server_crash () =
     (span_events sim ~tid)
 
 let test_exit_diverted () =
-  let sim = Sim.create ~retention:Sg_obs.Sink.All () in
+  let sim = Sim.create () in
+  Sg_obs.Sink.set_retention (Sim.obs sim) Sg_obs.Sink.All;
   let app = Sim.register sim (trivial_spec ()) in
   let gate = Sim.register sim (gate_spec ()) in
   Sim.grant sim ~client:app ~server:gate;
@@ -421,7 +423,8 @@ let test_exit_diverted () =
     (span_events sim ~tid)
 
 let test_exit_unrelated_exception () =
-  let sim = Sim.create ~retention:Sg_obs.Sink.All () in
+  let sim = Sim.create () in
+  Sg_obs.Sink.set_retention (Sim.obs sim) Sg_obs.Sink.All;
   let app = Sim.register sim (trivial_spec ()) in
   let other = Sim.register sim (trivial_spec ~name:"other" ()) in
   let relay =
@@ -454,7 +457,8 @@ let test_exit_unrelated_exception () =
   Alcotest.(check (list string)) "events" (span @ span) (span_events sim ~tid)
 
 let test_exit_eperm () =
-  let sim = Sim.create ~retention:Sg_obs.Sink.All () in
+  let sim = Sim.create () in
+  Sg_obs.Sink.set_retention (Sim.obs sim) Sg_obs.Sink.All;
   let app = Sim.register sim (trivial_spec ()) in
   let poison = ref false in
   let counter = Sim.register sim (counter_spec poison) in

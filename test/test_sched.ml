@@ -1,14 +1,17 @@
-(* Golden-trace scheduler determinism: the indexed run-queue backend
-   must dispatch threads in bit-for-bit the same order as the legacy
-   list-scan backend, on raw fiber workloads and on full component
-   systems under crash storms — and the parallel campaign driver must
-   produce the same row as the sequential one. *)
+(* Golden-trace scheduler determinism: the dispatcher's thread order
+   on raw fiber workloads and full component systems under crash storms
+   is pinned to digests recorded from the earlier list-scan reference
+   dispatcher (which the indexed run queues matched bit for bit) — and
+   the parallel campaign driver must produce the same row as the
+   sequential one. *)
 
 open Sg_os
 module Sysbuild = Sg_components.Sysbuild
 module Workloads = Sg_components.Workloads
 module Campaign = Sg_swifi.Campaign
 module Pardriver = Sg_swifi.Pardriver
+
+let md5 s = Digest.to_hex (Digest.string s)
 
 let trivial_spec =
   {
@@ -24,8 +27,8 @@ let trivial_spec =
 (* a scheduling-heavy fiber mix: priority bands, yields, timed sleeps,
    cross-thread wakeups and mid-run spawns; each fiber records
    (tid, now) at every step, which is exactly the dispatch sequence *)
-let dispatch_trace sched =
-  let sim = Sim.create ~sched () in
+let dispatch_trace () =
+  let sim = Sim.create () in
   let app = Sim.register sim trivial_spec in
   let trace = ref [] in
   let step sim = trace := (Sim.current_tid sim, Sim.now sim) :: !trace in
@@ -70,59 +73,66 @@ let dispatch_trace sched =
   (result, List.rev !trace)
 
 let test_dispatch_golden () =
-  let scan_res, scan_trace = dispatch_trace `Scan in
-  let idx_res, idx_trace = dispatch_trace `Indexed in
-  Alcotest.(check bool) "both complete" true (scan_res = idx_res);
-  Alcotest.(check int)
-    "same dispatch count" (List.length scan_trace) (List.length idx_trace);
-  Alcotest.(check (list (pair int int)))
-    "identical (tid, at_ns) dispatch sequence" scan_trace idx_trace
+  let result, trace = dispatch_trace () in
+  Alcotest.(check bool) "completes" true (result = Sim.Completed);
+  Alcotest.(check int) "dispatch count" 203 (List.length trace);
+  let b = Buffer.create 4096 in
+  List.iter (fun (tid, at_ns) -> Printf.bprintf b "%d %d\n" tid at_ns) trace;
+  Alcotest.(check string)
+    "md5 of the (tid, at_ns) dispatch sequence"
+    "eace96479993d26496669a788a3551dd" (md5 (Buffer.contents b))
 
 (* full component systems: every paper workload under a crash storm,
-   compared as complete event streams (seq, at_ns, tid and kind of every
-   emission) across the two backends *)
-let storm_events ~sched ~mode ~iface =
-  let sys = Sysbuild.build ~sched mode in
-  let sim = sys.Sysbuild.sys_sim in
-  Sg_obs.Sink.set_retention (Sim.obs sim) Sg_obs.Sink.All;
-  let check = Workloads.setup sys ~iface ~iters:25 in
-  let target = Sysbuild.cid_of_iface sys iface in
-  let count = ref 0 in
-  Sim.set_on_dispatch sim
-    (Some
-       (fun sim cid _ ->
-         if cid = target then begin
-           incr count;
-           if !count mod 7 = 0 then begin
-             Sim.mark_failed sim cid ~detector:"storm";
-             raise (Comp.Crash { cid; detector = "storm" })
-           end
-         end));
-  (match Sim.run sim with
-  | Sim.Completed -> ()
-  | r -> Alcotest.failf "storm %s: run ended %a" iface Sim.pp_run_result r);
-  (match check () with
-  | [] -> ()
-  | v -> Alcotest.failf "storm %s: %s" iface (String.concat "; " v));
-  Sg_obs.Sink.events (Sim.obs sim)
+   pinned as complete event streams (seq, at_ns, tid and kind of every
+   emission) in their JSON-lines rendering *)
+let storm_pins =
+  [
+    ("sched", 1020, "887bae0995c7daaa1ce4faf9a3c44d18");
+    ("mm", 198, "8dc34e2d7b3a96c1327026a45d4fe89b");
+    ("fs", 468, "8ab8bffcc64409a5bc95c0af22054688");
+    ("lock", 736, "7c00f3198a0ed3585da67df3b2169284");
+    ("evt", 465, "8c419121dda0ea0aa64822138334696b");
+    ("timer", 94, "e2e3cf60a71e9a49b9c401b67b5f2360");
+  ]
+
+let storm ~iface ~every =
+  Workloads.run_storm
+    (Sysbuild.build Superglue.Stubset.mode)
+    ~iface ~iters:25 ~every:(Some every) ~detector:"storm"
 
 let test_storm_streams_golden () =
+  Alcotest.(check (list string))
+    "every workload pinned" Workloads.all_ifaces
+    (List.map (fun (iface, _, _) -> iface) storm_pins);
   List.iter
-    (fun iface ->
-      let scan = storm_events ~sched:`Scan ~mode:Superglue.Stubset.mode ~iface in
-      let idx =
-        storm_events ~sched:`Indexed ~mode:Superglue.Stubset.mode ~iface
-      in
-      Alcotest.(check int)
-        (iface ^ ": same event count")
-        (List.length scan) (List.length idx);
-      List.iter2
-        (fun (a : Sg_obs.Event.t) (b : Sg_obs.Event.t) ->
-          if a <> b then
-            Alcotest.failf "%s: streams diverge at #%d: %a vs %a" iface
-              a.Sg_obs.Event.seq Sg_obs.Event.pp a Sg_obs.Event.pp b)
-        scan idx)
-    Workloads.all_ifaces
+    (fun (iface, count, digest) ->
+      match storm ~iface ~every:7 with
+      | Error msg -> Alcotest.failf "storm %s: %s" iface msg
+      | Ok events ->
+          Alcotest.(check int) (iface ^ ": event count") count
+            (List.length events);
+          let b = Buffer.create (1 lsl 16) in
+          List.iter
+            (fun e ->
+              Sg_obs.Jsonl.add_event b e;
+              Buffer.add_char b '\n')
+            events;
+          Alcotest.(check string)
+            (iface ^ ": md5 of the JSON-lines stream")
+            digest (md5 (Buffer.contents b)))
+    storm_pins
+
+(* a lock crash on every dispatch leaves no invocation that can succeed:
+   the runner reports how the run ended instead of raising *)
+let test_storm_error () =
+  match storm ~iface:"lock" ~every:1 with
+  | Ok events -> Alcotest.failf "converged with %d events" (List.length events)
+  | Error msg ->
+      Alcotest.(check bool)
+        ("names the fatal end: " ^ msg)
+        true
+        (String.starts_with ~prefix:"run ended fatal: " msg);
+      Alcotest.(check bool) "one line" false (String.contains msg '\n')
 
 (* the parallel driver: -j 4 must produce exactly the -j 1 row, which in
    turn must equal the sequential Campaign.run row *)
@@ -180,6 +190,8 @@ let () =
             test_dispatch_golden;
           Alcotest.test_case "crash-storm event streams identical" `Quick
             test_storm_streams_golden;
+          Alcotest.test_case "unconverged storm is an Error" `Quick
+            test_storm_error;
         ] );
       ( "pardriver",
         [

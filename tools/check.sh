@@ -45,6 +45,26 @@ for num in 99999999999999999999 -; do
     [ "$rc" -eq 2 ]
 done
 
+echo "== dump gate: sgtrace dump under a crash storm passes check; an unconverged storm exits 1"
+./_build/default/bin/sgtrace.exe dump --iface evt --storm 7 > "$tmpdir/dump_evt.jsonl"
+./_build/default/bin/sgtrace.exe check --recovery-mode ondemand \
+    "$tmpdir/dump_evt.jsonl" > /dev/null
+# pinned with the binaries of the commit before the list-scan dispatcher
+# was retired
+pinned 181a8b2ad3ccefbf0e19456060d52885 "$tmpdir/dump_evt.jsonl" \
+    "sgtrace dump --iface evt --storm 7"
+# a lock crash on every dispatch cannot converge: one stderr line naming
+# how the run ended, nothing on stdout, exit 1 (not an uncaught exception)
+rc=0
+./_build/default/bin/sgtrace.exe dump --iface lock --storm 1 \
+    > "$tmpdir/dump_lock.out" 2> "$tmpdir/dump_lock.err" || rc=$?
+[ "$rc" -eq 1 ]
+[ ! -s "$tmpdir/dump_lock.out" ]
+[ "$(wc -l < "$tmpdir/dump_lock.err")" -eq 1 ]
+rc=0
+./_build/default/bin/sgtrace.exe dump --storm 0 > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ]
+
 echo "== profile smoke: sgtrace profile --json validates over the campaign stream"
 ./_build/default/bin/sgtrace.exe profile "$tmpdir/trace.jsonl" > /dev/null
 ./_build/default/bin/sgtrace.exe profile --json "$tmpdir/trace.jsonl" \
