@@ -60,6 +60,13 @@ let trace_arg =
    across chunk boundaries, and a "sys-reboot" note separating chunks
    (Sg_obs.Check resets its run-scoped state there). *)
 let make_trace_writer path =
+  (* opened before the campaign runs: an unwritable path costs no work *)
+  let oc =
+    try open_out path
+    with Sys_error msg ->
+      Printf.eprintf "superglue-campaign: cannot write %s\n" msg;
+      exit 2
+  in
   let buf = ref [] in
   let seq = ref 0 in
   let last_at = ref 0 in
@@ -84,7 +91,6 @@ let make_trace_writer path =
       events
   in
   let finish () =
-    let oc = open_out path in
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)
       (fun () -> Sg_obs.Jsonl.dump oc (List.rev !buf));

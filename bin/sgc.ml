@@ -36,7 +36,12 @@ let write_out out text =
   match out with
   | None -> print_string text
   | Some path ->
-      let oc = open_out path in
+      let oc =
+        try open_out path
+        with Sys_error msg ->
+          Printf.eprintf "sgc: cannot write %s\n" msg;
+          exit 2
+      in
       Fun.protect
         ~finally:(fun () -> close_out_noerr oc)
         (fun () -> output_string oc text);

@@ -100,7 +100,12 @@ let dump (_, mode) iface iters seed storm out =
         (match out with
         | None -> Sg_obs.Jsonl.dump stdout events
         | Some path ->
-            let oc = open_out path in
+            let oc =
+              try open_out path
+              with Sys_error msg ->
+                Printf.eprintf "sgtrace: cannot write %s\n" msg;
+                exit 2
+            in
             Fun.protect
               ~finally:(fun () -> close_out_noerr oc)
               (fun () -> Sg_obs.Jsonl.dump oc events);

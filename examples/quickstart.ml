@@ -23,7 +23,7 @@ let () =
   Sim.set_on_dispatch sim
     (Some
        (fun sim cid _fn ->
-         if cid = sys.Sysbuild.sys_lock then begin
+         if cid = sys.Sysbuild.sys_services.lock then begin
            incr dispatches;
            if !dispatches mod 10 = 0 then begin
              Printf.printf "[%8d ns] !! transient fault crashes the lock service\n"

@@ -95,8 +95,8 @@ let run ~faults =
   if faults then begin
     let targets =
       [|
-        sys.Sysbuild.sys_timer; sys.Sysbuild.sys_lock; sys.Sysbuild.sys_evt;
-        sys.Sysbuild.sys_fs;
+        sys.Sysbuild.sys_services.timer; sys.Sysbuild.sys_services.lock; sys.Sysbuild.sys_services.evt;
+        sys.Sysbuild.sys_services.fs;
       |]
     in
     ignore

@@ -27,6 +27,8 @@ module Model = Superglue.Model
 module Ir = Superglue.Ir
 module Cost = Sg_kernel.Cost
 module Usage = Sg_kernel.Usage
+module Sysbuild = Sg_components.Sysbuild
+module Profiles = Sg_components.Profiles
 
 type params = {
   p_cost : Cost.t;
@@ -47,16 +49,17 @@ let probe_usage profile probe_fn =
 let default_params =
   {
     p_cost = Cost.default;
-    p_image_kb = Sg_components.Sysbuild.image_kb;
+    p_image_kb = Sysbuild.to_list Sysbuild.image_kb;
     p_usage_ns =
-      [
-        ("sched", probe_usage Sg_components.Profiles.sched "sched_probe");
-        ("mm", probe_usage Sg_components.Profiles.mm "mman_probe");
-        ("fs", probe_usage Sg_components.Profiles.fs "tprobe");
-        ("lock", probe_usage Sg_components.Profiles.lock "lock_probe");
-        ("evt", probe_usage Sg_components.Profiles.event "evt_probe");
-        ("timer", probe_usage Sg_components.Profiles.timer "timer_probe");
-      ];
+      Sysbuild.to_list
+        {
+          Sysbuild.sched = probe_usage Profiles.sched "sched_probe";
+          mm = probe_usage Profiles.mm "mman_probe";
+          fs = probe_usage Profiles.fs "tprobe";
+          lock = probe_usage Profiles.lock "lock_probe";
+          evt = probe_usage Profiles.event "evt_probe";
+          timer = probe_usage Profiles.timer "timer_probe";
+        };
     p_app_clients = 2;
     p_thread_cap = 8;
     p_wakeup_deps = Sg_components.Sysbuild.wakeup_deps;

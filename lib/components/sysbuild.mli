@@ -14,26 +14,32 @@
     Ports are memoized per (client, interface) so all threads of a
     client share one descriptor tracker, as stubs do in COMPOSITE. *)
 
-type stubset = {
-  st_name : string;  (** "c3" or "superglue" *)
-  st_flavor : Sg_c3.Tracker.flavor;
-  st_client : iface:string -> Sg_c3.Cstub.config;
-  st_server :
-    iface:string ->
-    wakeup_dep:(Sg_os.Port.t option ref * string) option ->
-    Sg_c3.Serverstub.config;
-      (** [wakeup_dep] wires the wakeup function of the service's own
-          server (the scheduler) for T0 eager recovery, where the
-          component graph has such a dependency *)
+type 'a services = {
+  sched : 'a;
+  mm : 'a;
+  fs : 'a;
+  lock : 'a;
+  evt : 'a;
+  timer : 'a;
 }
+(** One value per system service: a table that omits one does not
+    compile. *)
 
-type mode =
-  | Base
-  | Stubbed of (Sg_storage.Storage.t -> stubset)
+val names : string list
+(** The six services in the paper's order (Table II's rows, the web
+    benchmarks' crash rotation): sched, mm, fs, lock, evt, timer. *)
+
+val get : 'a services -> string -> 'a
+(** The one name lookup: raises [Invalid_argument] on an unknown name. *)
+
+val init : (string -> 'a) -> 'a services
+val to_list : 'a services -> (string * 'a) list
+(** By name, in the paper's order. *)
 
 val boot_order : string list
-(** Registration (= boot and recovery) order of the six system services.
-    A service may only name an earlier service as its wakeup target. *)
+(** Registration (= boot and recovery) order of the six system services:
+    sched, lock, timer, evt, fs, mm. It decides every component id. A
+    service may only name an earlier service as its wakeup target. *)
 
 val wakeup_deps : (string * string * string) list
 (** [(dependent, target, wakeup_fn)] edges: during T0 eager recovery the
@@ -41,12 +47,32 @@ val wakeup_deps : (string * string * string) list
     [wakeup_fn] of [target]. The static analyzer's system pass ([SG012])
     checks interface specs against these edges and {!boot_order}. *)
 
-val image_kb : (string * int) list
-(** Image size in KB of each of the six services, by interface name —
-    the constants the component specs register with the simulator
+val image_kb : int services
+(** Image size in KB of each service — the constants the component
+    specs register with the simulator
     ([reboot cost = reboot_ns_per_kb * image_kb]). *)
 
-val c3_stubset : Sg_storage.Storage.t -> stubset
+type stub = {
+  client : storage:Sg_storage.Storage.t -> unit -> Sg_c3.Cstub.config;
+      (** called when a client's port is first resolved *)
+  server :
+    ?wakeup_dep:Sg_os.Port.t option ref * string ->
+    unit ->
+    Sg_c3.Serverstub.config;
+      (** [wakeup_dep] wires the wakeup function of the service's own
+          server (the scheduler) for T0 eager recovery, where the
+          component graph has such a dependency *)
+}
+
+type stubset = {
+  st_name : string;  (** "c3", "superglue", ... *)
+  st_flavor : Sg_c3.Tracker.flavor;
+  st_stubs : stub services;
+}
+
+type mode = Base | Stubbed of stubset
+
+val c3_stubset : stubset
 (** The hand-written C³ baseline stubs. *)
 
 type system = {
@@ -56,16 +82,14 @@ type system = {
   sys_mode : string;  (** "base", "c3", "superglue", ... *)
   sys_app1 : Sg_os.Comp.cid;
   sys_app2 : Sg_os.Comp.cid;
-  sys_sched : Sg_os.Comp.cid;
-  sys_lock : Sg_os.Comp.cid;
-  sys_timer : Sg_os.Comp.cid;
-  sys_evt : Sg_os.Comp.cid;
-  sys_fs : Sg_os.Comp.cid;
-  sys_mm : Sg_os.Comp.cid;
+  sys_services : Sg_os.Comp.cid services;
   sys_port : client:Sg_os.Comp.cid -> iface:string -> Sg_os.Port.t;
   sys_stub : client:Sg_os.Comp.cid -> iface:string -> Sg_c3.Cstub.t option;
       (** the underlying stub, when the system is stubbed *)
 }
+
+val app_spec : string -> image_kb:int -> Sg_os.Sim.spec
+(** A passive application component: every invocation of it fails. *)
 
 val build : ?seed:int -> ?adversary:Sg_c3.Adversary.t -> mode -> system
 (** [adversary] is shared by every client stub of the system
@@ -74,6 +98,7 @@ val build : ?seed:int -> ?adversary:Sg_c3.Adversary.t -> mode -> system
     bypass the stub engine). *)
 
 val services : system -> (string * Sg_os.Comp.cid) list
-(** The six injectable system services, by interface name. *)
+(** The six injectable system services, by name, in the paper's order. *)
 
 val cid_of_iface : system -> string -> Sg_os.Comp.cid
+val iface_of_cid : system -> Sg_os.Comp.cid -> string option

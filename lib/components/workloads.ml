@@ -2,7 +2,7 @@ module Sim = Sg_os.Sim
 module Comp = Sg_os.Comp
 module Port = Sg_os.Port
 
-let all_ifaces = [ "sched"; "mm"; "fs"; "lock"; "evt"; "timer" ]
+let all_ifaces = Sysbuild.names
 
 type params = {
   wp_fs_path : string;
@@ -305,6 +305,16 @@ let setup_timer sys ~params ~iters =
          else []);
       ]
 
+let setups =
+  {
+    Sysbuild.sched = (fun sys ~params:_ ~iters -> setup_sched sys ~iters);
+    mm = setup_mm;
+    fs = setup_fs;
+    lock = setup_lock;
+    evt = setup_evt;
+    timer = setup_timer;
+  }
+
 let setup ?(params = default_params) sys ~iface ~iters =
   if params.wp_lock_contenders < 1 then
     invalid_arg "Workloads.setup: wp_lock_contenders must be at least 1";
@@ -314,14 +324,7 @@ let setup ?(params = default_params) sys ~iface ~iters =
     invalid_arg "Workloads.setup: wp_mm_fanout must be at least 1";
   if params.wp_timer_period_ns < 1 then
     invalid_arg "Workloads.setup: wp_timer_period_ns must be positive";
-  match iface with
-  | "sched" -> setup_sched sys ~iters
-  | "mm" -> setup_mm sys ~params ~iters
-  | "fs" -> setup_fs sys ~params ~iters
-  | "lock" -> setup_lock sys ~params ~iters
-  | "evt" -> setup_evt sys ~params ~iters
-  | "timer" -> setup_timer sys ~params ~iters
-  | _ -> invalid_arg ("Workloads.setup: unknown interface " ^ iface)
+  Sysbuild.get setups iface sys ~params ~iters
 
 let run_storm sys ~iface ~iters ~every ~detector =
   let sim = sys.Sysbuild.sys_sim in

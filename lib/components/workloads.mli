@@ -59,5 +59,4 @@ val run_storm :
     failed. [~every:None] runs the workload without faults. *)
 
 val all_ifaces : string list
-(** The six services, in the paper's order:
-    sched, mm, fs, lock, evt, timer. *)
+(** {!Sysbuild.names}: the six services, in the paper's order. *)

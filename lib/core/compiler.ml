@@ -49,22 +49,17 @@ let compile_file path =
   in
   compile ~name:Filename.(remove_extension (basename path)) source
 
-let builtin_names = [ "sched"; "mm"; "fs"; "lock"; "evt"; "timer" ]
+module Sysbuild = Sg_components.Sysbuild
 
-let builtin_source name =
-  match List.assoc_opt name Specs.files with
-  | Some src -> src
-  | None -> invalid_arg ("Compiler.builtin: unknown interface " ^ name)
+let builtin_names = Sysbuild.names
 
 (* compiled once, at module initialisation: pool tasks on any domain
    read the table, and nothing writes it afterwards *)
 let builtins =
-  List.map (fun name -> (name, compile ~name (builtin_source name))) builtin_names
+  Sysbuild.init (fun name -> compile ~name (List.assoc name Specs.files))
 
-let builtin name =
-  match List.assoc_opt name builtins with
-  | Some a -> a
-  | None -> invalid_arg ("Compiler.builtin: unknown interface " ^ name)
+let builtin name = Sysbuild.get builtins name
+let builtin_source name = (builtin name).a_source
 
 (* Render the plain header obtained by nil-defining the SuperGlue
    keywords (the paper's cpp-based first stage). *)

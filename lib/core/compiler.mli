@@ -32,7 +32,7 @@ val compile_file : string -> artifact
 
 val builtin_names : string list
 (** The six system interfaces embedded at build time:
-    sched, mm, fs, lock, evt, timer. *)
+    {!Sg_components.Sysbuild.names}. *)
 
 val builtin : string -> artifact
 (** Compiled embedded specification; all six are compiled at module

@@ -3,16 +3,20 @@ module Tracker = Sg_c3.Tracker
 
 let artifact = Compiler.builtin
 
-let make ~name ?mode artifact storage =
+let make ~name ?mode artifact =
   {
     Sysbuild.st_name = name;
     st_flavor = Tracker.Superglue;
-    st_client =
-      (fun ~iface ->
-        Interp.client_config ?mode ~storage (artifact iface));
-    st_server =
-      (fun ~iface ~wakeup_dep ->
-        Interp.server_config ?wakeup_dep (artifact iface));
+    st_stubs =
+      Sysbuild.init (fun iface ->
+          {
+            Sysbuild.client =
+              (fun ~storage () ->
+                Interp.client_config ?mode ~storage (artifact iface));
+            server =
+              (fun ?wakeup_dep () ->
+                Interp.server_config ?wakeup_dep (artifact iface));
+          });
   }
 
 let mode = Sysbuild.Stubbed (make ~name:"superglue" artifact)

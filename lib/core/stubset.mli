@@ -10,10 +10,10 @@ val make :
   name:string ->
   ?mode:[ `Ondemand | `Eager ] ->
   (string -> Compiler.artifact) ->
-  Sg_storage.Storage.t ->
   Sg_components.Sysbuild.stubset
 (** [make ~name ?mode artifact] is the stub set named [name] that
-    interprets [artifact iface] for each interface [iface], with
+    interprets [artifact iface] for each interface [iface] (looked up
+    when a port to [iface] is first resolved), with
     client-side recovery [mode] (default [`Ondemand], see
     {!Interp.client_config}). Every SuperGlue stub set is one of these:
     {!mode}, {!mode_eager}, and the DST mutant system, which swaps one

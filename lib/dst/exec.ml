@@ -644,22 +644,13 @@ let fatal_tolerated stream = function
   | _ -> false
 
 let bound_of sys cid =
-  let iface =
-    List.find_map
-      (fun (iface, c) -> if c = cid then Some iface else None)
-      (Sysbuild.services sys)
-  in
-  match iface with
+  match Sysbuild.iface_of_cid sys cid with
   | None -> None
   | Some iface ->
       Wcr.bound_for pristine_report ~crashed:iface ~client:iface
 
 let iface_name sys cid =
-  match
-    List.find_map
-      (fun (iface, c) -> if c = cid then Some iface else None)
-      (Sysbuild.services sys)
-  with
+  match Sysbuild.iface_of_cid sys cid with
   | Some iface -> iface
   | None -> string_of_int cid
 

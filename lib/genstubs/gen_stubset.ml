@@ -5,30 +5,21 @@
 module Sysbuild = Sg_components.Sysbuild
 module Tracker = Sg_c3.Tracker
 
-let stubset storage =
+let stubset =
   {
     Sysbuild.st_name = "superglue-gen";
     st_flavor = Tracker.Superglue;
-    st_client =
-      (fun ~iface ->
-        match iface with
-        | "sched" -> Sg_gen_sched.client_config ~storage ()
-        | "mm" -> Sg_gen_mm.client_config ~storage ()
-        | "fs" -> Sg_gen_fs.client_config ~storage ()
-        | "lock" -> Sg_gen_lock.client_config ~storage ()
-        | "evt" -> Sg_gen_evt.client_config ~storage ()
-        | "timer" -> Sg_gen_timer.client_config ~storage ()
-        | iface -> invalid_arg ("gen_stubset: unknown interface " ^ iface));
-    st_server =
-      (fun ~iface ~wakeup_dep ->
-        match iface with
-        | "sched" -> Sg_gen_sched.server_config ?wakeup_dep ()
-        | "mm" -> Sg_gen_mm.server_config ?wakeup_dep ()
-        | "fs" -> Sg_gen_fs.server_config ?wakeup_dep ()
-        | "lock" -> Sg_gen_lock.server_config ?wakeup_dep ()
-        | "evt" -> Sg_gen_evt.server_config ?wakeup_dep ()
-        | "timer" -> Sg_gen_timer.server_config ?wakeup_dep ()
-        | iface -> invalid_arg ("gen_stubset: unknown interface " ^ iface));
+    st_stubs =
+      {
+        sched =
+          { client = Sg_gen_sched.client_config; server = Sg_gen_sched.server_config };
+        mm = { client = Sg_gen_mm.client_config; server = Sg_gen_mm.server_config };
+        fs = { client = Sg_gen_fs.client_config; server = Sg_gen_fs.server_config };
+        lock = { client = Sg_gen_lock.client_config; server = Sg_gen_lock.server_config };
+        evt = { client = Sg_gen_evt.client_config; server = Sg_gen_evt.server_config };
+        timer =
+          { client = Sg_gen_timer.client_config; server = Sg_gen_timer.server_config };
+      };
   }
 
 let mode = Sysbuild.Stubbed stubset

@@ -37,7 +37,7 @@ let measure ~mode_name ~mode ~descriptors =
         let m = Sim.metrics sim in
         let walks_before = Sg_obs.Metrics.walks ~client:app m in
         (* the transient fault *)
-        Sim.mark_failed sim sys.Sysbuild.sys_fs ~detector:"ablation";
+        Sim.mark_failed sim sys.Sysbuild.sys_services.fs ~detector:"ablation";
         (* first post-fault access: how long until this thread has its
            descriptor back? *)
         let t0 = Sim.now sim in

@@ -83,38 +83,41 @@ let infrastructure ?(reps = 5) ?(iters = 60) () =
 
 type recovery_row = { v_iface : string; v_c3 : Stats.summary; v_sg : Stats.summary }
 
-(* Populate an interface with a few descriptors in interesting states,
-   from a measurement fiber. *)
-let make_descriptors sys sim iface =
-  let app1 = sys.Sysbuild.sys_app1 and app2 = sys.Sysbuild.sys_app2 in
-  let port = sys.Sysbuild.sys_port ~client:app1 ~iface in
-  match iface with
-  | "sched" ->
-      let tid = Sim.current_tid sim in
-      Sched.create port sim ~tid ~prio:5
-  | "lock" ->
-      let a = Lock.alloc port sim in
-      Lock.take port sim a;
-      ignore (Lock.alloc port sim)
-  | "timer" -> ignore (Timer.create port sim ~period_ns:500_000)
-  | "evt" ->
+(* Populate each interface with a few descriptors in interesting
+   states, from a measurement fiber, through [port] of application 1. *)
+let descriptors =
+  {
+    Sysbuild.sched =
+      (fun _ sim port -> Sched.create port sim ~tid:(Sim.current_tid sim) ~prio:5);
+    mm =
+      (fun sys sim port ->
+        Mm.get_page port sim ~vaddr:0x9000_0000;
+        Mm.alias_page port sim ~svaddr:0x9000_0000 ~dst:sys.Sysbuild.sys_app2
+          ~dvaddr:0x9100_0000);
+    fs =
+      (fun _ sim port ->
+        let fd = Ramfs.tsplit port sim ~parent:Ramfs.root_fd ~name:"r.dat" in
+        ignore (Ramfs.twrite port sim ~fd ~data:"0123456789"));
+    lock =
+      (fun _ sim port ->
+        let a = Lock.alloc port sim in
+        Lock.take port sim a;
+        ignore (Lock.alloc port sim));
+    evt =
       (* the full mechanism set: the child is created by a different
          component, so its recovery crosses the storage registry and
          upcalls into the creator (G0/U0/D1) *)
-      let parent = Event.split port sim ~compid:app1 ~parent:0 ~grp:1 in
-      let port2 = sys.Sysbuild.sys_port ~client:app2 ~iface in
-      let _ =
-        Sim.spawn sim ~name:"fig6b-evt-child" ~home:app2 (fun sim ->
-            ignore (Event.split port2 sim ~compid:app2 ~parent ~grp:1))
-      in
-      Sim.yield sim
-  | "fs" ->
-      let fd = Ramfs.tsplit port sim ~parent:Ramfs.root_fd ~name:"r.dat" in
-      ignore (Ramfs.twrite port sim ~fd ~data:"0123456789")
-  | "mm" ->
-      Mm.get_page port sim ~vaddr:0x9000_0000;
-      Mm.alias_page port sim ~svaddr:0x9000_0000 ~dst:app2 ~dvaddr:0x9100_0000
-  | _ -> invalid_arg iface
+      (fun sys sim port ->
+        let app1 = sys.Sysbuild.sys_app1 and app2 = sys.Sysbuild.sys_app2 in
+        let parent = Event.split port sim ~compid:app1 ~parent:0 ~grp:1 in
+        let port2 = sys.Sysbuild.sys_port ~client:app2 ~iface:"evt" in
+        let _ =
+          Sim.spawn sim ~name:"fig6b-evt-child" ~home:app2 (fun sim ->
+              ignore (Event.split port2 sim ~compid:app2 ~parent ~grp:1))
+        in
+        Sim.yield sim);
+    timer = (fun _ sim port -> ignore (Timer.create port sim ~period_ns:500_000));
+  }
 
 let recovery_us_per_descriptor ~mode ~iface ~seed =
   let sys = Sysbuild.build ~seed mode in
@@ -122,7 +125,8 @@ let recovery_us_per_descriptor ~mode ~iface ~seed =
   let samples = ref [] in
   let _ =
     Sim.spawn sim ~name:"fig6b" ~home:sys.Sysbuild.sys_app1 (fun sim ->
-        make_descriptors sys sim iface;
+        Sysbuild.get descriptors iface sys sim
+          (sys.Sysbuild.sys_port ~client:sys.Sysbuild.sys_app1 ~iface);
         let target = Sysbuild.cid_of_iface sys iface in
         Sim.mark_failed sim target ~detector:"fig6b";
         Cstub.ensure_alive sim target;
@@ -163,30 +167,17 @@ let recovery ?(reps = 5) () =
 
 type loc_row = { l_iface : string; l_idl : int; l_generated : int; l_c3 : int }
 
-let rec find_repo_root dir =
-  if Sys.file_exists (Filename.concat dir "dune-project") then Some dir
-  else
-    let parent = Filename.dirname dir in
-    if parent = dir then None else find_repo_root parent
-
-let c3_stub_file iface =
-  let base =
-    match iface with
-    | "evt" -> "c3_stub_event.ml"
-    | other -> Printf.sprintf "c3_stub_%s.ml" other
-  in
-  match find_repo_root (Sys.getcwd ()) with
-  | None -> None
-  | Some root ->
-      let path = Filename.concat root (Filename.concat "lib/components" base) in
-      if Sys.file_exists path then Some path else None
-
-let file_loc path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      Superglue.Codegen.loc (really_input_string ic (in_channel_length ic)))
+(* the hand-written C³ stub of each service, embedded at build time *)
+let c3_loc =
+  let loc file = Superglue.Codegen.loc (List.assoc file C3_sources.files) in
+  {
+    Sysbuild.sched = loc "c3_stub_sched";
+    mm = loc "c3_stub_mm";
+    fs = loc "c3_stub_fs";
+    lock = loc "c3_stub_lock";
+    evt = loc "c3_stub_event";
+    timer = loc "c3_stub_timer";
+  }
 
 let loc () =
   List.map
@@ -196,9 +187,6 @@ let loc () =
         l_iface = iface;
         l_idl = Superglue.Codegen.loc a.Superglue.Compiler.a_source;
         l_generated = Superglue.Codegen.loc (Superglue.Codegen.emit a);
-        l_c3 =
-          (match c3_stub_file iface with
-          | Some path -> file_loc path
-          | None -> 0);
+        l_c3 = Sysbuild.get c3_loc iface;
       })
     Workloads.all_ifaces

@@ -33,8 +33,7 @@ type loc_row = {
   l_iface : string;
   l_idl : int;  (** LOC of the .sgidl specification *)
   l_generated : int;  (** LOC the SuperGlue compiler emits *)
-  l_c3 : int;  (** LOC of the hand-written C³ stub module (0 if the
-                   source tree is not reachable from the cwd) *)
+  l_c3 : int;  (** LOC of the hand-written C³ stub module *)
 }
 
 val loc : unit -> loc_row list

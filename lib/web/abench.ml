@@ -10,17 +10,6 @@ type result = {
   ab_rps : float;
 }
 
-let client_spec =
-  {
-    Sim.sc_name = "abclient";
-    sc_image_kb = 24;
-    sc_init = (fun _ _ -> ());
-    sc_boot_init = (fun _ _ -> ());
-    sc_dispatch = (fun _ _ _ _ -> Error Comp.ENOENT);
-    sc_reflect = (fun _ _ _ _ -> Error Comp.EINVAL);
-    sc_usage = (fun _ -> None);
-  }
-
 (* clients in flight, fixed as in the paper *)
 let concurrency = 10
 
@@ -29,7 +18,7 @@ let run ?fault_period_ns ~requests sys server =
   | Some p when p <= 0 -> invalid_arg "Abench.run: fault_period_ns must be positive"
   | _ -> ());
   let sim = sys.Sysbuild.sys_sim in
-  let client = Sim.register sim client_spec in
+  let client = Sim.register sim (Sysbuild.app_spec "abclient" ~image_kb:24) in
   Sim.grant sim ~client ~server:server.Server.ws_http;
   let issued = ref 0 in
   let done_clients = ref 0 in
@@ -44,14 +33,7 @@ let run ?fault_period_ns ~requests sys server =
          ~name:(Printf.sprintf "ab-%d" i)
          ~home:client
          (fun sim ->
-           (* wait for the server to come up *)
-           let rec wait_ready () =
-             if not !(server.Server.ws_ready) then begin
-               Sim.yield sim;
-               wait_ready ()
-             end
-           in
-           wait_ready ();
+           Server.wait_ready server sim;
            if !start_ns = 0 then start_ns := Sim.now sim;
            let rec loop () =
              if !issued < requests then begin
@@ -78,25 +60,12 @@ let run ?fault_period_ns ~requests sys server =
            end))
   done;
   (* optional SWIFI thread: crash a rotating system service each period *)
-  (match fault_period_ns with
-  | None -> ()
-  | Some period ->
-      let services = Sysbuild.services sys |> List.map snd |> Array.of_list in
-      ignore
-        (Sim.spawn sim ~prio:3 ~name:"web-swifi" ~home:sys.Sysbuild.sys_app1
-           (fun sim ->
-             let rec loop i =
-               if !done_clients < concurrency then begin
-                 Sim.sleep_until sim (Sim.now sim + period);
-                 if !done_clients < concurrency then begin
-                   let target = services.(i mod Array.length services) in
-                   Sim.mark_failed sim target ~detector:"swifi";
-                   incr faults;
-                   loop (i + 1)
-                 end
-               end
-             in
-             loop 0)));
+  Option.iter
+    (fun period_ns ->
+      Server.crash_rotation sys ~name:"web-swifi" ~period_ns
+        ~stop:(fun () -> !done_clients >= concurrency)
+        ~faults)
+    fault_period_ns;
   (match Sim.run sim with
   | Sim.Completed -> ()
   | r ->

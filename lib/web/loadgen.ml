@@ -132,17 +132,6 @@ let interarrivals arrival ~seed ~n =
 
 (* {2 The harness} *)
 
-let client_spec =
-  {
-    Sim.sc_name = "loadgen";
-    sc_image_kb = 24;
-    sc_init = (fun _ _ -> ());
-    sc_boot_init = (fun _ _ -> ());
-    sc_dispatch = (fun _ _ _ _ -> Error Comp.ENOENT);
-    sc_reflect = (fun _ _ _ _ -> Error Comp.EINVAL);
-    sc_usage = (fun _ -> None);
-  }
-
 type result = {
   lr_reqs : Reqjoin.req list;  (** in arrival order *)
   lr_faults : int;
@@ -156,7 +145,7 @@ let run ?fault_period_ns cfg sys server =
   | Some p when p <= 0 -> invalid_arg "Loadgen.run: fault_period_ns must be positive"
   | _ -> ());
   let sim = sys.Sysbuild.sys_sim in
-  let client = Sim.register sim client_spec in
+  let client = Sim.register sim (Sysbuild.app_spec "loadgen" ~image_kb:24) in
   Sim.grant sim ~client ~server:server.Server.ws_http;
   let streams = Rng.streams (Rng.create cfg.lg_seed) 3 in
   let arrival_rng = streams.(0) in
@@ -187,12 +176,6 @@ let run ?fault_period_ns cfg sys server =
            status = r.Reqjoin.rq_status;
            outcome = r.Reqjoin.rq_outcome;
          })
-  in
-  let rec wait_ready sim =
-    if not !(server.Server.ws_ready) then begin
-      Sim.yield sim;
-      wait_ready sim
-    end
   in
   let serve sim ~client:cl ~arrival ~keep =
     let t0 = Sim.now sim in
@@ -234,7 +217,7 @@ let run ?fault_period_ns cfg sys server =
          ~name:(Printf.sprintf "lg-worker-%d" w)
          ~home:client
          (fun sim ->
-           wait_ready sim;
+           Server.wait_ready server sim;
            let rec loop () =
              match Queue.take_opt queue with
              | Some (cl, arrival, keep) ->
@@ -264,7 +247,7 @@ let run ?fault_period_ns cfg sys server =
      the prio-5 server init threads forever. *)
   ignore
     (Sim.spawn sim ~prio:5 ~name:"lg-gen" ~home:client (fun sim ->
-         wait_ready sim;
+         Server.wait_ready server sim;
          start_ns := Sim.now sim;
          let next_t = ref !start_ns in
          for _ = 1 to cfg.lg_requests do
@@ -295,28 +278,12 @@ let run ?fault_period_ns cfg sys server =
          gen_done := true;
          List.iter (fun tid -> ignore (Sim.wakeup sim tid)) !idle;
          idle := []));
-  (* optional SWIFI thread: crash a rotating system service each period
-     (same rotation as [Abench.run]) *)
-  (match fault_period_ns with
-  | None -> ()
-  | Some period ->
-      let services = Sysbuild.services sys |> List.map snd |> Array.of_list in
-      ignore
-        (Sim.spawn sim ~prio:3 ~name:"lg-swifi" ~home:sys.Sysbuild.sys_app1
-           (fun sim ->
-             let rec loop i =
-               if not !run_done then begin
-                 Sim.sleep_until sim (Sim.now sim + period);
-                 if not !run_done then begin
-                   Sim.mark_failed sim
-                     services.(i mod Array.length services)
-                     ~detector:"swifi";
-                   incr faults;
-                   loop (i + 1)
-                 end
-               end
-             in
-             loop 0)));
+  Option.iter
+    (fun period_ns ->
+      Server.crash_rotation sys ~name:"lg-swifi" ~period_ns
+        ~stop:(fun () -> !run_done)
+        ~faults)
+    fault_period_ns;
   (match Sim.run sim with
   | Sim.Completed -> ()
   | r ->

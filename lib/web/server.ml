@@ -30,17 +30,6 @@ let strip_leading_slash p =
   if String.length p > 0 && p.[0] = '/' then String.sub p 1 (String.length p - 1)
   else p
 
-let app_spec name =
-  {
-    Sim.sc_name = name;
-    sc_image_kb = 48;
-    sc_init = (fun _ _ -> ());
-    sc_boot_init = (fun _ _ -> ());
-    sc_dispatch = (fun _ _ _ _ -> Error Comp.ENOENT);
-    sc_reflect = (fun _ _ _ _ -> Error Comp.EINVAL);
-    sc_usage = (fun _ -> None);
-  }
-
 (* The request path: parse, serialize on the cache lock, read the
    document through the file system, notify the logger through the
    global event, recycle buffer pages through the memory manager. *)
@@ -98,11 +87,11 @@ let install sys =
   let http =
     Sim.register sim
       {
-        (app_spec "httpd") with
+        (Sysbuild.app_spec "httpd" ~image_kb:48) with
         Sim.sc_dispatch = (fun sim cid fn args -> !handler sim cid fn args);
       }
   in
-  let logger = Sim.register sim (app_spec "weblog") in
+  let logger = Sim.register sim (Sysbuild.app_spec "weblog" ~image_kb:48) in
   let st =
     {
       ws_http = http;
@@ -117,16 +106,10 @@ let install sys =
     }
   in
   List.iter
-    (fun server -> Sim.grant sim ~client:http ~server)
-    [
-      sys.Sysbuild.sys_sched;
-      sys.Sysbuild.sys_lock;
-      sys.Sysbuild.sys_timer;
-      sys.Sysbuild.sys_evt;
-      sys.Sysbuild.sys_fs;
-      sys.Sysbuild.sys_mm;
-    ];
-  Sim.grant sim ~client:logger ~server:sys.Sysbuild.sys_evt;
+    (fun iface ->
+      Sim.grant sim ~client:http ~server:(Sysbuild.cid_of_iface sys iface))
+    Sysbuild.boot_order;
+  Sim.grant sim ~client:logger ~server:sys.Sysbuild.sys_services.evt;
   let lock_port = sys.Sysbuild.sys_port ~client:http ~iface:"lock" in
   let evt_port = sys.Sysbuild.sys_port ~client:http ~iface:"evt" in
   let fs_port = sys.Sysbuild.sys_port ~client:http ~iface:"fs" in
@@ -200,3 +183,27 @@ let install sys =
    component. *)
 let stop sys t =
   ignore (Sim.invoke sys.Sysbuild.sys_sim ~server:t.ws_http "http_stop" [])
+
+let wait_ready t sim =
+  while not !(t.ws_ready) do
+    Sim.yield sim
+  done
+
+let crash_rotation sys ~name ~period_ns ~stop ~faults =
+  let services = Array.of_list (List.map snd (Sysbuild.services sys)) in
+  ignore
+    (Sim.spawn sys.Sysbuild.sys_sim ~prio:3 ~name ~home:sys.Sysbuild.sys_app1
+       (fun sim ->
+         let rec loop i =
+           if not (stop ()) then begin
+             Sim.sleep_until sim (Sim.now sim + period_ns);
+             if not (stop ()) then begin
+               Sim.mark_failed sim
+                 services.(i mod Array.length services)
+                 ~detector:"swifi";
+               incr faults;
+               loop (i + 1)
+             end
+           end
+         in
+         loop 0))

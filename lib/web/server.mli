@@ -39,3 +39,13 @@ val install : Sg_components.Sysbuild.system -> t
 
 val stop : Sg_components.Sysbuild.system -> t -> unit
 (** Ask the logger and stats threads to exit (lets the run drain). *)
+
+val wait_ready : t -> Sg_os.Sim.t -> unit
+(** Yield until the server is open for requests. *)
+
+val crash_rotation :
+  Sg_components.Sysbuild.system ->
+  name:string -> period_ns:int -> stop:(unit -> bool) -> faults:int ref -> unit
+(** Spawn SWIFI thread [name]: every [period_ns] until [stop ()], it
+    fail-stops the next system service in the paper's order and counts
+    it in [faults]. *)

@@ -83,7 +83,7 @@ let test_virtualized_ids_survive_collision () =
         let a = Lock.alloc port sim in
         Lock.take port sim a;
         (* crash: the rebooted lock service restarts its id counter *)
-        Sim.mark_failed sim sys.Sysbuild.sys_lock ~detector:"test";
+        Sim.mark_failed sim sys.Sysbuild.sys_services.lock ~detector:"test";
         (* a new allocation must not collide with the held lock's id *)
         let b = Lock.alloc port sim in
         Alcotest.(check bool) "distinct client ids" true (a <> b);
@@ -114,7 +114,7 @@ let test_ydr_keeps_closed_records () =
         (* close the parent, then crash: the child's recovery must still
            resolve its parent chain from the kept record *)
         Ramfs.trelease port sim ~fd:parent;
-        Sim.mark_failed sim sys.Sysbuild.sys_fs ~detector:"test";
+        Sim.mark_failed sim sys.Sysbuild.sys_services.fs ~detector:"test";
         ignore (Ramfs.tlseek port sim ~fd:child ~off:0);
         got := Ramfs.tread port sim ~fd:child ~len:4)
   in
@@ -131,7 +131,7 @@ let test_recovery_trace () =
   let _ =
     Sim.spawn sim ~name:"t" ~home:app (fun sim ->
         let a = Lock.alloc port sim in
-        Sim.mark_failed sim sys.Sysbuild.sys_lock ~detector:"trace-test";
+        Sim.mark_failed sim sys.Sysbuild.sys_services.lock ~detector:"trace-test";
         Lock.take port sim a;
         Lock.release port sim a)
   in
@@ -164,7 +164,7 @@ let test_upcall_trace_on_g0 () =
   in
   let _ =
     Sim.spawn sim ~prio:5 ~name:"trigger" ~home:app1 (fun sim ->
-        Sim.mark_failed sim sys.Sysbuild.sys_evt ~detector:"test";
+        Sim.mark_failed sim sys.Sysbuild.sys_services.evt ~detector:"test";
         Event.trigger port1 sim ~compid:app1 !evt)
   in
   (match Sim.run sim with

@@ -6,88 +6,31 @@
    postconditions intact while its service is repeatedly killed. *)
 
 module Sim = Sg_os.Sim
-module Comp = Sg_os.Comp
 module Sysbuild = Sg_components.Sysbuild
 module Workloads = Sg_components.Workloads
 
-let check_clean sys result check =
-  (match result with
-  | Sim.Completed -> ()
-  | r ->
-      Alcotest.failf "[%s] run did not complete: %a" sys.Sysbuild.sys_mode
-        Sim.pp_run_result r);
-  match check () with
-  | [] -> ()
-  | violations ->
-      Alcotest.failf "[%s] postconditions violated: %s" sys.Sysbuild.sys_mode
-        (String.concat "; " violations)
-
-let run_workload mode iface iters =
-  let sys = Sysbuild.build mode in
-  let check = Workloads.setup sys ~iface ~iters in
-  let result = Sim.run sys.Sysbuild.sys_sim in
-  (sys, result, check)
-
 let test_base_faultfree iface () =
-  let sys, result, check = run_workload Sysbuild.Base iface 25 in
-  check_clean sys result check
-
-let test_c3_faultfree iface () =
-  let sys, result, check =
-    run_workload (Sysbuild.Stubbed Sysbuild.c3_stubset) iface 25
-  in
-  check_clean sys result check;
-  Alcotest.(check int) "no reboots without faults" 0 (Sim.reboots sys.Sysbuild.sys_sim)
-
-(* Force a crash in the target service every [period]-th dispatch. *)
-let install_crasher sys iface ~period =
-  let target = Sysbuild.cid_of_iface sys iface in
-  let count = ref 0 in
-  Sim.set_on_dispatch sys.Sysbuild.sys_sim
-    (Some
-       (fun sim cid _fn ->
-         if cid = target then begin
-           incr count;
-           if !count mod period = 0 then begin
-             Sim.mark_failed sim cid ~detector:"forced";
-             raise (Comp.Crash { cid; detector = "forced" })
-           end
-         end))
-
-let test_c3_recovers iface period () =
-  let sys = Sysbuild.build (Sysbuild.Stubbed Sysbuild.c3_stubset) in
-  let check = Workloads.setup sys ~iface ~iters:25 in
-  install_crasher sys iface ~period;
-  let result = Sim.run sys.Sysbuild.sys_sim in
-  check_clean sys result check;
-  let reboots = Sim.reboots sys.Sysbuild.sys_sim in
-  if reboots = 0 then Alcotest.failf "expected at least one micro-reboot";
-  ()
+  ignore (Storm.run Sysbuild.Base iface ~iters:25 ~every:None)
 
 let test_base_crash_is_fatal () =
   (* without recovery, a crashed system service brings the workload (and
      thus the system) down — the motivation for the whole paper *)
   let sys = Sysbuild.build Sysbuild.Base in
-  let _check = Workloads.setup sys ~iface:"fs" ~iters:10 in
-  install_crasher sys "fs" ~period:5;
-  match Sim.run sys.Sysbuild.sys_sim with
-  | Sim.Fatal _ -> ()
-  | r -> Alcotest.failf "expected a fatal run, got %a" Sim.pp_run_result r
+  match
+    Workloads.run_storm sys ~iface:"fs" ~iters:10 ~every:(Some 5)
+      ~detector:"forced"
+  with
+  | Error msg when String.starts_with ~prefix:"run ended fatal" msg -> ()
+  | Error msg -> Alcotest.failf "expected a fatal run, got %s" msg
+  | Ok _ -> Alcotest.fail "expected a fatal run, got a completed one"
 
 let test_c3_tracking_overhead_charged () =
   (* the same workload must take longer with stubs than without *)
-  let t_base =
-    let sys, result, check = run_workload Sysbuild.Base "fs" 50 in
-    check_clean sys result check;
-    Sim.now sys.Sysbuild.sys_sim
+  let elapsed mode =
+    Sim.now (Storm.run mode "fs" ~iters:50 ~every:None).Sysbuild.sys_sim
   in
-  let t_c3 =
-    let sys, result, check =
-      run_workload (Sysbuild.Stubbed Sysbuild.c3_stubset) "fs" 50
-    in
-    check_clean sys result check;
-    Sim.now sys.Sysbuild.sys_sim
-  in
+  let t_base = elapsed Sysbuild.Base in
+  let t_c3 = elapsed (Sysbuild.Stubbed Sysbuild.c3_stubset) in
   if t_c3 <= t_base then
     Alcotest.failf "C3 run (%d ns) should cost more than base (%d ns)" t_c3 t_base
 
@@ -106,7 +49,7 @@ let test_mm_subtree_after_recovery () =
         Mm.alias_page port sim ~svaddr:0x10000 ~dst:app2 ~dvaddr:0x20000;
         Mm.alias_page port sim ~svaddr:0x10000 ~dst:app1 ~dvaddr:0x30000;
         (* crash the memory manager: all alias trees are lost *)
-        Sim.mark_failed sim sys.Sysbuild.sys_mm ~detector:"test";
+        Sim.mark_failed sim sys.Sysbuild.sys_services.mm ~detector:"test";
         revoked := Mm.release_page port sim ~vaddr:0x10000)
   in
   (match Sim.run sim with
@@ -130,7 +73,7 @@ let test_fs_data_survives_reboot () =
         let fd = Ramfs.tsplit port sim ~parent:Ramfs.root_fd ~name:"data.bin" in
         ignore (Ramfs.twrite port sim ~fd ~data:"hello");
         ignore (Ramfs.twrite port sim ~fd ~data:" world");
-        Sim.mark_failed sim sys.Sysbuild.sys_fs ~detector:"test";
+        Sim.mark_failed sim sys.Sysbuild.sys_services.fs ~detector:"test";
         ignore (Ramfs.tlseek port sim ~fd ~off:0);
         got := Ramfs.tread port sim ~fd ~len:11)
   in
@@ -161,7 +104,7 @@ let test_evt_global_descriptor_recovery () =
     Sim.spawn sim ~prio:6 ~name:"trigger" ~home:app1 (fun sim ->
         Sim.yield sim;
         (* kill the event manager while the waiter is blocked inside *)
-        Sim.mark_failed sim sys.Sysbuild.sys_evt ~detector:"test";
+        Sim.mark_failed sim sys.Sysbuild.sys_services.evt ~detector:"test";
         (* app1 never created the descriptor: its stub has no record, so
            recovery must flow through storage + upcall into app2 *)
         Event.trigger port1 sim ~compid:app1 !evt_id)
@@ -171,10 +114,43 @@ let test_evt_global_descriptor_recovery () =
   | r -> Alcotest.failf "run failed: %a" Sim.pp_run_result r);
   Alcotest.(check bool) "waiter woke through recovered event" true !woke
 
-let recovery_case iface period =
-  Alcotest.test_case
-    (Printf.sprintf "%s survives crash every %d dispatches" iface period)
-    `Quick (test_c3_recovers iface period)
+(* the paper's order sets Table II's rows and the web benchmarks' crash
+   rotation; the boot order decides every cid, so every pinned stream *)
+let test_service_orders () =
+  Alcotest.(check (list string))
+    "paper order"
+    [ "sched"; "mm"; "fs"; "lock"; "evt"; "timer" ]
+    Sysbuild.names;
+  Alcotest.(check (list string))
+    "boot order"
+    [ "sched"; "lock"; "timer"; "evt"; "fs"; "mm" ]
+    Sysbuild.boot_order;
+  Alcotest.(check (list string)) "aliases" Sysbuild.names Workloads.all_ifaces;
+  Alcotest.(check (list string))
+    "aliases" Sysbuild.names Superglue.Compiler.builtin_names;
+  let sys = Sysbuild.build Sysbuild.Base in
+  Alcotest.(check (list int))
+    "cids follow the boot order"
+    (List.init 6 (fun i -> sys.Sysbuild.sys_app2 + 1 + i))
+    (List.map (Sysbuild.cid_of_iface sys) Sysbuild.boot_order);
+  List.iter
+    (fun (iface, cid) ->
+      Alcotest.(check (option string))
+        "cid to name" (Some iface)
+        (Sysbuild.iface_of_cid sys cid))
+    (Sysbuild.services sys);
+  Alcotest.(check (option string))
+    "an application is no service" None
+    (Sysbuild.iface_of_cid sys sys.Sysbuild.sys_app1)
+
+let test_unknown_service () =
+  Alcotest.check_raises "one lookup"
+    (Invalid_argument "Sysbuild: unknown interface nonesuch") (fun () ->
+      ignore (Sysbuild.get Sysbuild.image_kb "nonesuch"));
+  let sys = Sysbuild.build Sysbuild.Base in
+  Alcotest.check_raises "ports"
+    (Invalid_argument "Sysbuild: unknown interface nonesuch") (fun () ->
+      ignore (sys.Sysbuild.sys_port ~client:sys.Sysbuild.sys_app1 ~iface:"nonesuch"))
 
 let () =
   let base_cases =
@@ -183,22 +159,16 @@ let () =
         Alcotest.test_case (iface ^ " fault-free") `Quick (test_base_faultfree iface))
       Workloads.all_ifaces
   in
-  let c3_cases =
-    List.map
-      (fun iface ->
-        Alcotest.test_case (iface ^ " fault-free") `Quick (test_c3_faultfree iface))
-      Workloads.all_ifaces
-  in
-  let crash_cases =
-    List.concat_map
-      (fun iface -> [ recovery_case iface 7; recovery_case iface 23 ])
-      Workloads.all_ifaces
-  in
   Alcotest.run "sg_components"
     [
       ("base", base_cases);
-      ("c3-faultfree", c3_cases);
-      ("c3-recovery", crash_cases);
+      ("c3-faultfree", Storm.faultfree "c3");
+      ("c3-recovery", Storm.storms "c3" [ 7; 23 ]);
+      ( "services",
+        [
+          Alcotest.test_case "paper and boot orders" `Quick test_service_orders;
+          Alcotest.test_case "unknown name raises" `Quick test_unknown_service;
+        ] );
       ( "scenarios",
         [
           Alcotest.test_case "base crash is fatal" `Quick test_base_crash_is_fatal;

@@ -4,7 +4,6 @@
    of virtual-time cost against the interpreter. *)
 
 module Sim = Sg_os.Sim
-module Comp = Sg_os.Comp
 module Sysbuild = Sg_components.Sysbuild
 module Workloads = Sg_components.Workloads
 module Codegen = Superglue.Codegen
@@ -15,54 +14,12 @@ let contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
-let check_clean sys result check =
-  (match result with
-  | Sim.Completed -> ()
-  | r ->
-      Alcotest.failf "[%s] run did not complete: %a" sys.Sysbuild.sys_mode
-        Sim.pp_run_result r);
-  match check () with
-  | [] -> ()
-  | violations ->
-      Alcotest.failf "[%s] postconditions violated: %s" sys.Sysbuild.sys_mode
-        (String.concat "; " violations)
-
-let test_gen_faultfree iface () =
-  let sys = Sysbuild.build Sg_genstubs.Gen_stubset.mode in
-  let check = Workloads.setup sys ~iface ~iters:25 in
-  check_clean sys (Sim.run sys.Sysbuild.sys_sim) check
-
-let install_crasher sys iface ~period =
-  let target = Sysbuild.cid_of_iface sys iface in
-  let count = ref 0 in
-  Sim.set_on_dispatch sys.Sysbuild.sys_sim
-    (Some
-       (fun sim cid _fn ->
-         if cid = target then begin
-           incr count;
-           if !count mod period = 0 then begin
-             Sim.mark_failed sim cid ~detector:"forced";
-             raise (Comp.Crash { cid; detector = "forced" })
-           end
-         end))
-
-let test_gen_recovers iface period () =
-  let sys = Sysbuild.build Sg_genstubs.Gen_stubset.mode in
-  let check = Workloads.setup sys ~iface ~iters:25 in
-  install_crasher sys iface ~period;
-  check_clean sys (Sim.run sys.Sysbuild.sys_sim) check;
-  if Sim.reboots sys.Sysbuild.sys_sim = 0 then
-    Alcotest.fail "expected at least one micro-reboot"
-
 (* Differential check: the generated code and the interpreter are two
    backends of the same compiler and must charge identical virtual time
    and perform identical invocation counts on identical runs. *)
 let test_gen_equals_interp iface () =
   let run mode =
-    let sys = Sysbuild.build mode in
-    let check = Workloads.setup sys ~iface ~iters:40 in
-    install_crasher sys iface ~period:11;
-    check_clean sys (Sim.run sys.Sysbuild.sys_sim) check;
+    let sys = Storm.run mode iface ~iters:40 ~every:(Some 11) in
     ( Sim.now sys.Sysbuild.sys_sim,
       Sim.invocations sys.Sysbuild.sys_sim,
       Sim.reboots sys.Sysbuild.sys_sim )
@@ -115,18 +72,13 @@ let test_template_catalogue () =
 let () =
   Alcotest.run "sg_genstubs"
     [
-      ( "faultfree",
-        List.map
-          (fun iface ->
-            Alcotest.test_case (iface ^ " fault-free") `Quick (test_gen_faultfree iface))
-          Workloads.all_ifaces );
+      ("faultfree", Storm.faultfree "superglue-gen");
       ( "recovery",
         List.map
           (fun iface ->
-            Alcotest.test_case
+            Storm.case "superglue-gen"
               (iface ^ " survives crashes")
-              `Quick
-              (test_gen_recovers iface 9))
+              iface ~every:(Some 9))
           Workloads.all_ifaces );
       ( "differential",
         List.map

@@ -131,7 +131,7 @@ let fs_model_run ~mode ~seed ~crash_period =
         List.iter (fun (fd, _, _) -> Ramfs.trelease port sim ~fd) !open_fds)
   in
   (match crash_period with
-  | Some period -> install_crasher sys [ sys.Sysbuild.sys_fs ] ~period ~offset:0
+  | Some period -> install_crasher sys [ sys.Sysbuild.sys_services.fs ] ~period ~offset:0
   | None -> ());
   match Sim.run sim with
   | Sim.Completed -> check_obs sys @ !violations
@@ -200,7 +200,7 @@ let mm_model_run ~mode ~seed ~crash_period =
           (Hashtbl.copy roots))
   in
   (match crash_period with
-  | Some period -> install_crasher sys [ sys.Sysbuild.sys_mm ] ~period ~offset:0
+  | Some period -> install_crasher sys [ sys.Sysbuild.sys_services.mm ] ~period ~offset:0
   | None -> ());
   match Sim.run sim with
   | Sim.Completed ->
@@ -281,7 +281,7 @@ let lock_storm_run ~mode ~seed ~crash_period =
   done;
   (match crash_period with
   | Some period ->
-      install_crasher sys [ sys.Sysbuild.sys_lock ] ~period ~offset:seed
+      install_crasher sys [ sys.Sysbuild.sys_services.lock ] ~period ~offset:seed
   | None -> ());
   match Sim.run sim with
   | Sim.Completed ->
@@ -376,7 +376,7 @@ let test_regression_latch_loss () =
     (fun (seed, period) ->
       let sys = Sysbuild.build ~seed Superglue.Stubset.mode in
       let check = Workloads.setup sys ~iface:"sched" ~iters:12 in
-      install_crasher sys [ sys.Sysbuild.sys_sched ] ~period ~offset:0;
+      install_crasher sys [ sys.Sysbuild.sys_services.sched ] ~period ~offset:0;
       Alcotest.(check bool)
         (Printf.sprintf "sched storm seed=%d period=%d" seed period)
         true
@@ -389,7 +389,7 @@ let test_regression_g0_replay_registration () =
      next fault (fixed: the replay re-enters the wrapped dispatch) *)
   let sys = Sysbuild.build ~seed:158 (Sysbuild.Stubbed Sysbuild.c3_stubset) in
   let check = Workloads.setup sys ~iface:"evt" ~iters:12 in
-  install_crasher sys [ sys.Sysbuild.sys_evt ] ~period:8 ~offset:(158 mod 8);
+  install_crasher sys [ sys.Sysbuild.sys_services.evt ] ~period:8 ~offset:(158 mod 8);
   Alcotest.(check bool) "evt storm seed=158 period=8" true
     (Sim.run sys.Sysbuild.sys_sim = Sim.Completed && check () = [])
 
@@ -405,7 +405,7 @@ let test_check_recovery_modes () =
       let sys = Sysbuild.build ~seed:11 mode in
       arm_obs sys;
       let check = Workloads.setup sys ~iface:"fs" ~iters:12 in
-      install_crasher sys [ sys.Sysbuild.sys_fs ] ~period:9 ~offset:0;
+      install_crasher sys [ sys.Sysbuild.sys_services.fs ] ~period:9 ~offset:0;
       Alcotest.(check bool) (name ^ " storm completes") true
         (Sim.run sys.Sysbuild.sys_sim = Sim.Completed && check () = []);
       Alcotest.(check (list string))

@@ -4,9 +4,7 @@
    differential comparison against the hand-written C3 stubs. *)
 
 module Sim = Sg_os.Sim
-module Comp = Sg_os.Comp
 module Sysbuild = Sg_components.Sysbuild
-module Workloads = Sg_components.Workloads
 module Lexer = Superglue.Lexer
 module Parser = Superglue.Parser
 module Ast = Superglue.Ast
@@ -328,67 +326,16 @@ let prop_plans_valid =
 
 (* --- the interpreted stubs drive the full system --- *)
 
-let check_clean sys result check =
-  (match result with
-  | Sim.Completed -> ()
-  | r ->
-      Alcotest.failf "[%s] run did not complete: %a" sys.Sysbuild.sys_mode
-        Sim.pp_run_result r);
-  match check () with
-  | [] -> ()
-  | violations ->
-      Alcotest.failf "[%s] postconditions violated: %s" sys.Sysbuild.sys_mode
-        (String.concat "; " violations)
-
-let test_superglue_faultfree iface () =
-  let sys = Sysbuild.build Stubset.mode in
-  let check = Workloads.setup sys ~iface ~iters:25 in
-  let result = Sim.run sys.Sysbuild.sys_sim in
-  check_clean sys result check;
-  Alcotest.(check string) "mode" "superglue" sys.Sysbuild.sys_mode
-
-let install_crasher sys iface ~period =
-  let target = Sysbuild.cid_of_iface sys iface in
-  let count = ref 0 in
-  Sim.set_on_dispatch sys.Sysbuild.sys_sim
-    (Some
-       (fun sim cid _fn ->
-         if cid = target then begin
-           incr count;
-           if !count mod period = 0 then begin
-             Sim.mark_failed sim cid ~detector:"forced";
-             raise (Comp.Crash { cid; detector = "forced" })
-           end
-         end))
-
-let test_superglue_recovers iface period () =
-  let sys = Sysbuild.build Stubset.mode in
-  let check = Workloads.setup sys ~iface ~iters:25 in
-  install_crasher sys iface ~period;
-  let result = Sim.run sys.Sysbuild.sys_sim in
-  check_clean sys result check;
-  if Sim.reboots sys.Sysbuild.sys_sim = 0 then
-    Alcotest.fail "expected at least one micro-reboot"
-
 let test_superglue_dearer_than_c3 () =
   (* Fig 6(a): the interpreted SuperGlue stubs cost slightly more per
      tracking action than the hand-specialized C3 ones *)
-  let run mode =
-    let sys = Sysbuild.build mode in
-    let check = Workloads.setup sys ~iface:"fs" ~iters:50 in
-    check_clean sys (Sim.run sys.Sysbuild.sys_sim) check;
-    Sim.now sys.Sysbuild.sys_sim
+  let elapsed mode =
+    Sim.now (Storm.run mode "fs" ~iters:50 ~every:None).Sysbuild.sys_sim
   in
-  let t_c3 = run (Sysbuild.Stubbed Sysbuild.c3_stubset) in
-  let t_sg = run Stubset.mode in
+  let t_c3 = elapsed (Sysbuild.Stubbed Sysbuild.c3_stubset) in
+  let t_sg = elapsed Stubset.mode in
   if t_sg <= t_c3 then
     Alcotest.failf "superglue (%d ns) should cost more than c3 (%d ns)" t_sg t_c3
-
-let recovery_case iface period =
-  Alcotest.test_case
-    (Printf.sprintf "%s survives crash every %d dispatches" iface period)
-    `Quick
-    (test_superglue_recovers iface period)
 
 let () =
   Alcotest.run "superglue"
@@ -429,16 +376,8 @@ let () =
             test_stubplan_matches_ir;
           QCheck_alcotest.to_alcotest prop_plans_valid;
         ] );
-      ( "faultfree",
-        List.map
-          (fun iface ->
-            Alcotest.test_case (iface ^ " fault-free") `Quick
-              (test_superglue_faultfree iface))
-          Workloads.all_ifaces );
-      ( "recovery",
-        List.concat_map
-          (fun iface -> [ recovery_case iface 7; recovery_case iface 23 ])
-          Workloads.all_ifaces );
+      ("faultfree", Storm.faultfree "superglue");
+      ("recovery", Storm.storms "superglue" [ 7; 23 ]);
       ( "comparison",
         [
           Alcotest.test_case "superglue dearer than c3" `Quick

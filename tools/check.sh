@@ -297,6 +297,19 @@ rc=0
 [ "$rc" -eq 2 ]
 [ "$(wc -l < "$tmpdir/dst_nowrite.err")" -eq 1 ]
 
+echo "== output gate: sgtrace dump -o, sgc compile -o and superglue-campaign --trace exit 2 on an unwritable path"
+# one error line, nothing on stdout, not an uncaught Sys_error (exit 125)
+for cmd in "sgtrace.exe dump --iface lock -o" "sgc.exe compile --builtin lock -o" \
+    "campaign.exe --iface lock -n 5 --trace"; do
+    rc=0
+    # shellcheck disable=SC2086 # $cmd is a binary and its flags
+    ./_build/default/bin/$cmd "$tmpdir/no_such_dir/out" > "$tmpdir/out_nowrite.out" \
+        2> "$tmpdir/out_nowrite.err" || rc=$?
+    [ "$rc" -eq 2 ]
+    [ ! -s "$tmpdir/out_nowrite.out" ]
+    [ "$(wc -l < "$tmpdir/out_nowrite.err")" -eq 1 ]
+done
+
 echo "== taint gate: sgc taint over the six builtins is finding-free"
 # exits 1 on any SG016-SG019 finding, 2 on compile errors
 ./_build/default/bin/sgc.exe taint --builtins > /dev/null
