@@ -58,7 +58,9 @@ let trace_arg =
 (* Concatenate per-chunk event streams into one checkable stream: one
    global sequence numbering, virtual timestamps offset to stay monotone
    across chunk boundaries, and a "sys-reboot" note separating chunks
-   (Sg_obs.Check resets its run-scoped state there). *)
+   (Sg_obs.Check resets its run-scoped state there). Each chunk is
+   written as [Pardriver] hands it over, in seed order, so the campaign
+   holds at most one chunk's events. *)
 let make_trace_writer path =
   (* opened before the campaign runs: an unwritable path costs no work *)
   let oc =
@@ -67,33 +69,34 @@ let make_trace_writer path =
       Printf.eprintf "superglue-campaign: cannot write %s\n" msg;
       exit 2
   in
-  let buf = ref [] in
+  let b = Buffer.create 256 in
   let seq = ref 0 in
   let last_at = ref 0 in
   let first = ref true in
-  let push ~at_ns ~tid kind =
-    buf := { Sg_obs.Event.seq = !seq; at_ns; tid; kind } :: !buf;
+  let write ~at_ns ~tid kind =
+    Buffer.clear b;
+    Sg_obs.Jsonl.add_event b { Sg_obs.Event.seq = !seq; at_ns; tid; kind };
+    Buffer.add_char b '\n';
+    Buffer.output_buffer oc b;
     incr seq;
     last_at := max !last_at at_ns
   in
   let on_chunk ~seed:_ events =
     if not !first then
-      push ~at_ns:!last_at ~tid:(-1)
+      write ~at_ns:!last_at ~tid:(-1)
         (Sg_obs.Event.Note
            { name = "sys-reboot"; data = "campaign chunk boundary" });
     first := false;
     let base = !last_at in
     List.iter
       (fun (e : Sg_obs.Event.t) ->
-        push
+        write
           ~at_ns:(base + e.Sg_obs.Event.at_ns)
           ~tid:e.Sg_obs.Event.tid e.Sg_obs.Event.kind)
       events
   in
   let finish () =
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> Sg_obs.Jsonl.dump oc (List.rev !buf));
+    close_out oc;
     Printf.eprintf "superglue-campaign: wrote %d events to %s\n" !seq path
   in
   (on_chunk, finish)

@@ -7,7 +7,8 @@
    superglue-dst shrink  re-shrink a saved artifact (deterministic at
                          any -j; used by CI to cross-check parallelism)
    superglue-dst replay  rerun an artifact and verify its recorded
-                         verdict class reproduces
+                         verdict class reproduces; --trace FILE writes
+                         the replayed event stream as JSON lines
    superglue-dst mutants list the builtin mutation-testing mutants
    superglue-dst adversary
                          grade the static taint verdict table (sgc
@@ -209,13 +210,27 @@ let shrink_cmd_fn artifact_path out jobs =
           Printf.eprintf "superglue-dst: %s\n" msg;
           2)
 
-let replay_cmd_fn artifact_path =
+(* opened before the replay runs: an unwritable path costs no work *)
+let open_trace path =
+  try open_out path
+  with Sys_error msg ->
+    Printf.eprintf "superglue-dst: cannot write trace %s\n" msg;
+    exit 2
+
+let replay_cmd_fn artifact_path trace =
   with_artifact artifact_path @@ fun a ->
+  let oc = Option.map open_trace trace in
   match Dst.replay a with
   | Error msg ->
+      Option.iter close_out_noerr oc;
       Printf.eprintf "superglue-dst: %s\n" msg;
       2
   | Ok (o, matches) ->
+      Option.iter
+        (fun oc ->
+          Sg_obs.Jsonl.dump oc o.Exec.oc_stream;
+          close_out oc)
+        oc;
       Printf.printf "replay: verdict=%s recorded=%s %s\n"
         (Exec.verdict_class o.Exec.oc_verdict)
         a.Artifact.af_verdict
@@ -381,10 +396,19 @@ let shrink_cmd =
     (Cmd.info "shrink" ~doc:"Shrink a saved artifact to a 1-minimal repro.")
     Term.(const shrink_cmd_fn $ artifact_arg $ out_arg $ jobs_arg)
 
+let trace_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "trace" ] ~docv:"FILE"
+        ~doc:
+          "Write the replayed scenario's full event stream to $(docv) as \
+           JSON lines, the stream its verdict judged.")
+
 let replay_cmd =
   Cmd.v
     (Cmd.info "replay" ~doc:"Replay an artifact and verify its verdict.")
-    Term.(const replay_cmd_fn $ artifact_pos)
+    Term.(const replay_cmd_fn $ artifact_pos $ trace_arg)
 
 let mutants_cmd =
   Cmd.v

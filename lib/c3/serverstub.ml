@@ -17,45 +17,47 @@ let no_boot_init _ _ = ()
 
 let replace_nth l n v = List.mapi (fun i x -> if i = n then v else x) l
 
+(* repeated reboots chain translations (old -> mid -> new) *)
+let rec chase xlate id hops =
+  if hops > 8 then id
+  else
+    match Sg_util.Inttbl.find_opt xlate id with
+    | Some id' when id' <> id -> chase xlate id' (hops + 1)
+    | Some _ | None -> id
+
+(* top-level, like the cache's lookups, so that wrapping a spec builds
+   no closures for them *)
+let translate cfg xlate fn args =
+  if Sg_util.Inttbl.length xlate = 0 then args
+  else
+    List.fold_left
+      (fun args sel ->
+        match sel fn with
+        | None -> args
+        | Some idx -> (
+            match List.nth_opt args idx with
+            | Some (Comp.VInt id) ->
+                let id' = chase xlate id 0 in
+                if id' <> id then replace_nth args idx (Comp.VInt id')
+                else args
+            | Some _ | None -> args))
+      args
+      [ cfg.ss_desc_arg; cfg.ss_parent_arg ]
+
 let wrap ~storage cfg spec =
   (* Stale-id translation cache: clients keep using a recreated global
      descriptor's pre-fault id forever; after the first G0 recovery the
      stub translates it directly instead of paying the storage lookup
      and creator upcall on every invocation. The cache is stub state —
      it lives in the interface, outside the micro-rebooted image. *)
-  let xlate : int Sg_util.Inttbl.t = Sg_util.Inttbl.create 8 in
-  (* repeated reboots chain translations (old -> mid -> new) *)
-  let rec chase id hops =
-    if hops > 8 then id
-    else
-      match Sg_util.Inttbl.find_opt xlate id with
-      | Some id' when id' <> id -> chase id' (hops + 1)
-      | Some _ | None -> id
-  in
-  let translate fn args =
-    if Sg_util.Inttbl.length xlate = 0 then args
-    else
-      List.fold_left
-        (fun args sel ->
-          match sel fn with
-          | None -> args
-          | Some idx -> (
-              match List.nth_opt args idx with
-              | Some (Comp.VInt id) ->
-                  let id' = chase id 0 in
-                  if id' <> id then replace_nth args idx (Comp.VInt id')
-                  else args
-              | Some _ | None -> args))
-        args
-        [ cfg.ss_desc_arg; cfg.ss_parent_arg ]
-  in
+  let xlate : int Sg_util.Inttbl.t = Sg_util.Inttbl.create 2 in
   (* [recovering] guards the EINVAL path against re-entry; the replay
      itself goes through this wrapper again so that a creation replayed
      during recovery is registered with the storage component like any
      other (otherwise its id would be unrecoverable after the next
      fault). *)
   let rec dispatch ~recovering sim cid fn orig_args =
-    let args = if recovering then orig_args else translate fn orig_args in
+    let args = if recovering then orig_args else translate cfg xlate fn orig_args in
     match spec.Sim.sc_dispatch sim cid fn args with
     | Ok ret as r ->
         if cfg.ss_global && List.exists (String.equal fn) cfg.ss_create_fns
@@ -94,7 +96,7 @@ let wrap ~storage cfg spec =
                      stub to rebuild the descriptor, then replay *)
                   match
                     Sim.upcall sim ~client:creator
-                      ("sg_recover:" ^ cfg.ss_iface)
+                      (Cstub.upcall_name cfg.ss_iface)
                       [ Comp.VInt old_id ]
                   with
                   | Ok (Comp.VInt new_id) ->
@@ -103,7 +105,7 @@ let wrap ~storage cfg spec =
                       else Sg_util.Inttbl.remove xlate old_id;
                       Some
                         (dispatch ~recovering:true sim cid fn
-                           (replace_nth (translate fn orig_args) idx
+                           (replace_nth (translate cfg xlate fn orig_args) idx
                               (Comp.VInt new_id)))
                   | Ok _ | Error _ -> None))
           | Some _ | None -> None

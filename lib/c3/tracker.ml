@@ -30,7 +30,7 @@ type t = {
 let virtual_base = 1 lsl 40
 
 let create ~flavor () =
-  { fl = flavor; descs = Inttbl.create 32; next_virtual = virtual_base }
+  { fl = flavor; descs = Inttbl.create 8; next_virtual = virtual_base }
 
 let fresh t =
   let v = t.next_virtual in

@@ -1,5 +1,6 @@
 module Sim = Sg_os.Sim
 module Cost = Sg_kernel.Cost
+module Inttbl = Sg_util.Inttbl
 
 type id = int
 
@@ -9,21 +10,21 @@ type buf = {
   mutable b_readers : Sg_os.Comp.cid list;
 }
 
-type t = { mutable next_id : int; bufs : (id, buf) Hashtbl.t }
+type t = { mutable next_id : int; bufs : buf Inttbl.t }
 
-let create () = { next_id = 1; bufs = Hashtbl.create 64 }
+let create () = { next_id = 1; bufs = Inttbl.create 4 }
 
 let alloc t sim ~owner ~size =
   Sim.charge sim (Sim.cost sim).Cost.cbuf_map_ns;
   let id = t.next_id in
   t.next_id <- id + 1;
-  Hashtbl.replace t.bufs id
+  Inttbl.replace t.bufs id
     { b_owner = owner; b_data = Bytes.make size '\000'; b_readers = [] };
   id
 
 let write t sim ~writer id ~pos s =
   Sim.charge sim (Sim.cost sim).Cost.cbuf_map_ns;
-  match Hashtbl.find_opt t.bufs id with
+  match Inttbl.find_opt t.bufs id with
   | None -> Error `Unknown
   | Some b ->
       if b.b_owner <> writer then Error `Denied
@@ -36,14 +37,14 @@ let write t sim ~writer id ~pos s =
 
 let grant_read t sim id ~reader =
   Sim.charge sim (Sim.cost sim).Cost.cbuf_map_ns;
-  match Hashtbl.find_opt t.bufs id with
+  match Inttbl.find_opt t.bufs id with
   | None -> ()
   | Some b ->
       if not (List.mem reader b.b_readers) then
         b.b_readers <- reader :: b.b_readers
 
 let read t ~reader id ~pos ~len =
-  match Hashtbl.find_opt t.bufs id with
+  match Inttbl.find_opt t.bufs id with
   | None -> Error `Unknown
   | Some b ->
       if b.b_owner <> reader && not (List.mem reader b.b_readers) then
@@ -53,8 +54,8 @@ let read t ~reader id ~pos ~len =
       else Ok (Bytes.sub_string b.b_data pos len)
 
 let size t id =
-  Option.map (fun b -> Bytes.length b.b_data) (Hashtbl.find_opt t.bufs id)
+  Option.map (fun b -> Bytes.length b.b_data) (Inttbl.find_opt t.bufs id)
 
-let owner t id = Option.map (fun b -> b.b_owner) (Hashtbl.find_opt t.bufs id)
-let free t id = Hashtbl.remove t.bufs id
-let count t = Hashtbl.length t.bufs
+let owner t id = Option.map (fun b -> b.b_owner) (Inttbl.find_opt t.bufs id)
+let free t id = Inttbl.remove t.bufs id
+let count t = Inttbl.length t.bufs

@@ -68,13 +68,13 @@ let dispatch st sched_cell sim _cid fn args =
 let image_kb = 52
 
 let spec ~sched_port () =
-  let st = { locks = Inttbl.create 16; next_id = 1 } in
+  let st = { locks = Inttbl.create 4; next_id = 1 } in
   {
     Sim.sc_name = iface;
     sc_image_kb = image_kb;
     sc_init =
       (fun _ _ ->
-        st.locks <- Inttbl.create 16;
+        st.locks <- Inttbl.create 4;
         st.next_id <- 1);
     sc_boot_init = (fun _ _ -> ());
     sc_dispatch = (fun sim cid fn args -> dispatch st sched_port sim cid fn args);

@@ -104,11 +104,11 @@ let reflect sim _cid fn args =
 let image_kb = 96
 
 let spec () =
-  let st = { maps = Inttbl.create 64 } in
+  let st = { maps = Inttbl.create 4 } in
   {
     Sim.sc_name = iface;
     sc_image_kb = image_kb;
-    sc_init = (fun _ _ -> st.maps <- Inttbl.create 64);
+    sc_init = (fun _ _ -> st.maps <- Inttbl.create 4);
     sc_boot_init = (fun _ _ -> ());
     sc_dispatch = (fun sim cid fn args -> dispatch st sim cid fn args);
     sc_reflect = (fun sim cid fn args -> reflect sim cid fn args);

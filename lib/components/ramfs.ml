@@ -129,14 +129,14 @@ let dispatch st cbufs storage sim cid fn args =
 let image_kb = 128
 
 let spec ~cbufs ~storage () =
-  let st = { files = Strtbl.create 32; fds = Inttbl.create 32; next_fd = 1 } in
+  let st = { files = Strtbl.create 16; fds = Inttbl.create 4; next_fd = 1 } in
   {
     Sim.sc_name = iface;
     sc_image_kb = image_kb;
     sc_init =
       (fun _ _ ->
-        st.files <- Strtbl.create 32;
-        st.fds <- Inttbl.create 32;
+        st.files <- Strtbl.create 16;
+        st.fds <- Inttbl.create 4;
         st.next_fd <- 1);
     sc_boot_init = (fun _ _ -> ());
     sc_dispatch = (fun sim cid fn args -> dispatch st cbufs storage sim cid fn args);

@@ -75,11 +75,11 @@ let reflect sim _cid fn args =
 let image_kb = 84
 
 let spec () =
-  let st = { table = Inttbl.create 32 } in
+  let st = { table = Inttbl.create 8 } in
   {
     Sim.sc_name = iface;
     sc_image_kb = image_kb;
-    sc_init = (fun _ _ -> st.table <- Inttbl.create 32);
+    sc_init = (fun _ _ -> st.table <- Inttbl.create 8);
     sc_boot_init = (fun _ _ -> ());
     sc_dispatch = (fun sim cid fn args -> dispatch st sim cid fn args);
     sc_reflect = (fun sim cid fn args -> reflect sim cid fn args);

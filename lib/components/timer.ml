@@ -41,13 +41,13 @@ let dispatch st sim _cid fn args =
 let image_kb = 44
 
 let spec () =
-  let st = { timers = Inttbl.create 16; next_id = 1 } in
+  let st = { timers = Inttbl.create 4; next_id = 1 } in
   {
     Sim.sc_name = iface;
     sc_image_kb = image_kb;
     sc_init =
       (fun _ _ ->
-        st.timers <- Inttbl.create 16;
+        st.timers <- Inttbl.create 4;
         st.next_id <- 1);
     sc_boot_init = (fun _ _ -> ());
     sc_dispatch = (fun sim cid fn args -> dispatch st sim cid fn args);

@@ -7,16 +7,7 @@ let make ~name ?mode artifact =
   {
     Sysbuild.st_name = name;
     st_flavor = Tracker.Superglue;
-    st_stubs =
-      Sysbuild.init (fun iface ->
-          {
-            Sysbuild.client =
-              (fun ~storage () ->
-                Interp.client_config ?mode ~storage (artifact iface));
-            server =
-              (fun ?wakeup_dep () ->
-                Interp.server_config ?wakeup_dep (artifact iface));
-          });
+    st_stubs = Sysbuild.init (fun iface -> Interp.stub ?mode (artifact iface));
   }
 
 let mode = Sysbuild.Stubbed (make ~name:"superglue" artifact)

@@ -14,7 +14,7 @@ let checked_key ~client ~server =
   if in_range client && in_range server then key ~client ~server
   else invalid_arg (Printf.sprintf "Captbl: cid pair (%d, %d) out of range" client server)
 
-let create () = Inttbl.create 64
+let create () = Inttbl.create 16
 let grant t ~client ~server = Inttbl.replace t (checked_key ~client ~server) ()
 let revoke t ~client ~server = Inttbl.remove t (checked_key ~client ~server)
 

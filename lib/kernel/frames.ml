@@ -21,7 +21,7 @@ let cid_of_key k = k lsr 32
 let vaddr_of_key k = k land 0xffff_ffff
 
 let create ?(total_frames = 65536) () =
-  { total_frames; next_frame = 0; free = Stack.create (); ptes = Inttbl.create 256 }
+  { total_frames; next_frame = 0; free = Stack.create (); ptes = Inttbl.create 4 }
 
 let alloc_frame t =
   match Stack.pop_opt t.free with

@@ -1,13 +1,13 @@
 (* Metrics: a sink subscriber that folds the event stream into the
    counters a live run reads, and the first-access histogram. Every
    event of every run passes through [feed_raw], so the one per-cid
-   table is an [Inttbl] bumped in one probe and the per-outcome one a
-   [Strtbl]: no polymorphic hash or compare, no per-span or per-walk
-   state, and no boxing on an invocation. Every other fact of a run
+   table is an [Inttbl] bumped in one probe and the per-outcome counts
+   a short list of the few outcome classes: no polymorphic hash or
+   compare, no per-span or per-walk state, and no boxing on an
+   invocation. Every other fact of a run
    has no live reader; [summary] works it out from a held stream. *)
 
 module Inttbl = Sg_util.Inttbl
-module Strtbl = Sg_util.Strtbl
 
 type t = {
   mutable invocations : int;
@@ -15,7 +15,7 @@ type t = {
   mutable walks : int;
   walks_by_client : int Inttbl.t;
   mutable injections : int;
-  outcomes : int Strtbl.t;
+  mutable outcomes : (string * int ref) list;  (* a handful of classes *)
   first_access_hist : Hist.t;
   first_access_pending : int Inttbl.t;  (* server cid -> reboot ns *)
 }
@@ -25,15 +25,19 @@ let create () =
     invocations = 0;
     reboots = 0;
     walks = 0;
-    walks_by_client = Inttbl.create 16;
+    walks_by_client = Inttbl.create 4;
     injections = 0;
-    outcomes = Strtbl.create 8;
+    outcomes = [];
     first_access_hist = Hist.create ();
-    first_access_pending = Inttbl.create 8;
+    first_access_pending = Inttbl.create 4;
   }
 
+let rec count_of key = function
+  | [] -> None
+  | (k, n) :: rest -> if String.equal k key then Some n else count_of key rest
+
 let outcome_count t key =
-  match Strtbl.find_opt t.outcomes key with Some n -> n | None -> 0
+  match count_of key t.outcomes with Some n -> !n | None -> 0
 
 let feed_raw t ~seq:_ ~at_ns ~tid:_ kind =
   match kind with
@@ -54,7 +58,9 @@ let feed_raw t ~seq:_ ~at_ns ~tid:_ kind =
       Inttbl.add t.walks_by_client client 1
   | Event.Inject { outcome; _ } ->
       t.injections <- t.injections + 1;
-      Strtbl.replace t.outcomes outcome (outcome_count t outcome + 1)
+      (match count_of outcome t.outcomes with
+      | Some n -> incr n
+      | None -> t.outcomes <- (outcome, ref 1) :: t.outcomes)
   | Event.Crash _ | Event.Divert _ | Event.Upcall _ | Event.Reflect _
   | Event.Walk_end _ | Event.Recover_begin _ | Event.Recover_end _
   | Event.Storage_op _ | Event.Perturb _ | Event.Http _ | Event.Http_req _
@@ -193,7 +199,7 @@ let pp_summary ppf events =
   if s.perturbs > 0 then
     Format.fprintf ppf "perturbations      %d (%d during walks)@." s.perturbs
       s.perturbs_in_walk;
-  Strtbl.fold (fun k v acc -> (k, v) :: acc) m.outcomes []
+  List.map (fun (k, n) -> (k, !n)) m.outcomes
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   |> List.iter (fun (k, v) -> Format.fprintf ppf "  outcome %-12s %d@." k v);
   if s.http_requests > 0 then

@@ -1,5 +1,6 @@
 open Sg_kernel
 module Rng = Sg_util.Rng
+module Inttbl = Sg_util.Inttbl
 
 type t = {
   sk : Kernel.t;
@@ -15,7 +16,8 @@ type t = {
       (** the same fibers indexed by tid (dense from 1, slot 0 unused),
           for [wakeup]'s lookup without a polymorphic hash *)
   mutable current : fiber option;
-  upcalls : (int * string, t -> Comp.value list -> Comp.value Comp.outcome) Hashtbl.t;
+  upcalls : (string * (t -> Comp.value list -> Comp.value Comp.outcome)) list Inttbl.t;
+      (** client cid -> its upcall handlers by name *)
   mutable on_dispatch : (t -> Comp.cid -> string -> unit) option;
   mutable sim_fatal : fatal option;
   mutable seq : int;  (** scheduling stamp for round-robin within priority *)
@@ -89,7 +91,7 @@ let create ?(seed = 42) () =
     fibers = Hashtbl.create 16;
     by_tid = [||];
     current = None;
-    upcalls = Hashtbl.create 16;
+    upcalls = Inttbl.create 4;
     on_dispatch = None;
     sim_fatal = None;
     seq = 0;
@@ -130,7 +132,6 @@ let register t spec =
     t.components <- grown
   end;
   t.components.(cid) <- ce;
-  spec.sc_init t cid;
   cid
 
 let grant t ~client ~server = Captbl.grant t.sk.Kernel.captbl ~client ~server
@@ -326,10 +327,19 @@ let reflect t ~server fn args =
     (fun () -> ce.ce_spec.sc_reflect t server fn args)
 
 let register_upcall t ~client fn handler =
-  Hashtbl.replace t.upcalls (client, fn) handler
+  let others =
+    List.filter
+      (fun (name, _) -> not (String.equal name fn))
+      (Inttbl.find_or t.upcalls client [])
+  in
+  Inttbl.replace t.upcalls client ((fn, handler) :: others)
+
+let rec handler_of fn = function
+  | [] -> None
+  | (name, h) :: rest -> if String.equal name fn then Some h else handler_of fn rest
 
 let upcall t ~client fn args =
-  match Hashtbl.find_opt t.upcalls (client, fn) with
+  match handler_of fn (Inttbl.find_or t.upcalls client []) with
   | None -> Error Comp.ENOENT
   | Some handler ->
       let tcb = current_tcb t in

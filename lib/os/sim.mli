@@ -23,7 +23,8 @@ type spec = {
   sc_name : string;
   sc_image_kb : int;  (** pristine image size; micro-reboot memcpy cost *)
   sc_init : t -> Comp.cid -> unit;
-      (** (re)initialize internal state to the pristine image *)
+      (** reinitialize internal state to the pristine image at a
+          micro-reboot; a spec is built with its state pristine *)
   sc_boot_init : t -> Comp.cid -> unit;
       (** post-reboot constructor (the paper's
           [__attribute__((constructor))] analogue, §III-C T0); eager
@@ -64,7 +65,8 @@ val now : t -> int
 val charge : t -> int -> unit
 
 val register : t -> spec -> Comp.cid
-(** Register a component and run its [sc_init]. *)
+(** Register a component; its state is the spec's own, so [sc_init]
+    first runs at its first micro-reboot. *)
 
 val grant : t -> client:Comp.cid -> server:Comp.cid -> unit
 

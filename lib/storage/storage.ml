@@ -1,28 +1,25 @@
 module Sim = Sg_os.Sim
 module Cost = Sg_kernel.Cost
-module Strtbl = Sg_util.Strtbl
+module Inttbl = Sg_util.Inttbl
 
 type desc_record = {
   dr_creator : Sg_os.Comp.cid;
   dr_meta : (string * Sg_os.Comp.value) list;
 }
 
-(* (space, id) keys with monomorphic hash and equality: creations of
-   global descriptors and G1 slices look these up *)
-module Key = Hashtbl.Make (struct
-  type t = string * int
-
-  let equal (s1, (i1 : int)) (s2, i2) = i1 = i2 && String.equal s1 s2
-  let hash (s, (i : int)) = ((i * 31) + String.length s) land max_int
-end)
+(* one resource type's records: a system has a few spaces, so they are a
+   list, each space made at its first write *)
+type space = {
+  sp_name : string;
+  sp_descs : desc_record Inttbl.t;
+  mutable sp_max : int;  (** [max 0] over the registered ids (G0 reseed point) *)
+  sp_data : (int * int * int * Sg_cbuf.Cbuf.id) list ref Inttbl.t;
+      (** id -> (seq, off, len, cbuf), newest first *)
+}
 
 type t = {
   _cbufs : Sg_cbuf.Cbuf.t;
-  descs : desc_record Key.t;
-  max_ids : int Strtbl.t;
-      (** space -> [max 0] over its registered ids (G0 reseed point) *)
-  data : (int * int * int * Sg_cbuf.Cbuf.id) list ref Key.t;
-      (** (seq, off, len, cbuf), newest first *)
+  mutable spaces : space list;
   mutable seq : int;
   mutable writes : int;  (** charged write operations so far *)
   mutable write_faults : int list;  (** pending 1-based write indices, ascending *)
@@ -32,14 +29,32 @@ type t = {
 let create cbufs =
   {
     _cbufs = cbufs;
-    descs = Key.create 64;
-    max_ids = Strtbl.create 8;
-    data = Key.create 64;
+    spaces = [];
     seq = 0;
     writes = 0;
     write_faults = [];
     write_faults_hit = 0;
   }
+
+let rec find_space name = function
+  | [] -> None
+  | sp :: rest ->
+      if String.equal sp.sp_name name then Some sp else find_space name rest
+
+let space_of t name =
+  match find_space name t.spaces with
+  | Some sp -> sp
+  | None ->
+      let sp =
+        {
+          sp_name = name;
+          sp_descs = Inttbl.create 16;
+          sp_max = 0;
+          sp_data = Inttbl.create 4;
+        }
+      in
+      t.spaces <- sp :: t.spaces;
+      sp
 
 let charge sim = Sim.charge sim (Sim.cost sim).Cost.storage_op_ns
 
@@ -71,45 +86,50 @@ let write_fault_point t sim name =
   | _ -> ()
 
 let max_desc_id t ~space =
-  Option.value (Strtbl.find_opt t.max_ids space) ~default:0
+  match find_space space t.spaces with Some sp -> sp.sp_max | None -> 0
 
 let register_desc t sim ~space ~id ~creator ~meta =
   op sim "register_desc" ~space ~id;
   write_fault_point t sim "register_desc";
-  Key.replace t.descs (space, id) { dr_creator = creator; dr_meta = meta };
-  if id > max_desc_id t ~space then Strtbl.replace t.max_ids space id
+  let sp = space_of t space in
+  Inttbl.replace sp.sp_descs id { dr_creator = creator; dr_meta = meta };
+  if id > sp.sp_max then sp.sp_max <- id
 
 let lookup_desc t sim ~space ~id =
   op sim "lookup_desc" ~space ~id;
-  Option.map
-    (fun r -> (r.dr_creator, r.dr_meta))
-    (Key.find_opt t.descs (space, id))
+  match find_space space t.spaces with
+  | None -> None
+  | Some sp ->
+      Option.map
+        (fun r -> (r.dr_creator, r.dr_meta))
+        (Inttbl.find_opt sp.sp_descs id)
+
+let ids sp =
+  List.sort Int.compare (Inttbl.fold (fun id _ acc -> id :: acc) sp.sp_descs [])
 
 let descs_in t ~space =
-  Key.fold
-    (fun (s, id) _ acc -> if s = space then id :: acc else acc)
-    t.descs []
-  |> List.sort compare
+  match find_space space t.spaces with Some sp -> ids sp | None -> []
 
 (* only removing the current max moves it; the rescan is O(registry),
    and nothing on the recovery path removes descriptors *)
 let remove_desc t sim ~space ~id =
   op sim "remove_desc" ~space ~id;
-  Key.remove t.descs (space, id);
-  if id = max_desc_id t ~space then
-    Strtbl.replace t.max_ids space
-      (List.fold_left max 0 (descs_in t ~space))
+  match find_space space t.spaces with
+  | None -> ()
+  | Some sp ->
+      Inttbl.remove sp.sp_descs id;
+      if id = sp.sp_max then sp.sp_max <- List.fold_left max 0 (ids sp)
 
 let put_slice t sim ~space ~id ~off ~len ~cbuf =
   op sim "put_slice" ~space ~id;
   write_fault_point t sim "put_slice";
-  let key = (space, id) in
+  let sp = space_of t space in
   let cell =
-    match Key.find_opt t.data key with
+    match Inttbl.find_opt sp.sp_data id with
     | Some c -> c
     | None ->
         let c = ref [] in
-        Key.replace t.data key c;
+        Inttbl.replace sp.sp_data id c;
         c
   in
   t.seq <- t.seq + 1;
@@ -120,7 +140,10 @@ let put_slice t sim ~space ~id ~off ~len ~cbuf =
 
 let slices t sim ~space ~id =
   op sim "slices" ~space ~id;
-  match Key.find_opt t.data (space, id) with
+  match
+    Option.bind (find_space space t.spaces) (fun sp ->
+        Inttbl.find_opt sp.sp_data id)
+  with
   | None -> []
   | Some c ->
       (* replay order is write order: later writes must win where
@@ -129,7 +152,11 @@ let slices t sim ~space ~id =
 
 let drop_slices t sim ~space ~id =
   op sim "drop_slices" ~space ~id;
-  Key.remove t.data (space, id)
+  Option.iter
+    (fun sp -> Inttbl.remove sp.sp_data id)
+    (find_space space t.spaces)
 
 let slice_count t =
-  Key.fold (fun _ c acc -> acc + List.length !c) t.data 0
+  List.fold_left
+    (fun acc sp -> Inttbl.fold (fun _ c acc -> acc + List.length !c) sp.sp_data acc)
+    0 t.spaces

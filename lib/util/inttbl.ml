@@ -9,7 +9,16 @@ type 'a t = { mutable size : int; mutable buckets : 'a bucket array }
 
 let create n =
   let rec pow2 k = if k >= n || k >= 1 lsl 28 then k else pow2 (2 * k) in
-  { size = 0; buckets = Array.make (pow2 16) Nil }
+  (* up to four buckets the array is a literal, allocated inline rather
+     than through a C call *)
+  let buckets =
+    match pow2 1 with
+    | 1 -> [| Nil |]
+    | 2 -> [| Nil; Nil |]
+    | 4 -> [| Nil; Nil; Nil; Nil |]
+    | k -> Array.make k Nil
+  in
+  { size = 0; buckets }
 
 (* fold the high half into the low bits the mask keeps: namespaced ids
    ([ns lsl 32 lor id]) and virtual ids (above [1 lsl 40]) spread like

@@ -768,6 +768,103 @@ let test_check_end_of_stream_order () =
     ]
     msgs
 
+(* The checker against the reference it replaced ([Check_ref], the
+   previous table-per-rule implementation): the same violations, in the
+   same order, in every mode, on prefixes and completed streams, over
+   well-formed streams and over damaged copies that drive it off its
+   common path (dropped and re-threaded events, duplicated span begins,
+   a spliced chunk boundary, notes outside any thread) or keep it on
+   that path until a diverted span fails to unwind (every faulted span
+   end dropped). *)
+let damage ~salt events =
+  let n = List.length events in
+  List.concat
+    (List.mapi
+       (fun i (e : E.t) ->
+         let j = i + salt in
+         if j mod 7 = 6 then []
+         else
+           let e = if j mod 11 = 10 then { e with E.tid = e.E.tid + 1 } else e in
+           let dup =
+             match e.E.kind with E.Span_begin _ when j mod 3 = 0 -> [ e ] | _ -> []
+           in
+           let note name = { e with E.tid = -1; kind = E.Note { name; data = "" } } in
+           let reboot = if i = n / 2 then [ note "sys-reboot" ] else [] in
+           let probe = if j mod 13 = 0 then [ note "probe" ] else [] in
+           (e :: dup) @ reboot @ probe)
+       events)
+
+(* a -j campaign trace as superglue-campaign --trace writes it *)
+let campaign_stream ~iface =
+  let out = ref [] and seq = ref 0 and last_at = ref 0 in
+  let push ~at_ns ~tid kind =
+    out := { E.seq = !seq; at_ns; tid; kind } :: !out;
+    incr seq;
+    last_at := max !last_at at_ns
+  in
+  let on_chunk ~seed:_ events =
+    if !seq > 0 then
+      push ~at_ns:!last_at ~tid:(-1) (E.Note { name = "sys-reboot"; data = "" });
+    let base = !last_at in
+    List.iter
+      (fun (e : E.t) -> push ~at_ns:(base + e.E.at_ns) ~tid:e.E.tid e.E.kind)
+      events
+  in
+  ignore
+    (Sg_swifi.Pardriver.run ~seed:9 ~cmon_period_ns:5_000 ~on_chunk ~jobs:1
+       ~mode:Superglue.Stubset.mode ~iface ~injections:300 ());
+  List.rev !out
+
+let test_check_differential () =
+  let streams = ref [] in
+  let unwound (e : E.t) =
+    match e.E.kind with E.Span_end { ok = false; _ } -> false | _ -> true
+  in
+  let add s =
+    streams :=
+      s :: damage ~salt:(List.length !streams) s :: List.filter unwound s
+      :: !streams
+  in
+  for seed = 1 to 2000 do
+    match (Sg_dst.Dst.run_seed seed).Sg_dst.Dst.rr_result with
+    | Ok o -> add o.Sg_dst.Exec.oc_stream
+    | Error msg -> Alcotest.failf "seed %d: %s" seed msg
+  done;
+  add (campaign_stream ~iface:"evt");
+  (match
+     Sg_components.Workloads.run_storm
+       (Sg_components.Sysbuild.build ~seed:42 Superglue.Stubset.mode)
+       ~iface:"lock" ~iters:30 ~every:(Some 7) ~detector:"sgtrace-storm"
+   with
+  | Ok events -> add events
+  | Error msg -> Alcotest.failf "lock storm: %s" msg);
+  let mismatches = ref 0 and violations = ref 0 and runs = ref 0 in
+  List.iter
+    (fun s ->
+      List.iter
+        (fun mode ->
+          List.iter
+            (fun completed ->
+              let got =
+                List.map
+                  (fun v -> (v.Check.at_seq, v.Check.rule, v.Check.msg))
+                  (Check.run ?mode ~completed s)
+              and want =
+                List.map
+                  (fun v -> (v.Check_ref.at_seq, v.Check_ref.rule, v.Check_ref.msg))
+                  (Check_ref.run ?mode ~completed s)
+              in
+              incr runs;
+              violations := !violations + List.length want;
+              if got <> want then incr mismatches)
+            [ false; true ])
+        [ None; Some `Ondemand; Some `Eager ])
+    !streams;
+  Alcotest.(check int) "streams" 6006 (List.length !streams);
+  Alcotest.(check int) "runs" (6006 * 6) !runs;
+  Alcotest.(check bool) "the damaged copies violate" true (!violations > 100_000);
+  Alcotest.(check int) "mismatches" 0 !mismatches
+
 (* ---------- metrics fold ---------- *)
 
 let test_metrics_fold () =
@@ -2085,6 +2182,8 @@ let () =
           Alcotest.test_case "end of stream" `Quick test_check_end_of_stream;
           Alcotest.test_case "end-of-stream reports in key order" `Quick
             test_check_end_of_stream_order;
+          Alcotest.test_case "agrees with the reference checker" `Quick
+            test_check_differential;
         ] );
       ( "metrics",
         [

@@ -297,10 +297,11 @@ rc=0
 [ "$rc" -eq 2 ]
 [ "$(wc -l < "$tmpdir/dst_nowrite.err")" -eq 1 ]
 
-echo "== output gate: sgtrace dump -o, sgc compile -o and superglue-campaign --trace exit 2 on an unwritable path"
+echo "== output gate: sgtrace dump -o, sgc compile -o, superglue-campaign --trace and superglue-dst replay --trace exit 2 on an unwritable path"
 # one error line, nothing on stdout, not an uncaught Sys_error (exit 125)
 for cmd in "sgtrace.exe dump --iface lock -o" "sgc.exe compile --builtin lock -o" \
-    "campaign.exe --iface lock -n 5 --trace"; do
+    "campaign.exe --iface lock -n 5 --trace" \
+    "dst.exe replay $tmpdir/dst_min_j1.json --trace"; do
     rc=0
     # shellcheck disable=SC2086 # $cmd is a binary and its flags
     ./_build/default/bin/$cmd "$tmpdir/no_such_dir/out" > "$tmpdir/out_nowrite.out" \
@@ -472,6 +473,20 @@ pinned 0f4b41dbd1d50347125ad5cb5f1abcb7 "$tmpdir/pin_check_fold.out" \
 LC_ALL=C sort "$tmpdir/pin_check.out" > "$tmpdir/pin_check_sorted.out"
 pinned e51d57edf430a71a8ce6d4ddba0e2bf0 "$tmpdir/pin_check_sorted.out" \
     "sgtrace check (evt stream, every 37th line dropped), sorted"
+# A DST stream: the dst gate's unshrunk mutant repro, replayed with
+# --trace, passes sgtrace check whole, and sgtrace check on a copy with
+# every 5th line dropped (exit 1) is pinned with the sgtrace of the
+# commit before the per-thread checker.
+./_build/default/bin/dst.exe replay "$tmpdir/dst_fail.json" \
+    --trace "$tmpdir/pin_dst_replay.jsonl" > /dev/null
+./_build/default/bin/sgtrace.exe check "$tmpdir/pin_dst_replay.jsonl" > /dev/null
+awk 'NR % 5 != 0' "$tmpdir/pin_dst_replay.jsonl" > "$tmpdir/pin_dst_damaged.jsonl"
+rc=0
+./_build/default/bin/sgtrace.exe check "$tmpdir/pin_dst_damaged.jsonl" \
+    > "$tmpdir/pin_dst_check.out" || rc=$?
+[ "$rc" -eq 1 ]
+pinned 4c96b1f91db7cdbe118b36615a95b95e "$tmpdir/pin_dst_check.out" \
+    "sgtrace check (replayed DST stream, every 5th line dropped)"
 ./_build/default/bin/sgtrace.exe profile --json < "$tmpdir/pin_evt.jsonl" \
     > "$tmpdir/pin_profile.json"
 pinned 6c763833ebb8eac93196a9a8793df525 "$tmpdir/pin_profile.json" \
