@@ -180,9 +180,12 @@ let test_upcall_trace_on_g0 () =
 
 let lock_invalid_transitions () =
   Superglue.Interp.invalid_transitions
-    (Superglue.Interp.client_config
-       ~storage:(Storage.create (Sg_cbuf.Cbuf.create ()))
-       (Superglue.Compiler.builtin "lock"))
+    (Lazy.force
+       (Superglue.Interp.stub
+          (Superglue.Compiler.builtin "lock")
+          ~storage:(Storage.create (Sg_cbuf.Cbuf.create ()))
+          ())
+         .Sysbuild.client)
 
 (* calling release on a never-taken lock is outside sigma: the
    SuperGlue stub counts it (paper SectionIII-B fault detection) *)
