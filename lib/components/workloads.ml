@@ -4,26 +4,6 @@ module Port = Sg_os.Port
 
 let all_ifaces = Sysbuild.names
 
-type params = {
-  wp_fs_path : string;
-  wp_lock_contenders : int;
-  wp_evt_triggers : int;
-  wp_timer_period_ns : int;
-  wp_mm_fanout : int;
-}
-
-(* the paper's fixed workloads: with these values every parameterized
-   setup below executes the exact instruction sequence of the original
-   hand-written ones, so Table II and the golden traces are unchanged *)
-let default_params =
-  {
-    wp_fs_path = "bench.dat";
-    wp_lock_contenders = 2;
-    wp_evt_triggers = 1;
-    wp_timer_period_ns = 200_000;
-    wp_mm_fanout = 1;
-  }
-
 (* Two threads ping-pong, blocking and waking each other in turn. *)
 let setup_sched sys ~iters =
   let sim = sys.Sysbuild.sys_sim in
@@ -59,11 +39,11 @@ let setup_sched sys ~iters =
       ]
 
 (* Pages granted, aliased into a different component, then revoked. *)
-let setup_mm sys ~params ~iters =
+let setup_mm sys ~knob ~iters =
   let sim = sys.Sysbuild.sys_sim in
   let app1 = sys.Sysbuild.sys_app1 and app2 = sys.Sysbuild.sys_app2 in
   let port = sys.Sysbuild.sys_port ~client:app1 ~iface:"mm" in
-  let fanout = params.wp_mm_fanout in
+  let fanout = Option.value knob ~default:1 in
   let expect = fanout + 1 in
   let revoked = ref 0 in
   let errors = ref [] in
@@ -105,17 +85,20 @@ let setup_mm sys ~params ~iters =
       ]
 
 (* A file is opened, a byte written to it, read from it, then closed. *)
-let setup_fs sys ~params ~iters =
+let setup_fs sys ~knob ~iters =
   let sim = sys.Sysbuild.sys_sim in
   let app = sys.Sysbuild.sys_app1 in
   let port = sys.Sysbuild.sys_port ~client:app ~iface:"fs" in
+  let path =
+    match knob with None -> "bench.dat" | Some k -> Printf.sprintf "f%d" k
+  in
   let good = ref 0 in
   let errors = ref [] in
   let _ =
     Sim.spawn sim ~prio:5 ~name:"fs-wl" ~home:app (fun sim ->
         for i = 1 to iters do
           let fd =
-            Ramfs.tsplit port sim ~parent:Ramfs.root_fd ~name:params.wp_fs_path
+            Ramfs.tsplit port sim ~parent:Ramfs.root_fd ~name:path
           in
           let byte = String.make 1 (Char.chr (Char.code 'a' + (i mod 26))) in
           ignore (Ramfs.twrite port sim ~fd ~data:byte);
@@ -139,11 +122,11 @@ let setup_fs sys ~params ~iters =
       ]
 
 (* One thread holds a lock another contends; mutual exclusion monitored. *)
-let setup_lock sys ~params ~iters =
+let setup_lock sys ~knob ~iters =
   let sim = sys.Sysbuild.sys_sim in
   let app = sys.Sysbuild.sys_app1 in
   let port = sys.Sysbuild.sys_port ~client:app ~iface:"lock" in
-  let n_contenders = params.wp_lock_contenders in
+  let n_contenders = 1 + Option.value knob ~default:1 in
   let lock_id = ref None in
   let in_cs = ref 0 in
   let violations = ref [] in
@@ -199,12 +182,12 @@ let setup_lock sys ~params ~iters =
 
 (* A thread blocks on an event that a thread in a different component
    triggers; the event's parent was created by the first component. *)
-let setup_evt sys ~params ~iters =
+let setup_evt sys ~knob ~iters =
   let sim = sys.Sysbuild.sys_sim in
   let app1 = sys.Sysbuild.sys_app1 and app2 = sys.Sysbuild.sys_app2 in
   let port1 = sys.Sysbuild.sys_port ~client:app1 ~iface:"evt" in
   let port2 = sys.Sysbuild.sys_port ~client:app2 ~iface:"evt" in
-  let burst = params.wp_evt_triggers in
+  let burst = Option.value knob ~default:1 in
   let parent_id = ref None in
   let child_id = ref None in
   let waits = ref 0 and triggers = ref 0 in
@@ -276,11 +259,13 @@ let setup_evt sys ~params ~iters =
 
 (* A thread wakes up, then blocks for a certain amount of time,
    periodically. *)
-let setup_timer sys ~params ~iters =
+let setup_timer sys ~knob ~iters =
   let sim = sys.Sysbuild.sys_sim in
   let app = sys.Sysbuild.sys_app1 in
   let port = sys.Sysbuild.sys_port ~client:app ~iface:"timer" in
-  let period_ns = params.wp_timer_period_ns in
+  let period_ns =
+    match knob with None -> 200_000 | Some k -> 50_000 * k
+  in
   let ticks = ref 0 in
   let start_ns = ref 0 and end_ns = ref 0 in
   let _ =
@@ -305,9 +290,12 @@ let setup_timer sys ~params ~iters =
          else []);
       ]
 
+(* each service reads the shape knob its own way; [None] is the paper's
+   fixed shape, the exact instruction sequence of the original §V-B
+   workloads, so Table II and the golden traces are unchanged *)
 let setups =
   {
-    Sysbuild.sched = (fun sys ~params:_ ~iters -> setup_sched sys ~iters);
+    Sysbuild.sched = (fun sys ~knob:_ ~iters -> setup_sched sys ~iters);
     mm = setup_mm;
     fs = setup_fs;
     lock = setup_lock;
@@ -315,16 +303,12 @@ let setups =
     timer = setup_timer;
   }
 
-let setup ?(params = default_params) sys ~iface ~iters =
-  if params.wp_lock_contenders < 1 then
-    invalid_arg "Workloads.setup: wp_lock_contenders must be at least 1";
-  if params.wp_evt_triggers < 1 then
-    invalid_arg "Workloads.setup: wp_evt_triggers must be at least 1";
-  if params.wp_mm_fanout < 1 then
-    invalid_arg "Workloads.setup: wp_mm_fanout must be at least 1";
-  if params.wp_timer_period_ns < 1 then
-    invalid_arg "Workloads.setup: wp_timer_period_ns must be positive";
-  Sysbuild.get setups iface sys ~params ~iters
+let setup ?knob sys ~iface ~iters =
+  (match knob with
+  | Some k when k < 1 ->
+      invalid_arg (Printf.sprintf "Workloads.setup: knob %d is below 1" k)
+  | _ -> ());
+  Sysbuild.get setups iface sys ~knob ~iters
 
 let run_storm sys ~iface ~iters ~every ~detector =
   let sim = sys.Sysbuild.sys_sim in

@@ -21,27 +21,18 @@
       yet another component, exercising the cross-component dependency);
     - [timer]: a thread wakes up then blocks for a period, repeatedly. *)
 
-type params = {
-  wp_fs_path : string;  (** RamFS file name the fs workload hammers *)
-  wp_lock_contenders : int;  (** threads contending the lock (>= 1) *)
-  wp_evt_triggers : int;  (** triggers per event iteration (>= 1) *)
-  wp_timer_period_ns : int;  (** timer period (> 0) *)
-  wp_mm_fanout : int;  (** aliases per granted page (>= 1) *)
-}
-(** Workload shape knobs for generated (DST) variants. *)
-
-val default_params : params
-(** The paper's fixed shapes: one alias per page, two lock contenders,
-    one trigger per wait, 200 µs timer period, path ["bench.dat"]. With
-    these values each workload executes exactly the original §V-B
-    sequence. *)
-
 val setup :
-  ?params:params ->
-  Sysbuild.system -> iface:string -> iters:int -> unit -> string list
+  ?knob:int -> Sysbuild.system -> iface:string -> iters:int -> unit -> string list
 (** [setup sys ~iface ~iters] spawns the workload for the named service
-    and returns its postcondition check. Raises [Invalid_argument] for an
-    unknown interface or out-of-range [params]. *)
+    and returns its postcondition check. Without [knob] each workload
+    runs the paper's fixed shape, the original §V-B sequence: one alias
+    per page, path ["bench.dat"], two lock contenders, one trigger per
+    wait, a 200 µs timer period. [~knob:k] is the one shape axis of a
+    generated (DST) variant, read by each service its own way: [k]
+    aliases per page (mm), path ["f<k>"] (fs), [1 + k] lock contenders,
+    [k] triggers per wait (evt), a [50_000 * k] ns timer period; sched
+    ignores it. Raises [Invalid_argument] for an unknown interface or
+    [k < 1]. *)
 
 val run_storm :
   Sysbuild.system ->

@@ -53,11 +53,16 @@ let workload_of_json j =
       | Some (Json.List ops) -> Exec.Ops (List.map Gen.op_of_json ops)
       | _ -> Json.fail "ops workload lacks an \"ops\" array")
   | Some (Json.Str "classic") ->
+      let positive field =
+        let n = Json.get_int j field in
+        if n < 1 then Json.fail "classic %s %d is below 1" field n;
+        n
+      in
       Exec.Classic
         {
-          iface = Json.get_str j "iface";
-          iters = Json.get_int j "iters";
-          knob = Json.get_int j "knob";
+          iface = Gen.service_of_json j "iface";
+          iters = positive "iters";
+          knob = positive "knob";
         }
   | _ -> Json.fail "workload kind missing or unknown"
 

@@ -27,7 +27,10 @@ val to_string : t -> string
 val of_json : Sg_util.Json.t -> t
 val of_string : string -> t
 (** @raise Sg_util.Json.Parse_error on malformed or wrong-schema
-    input. *)
+    input, and on a name or shape no run accepts: an unknown service
+    (a classic [iface], a [restart] op, a [flip]/[crash]/[double]
+    fault) or a classic [iters] or [knob] below 1. A parsed artifact
+    names only the six services. *)
 
 val save : string -> t -> unit
 (** Write the artifact to a file (compact JSON plus one newline). *)

@@ -87,18 +87,6 @@ let services_of_workload = function
   | Ops ops -> Gen.services ops
   | Classic { iface; _ } -> [ iface ]
 
-(* the paper workloads parameterized by one integer knob, the shrinkable
-   shape axis of a Classic scenario *)
-let classic_params iface knob =
-  let d = Workloads.default_params in
-  match iface with
-  | "lock" -> { d with Workloads.wp_lock_contenders = 1 + knob }
-  | "evt" -> { d with Workloads.wp_evt_triggers = knob }
-  | "mm" -> { d with Workloads.wp_mm_fanout = knob }
-  | "timer" -> { d with Workloads.wp_timer_period_ns = 50_000 * knob }
-  | "fs" -> { d with Workloads.wp_fs_path = Gen.path_name knob }
-  | _ -> d
-
 (* ---------- the SUT ---------- *)
 
 (* a mutant system is the pristine superglue stub set with the mutated
@@ -127,11 +115,24 @@ let pristine_fs_cap =
 
 (* ---------- the plan hook ---------- *)
 
-type armed =
-  | A_flip of { service : string; nth : int; reg : Reg.t; bit : int; at_pm : int }
-  | A_crash of { service : string; nth : int; detector : string }
-  | A_double1 of { service : string; nth : int; gap : int }
-  | A_double2 of { service : string; fire_at : int }
+(* A plan service: its dispatch counter, the lowest count at which one
+   of its armed faults is due ([max_int] when none is armed), and
+   whether a Restart op waits for its next dispatch. *)
+type svc = {
+  mutable sv_count : int;
+  mutable sv_due : int;
+  mutable sv_restart : bool;
+}
+
+(* what an armed fault does when its service's count reaches [a_due];
+   a [Double]'s first crash re-arms it as its [Second] *)
+type fire =
+  | F_flip of { reg : Reg.t; bit : int; at_pm : int }
+  | F_crash
+  | F_double of { gap : int }
+  | F_second
+
+type armed = { a_svc : svc; a_due : int; a_fire : fire }
 
 (* generous ceilings turning runaway executions (a mutant looping in
    recovery, a broken handshake) into deterministic failures instead of
@@ -139,58 +140,38 @@ type armed =
 let dispatch_budget = 300_000
 let spin_limit = 100_000
 
-(* the dispatch count at which an armed fault becomes due *)
-let due_at = function
-  | A_flip { nth; _ } | A_crash { nth; _ } | A_double1 { nth; _ } -> nth
-  | A_double2 { fire_at; _ } -> fire_at
+let crash sim cid detector =
+  Sim.mark_failed sim cid ~detector;
+  raise (Comp.Crash { cid; detector })
 
-let service_of_armed = function
-  | A_flip { service; _ } | A_crash { service; _ } | A_double1 { service; _ }
-  | A_double2 { service; _ } ->
-      service
-
-(* a plan service's dispatch counter, and the lowest count at which one
-   of its armed faults is due ([max_int] when none is armed) *)
-type svc = { sv_iface : string; mutable sv_count : int; mutable sv_due : int }
-
-let install_plan sys plan pending =
+(* Arms the plan's dispatch faults and returns the plan services, which
+   the Restart ops mark. Each fault is resolved to its service's record
+   here, once; the hook runs on every dispatch and compares no names. *)
+let install_plan sys plan =
   let sim = sys.Sysbuild.sys_sim in
-  (* the hook runs on every dispatch: each service cid resolves to its
-     interface and that interface's dispatch counter in one integer
-     lookup *)
-  let services =
-    List.map
-      (fun (iface, cid) -> (cid, { sv_iface = iface; sv_count = 0; sv_due = max_int }))
-      (Sysbuild.services sys)
+  let svcs =
+    Sysbuild.init (fun _ -> { sv_count = 0; sv_due = max_int; sv_restart = false })
   in
+  let all = List.map snd (Sysbuild.to_list svcs) in
+  (* each service cid resolves to its record in one integer lookup *)
   let by_cid = Sg_util.Inttbl.create 8 in
-  List.iter (fun (cid, sv) -> Sg_util.Inttbl.replace by_cid cid sv) services;
-  let not_a_service = { sv_iface = ""; sv_count = 0; sv_due = max_int } in
+  List.iter
+    (fun (iface, cid) -> Sg_util.Inttbl.replace by_cid cid (Sysbuild.get svcs iface))
+    (Sysbuild.services sys);
+  let not_a_service = { sv_count = 0; sv_due = max_int; sv_restart = false } in
+  let arm service a_due a_fire =
+    Some { a_svc = Sysbuild.get svcs service; a_due; a_fire }
+  in
   let armed =
     ref
       (List.filter_map
          (function
            | Plan.Flip { fl_service; fl_nth; fl_reg; fl_bit; fl_at_pm } ->
-               let reg =
-                 match Reg.of_string fl_reg with
-                 | Some r -> r
-                 | None -> Reg.EAX
-               in
-               Some
-                 (A_flip
-                    {
-                      service = fl_service;
-                      nth = fl_nth;
-                      reg;
-                      bit = fl_bit;
-                      at_pm = fl_at_pm;
-                    })
-           | Plan.Crash { cr_service; cr_nth } ->
-               Some
-                 (A_crash
-                    { service = cr_service; nth = cr_nth; detector = "dst-crash" })
+               arm fl_service fl_nth
+                 (F_flip { reg = fl_reg; bit = fl_bit; at_pm = fl_at_pm })
+           | Plan.Crash { cr_service; cr_nth } -> arm cr_service cr_nth F_crash
            | Plan.Double { db_service; db_nth; db_gap } ->
-               Some (A_double1 { service = db_service; nth = db_nth; gap = db_gap })
+               arm db_service db_nth (F_double { gap = db_gap })
            | Plan.Storage_write _ | Plan.Perturb _ -> None)
          plan)
   in
@@ -198,76 +179,63 @@ let install_plan sys plan pending =
      the hook then leaves the armed list alone *)
   let reschedule () =
     List.iter
-      (fun (_, sv) ->
+      (fun sv ->
         sv.sv_due <-
           List.fold_left
-            (fun due a ->
-              if String.equal (service_of_armed a) sv.sv_iface then min due (due_at a)
-              else due)
+            (fun due a -> if a.a_svc == sv then min due a.a_due else due)
             max_int !armed)
-      services
+      all
   in
   reschedule ();
   let total_dispatches = ref 0 in
   let hook sim cid fn =
     match Sg_util.Inttbl.find_or by_cid cid not_a_service with
     | sv when sv == not_a_service -> ()
-    | sv -> (
-        let iface = sv.sv_iface in
+    | sv ->
         incr total_dispatches;
         if !total_dispatches > dispatch_budget then
           failwith "dst-dispatch-budget: execution did not converge";
         sv.sv_count <- sv.sv_count + 1;
         let c = sv.sv_count in
         (* a pending Restart op crashes the service at its next dispatch *)
-        match
-          if Hashtbl.length pending = 0 then None
-          else Hashtbl.find_opt pending iface
-        with
-        | Some detector ->
-            Hashtbl.remove pending iface;
-            Sim.mark_failed sim cid ~detector;
-            raise (Comp.Crash { cid; detector })
-        | None when c < sv.sv_due -> ()
-        | None ->
-            (* fire at most one armed fault per dispatch; >= anchors keep
-               faults live when shrinking shifts dispatch counts *)
-            let fired = ref None in
-            armed :=
-              List.filter_map
-                (fun a ->
-                  if
-                    Option.is_some !fired
-                    || not (String.equal (service_of_armed a) iface && c >= due_at a)
-                  then Some a
-                  else begin
-                    fired := Some a;
-                    match a with
-                    | A_double1 { service; gap; _ } ->
-                        Some (A_double2 { service; fire_at = c + gap })
-                    | A_flip _ | A_crash _ | A_double2 _ -> None
-                  end)
-                !armed;
-            reschedule ();
-            (match !fired with
-            | None -> ()
-            | Some (A_flip { reg; bit; at_pm; _ }) ->
-                let dur =
-                  match Sim.usage_of sim cid fn with
-                  | Some u -> Sg_kernel.Usage.duration_ns u
-                  | None -> 0
-                in
-                let at = min dur (at_pm * dur / 1000) in
-                Injector.apply_flip sim ~cid ~fn ~reg ~bit ~at ()
-            | Some (A_crash { detector; _ }) ->
-                Sim.mark_failed sim cid ~detector;
-                raise (Comp.Crash { cid; detector })
-            | Some (A_double1 _) | Some (A_double2 _) ->
-                let detector = "dst-double" in
-                Sim.mark_failed sim cid ~detector;
-                raise (Comp.Crash { cid; detector })))
+        if sv.sv_restart then begin
+          sv.sv_restart <- false;
+          crash sim cid "dst-restart"
+        end
+        else if c >= sv.sv_due then begin
+          (* fire at most one armed fault per dispatch; >= anchors keep
+             faults live when shrinking shifts dispatch counts *)
+          let fired = ref None in
+          armed :=
+            List.filter_map
+              (fun a ->
+                if Option.is_some !fired || not (a.a_svc == sv && c >= a.a_due)
+                then Some a
+                else begin
+                  fired := Some a.a_fire;
+                  match a.a_fire with
+                  | F_double { gap } ->
+                      Some { a with a_due = c + gap; a_fire = F_second }
+                  | F_flip _ | F_crash | F_second -> None
+                end)
+              !armed;
+          reschedule ();
+          match !fired with
+          | None -> ()
+          | Some (F_flip { reg; bit; at_pm }) ->
+              let dur =
+                match Sim.usage_of sim cid fn with
+                | Some u -> Sg_kernel.Usage.duration_ns u
+                | None -> 0
+              in
+              let at = min dur (at_pm * dur / 1000) in
+              Injector.apply_flip sim ~cid ~fn ~reg ~bit ~at ()
+          | Some F_crash -> crash sim cid "dst-crash"
+          | Some (F_double _ | F_second) -> crash sim cid "dst-double"
+        end
   in
-  Sim.set_on_dispatch sim (Some hook)
+  Sim.set_on_dispatch sim (Some hook);
+  svcs
 
 (* ---------- the edge adversary ---------- *)
 
@@ -339,7 +307,7 @@ let storage_nths plan =
 
 type ctx = {
   x_sys : Sysbuild.system;
-  x_pending : (string, string) Hashtbl.t;
+  x_svcs : svc Sysbuild.services;  (* the plan services, for Restart *)
   x_errors : string list ref;
   x_fds : (string, int) Hashtbl.t;  (* open RamFS descriptors, by path *)
   mutable x_fd_order : string list;  (* oldest first, for cap eviction *)
@@ -558,29 +526,34 @@ let exec_burst ctx sim ~count =
 
 (* the minimal cycle that makes a pending Restart crash fire and drives
    the subsequent recovery: one create/terminate pair on the service *)
-let exec_touch ctx sim service =
-  match service with
-  | "sched" ->
-      ensure_sched_created ctx sim;
-      ignore (Sched.wakeup (port ctx "sched") sim ~tid:(Sim.current_tid sim))
-  | "mm" -> exec_mm ctx sim ~fanout:1
-  | "fs" ->
-      let _ = fs_open ctx sim "rst" in
-      fs_close ctx sim "rst"
-  | "lock" ->
-      let p = port ctx "lock" in
-      let id = Lock.alloc p sim in
-      Lock.free p sim id
-  | "evt" ->
-      let p = port ctx "evt" in
-      let app1 = ctx.x_sys.Sysbuild.sys_app1 in
-      let id = Event.split p sim ~compid:app1 ~parent:0 ~grp:1 in
-      Event.free p sim ~compid:app1 id
-  | "timer" ->
-      let p = port ctx "timer" in
-      let id = Timer.create p sim ~period_ns:100_000 in
-      Timer.free p sim id
-  | s -> err ctx "restart: unknown service %s" s
+let touches =
+  {
+    Sysbuild.sched =
+      (fun ctx sim ->
+        ensure_sched_created ctx sim;
+        ignore (Sched.wakeup (port ctx "sched") sim ~tid:(Sim.current_tid sim)));
+    mm = (fun ctx sim -> exec_mm ctx sim ~fanout:1);
+    fs =
+      (fun ctx sim ->
+        let _ = fs_open ctx sim "rst" in
+        fs_close ctx sim "rst");
+    lock =
+      (fun ctx sim ->
+        let p = port ctx "lock" in
+        let id = Lock.alloc p sim in
+        Lock.free p sim id);
+    evt =
+      (fun ctx sim ->
+        let p = port ctx "evt" in
+        let app1 = ctx.x_sys.Sysbuild.sys_app1 in
+        let id = Event.split p sim ~compid:app1 ~parent:0 ~grp:1 in
+        Event.free p sim ~compid:app1 id);
+    timer =
+      (fun ctx sim ->
+        let p = port ctx "timer" in
+        let id = Timer.create p sim ~period_ns:100_000 in
+        Timer.free p sim id);
+  }
 
 let exec_op ctx sim op =
   match op with
@@ -595,14 +568,14 @@ let exec_op ctx sim op =
   | Gen.Timer_tick { periods; period_ns } -> exec_timer ctx sim ~periods ~period_ns
   | Gen.Desc_burst { count } -> exec_burst ctx sim ~count
   | Gen.Restart { service } ->
-      Hashtbl.replace ctx.x_pending service "dst-restart";
-      exec_touch ctx sim service
+      (Sysbuild.get ctx.x_svcs service).sv_restart <- true;
+      Sysbuild.get touches service ctx sim
 
-let setup_ops sys pending ops =
+let setup_ops sys svcs ops =
   let ctx =
     {
       x_sys = sys;
-      x_pending = pending;
+      x_svcs = svcs;
       x_errors = ref [];
       x_fds = Hashtbl.create 8;
       x_fd_order = [];
@@ -667,15 +640,13 @@ let run ?(sut = Pristine) sc =
   Sg_obs.Sink.subscribe obs (Sg_obs.Check.feed chk);
   let epb = Sg_obs.Episode.builder () in
   Sg_obs.Episode.attach epb obs;
-  let pending : (string, string) Hashtbl.t = Hashtbl.create 4 in
-  install_plan sys sc.sc_plan pending;
+  let svcs = install_plan sys sc.sc_plan in
   Storage.arm_write_faults sys.Sysbuild.sys_storage
     ~at:(storage_nths sc.sc_plan);
   let check =
     match sc.sc_workload with
-    | Ops ops -> setup_ops sys pending ops
-    | Classic { iface; iters; knob } ->
-        Workloads.setup ~params:(classic_params iface knob) sys ~iface ~iters
+    | Ops ops -> setup_ops sys svcs ops
+    | Classic { iface; iters; knob } -> Workloads.setup ~knob sys ~iface ~iters
   in
   let result = Sim.run sim in
   let stream = Sg_obs.Sink.events obs in

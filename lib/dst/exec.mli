@@ -14,8 +14,9 @@
 type workload =
   | Ops of Gen.op list
   | Classic of { iface : string; iters : int; knob : int }
-      (** one of the six §V-B workloads; [knob] feeds the shape axis of
-          {!Sg_components.Workloads.params} for that interface *)
+      (** one of the six §V-B workloads, [iters] iterations of the
+          shape [~knob] gives it ({!Sg_components.Workloads.setup});
+          [iters] and [knob] are at least 1 *)
 
 type scenario = {
   sc_seed : int;  (** simulator seed (build + any internal draws) *)
@@ -74,4 +75,7 @@ val run : ?sut:sut -> scenario -> outcome
     faults, and — for a {!Plan.Perturb} — the {!Sg_c3.Adversary} shared
     by every client stub), interpret the workload, run to quiescence and
     judge. Deterministic in (sut, scenario). A [Perturb] naming an
-    unknown interface, function or field is inert. *)
+    unknown interface, function or field is inert. Every other service
+    name must be one of the six ({!Artifact.of_string} rejects any
+    other): an unknown one raises [Invalid_argument], or in a
+    {!Gen.Restart} op fails the run as fatal. *)

@@ -7,6 +7,7 @@
    no floats, and integer weights compare exactly across platforms. *)
 
 module Rng = Sg_util.Rng
+module Sysbuild = Sg_components.Sysbuild
 
 type op =
   | Sched_pingpong of { rounds : int }
@@ -22,12 +23,7 @@ type op =
   | Restart of { service : string }
 
 type mix = {
-  mx_sched : int;
-  mx_mm : int;
-  mx_fs : int;
-  mx_lock : int;
-  mx_evt : int;
-  mx_timer : int;
+  mx_weights : int Sysbuild.services;
   mx_burst : int;
   mx_restart : int;
   mx_paths : int;  (* RamFS path-pool size: smaller = more collisions *)
@@ -36,12 +32,8 @@ type mix = {
 
 let default_mix =
   {
-    mx_sched = 10;
-    mx_mm = 10;
-    mx_fs = 14;
-    mx_lock = 10;
-    mx_evt = 10;
-    mx_timer = 6;
+    mx_weights =
+      { Sysbuild.sched = 10; mm = 10; fs = 14; lock = 10; evt = 10; timer = 6 };
     mx_burst = 4;
     mx_restart = 4;
     mx_paths = 2;
@@ -52,15 +44,9 @@ let default_mix =
    campaigns: the named service keeps its weight, the others drop to a
    trickle so cross-service interactions still occur *)
 let focus_mix iface =
-  let w name full = if name = iface then 30 else full in
   {
     default_mix with
-    mx_sched = w "sched" 2;
-    mx_mm = w "mm" 2;
-    mx_fs = w "fs" 2;
-    mx_lock = w "lock" 2;
-    mx_evt = w "evt" 2;
-    mx_timer = w "timer" 2;
+    mx_weights = Sysbuild.init (fun name -> if name = iface then 30 else 2);
     mx_burst = (if iface = "fs" then 8 else 1);
     mx_restart = 2;
   }
@@ -68,66 +54,58 @@ let focus_mix iface =
 let path_name i = Printf.sprintf "f%d" i
 
 let timer_periods = [| 50_000; 100_000; 200_000; 400_000 |]
+let service_names = Array.of_list Sysbuild.names
 
-let gen_op mix rng =
-  let weights =
-    [|
-      ("sched", mix.mx_sched);
-      ("mm", mix.mx_mm);
-      ("fs", mix.mx_fs);
-      ("lock", mix.mx_lock);
-      ("evt", mix.mx_evt);
-      ("timer", mix.mx_timer);
-      ("burst", mix.mx_burst);
-      ("restart", mix.mx_restart);
-    |]
-  in
-  let total = Array.fold_left (fun a (_, w) -> a + max 0 w) 0 weights in
-  if total <= 0 then invalid_arg "Gen.generate: mix has no positive weight";
-  let pick = Rng.int rng total in
-  let cat =
-    let acc = ref 0 and chosen = ref "" in
-    Array.iter
-      (fun (name, w) ->
-        if !chosen = "" then begin
-          acc := !acc + max 0 w;
-          if pick < !acc then chosen := name
-        end)
-      weights;
-    !chosen
-  in
+(* each service's op, drawn once its category is picked *)
+let service_ops mix =
   let paths = max 1 mix.mx_paths in
-  match cat with
-  | "sched" -> Sched_pingpong { rounds = 1 + Rng.int rng 3 }
-  | "mm" -> Mm_cycle { fanout = 1 + Rng.int rng 2 }
-  | "fs" -> (
-      (* open/write/read/close with writes and reads dominating *)
-      match Rng.int rng 8 with
-      | 0 -> Fs_open { path = Rng.int rng paths }
-      | 1 -> Fs_close { path = Rng.int rng paths }
-      | 2 | 3 | 4 ->
-          Fs_write { path = Rng.int rng paths; byte = Rng.int rng 26 }
-      | _ -> Fs_read { path = Rng.int rng paths })
-  | "lock" ->
-      Lock_cycle
-        { cycles = 1 + Rng.int rng 3; holds = Rng.int rng (max 1 mix.mx_contention) }
-  | "evt" -> Evt_chain { triggers = 1 + Rng.int rng 3 }
-  | "timer" ->
-      Timer_tick
-        {
-          periods = 1 + Rng.int rng 3;
-          period_ns = Rng.choose rng timer_periods;
-        }
-  | "burst" -> Desc_burst { count = 1 + Rng.int rng 4 }
-  | _ ->
-      Restart
-        {
-          service =
-            Rng.choose rng
-              (Array.of_list Sg_components.Workloads.all_ifaces);
-        }
+  {
+    Sysbuild.sched = (fun rng -> Sched_pingpong { rounds = 1 + Rng.int rng 3 });
+    mm = (fun rng -> Mm_cycle { fanout = 1 + Rng.int rng 2 });
+    fs =
+      (fun rng ->
+        (* open/write/read/close with writes and reads dominating *)
+        match Rng.int rng 8 with
+        | 0 -> Fs_open { path = Rng.int rng paths }
+        | 1 -> Fs_close { path = Rng.int rng paths }
+        | 2 | 3 | 4 ->
+            Fs_write { path = Rng.int rng paths; byte = Rng.int rng 26 }
+        | _ -> Fs_read { path = Rng.int rng paths });
+    lock =
+      (fun rng ->
+        Lock_cycle
+          {
+            cycles = 1 + Rng.int rng 3;
+            holds = Rng.int rng (max 1 mix.mx_contention);
+          });
+    evt = (fun rng -> Evt_chain { triggers = 1 + Rng.int rng 3 });
+    timer =
+      (fun rng ->
+        Timer_tick
+          {
+            periods = 1 + Rng.int rng 3;
+            period_ns = Rng.choose rng timer_periods;
+          });
+  }
 
-let generate ~mix rng ~len = List.init len (fun _ -> gen_op mix rng)
+(* The categories in draw order, the six services in the paper's order
+   then bursts and restarts, each with its weight: one draw picks a
+   category, then its op draws its fields. *)
+let categories mix =
+  Array.of_list
+    (List.map2
+       (fun (_, w) (_, op) -> (w, op))
+       (Sysbuild.to_list mix.mx_weights)
+       (Sysbuild.to_list (service_ops mix))
+    @ [
+        (mix.mx_burst, fun rng -> Desc_burst { count = 1 + Rng.int rng 4 });
+        ( mix.mx_restart,
+          fun rng -> Restart { service = Rng.choose rng service_names } );
+      ])
+
+let generate ~mix rng ~len =
+  let cats = categories mix in
+  List.init len (fun _ -> Rng.weighted rng cats rng)
 
 let op_service = function
   | Sched_pingpong _ -> "sched"
@@ -179,8 +157,13 @@ let op_to_json op =
   | Desc_burst { count } -> o "desc_burst" [ ("count", Json.Int count) ]
   | Restart { service } -> o "restart" [ ("service", Json.Str service) ]
 
+let service_of_json j field =
+  let name = Json.get_str j field in
+  if not (List.mem name Sysbuild.names) then Json.fail "unknown service %s" name;
+  name
+
 let op_of_json j =
-  let get_int = Json.get_int and get_str = Json.get_str in
+  let get_int = Json.get_int in
   match Json.member "op" j with
   | Some (Json.Str name) -> (
       match name with
@@ -198,6 +181,6 @@ let op_of_json j =
           Timer_tick
             { periods = get_int j "periods"; period_ns = get_int j "period_ns" }
       | "desc_burst" -> Desc_burst { count = get_int j "count" }
-      | "restart" -> Restart { service = get_str j "service" }
+      | "restart" -> Restart { service = service_of_json j "service" }
       | other -> Json.fail "unknown op %s" other)
   | _ -> Json.fail "op object lacks an \"op\" field"

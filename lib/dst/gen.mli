@@ -34,14 +34,11 @@ type op =
           dispatch into [service], then touch it once so recovery runs *)
 
 type mix = {
-  mx_sched : int;
-  mx_mm : int;
-  mx_fs : int;
-  mx_lock : int;
-  mx_evt : int;
-  mx_timer : int;
-  mx_burst : int;
-  mx_restart : int;
+  mx_weights : int Sg_components.Sysbuild.services;
+      (** the weight of each service's ops; bursts and restarts have
+          their own *)
+  mx_burst : int;  (** weight of {!Desc_burst} *)
+  mx_restart : int;  (** weight of {!Restart} *)
   mx_paths : int;
       (** RamFS path-pool size: 2 makes open/write/read collisions the
           common case *)
@@ -55,8 +52,11 @@ val focus_mix : string -> mix
     with a trickle of the others for cross-service interaction. *)
 
 val generate : mix:mix -> Sg_util.Rng.t -> len:int -> op list
-(** [len] operations drawn left to right from the generator. Raises
-    [Invalid_argument] when no weight is positive. *)
+(** [len] operations drawn left to right from the generator: one draw
+    picks the category (the six services in the paper's order, then
+    bursts, then restarts; {!Sg_util.Rng.weighted}), then the op draws
+    its fields. Raises [Invalid_argument] when an op is drawn and no
+    weight is positive. *)
 
 val op_service : op -> string
 (** The service the operation primarily exercises. *)
@@ -70,4 +70,10 @@ val path_name : int -> string
 
 val op_to_json : op -> Sg_util.Json.t
 val op_of_json : Sg_util.Json.t -> op
-(** @raise Sg_util.Json.Parse_error on malformed input. *)
+(** @raise Sg_util.Json.Parse_error on malformed input, including a
+    [restart] of a service {!Sg_components.Sysbuild.names} lacks. *)
+
+val service_of_json : Sg_util.Json.t -> string -> string
+(** [service_of_json j field]: the string [field] of [j], which must
+    name one of the six services.
+    @raise Sg_util.Json.Parse_error otherwise. *)

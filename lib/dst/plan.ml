@@ -14,7 +14,7 @@ type fault =
   | Flip of {
       fl_service : string;
       fl_nth : int;  (* fires at the first dispatch with counter >= nth *)
-      fl_reg : string;
+      fl_reg : Reg.t;
       fl_bit : int;
       fl_at_pm : int;  (* offset into the op window, per-mille *)
     }
@@ -61,68 +61,48 @@ let focus_config =
     pc_nth_range = 25;
   }
 
-let gen_fault config ~services rng =
-  let weights =
-    [|
-      ("flip", config.pc_flip);
-      ("storage", config.pc_storage);
-      ("crash", config.pc_crash);
-      ("double", config.pc_double);
-    |]
-  in
-  let total = Array.fold_left (fun a (_, w) -> a + max 0 w) 0 weights in
-  let pick = Rng.int rng total in
-  let cat =
-    let acc = ref 0 and chosen = ref "" in
-    Array.iter
-      (fun (name, w) ->
-        if !chosen = "" then begin
-          acc := !acc + max 0 w;
-          if pick < !acc then chosen := name
-        end)
-      weights;
-    !chosen
-  in
-  let service () = Rng.choose rng services in
-  let nth () = 1 + Rng.int rng (max 1 config.pc_nth_range) in
-  match cat with
-  | "flip" ->
-      Flip
-        {
-          fl_service = service ();
-          fl_nth = nth ();
-          fl_reg = Reg.to_string (Rng.choose rng Reg.all);
-          fl_bit = Rng.int rng 32;
-          fl_at_pm = Rng.int rng 1001;
-        }
-  | "storage" -> Storage_write { sw_nth = 1 + Rng.int rng 20 }
-  | "crash" -> Crash { cr_service = service (); cr_nth = nth () }
-  | _ ->
-      Double
-        {
-          db_service = service ();
-          db_nth = nth ();
-          db_gap = 1 + Rng.int rng 3;
-        }
-
-let total_weight config =
-  max 0 config.pc_flip + max 0 config.pc_storage + max 0 config.pc_crash
-  + max 0 config.pc_double
+(* the fault categories in draw order, each with its weight: one draw
+   picks a category, then its fault draws its fields *)
+let categories config ~services =
+  let service rng = Rng.choose rng services in
+  let nth rng = 1 + Rng.int rng (max 1 config.pc_nth_range) in
+  [|
+    ( config.pc_flip,
+      fun rng ->
+        Flip
+          {
+            fl_service = service rng;
+            fl_nth = nth rng;
+            fl_reg = Rng.choose rng Reg.all;
+            fl_bit = Rng.int rng 32;
+            fl_at_pm = Rng.int rng 1001;
+          } );
+    (config.pc_storage, fun rng -> Storage_write { sw_nth = 1 + Rng.int rng 20 });
+    ( config.pc_crash,
+      fun rng -> Crash { cr_service = service rng; cr_nth = nth rng } );
+    ( config.pc_double,
+      fun rng ->
+        Double
+          {
+            db_service = service rng;
+            db_nth = nth rng;
+            db_gap = 1 + Rng.int rng 3;
+          } );
+  |]
 
 let generate ~config ~services rng =
+  let cats = categories config ~services:(Array.of_list services) in
   (* an all-zero-weight config means "inject nothing": the fault-free
      control arm of a campaign, not an error *)
-  if services = [] || total_weight config <= 0 then []
-  else begin
-    let services = Array.of_list services in
+  if services = [] || Array.for_all (fun (w, _) -> w <= 0) cats then []
+  else
     let n = 1 + Rng.int rng (max 1 config.pc_max_faults) in
-    List.init n (fun _ -> gen_fault config ~services rng)
-  end
+    List.init n (fun _ -> Rng.weighted rng cats rng)
 
 let fault_label = function
   | Flip { fl_service; fl_nth; fl_reg; fl_bit; fl_at_pm } ->
-      Printf.sprintf "flip(%s@%d %s bit %d at %d‰)" fl_service fl_nth fl_reg
-        fl_bit fl_at_pm
+      Printf.sprintf "flip(%s@%d %s bit %d at %d‰)" fl_service fl_nth
+        (Reg.to_string fl_reg) fl_bit fl_at_pm
   | Storage_write { sw_nth } -> Printf.sprintf "storage-write(%d)" sw_nth
   | Crash { cr_service; cr_nth } ->
       Printf.sprintf "crash(%s@%d)" cr_service cr_nth
@@ -146,7 +126,7 @@ let fault_to_json f =
         [
           ("service", Json.Str fl_service);
           ("nth", Json.Int fl_nth);
-          ("reg", Json.Str fl_reg);
+          ("reg", Json.Str (Reg.to_string fl_reg));
           ("bit", Json.Int fl_bit);
           ("at_pm", Json.Int fl_at_pm);
         ]
@@ -175,27 +155,30 @@ let fault_to_json f =
 
 let fault_of_json j =
   let get_int = Json.get_int and get_str = Json.get_str in
+  let service () = Gen.service_of_json j "service" in
   match Json.member "fault" j with
   | Some (Json.Str name) -> (
       match name with
       | "flip" ->
           let reg = get_str j "reg" in
-          if Reg.of_string reg = None then Json.fail "unknown register %s" reg;
           Flip
             {
-              fl_service = get_str j "service";
+              fl_service = service ();
               fl_nth = get_int j "nth";
-              fl_reg = reg;
+              fl_reg =
+                (match Reg.of_string reg with
+                | Some r -> r
+                | None -> Json.fail "unknown register %s" reg);
               fl_bit = get_int j "bit";
               fl_at_pm = get_int j "at_pm";
             }
       | "storage_write" -> Storage_write { sw_nth = get_int j "nth" }
       | "crash" ->
-          Crash { cr_service = get_str j "service"; cr_nth = get_int j "nth" }
+          Crash { cr_service = service (); cr_nth = get_int j "nth" }
       | "double" ->
           Double
             {
-              db_service = get_str j "service";
+              db_service = service ();
               db_nth = get_int j "nth";
               db_gap = get_int j "gap";
             }

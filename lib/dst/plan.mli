@@ -12,7 +12,7 @@ type fault =
       fl_nth : int;
           (** fires at the first dispatch into the service whose
               1-based counter is [>= fl_nth] *)
-      fl_reg : string;  (** register name, {!Sg_kernel.Reg.to_string} *)
+      fl_reg : Sg_kernel.Reg.t;
       fl_bit : int;
       fl_at_pm : int;
           (** flip offset within the operation's usage window, per
@@ -72,10 +72,13 @@ val generate :
   config:config -> services:string list -> Sg_util.Rng.t -> fault list
 (** Draws a plan whose service-targeted faults land on [services] (the
     services the op sequence actually touches). Empty when [services]
-    is empty. Raises [Invalid_argument] when no weight is positive. *)
+    is empty or no weight is positive (the fault-free control arm). *)
 
 val fault_label : fault -> string
 
 val fault_to_json : fault -> Sg_util.Json.t
 val fault_of_json : Sg_util.Json.t -> fault
-(** @raise Sg_util.Json.Parse_error on malformed input. *)
+(** @raise Sg_util.Json.Parse_error on malformed input, including an
+    unknown register or a [flip], [crash] or [double] of a service
+    {!Sg_components.Sysbuild.names} lacks (a [perturb]'s interface is
+    not checked: an unknown one is inert, {!Exec.run}). *)

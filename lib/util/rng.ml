@@ -46,6 +46,17 @@ let choose t a =
   if Array.length a = 0 then invalid_arg "Rng.choose: empty array";
   a.(int t (Array.length a))
 
+(* the first choice whose cumulative weight exceeds [k] *)
+let rec nth_weighted choices k acc i =
+  let w, x = choices.(i) in
+  let acc = acc + max 0 w in
+  if k < acc then x else nth_weighted choices k acc (i + 1)
+
+let weighted t choices =
+  let total = Array.fold_left (fun acc (w, _) -> acc + max 0 w) 0 choices in
+  if total <= 0 then invalid_arg "Rng.weighted: no positive weight";
+  nth_weighted choices (int t total) 0 0
+
 let exponential t ~mean =
   let u = 1.0 -. float t 1.0 in
   -.mean *. log u

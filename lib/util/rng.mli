@@ -45,6 +45,13 @@ val choose : t -> 'a array -> 'a
 (** Uniform choice from a non-empty array. Raises [Invalid_argument] on an
     empty array. *)
 
+val weighted : t -> (int * 'a) array -> 'a
+(** [weighted t choices] draws [k] uniform in [\[0, total)], [total] the
+    sum of the weights (a negative one counts as 0), and returns the
+    first choice whose cumulative weight exceeds [k]: one draw, a
+    choice with weight 0 never returned. Raises [Invalid_argument] when
+    no weight is positive. *)
+
 val exponential : t -> mean:float -> float
 (** Exponentially distributed value with the given mean; used for Poisson
     fault inter-arrival times (paper §V-A). *)

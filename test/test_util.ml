@@ -70,6 +70,19 @@ let test_rng_bounds () =
     if v < 0.0 || v >= 2.5 then Alcotest.fail "Rng.float out of bounds"
   done
 
+(* one draw per pick, uniform over the cumulative weights: a weight of
+   0 or below is never picked, and no positive weight is an error *)
+let test_rng_weighted () =
+  let choices = [| (0, "zero"); (3, "a"); (-2, "negative"); (1, "b") |] in
+  let r = Rng.create 5 and shadow = Rng.create 5 in
+  for _ = 1 to 1000 do
+    let expect = if Rng.int shadow 4 < 3 then "a" else "b" in
+    Alcotest.(check string) "cumulative pick" expect (Rng.weighted r choices)
+  done;
+  Alcotest.check_raises "no positive weight"
+    (Invalid_argument "Rng.weighted: no positive weight") (fun () ->
+      ignore (Rng.weighted r [| (0, ()); (-1, ()) |]))
+
 let test_rng_copy () =
   let a = Rng.create 11 in
   let _ = Rng.int64 a in
@@ -375,6 +388,7 @@ let () =
             test_rng_split_pinned;
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
           Alcotest.test_case "copy" `Quick test_rng_copy;
+          Alcotest.test_case "weighted" `Quick test_rng_weighted;
           QCheck_alcotest.to_alcotest prop_rng_int_in_bounds;
         ] );
       ( "word32",

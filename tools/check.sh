@@ -205,12 +205,19 @@ rc=0
 [ "$(cat "$tmpdir/campaign_bogus.err")" = \
     "superglue-campaign: unknown interface bogus (have: sched mm fs lock evt timer)" ]
 
-echo "== dst gate: fixed-seed campaign over all six services passes clean"
+echo "== dst gate: fixed-seed campaign over all six services passes clean, byte-identical at -j 1 and -j 4"
 # seeds 1..3000: the crash, divert and walk paths of the invocation loop
 # under thousands of generated plans (the first known fatal seed, 5692,
-# lies beyond this range; see ROADMAP.md item 1)
-./_build/default/bin/dst.exe run --seed 1 --count 3000 -j 2 -q > "$tmpdir/dst_run.out"
-grep -q "0 failure(s), services=6" "$tmpdir/dst_run.out"
+# lies beyond this range; see ROADMAP.md item 1). The last line is the
+# summary; with no failure nothing is shrunk, so both outputs carry the
+# md5 pinned earlier for the same run with --no-shrink -j 2.
+./_build/default/bin/dst.exe run --seed 1 --count 3000 -j 1 > "$tmpdir/dst_run_j1.out"
+./_build/default/bin/dst.exe run --seed 1 --count 3000 -j 4 > "$tmpdir/dst_run_j4.out"
+tail -n 1 "$tmpdir/dst_run_j1.out" | grep -q "0 failure(s), services=6"
+pinned 556a15b7701836e76a5ba65c18df0037 "$tmpdir/dst_run_j1.out" \
+    "superglue-dst run --seed 1 --count 3000 -j 1"
+pinned 556a15b7701836e76a5ba65c18df0037 "$tmpdir/dst_run_j4.out" \
+    "superglue-dst run --seed 1 --count 3000 -j 4"
 
 echo "== dst gate: run exits 2 with one line on a non-positive --count"
 for count in 0 -1; do
@@ -221,11 +228,6 @@ for count in 0 -1; do
     [ ! -s "$tmpdir/dst_count.out" ]
     [ "$(wc -l < "$tmpdir/dst_count.err")" -eq 1 ]
 done
-
-echo "== dst gate: --jobs campaign output byte-identical to the sequential run"
-./_build/default/bin/dst.exe run --seed 1 --count 3000 -j 1 > "$tmpdir/dst_run_j1.out"
-./_build/default/bin/dst.exe run --seed 1 --count 3000 -j 4 > "$tmpdir/dst_run_j4.out"
-cmp "$tmpdir/dst_run_j1.out" "$tmpdir/dst_run_j4.out"
 
 echo "== dst gate: cold-start -j 2 and -j 4 campaigns match -j 1, fresh process each"
 # every process-wide value a pool task reads must be ready before the
@@ -264,15 +266,31 @@ rc=0
 cmp "$tmpdir/dst_fail.json" "$tmpdir/dst_fail_j2.json"
 
 echo "== parse gate: superglue-dst exits 2 on a truncated or missing artifact"
-# one error line and exit 2, not an uncaught exception (exit 125)
+# one error line and exit 2, not an uncaught exception (exit 125); an
+# artifact naming an unknown service or a classic shape below 1 is
+# malformed too, refused when it is parsed
 head -c 40 "$tmpdir/dst_min_j1.json" > "$tmpdir/dst_truncated.json"
-for art in "$tmpdir/dst_truncated.json" "$tmpdir/no_such_artifact.json"; do
+dst_probe() {
+    printf '{"version":1,"schema":"superglue-dst","sut":"superglue","seed":1,"verdict":"postcond","workload":%s,"plan":[%s]}\n' \
+        "$2" "$3" > "$tmpdir/$1.json"
+}
+dst_probe dst_bogus_iface '{"kind":"classic","iface":"bogus","iters":2,"knob":1}' ''
+dst_probe dst_bad_knob '{"kind":"classic","iface":"lock","iters":2,"knob":-5}' ''
+dst_probe dst_bogus_restart '{"kind":"ops","ops":[{"op":"restart","service":"bogus"}]}' ''
+dst_probe dst_bogus_crash '{"kind":"ops","ops":[{"op":"mm_cycle","fanout":1}]}' \
+    '{"fault":"crash","service":"bogus","nth":1}'
+for art in "$tmpdir/dst_truncated.json" "$tmpdir/no_such_artifact.json" \
+    "$tmpdir/dst_bogus_iface.json" "$tmpdir/dst_bad_knob.json" \
+    "$tmpdir/dst_bogus_restart.json" "$tmpdir/dst_bogus_crash.json"; do
     rc=0
-    ./_build/default/bin/dst.exe replay "$art" > /dev/null 2>&1 || rc=$?
+    ./_build/default/bin/dst.exe replay "$art" > /dev/null 2> "$tmpdir/dst_parse.err" || rc=$?
     [ "$rc" -eq 2 ]
+    [ "$(wc -l < "$tmpdir/dst_parse.err")" -eq 1 ]
     rc=0
-    ./_build/default/bin/dst.exe shrink --artifact "$art" > /dev/null 2>&1 || rc=$?
+    ./_build/default/bin/dst.exe shrink --artifact "$art" > /dev/null \
+        2> "$tmpdir/dst_parse.err" || rc=$?
     [ "$rc" -eq 2 ]
+    [ "$(wc -l < "$tmpdir/dst_parse.err")" -eq 1 ]
 done
 
 echo "== artifact gate: superglue-dst exits 2 when an artifact cannot be written"
@@ -434,10 +452,7 @@ pinned 8fd6bdeab235e9c6ff37e0acf4fdbb8d "$tmpdir/pin_web.json" \
 # fault-free join to its bytes across commits, not only across -j
 pinned 47752629948eb55128780245e83ad607 "$tmpdir/webbench_j1.json" \
     "webbench open-loop --requests 2000 --seed 42 --fault-period-ms 0,3 --json -j 1"
-./_build/default/bin/dst.exe run --seed 1 --count 3000 --no-shrink -j 2 \
-    > "$tmpdir/pin_dst.out"
-pinned 556a15b7701836e76a5ba65c18df0037 "$tmpdir/pin_dst.out" \
-    "superglue-dst run --seed 1 --count 3000 --no-shrink -j 2"
+# the 3000-seed superglue-dst run is pinned in the dst gate above
 # the -j 1 --trace stream of the determinism gate above
 pinned a9d6675d2478e4c2ebe48e34fa696b31 "$tmpdir/trace_j1.jsonl" \
     "superglue-campaign --iface lock -n 40 --seed 3 --trace"
