@@ -141,6 +141,12 @@ and walk_desc ~even_dead ~reason sim t d =
                      (without resurrecting it) so the child's creation
                      chain can be replayed *)
                   recover_desc ~even_dead:true ~reason:Sg_obs.Event.Dep sim t p;
+                  (* the parent's walk absorbed a reboot of the server: the
+                     creation replayed next would land at the new epoch and
+                     be replayed again by the end-of-walk re-check, so
+                     restart the walk before anything is replayed *)
+                  if Sim.epoch sim t.sb_server <> d.Tracker.d_epoch then
+                    raise Walk_interrupted;
                   p.Tracker.d_server_id
               | None -> pid)
           | Some (Tracker.Cross { client; id }) -> (

@@ -350,6 +350,15 @@ let upcall t ~client fn args =
         ~finally:(fun () -> Ktcb.leave_component tcb)
         (fun () -> handler t args)
 
+(* Of two pending diverts on [stack] (innermost first), the one outermost
+   on it: unwinding to that component's client stub also leaves the
+   other, so a second reboot never shortens a divert already set. *)
+let rec outermost stack prev cid =
+  match stack with
+  | [] -> cid
+  | c :: rest ->
+      if c = prev then cid else if c = cid then prev else outermost rest prev cid
+
 let microreboot t cid =
   let ce = centry_exn t cid in
   let cost_ns = ce.ce_spec.sc_image_kb * (cost t).Cost.reboot_ns_per_kb in
@@ -375,7 +384,11 @@ let microreboot t cid =
       match (fiber.f_resume, tcb.Ktcb.state) with
       | Suspended _, (Ktcb.Blocked _ | Ktcb.Sleeping _ | Ktcb.Runnable)
         when Ktcb.in_stack tcb cid ->
-          tcb.Ktcb.divert <- Some cid;
+          tcb.Ktcb.divert <-
+            Some
+              (match tcb.Ktcb.divert with
+              | None -> cid
+              | Some prev -> outermost tcb.Ktcb.stack prev cid);
           emit t (Sg_obs.Event.Divert { cid; victim = tcb.Ktcb.tid })
       | _ -> ())
     t.fibers;

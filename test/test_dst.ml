@@ -364,6 +364,40 @@ let test_pristine_clean () =
         | Ok o ->
             String.concat " | " (Exec.verdict_detail o.Exec.oc_verdict))
 
+(* One crash-only repro per class of pristine failure the 200000-seed
+   sweep once found, kept as artifacts so that they outlive generator
+   changes. Each recorded a fatal verdict; each replays clean now.
+   - lock, evt, deadlock: a second reboot overwrote a pending divert
+     with an inner component's, leaving the thread in the outer one's
+     dead incarnation;
+   - mm: a D1 parent's walk absorbed a reboot, so the child's creation
+     was replayed twice (mman_alias_page is not idempotent). *)
+let pristine_repros =
+  [
+    ( "lock contender",
+      {|{"version":1,"schema":"superglue-dst","sut":"superglue","seed":61021,"verdict":"fatal","workload":{"kind":"ops","ops":[{"op":"lock_cycle","cycles":2,"holds":1},{"op":"evt_chain","triggers":2},{"op":"timer_tick","periods":3,"period_ns":50000},{"op":"timer_tick","periods":1,"period_ns":400000},{"op":"lock_cycle","cycles":3,"holds":1},{"op":"mm_cycle","fanout":2},{"op":"lock_cycle","cycles":3,"holds":1},{"op":"sched_pingpong","rounds":1},{"op":"mm_cycle","fanout":2},{"op":"desc_burst","count":3},{"op":"sched_pingpong","rounds":3},{"op":"sched_pingpong","rounds":3}]},"plan":[{"fault":"crash","service":"lock","nth":4},{"fault":"crash","service":"sched","nth":3}]}|}
+    );
+    ( "evt waiter",
+      {|{"version":1,"schema":"superglue-dst","sut":"superglue","seed":38598,"verdict":"fatal","workload":{"kind":"ops","ops":[{"op":"evt_chain","triggers":2},{"op":"fs_write","path":0,"byte":19},{"op":"evt_chain","triggers":3},{"op":"fs_read","path":0},{"op":"desc_burst","count":3},{"op":"evt_chain","triggers":1},{"op":"fs_write","path":0,"byte":0},{"op":"lock_cycle","cycles":1,"holds":1},{"op":"sched_pingpong","rounds":3},{"op":"fs_read","path":1},{"op":"lock_cycle","cycles":1,"holds":0},{"op":"fs_open","path":1}]},"plan":[{"fault":"crash","service":"evt","nth":12},{"fault":"crash","service":"sched","nth":9}]}|}
+    );
+    ( "deadlock",
+      {|{"version":1,"schema":"superglue-dst","sut":"superglue","seed":71581,"verdict":"fatal","workload":{"kind":"ops","ops":[{"op":"sched_pingpong","rounds":3},{"op":"fs_read","path":0},{"op":"fs_open","path":1},{"op":"lock_cycle","cycles":3,"holds":1},{"op":"lock_cycle","cycles":3,"holds":2},{"op":"desc_burst","count":4},{"op":"evt_chain","triggers":1},{"op":"fs_write","path":1,"byte":12},{"op":"sched_pingpong","rounds":3},{"op":"sched_pingpong","rounds":1},{"op":"timer_tick","periods":1,"period_ns":50000},{"op":"fs_read","path":1}]},"plan":[{"fault":"crash","service":"lock","nth":10},{"fault":"crash","service":"sched","nth":19}]}|}
+    );
+    ( "mm alias replay",
+      {|{"version":1,"schema":"superglue-dst","sut":"superglue","seed":31430,"verdict":"fatal","workload":{"kind":"classic","iface":"mm","iters":4,"knob":1},"plan":[{"fault":"crash","service":"mm","nth":8},{"fault":"double","service":"mm","nth":6,"gap":3}]}|}
+    );
+  ]
+
+let test_pristine_repros () =
+  List.iter
+    (fun (what, s) ->
+      match Dst.replay (Artifact.of_string s) with
+      | Error e -> Alcotest.failf "%s: replay error: %s" what e
+      | Ok (o, _) ->
+          Alcotest.(check string) (what ^ " replays clean") "pass"
+            (Exec.verdict_class o.Exec.oc_verdict))
+    pristine_repros
+
 (* ------------------------------------------------------------------ *)
 (* Mutant detection campaign + shrinker soundness + 1-minimality       *)
 
@@ -887,6 +921,8 @@ let () =
       ( "campaign",
         [
           Alcotest.test_case "pristine seeds clean" `Slow test_pristine_clean;
+          Alcotest.test_case "pristine repros replay clean" `Quick
+            test_pristine_repros;
           Alcotest.test_case "mutants detected" `Slow test_mutants_detected;
           Alcotest.test_case "compile-error mutants detected" `Quick
             test_compile_error_mutants_detected;

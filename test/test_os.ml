@@ -254,6 +254,41 @@ let test_divert_on_reboot () =
   Alcotest.(check bool) "completed" true (Sim.run sim = Sim.Completed);
   Alcotest.(check bool) "waiter diverted" true !diverted
 
+(* Two components on a blocked thread's stack reboot, the outer one
+   first: the thread is diverted to the outer one's client stub, as
+   unwinding there leaves the inner one too. Diverting it to the inner
+   one would leave it running in the outer one's dead incarnation. *)
+let test_divert_outermost () =
+  let sim = Sim.create () in
+  let app = Sim.register sim (trivial_spec ()) in
+  let gate = Sim.register sim (gate_spec ()) in
+  let relay =
+    Sim.register sim
+      (trivial_spec ~name:"relay"
+         ~dispatch:(fun sim _ fn args -> Sim.invoke sim ~server:gate fn args)
+         ())
+  in
+  Sim.grant sim ~client:app ~server:relay;
+  Sim.grant sim ~client:relay ~server:gate;
+  let diverted = ref None in
+  let waiter_tid = ref (-1) in
+  let _ =
+    Sim.spawn sim ~name:"waiter" ~home:app (fun sim ->
+        waiter_tid := Sim.current_tid sim;
+        try ignore (Sim.invoke sim ~server:relay "wait" [])
+        with Comp.Diverted { cid } -> diverted := Some cid)
+  in
+  let _ =
+    Sim.spawn sim ~name:"booter" ~home:app (fun sim ->
+        Sim.yield sim;
+        Sim.microreboot sim relay;
+        Sim.microreboot sim gate;
+        ignore (Sim.wakeup sim !waiter_tid))
+  in
+  Alcotest.(check bool) "completed" true (Sim.run sim = Sim.Completed);
+  Alcotest.(check (option int)) "diverted to the outer component" (Some relay)
+    !diverted
+
 (* Sim.microreboot emits one Divert per thread suspended inside the
    rebooted component, in the iteration order of its fiber table; the
    event stream, and every report built from it, shows that order. The
@@ -591,6 +626,7 @@ let () =
           Alcotest.test_case "microreboot" `Quick test_microreboot_recovers;
           Alcotest.test_case "divert on reboot" `Quick test_divert_on_reboot;
           Alcotest.test_case "divert order" `Quick test_divert_order;
+          Alcotest.test_case "divert to the outermost" `Quick test_divert_outermost;
           Alcotest.test_case "fatal segfault" `Quick test_fatal_segfault;
           Alcotest.test_case "upcall" `Quick test_upcall;
         ] );
