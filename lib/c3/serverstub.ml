@@ -112,12 +112,7 @@ let wrap ~storage cfg spec =
         in
         match List.find_map try_recover candidates with
         | Some result -> result
-        | None ->
-            if Sys.getenv_opt "SG_DEBUG_G0" <> None then
-              Printf.eprintf "G0 miss: %s.%s args=%s candidates=%s\n" cfg.ss_iface fn
-                (String.concat "," (List.map Comp.value_to_string args))
-                (String.concat "," (List.map string_of_int candidates));
-            Error Comp.EINVAL)
+        | None -> Error Comp.EINVAL)
     | (Error _ as r) -> r
   in
   let boot_init sim cid =

@@ -4,11 +4,18 @@
     the format stays greppable and the parser stays dependency-free.
     [of_string (to_string e) = e] for every event.
 
-    Both directions take one pass over a line. Rendering writes each
-    kind's fields straight into a buffer. Parsing reads every key in
-    place into a slot array kept per domain; an unescaped key or an
-    int allocates nothing, and an unescaped string value costs one
-    [String.sub]. *)
+    Each event kind's wire layout (its name, then its fields in order,
+    each an int, a string or a bool) is declared once in the
+    implementation, and both directions follow it. Rendering writes a
+    line into a scratch kept per domain, one merged literal per kind
+    ([,"kind":"crash","cid":]) and digits in place, then copies it out
+    once; [add_event] allocates nothing. Parsing tests the key the
+    layout predicts next with word-sized compares; at the first member
+    it did not predict (a line reordered, spaced, extended or damaged)
+    the general scanner reads the rest of the line, in any order, into
+    the same slots, so such a line gives the same event or the same
+    {!Parse_error} message. Neither path allocates for a key or an int;
+    an unescaped string value costs one [String.sub]. *)
 
 exception Parse_error of string
 (** The same exception as {!Sg_util.Json.Parse_error}. *)

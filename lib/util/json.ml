@@ -21,6 +21,21 @@ let fail fmt = Printf.ksprintf (fun m -> raise (Parse_error m)) fmt
 let needs_escape c = c < ' ' || c = '"' || c = '\\'
 let hex_digits = "0123456789abcdef"
 
+(* what [add_escaped] writes for each byte that [needs_escape] *)
+let escapes =
+  Array.init 32 (fun c ->
+      match Char.chr c with
+      | '\n' -> "\\n"
+      | '\r' -> "\\r"
+      | '\t' -> "\\t"
+      | _ ->
+          "\\u00" ^ String.make 1 hex_digits.[c lsr 4] ^ String.make 1 hex_digits.[c land 0xf])
+
+let escape_of = function
+  | '"' -> "\\\""
+  | '\\' -> "\\\\"
+  | c -> escapes.(Char.code c)
+
 (* copies each run of bytes that need no escaping in one piece, so a
    clean string is a single [add_substring] *)
 let add_escaped b s =
@@ -31,16 +46,7 @@ let add_escaped b s =
     if needs_escape c then begin
       Buffer.add_substring b s !run (i - !run);
       run := i + 1;
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c ->
-          Buffer.add_string b "\\u00";
-          Buffer.add_char b hex_digits.[Char.code c lsr 4];
-          Buffer.add_char b hex_digits.[Char.code c land 0xf]
+      Buffer.add_string b (escape_of c)
     end
   done;
   Buffer.add_substring b s !run (n - !run)

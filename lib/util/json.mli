@@ -21,6 +21,13 @@ exception Parse_error of string
 val fail : ('a, unit, string, 'b) format4 -> 'a
 (** Raises {!Parse_error} with a formatted message. *)
 
+val needs_escape : char -> bool
+(** Whether [add_escaped] rewrites the byte: a quote, a backslash or
+    a byte below 0x20. *)
+
+val escape_of : char -> string
+(** What [add_escaped] writes for a byte that {!needs_escape}. *)
+
 val add_escaped : Buffer.t -> string -> unit
 (** Appends the JSON string-body escaping of a string (no surrounding
     quotes): a quote, a backslash, newline, return and tab get their

@@ -1710,8 +1710,45 @@ let gen_diff_line =
     if c + 1 < String.length m && m.[c + 1] <> '"' then ms.(i) <- String.sub m 0 (c + 1) ^ v;
     return ("{" ^ String.concat "," (Array.to_list ms) ^ "}")
   in
+  (* a rendered line with one member dropped, duplicated, renamed,
+     swapped with its neighbour, or spaced around its colon: each edit
+     makes the scanner leave its predicted keys at that member *)
+  let one_off =
+    gen_event >>= fun e ->
+    let ms = Array.of_list (members (Jsonl.to_string e)) in
+    let n = Array.length ms in
+    int_bound (n - 1) >>= fun i ->
+    let m = ms.(i) in
+    let c = String.index m ':' in
+    let key = String.sub m 0 c and rest = String.sub m (c + 1) (String.length m - c - 1) in
+    let replaced by =
+      Array.to_list (Array.sub ms 0 i) @ by @ Array.to_list (Array.sub ms (i + 1) (n - i - 1))
+    in
+    let swapped =
+      let a = Array.copy ms and j = if i + 1 < n then i else i - 1 in
+      a.(j) <- ms.(j + 1);
+      a.(j + 1) <- ms.(j);
+      Array.to_list a
+    in
+    let names = "kin" :: "kindx" :: List.map (fun k -> k.Ref_jsonl.name) !Ref_jsonl.keys in
+    oneof
+      [
+        return (replaced []);
+        map (fun v -> replaced [ m; key ^ ":" ^ v ]) gen_json_value;
+        map (fun name -> replaced [ "\"" ^ name ^ "\":" ^ rest ]) (oneofl names);
+        return swapped;
+        map (fun colon -> replaced [ key ^ colon ^ rest ]) (oneofl [ " :"; ": " ]);
+      ]
+    >>= fun ms -> return ("{" ^ String.concat "," ms ^ "}")
+  in
   frequency
-    [ (3, escaped); (2, edge_number); (3, gen_damaged); (1, map snd gen_tolerated) ]
+    [
+      (3, escaped);
+      (2, edge_number);
+      (3, gen_damaged);
+      (1, map snd gen_tolerated);
+      (3, one_off);
+    ]
 
 let parse_outcome of_string line =
   match of_string line with
@@ -1724,6 +1761,18 @@ let prop_jsonl_matches_reference =
     (QCheck.make ~print:(Printf.sprintf "%S") gen_diff_line)
     (fun line -> parse_outcome Jsonl.of_string line = parse_outcome Ref_jsonl.of_string line)
 
+(* [f] over [inputs] in chunks of 100 on [jobs] domains *)
+let on_domains ~jobs f inputs =
+  let chunk = 100 in
+  let out = Array.make (Array.length inputs / chunk) [] in
+  Sg_util.Pool.run ~jobs ~count:(Array.length out)
+    ~task:(fun ~cancelled:_ k -> List.init chunk (fun j -> f inputs.((k * chunk) + j)))
+    ~consume:(fun k r ->
+      out.(k) <- r;
+      Sg_util.Pool.Continue)
+    ();
+  out
+
 (* Each domain parses into scratch slots of its own: the same 10k lines
    parsed on two domains and on one give equal results. *)
 let test_jsonl_parse_on_domains () =
@@ -1732,17 +1781,7 @@ let test_jsonl_parse_on_domains () =
       (QCheck.Gen.generate ~rand:(Random.State.make [| 18 |]) ~n:10_000 gen_diff_line)
   in
   let chunk = 100 in
-  let parse_all jobs =
-    let out = Array.make (Array.length lines / chunk) [] in
-    Sg_util.Pool.run ~jobs ~count:(Array.length out)
-      ~task:(fun ~cancelled:_ k ->
-        List.init chunk (fun j -> parse_outcome Jsonl.of_string lines.((k * chunk) + j)))
-      ~consume:(fun k r ->
-        out.(k) <- r;
-        Sg_util.Pool.Continue)
-      ();
-    out
-  in
+  let parse_all jobs = on_domains ~jobs (parse_outcome Jsonl.of_string) lines in
   let one = parse_all 1 in
   let reference =
     Array.init (Array.length one) (fun k ->
@@ -1750,6 +1789,76 @@ let test_jsonl_parse_on_domains () =
   in
   Alcotest.(check bool) "2 domains parse what 1 does" true (parse_all 2 = one);
   Alcotest.(check bool) "and what the reference scanner does" true (one = reference)
+
+(* Each domain renders into a scratch of its own: the same 10k events
+   rendered on two domains and on one give equal lines. *)
+let test_jsonl_render_on_domains () =
+  let events =
+    Array.of_list (QCheck.Gen.generate ~rand:(Random.State.make [| 35 |]) ~n:10_000 gen_event)
+  in
+  Alcotest.(check bool) "2 domains render what 1 does" true
+    (on_domains ~jobs:2 Jsonl.to_string events = on_domains ~jobs:1 Jsonl.to_string events)
+
+(* The renderer's digits at every length and sign, and at the ends of
+   [int]: what [string_of_int] prints, and read back. *)
+let test_jsonl_int_edges () =
+  let powers = List.init 19 (fun k -> int_of_float (10. ** float_of_int k)) in
+  let ints =
+    [ 0; max_int; min_int; max_int - 1; min_int + 1 ]
+    @ List.concat_map (fun p -> [ p; p - 1; -p; 1 - p ]) powers
+  in
+  List.iter
+    (fun v ->
+      let e = { E.seq = v; at_ns = v; tid = v; kind = E.Divert { cid = v; victim = v } } in
+      let s = string_of_int v in
+      Alcotest.(check string) s
+        (Printf.sprintf {|{"seq":%s,"at_ns":%s,"tid":%s,"kind":"divert","cid":%s,"victim":%s}|}
+           s s s s s)
+        (Jsonl.to_string e);
+      Alcotest.(check bool) (s ^ " reads back") true (Jsonl.of_string (Jsonl.to_string e) = e))
+    ints
+
+(* Minor words per event of the codec over a fixed generated stream
+   holding every kind, with escapes in its strings. The renderer writes
+   into a per-domain scratch and copies the line out once; the scanner
+   allocates the event and its strings (an escaped one through a
+   [Buffer]). The ceilings sit
+   at what the codec allocates now, so added boxing fails here whatever
+   the host speed. *)
+let test_jsonl_allocation_budget () =
+  let events =
+    Array.of_list (QCheck.Gen.generate ~rand:(Random.State.make [| 35 |]) ~n:2000 gen_event)
+  in
+  let kinds = Array.to_list (Array.map (fun e -> E.kind_name e.E.kind) events) in
+  Alcotest.(check int) "every kind in the stream" 17 (List.length (List.sort_uniq compare kinds));
+  let lines = Array.map Jsonl.to_string events in
+  let b = Buffer.create 4096 in
+  let per_event f =
+    (* once to size the scratch and the buffer *)
+    f ();
+    let before = Gc.minor_words () in
+    f ();
+    (Gc.minor_words () -. before) /. float_of_int (Array.length events)
+  in
+  let check what ~ceiling f =
+    let words = per_event f in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.2f words per event, ceiling %.2f" what words ceiling)
+      true (words <= ceiling)
+  in
+  check "to_string" ~ceiling:13.35 (fun () ->
+      for i = 0 to Array.length events - 1 do
+        ignore (Sys.opaque_identity (Jsonl.to_string events.(i)))
+      done);
+  check "add_event" ~ceiling:0. (fun () ->
+      for i = 0 to Array.length events - 1 do
+        Buffer.clear b;
+        Jsonl.add_event b events.(i)
+      done);
+  check "of_string" ~ceiling:43.19 (fun () ->
+      for i = 0 to Array.length lines - 1 do
+        ignore (Sys.opaque_identity (Jsonl.of_string lines.(i)))
+      done)
 
 (* ---------- episode stitching & profiling ---------- *)
 
@@ -2165,6 +2274,10 @@ let () =
             test_jsonl_load_names_line;
           Alcotest.test_case "parse on 2 domains equals 1" `Quick
             test_jsonl_parse_on_domains;
+          Alcotest.test_case "render on 2 domains equals 1" `Quick
+            test_jsonl_render_on_domains;
+          Alcotest.test_case "allocation budget" `Quick test_jsonl_allocation_budget;
+          Alcotest.test_case "ints render as string_of_int" `Quick test_jsonl_int_edges;
         ] );
       ( "check",
         [

@@ -306,8 +306,9 @@ awk 'NR % 37 != 0' "$tmpdir/pin_evt.jsonl" > "$tmpdir/pin_evt_damaged.jsonl"
 expect_exit 1 $B/bin/sgtrace.exe check "$tmpdir/pin_evt_damaged.jsonl"
 grep -v end-of-stream "$tmpdir/out" > "$tmpdir/pin_check_fold.out"
 LC_ALL=C sort "$tmpdir/out" > "$tmpdir/pin_check_sorted.out"
-# A DST stream: the unshrunk mutant repro, replayed with --trace, passes
-# sgtrace check whole, and fails it with every 5th line dropped
+# A DST stream: the unshrunk mutant repro, replayed with --trace (its
+# bytes pinned, as the evt and sched streams are), passes sgtrace check
+# whole, and fails it with every 5th line dropped
 $B/bin/dst.exe replay "$tmpdir/dst_fail_j1.json" \
     --trace "$tmpdir/pin_dst_replay.jsonl" > /dev/null
 $B/bin/sgtrace.exe check "$tmpdir/pin_dst_replay.jsonl" > /dev/null
@@ -341,6 +342,7 @@ fbfb34dd800c6bff803f607a3d3934d7 pin_evt.jsonl d1cb0de superglue-campaign --ifac
 549094708697475425afb70c07219b5f pin_sched.jsonl d1cb0de superglue-campaign --iface sched -n 3000 --seed 9 --cmon --verify-bounds --trace
 0f4b41dbd1d50347125ad5cb5f1abcb7 pin_check_fold.out f0cf2ec sgtrace check (evt stream, every 37th line dropped), end-of-stream lines removed
 e51d57edf430a71a8ce6d4ddba0e2bf0 pin_check_sorted.out f0cf2ec sgtrace check (evt stream, every 37th line dropped), sorted
+7d91aeb0188b4cc6bde04bf5f0b4618c pin_dst_replay.jsonl 22daaba superglue-dst replay (the mm/drop-terminal/0 repro) --trace
 4c96b1f91db7cdbe118b36615a95b95e pin_dst_check.out cadf657 sgtrace check (replayed DST stream, every 5th line dropped)
 6c763833ebb8eac93196a9a8793df525 pin_profile.json f0cf2ec sgtrace profile --json < (evt stream)
 63d45243aae7a31ee7056bed9562654b pin_obs.out 3214d68 bench/main.exe obs
