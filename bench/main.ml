@@ -147,7 +147,6 @@ let all =
   ]
 
 let () =
-  Sg_util.Pool.tune_gc ();
   let requested =
     match List.tl (Array.to_list Sys.argv) with
     | [] -> List.map fst all

@@ -227,7 +227,6 @@ let run (_, mode) iface injections seed cmon jobs trace profile verify_bounds =
           else Sg_harness.Table2.print ~mode ~injections ~jobs ())
 
 let () =
-  Sg_util.Pool.tune_gc ();
   let term =
     Term.(
       const run $ mode_arg $ iface_arg $ injections_arg $ seed_arg $ cmon_arg

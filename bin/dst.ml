@@ -416,7 +416,6 @@ let mutants_cmd =
     Term.(const mutants_cmd_fn $ const ())
 
 let () =
-  Sg_util.Pool.tune_gc ();
   let info =
     Cmd.info "superglue-dst" ~version:"1.0"
       ~doc:"Property-based DST campaigns with shrinking for SuperGlue."

@@ -22,7 +22,7 @@ type desc = {
   mutable d_server_id : int;  (** id understood by the (current) server *)
   mutable d_state : string;  (** state-machine state, ["s0"] or ["after:<fn>"] *)
   mutable d_meta : (string * Sg_os.Comp.value) list;  (** tracked data D_dr *)
-  mutable d_parent : parent option;
+  d_parent : parent option;  (** {!children} indexes records by it *)
   mutable d_epoch : int;  (** server epoch at last consistency point *)
   mutable d_live : bool;  (** false once terminated (Y_dr may keep meta) *)
 }
@@ -76,7 +76,14 @@ val meta : desc -> string -> Sg_os.Comp.value option
 val meta_int : desc -> string -> int option
 val meta_str : desc -> string -> string option
 val children : t -> int -> desc list
-(** Live descriptors whose parent is [Local id]. *)
+(** Live descriptors whose parent is [Local id], in increasing id
+    order. Reads only the records that name [id] as their parent (kept
+    in an index by parent id), not the whole table. *)
+
+val examined : t -> int
+(** How many records {!children} has read since {!create}: a release
+    that walks a subtree reads that subtree's records (its released
+    ones included), whatever else the tracker holds. *)
 
 val live : t -> desc list
 (** All live descriptors, in increasing id order. *)

@@ -1,24 +1,5 @@
 open Sg_kernel
 
-let build ~duration_ns ~stride patterns =
-  let events =
-    List.concat_map
-      (fun (reg, cycle) ->
-        let n = List.length cycle in
-        if n = 0 then []
-        else
-          let rec go k acc =
-            let at = k * stride in
-            if at > duration_ns then acc
-            else
-              let use = List.nth cycle (k mod n) in
-              go (k + 1) ({ Usage.at; reg; use } :: acc)
-          in
-          go 0 [])
-      patterns
-  in
-  Usage.make ~duration_ns events
-
 let checked = Usage.Read_data Usage.Checked
 let returned = Usage.Read_data Usage.Returned
 let loop_bound = Usage.Read_data Usage.Loop_bound
@@ -31,12 +12,13 @@ let rec repeat n x = if n <= 0 then [] else x :: repeat (n - 1) x
 
 (* The profiles are built when the module loads, not lazily: runs on
    several domains may look up the same profile at once, and two domains
-   forcing one lazy value together raise [CamlinternalLazy.Undefined]. *)
+   forcing one lazy value together raise [CamlinternalLazy.Undefined].
+   [Usage.cyclic] builds each in time linear in its events. *)
 
 (* Scheduler: short queue operations, deep call chains (wide stack red
    zone), almost every register live; one loop bound over the runqueue. *)
 let sched_profile =
-  build ~duration_ns:780 ~stride:60
+  Usage.cyclic ~duration_ns:780 ~stride:60
     [
       (Reg.EAX, [ checked ]);
       (Reg.EBX, [ ptr 17 ]);
@@ -52,7 +34,7 @@ let sched_profile =
    registers periodically overwritten; the revocation loop is bounded by
    a subtree count; one computed address escapes on the alias path. *)
 let mm_profile =
-  build ~duration_ns:1200 ~stride:40
+  Usage.cyclic ~duration_ns:1200 ~stride:40
     [
       (Reg.EAX, [ checked ]);
       (Reg.EBX, [ ptr 18 ]);
@@ -67,7 +49,7 @@ let mm_profile =
 (* RamFS: long data moves through scratch registers; shallow call depth
    so a small stack red zone. *)
 let fs_profile =
-  build ~duration_ns:1520 ~stride:80
+  Usage.cyclic ~duration_ns:1520 ~stride:80
     [
       (Reg.EAX, [ checked ]);
       (Reg.EBX, [ ptr 19 ]);
@@ -82,7 +64,7 @@ let fs_profile =
 (* Lock: the shortest operations of the six; the owner word is returned
    to the caller on the contention path. *)
 let lock_profile =
-  build ~duration_ns:440 ~stride:20
+  Usage.cyclic ~duration_ns:440 ~stride:20
     [
       (Reg.EAX, returned :: repeat 21 checked);
       (Reg.EBX, [ ptr 16 ]);
@@ -97,7 +79,7 @@ let lock_profile =
 (* Event manager: hash-bucket lookups with scratch churn; the trigger
    count escapes to the caller. *)
 let event_profile =
-  build ~duration_ns:840 ~stride:30
+  Usage.cyclic ~duration_ns:840 ~stride:30
     [
       (Reg.EAX, returned :: repeat 27 checked);
       (Reg.EBX, [ ptr 17 ]);
@@ -111,7 +93,7 @@ let event_profile =
 
 (* Timer manager: wheel arithmetic; moderate stack use, one scratch. *)
 let timer_profile =
-  build ~duration_ns:600 ~stride:50
+  Usage.cyclic ~duration_ns:600 ~stride:50
     [
       (Reg.EAX, [ checked ]);
       (Reg.EBX, [ ptr 16 ]);
@@ -123,10 +105,14 @@ let timer_profile =
       (Reg.EBP, [ stack 7 ]);
     ]
 
-(* every invocation dispatches through one of these: no allocation *)
+(* every invocation dispatches through one of these: no allocation
+   ([String.starts_with] allocates a closure per call) *)
 let of_prefix profile prefix =
-  let some = Some profile in
-  fun fn -> if String.starts_with ~prefix fn then some else None
+  let some = Some profile and n = String.length prefix in
+  let rec from fn i =
+    i = n || (String.unsafe_get fn i = String.unsafe_get prefix i && from fn (i + 1))
+  in
+  fun fn -> if String.length fn >= n && from fn 0 then some else None
 
 let sched = of_prefix sched_profile "sched_"
 let mm = of_prefix mm_profile "mman_"

@@ -10,15 +10,8 @@
     register.
 
     A profile is expressed as one cyclic pattern of uses per register,
-    repeated across the operation's execution window. *)
-
-val build :
-  duration_ns:int ->
-  stride:int ->
-  (Sg_kernel.Reg.t * Sg_kernel.Usage.use list) list ->
-  Sg_kernel.Usage.t
-(** [build ~duration_ns ~stride patterns] lays the k-th event of each
-    register's cyclic pattern at offset [k * stride]. *)
+    repeated across the operation's execution window
+    ({!Sg_kernel.Usage.cyclic}). *)
 
 val sched : string -> Sg_kernel.Usage.t option
 (** Schedule for a scheduler interface function (short, stack-heavy

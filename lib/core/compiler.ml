@@ -1,62 +1,21 @@
-type artifact = {
-  a_name : string;
-  a_source : string;
-  a_ir : Ir.t;
-  a_machine : Machine.t;
-  a_stubplan : Stubplan.t;
-  a_warnings : Diag.t list;
-}
-
-exception Compile_error of Diag.t list
-
-let error_to_string ds = String.concat "; " (List.map Diag.to_string ds)
-
-let compile ~name source =
-  let fail ~code ~line ~col fmt =
-    Printf.ksprintf
-      (fun m ->
-        let span = { Diag.sp_file = name; sp_line = line; sp_col = col } in
-        raise (Compile_error [ Diag.make ~span ~code ~severity:Diag.Error m ]))
-      fmt
-  in
-  let ast =
-    try Parser.parse source with
-    | Lexer.Lex_error { line; col; message } ->
-        fail ~code:"SG900" ~line ~col "%s" message
-    | Parser.Parse_error { line; col; message } ->
-        fail ~code:"SG901" ~line ~col "%s" message
-  in
-  let ir =
-    try Ir.of_ast ~name ast
-    with Ir.Semantic_error ds -> raise (Compile_error ds)
-  in
-  let machine = Machine.build ir in
-  {
-    a_name = name;
-    a_source = source;
-    a_ir = ir;
-    a_machine = machine;
-    a_stubplan = Stubplan.build ir machine;
-    a_warnings = Ir.warnings ir;
-  }
-
-let compile_file path =
-  let ic = open_in_bin path in
-  let source =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  compile ~name:Filename.(remove_extension (basename path)) source
+include Compile
 
 module Sysbuild = Sg_components.Sysbuild
 
 let builtin_names = Sysbuild.names
 
-(* compiled once, at module initialisation: pool tasks on any domain
-   read the table, and nothing writes it afterwards *)
+(* compiled at build time (tools/genbuiltins) and linked as static
+   data: nothing runs at start or on lookup, and pool tasks on any
+   domain read the same immutable values *)
 let builtins =
-  Sysbuild.init (fun name -> compile ~name (List.assoc name Specs.files))
+  {
+    Sysbuild.sched = Builtins.sched;
+    mm = Builtins.mm;
+    fs = Builtins.fs;
+    lock = Builtins.lock;
+    evt = Builtins.evt;
+    timer = Builtins.timer;
+  }
 
 let builtin name = Sysbuild.get builtins name
 let builtin_source name = (builtin name).a_source

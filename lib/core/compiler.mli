@@ -1,4 +1,5 @@
-(** The SuperGlue compiler pipeline (paper §IV-B):
+(** The SuperGlue compiler: the front end ({!Sg_frontend.Compile}) and
+    the six builtin interfaces.
 
     preprocess (comment stripping) → tokenize → parse → semantic
     analysis into the descriptor-resource/state-machine IR → recovery
@@ -6,38 +7,20 @@
     guarded template network ({!Codegen}, run twice for client and
     server stubs) and the in-process interpreted backend ({!Interp}). *)
 
-type artifact = {
-  a_name : string;
-  a_source : string;  (** the specification text *)
-  a_ir : Ir.t;
-  a_machine : Machine.t;
-  a_stubplan : Stubplan.t;
-      (** what the interpreted stubs ({!Interp}) ask per invocation,
-          resolved once from [a_ir] and [a_machine] *)
-  a_warnings : Diag.t list;
-      (** non-fatal diagnostics collected during compilation (today:
-          the [SG020] state-class-collapsing infos) *)
-}
-
-exception Compile_error of Diag.t list
-(** Lexer ([SG900]), parser ([SG901]) and semantic ([SG902]) errors,
-    each with a [file:line:col] span. *)
-
-val error_to_string : Diag.t list -> string
-(** Render a {!Compile_error} payload as a single ["; "]-joined line. *)
-
-val compile : name:string -> string -> artifact
-val compile_file : string -> artifact
-(** The interface name is the file's basename. *)
+include module type of struct
+  include Sg_frontend.Compile
+end
 
 val builtin_names : string list
 (** The six system interfaces embedded at build time:
     {!Sg_components.Sysbuild.names}. *)
 
 val builtin : string -> artifact
-(** Compiled embedded specification; all six are compiled at module
-    initialisation, so this is a read-only lookup, safe from any
-    domain. Raises [Invalid_argument] for an unknown name. *)
+(** A builtin interface's artifact. All six are compiled at build time
+    by [tools/genbuiltins] (the same {!compile}, run on
+    [idl/<name>.sgidl]) and linked as static data, so this runs no
+    compiler stage: it is a read-only lookup, safe from any domain.
+    Raises [Invalid_argument] for an unknown name. *)
 
 val builtin_source : string -> string
 

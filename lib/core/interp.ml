@@ -108,7 +108,7 @@ let track (a : Compiler.artifact) (p : Stubplan.fn) storage sim tr ~epoch args
             else begin
               (* fault detection: flag transitions outside sigma *)
               if not (mem_state d.Tracker.d_state p.Stubplan.fn_from) then
-                Atomic.incr (Stubplan.invalid a.Compiler.a_stubplan);
+                Atomic.incr (Stubplan.counter ir.Ir.ir_name);
               Tracker.set_state tr sim d p.Stubplan.fn_after;
               set_metas tr sim d (tracked_meta p args);
               match p.Stubplan.fn_retval with

@@ -103,10 +103,19 @@ let mode_of_sut = function
 
 (* static bounds are always the *pristine* ones: a mutant that inflates
    its declared cap must still be judged against the spec it shipped.
-   Both are built at module initialisation, so scenarios on any pool
-   domain read them without a first-use race. *)
-let pristine_report =
-  Wcr.analyze (List.map Compiler.builtin Compiler.builtin_names)
+   Only DST reads them, so they are analysed on first use, not at
+   start. The cell makes that domain-safe: scenarios on two pool
+   domains may both analyse the (immutable) builtins and store equal
+   reports, where a [lazy] forced from two domains at once raises. *)
+let pristine = Atomic.make None
+
+let pristine_report () =
+  match Atomic.get pristine with
+  | Some r -> r
+  | None ->
+      let r = Wcr.analyze (List.map Compiler.builtin Compiler.builtin_names) in
+      Atomic.set pristine (Some r);
+      r
 
 let pristine_fs_cap =
   match (Compiler.builtin "fs").Compiler.a_ir.Ir.ir_model.Model.table_cap with
@@ -620,7 +629,7 @@ let bound_of sys cid =
   match Sysbuild.iface_of_cid sys cid with
   | None -> None
   | Some iface ->
-      Wcr.bound_for pristine_report ~crashed:iface ~client:iface
+      Wcr.bound_for (pristine_report ()) ~crashed:iface ~client:iface
 
 let iface_name sys cid =
   match Sysbuild.iface_of_cid sys cid with

@@ -167,16 +167,16 @@ let recovery ?(reps = 5) () =
 
 type loc_row = { l_iface : string; l_idl : int; l_generated : int; l_c3 : int }
 
-(* the hand-written C³ stub of each service, embedded at build time *)
-let c3_loc =
-  let loc file = Superglue.Codegen.loc (List.assoc file C3_sources.files) in
+(* the hand-written C³ stub of each service, embedded at build time;
+   counted only when Fig 6(c) is drawn, like the other two columns *)
+let c3_stub =
   {
-    Sysbuild.sched = loc "c3_stub_sched";
-    mm = loc "c3_stub_mm";
-    fs = loc "c3_stub_fs";
-    lock = loc "c3_stub_lock";
-    evt = loc "c3_stub_event";
-    timer = loc "c3_stub_timer";
+    Sysbuild.sched = "c3_stub_sched";
+    mm = "c3_stub_mm";
+    fs = "c3_stub_fs";
+    lock = "c3_stub_lock";
+    evt = "c3_stub_event";
+    timer = "c3_stub_timer";
   }
 
 let loc () =
@@ -187,6 +187,7 @@ let loc () =
         l_iface = iface;
         l_idl = Superglue.Codegen.loc a.Superglue.Compiler.a_source;
         l_generated = Superglue.Codegen.loc (Superglue.Codegen.emit a);
-        l_c3 = Sysbuild.get c3_loc iface;
+        l_c3 =
+          Superglue.Codegen.loc (List.assoc (Sysbuild.get c3_stub iface) C3_sources.files);
       })
     Workloads.all_ifaces

@@ -45,6 +45,48 @@ let make ~duration_ns events =
     events;
   { duration_ns; events; by_reg; reg_start }
 
+(* Each register's events are already in [at] order, one per stride
+   slot, so both arrays are filled directly: [by_reg] register by
+   register, [events] slot by slot (ties in register order). *)
+let cyclic ~duration_ns ~stride patterns =
+  if stride <= 0 then invalid_arg "Usage.cyclic: stride must be positive";
+  if duration_ns < 0 then invalid_arg "Usage.cyclic: negative duration";
+  let n_regs = Array.length Reg.all in
+  let cycles = Array.make n_regs [||] in
+  List.iter
+    (fun (reg, cycle) ->
+      let r = Reg.index reg in
+      if Array.length cycles.(r) > 0 then
+        invalid_arg "Usage.cyclic: two patterns for one register";
+      cycles.(r) <- Array.of_list cycle)
+    patterns;
+  let slots = (duration_ns / stride) + 1 in
+  let reg_start = Array.make (n_regs + 1) 0 in
+  for r = 0 to n_regs - 1 do
+    reg_start.(r + 1) <- (reg_start.(r) + if Array.length cycles.(r) = 0 then 0 else slots)
+  done;
+  let none = { at = 0; reg = Reg.EAX; use = Write } in
+  let by_reg = Array.make reg_start.(n_regs) none in
+  let events = Array.make reg_start.(n_regs) none in
+  Array.iteri
+    (fun r cycle ->
+      let n = Array.length cycle in
+      for k = 0 to (if n = 0 then -1 else slots - 1) do
+        by_reg.(reg_start.(r) + k) <-
+          { at = k * stride; reg = Reg.all.(r); use = cycle.(k mod n) }
+      done)
+    cycles;
+  let i = ref 0 in
+  for k = 0 to slots - 1 do
+    for r = 0 to n_regs - 1 do
+      if Array.length cycles.(r) > 0 then begin
+        events.(!i) <- by_reg.(reg_start.(r) + k);
+        incr i
+      end
+    done
+  done;
+  { duration_ns; events; by_reg; reg_start }
+
 let duration_ns t = t.duration_ns
 
 type verdict =

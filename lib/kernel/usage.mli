@@ -60,6 +60,14 @@ val make : duration_ns:int -> event list -> t
 (** Sorts the events; raises [Invalid_argument] if any offset is negative
     or beyond the duration. *)
 
+val cyclic : duration_ns:int -> stride:int -> (Reg.t * use list) list -> t
+(** [cyclic ~duration_ns ~stride patterns] lays the k-th use of each
+    register's cyclic pattern at offset [k * stride], for every
+    [k * stride <= duration_ns]: the schedule {!make} builds from those
+    events (same [by_reg] and [reg_start]; ties in [events] in register
+    order), in linear time. Raises [Invalid_argument] for a
+    non-positive stride or two patterns for one register. *)
+
 val duration_ns : t -> int
 
 type verdict =

@@ -151,36 +151,35 @@ let u_escape line i =
   in
   go 0 0
 
-(* the body [i, stop) of a string [string_end] has checked, unescaped *)
+(* the decoded length of the body [j, stop), plus [n] *)
+let rec unescaped_length line stop j n =
+  if j >= stop then n
+  else if String.unsafe_get line j <> '\\' then unescaped_length line stop (j + 1) (n + 1)
+  else unescaped_length line stop (j + if line.[j + 1] = 'u' then 6 else 2) (n + 1)
+
+(* decode the body [j, stop) into [b] from [k] *)
+let rec unescape_into b line stop j k =
+  if j < stop then
+    match String.unsafe_get line j with
+    | '\\' -> (
+        match line.[j + 1] with
+        | 'u' ->
+            (* emitted escapes are all < 0x20; keep it byte-sized *)
+            Bytes.unsafe_set b k (Char.chr (u_escape line (j + 2) land 0xff));
+            unescape_into b line stop (j + 6) (k + 1)
+        | c ->
+            Bytes.unsafe_set b k (match c with 'n' -> '\n' | 'r' -> '\r' | 't' -> '\t' | c -> c);
+            unescape_into b line stop (j + 2) (k + 1))
+    | c ->
+        Bytes.unsafe_set b k c;
+        unescape_into b line stop (j + 1) (k + 1)
+
+(* the body [i, stop) of a string [string_end] has checked, unescaped:
+   one pass sizes it, one fills a string of that size *)
 let unescape line i stop =
-  let b = Buffer.create (stop - i) in
-  let rec go j =
-    if j < stop then
-      match line.[j] with
-      | '\\' -> (
-          match line.[j + 1] with
-          | 'n' ->
-              Buffer.add_char b '\n';
-              go (j + 2)
-          | 'r' ->
-              Buffer.add_char b '\r';
-              go (j + 2)
-          | 't' ->
-              Buffer.add_char b '\t';
-              go (j + 2)
-          | 'u' ->
-              (* emitted escapes are all < 0x20; keep it byte-sized *)
-              Buffer.add_char b (Char.chr (u_escape line (j + 2) land 0xff));
-              go (j + 6)
-          | c ->
-              Buffer.add_char b c;
-              go (j + 2))
-      | c ->
-          Buffer.add_char b c;
-          go (j + 1)
-  in
-  go i;
-  Buffer.contents b
+  let b = Bytes.create (unescaped_length line stop i 0) in
+  unescape_into b line stop i 0;
+  Bytes.unsafe_to_string b
 
 let start s k =
   let p = s.pos.(2 * k.slot) in

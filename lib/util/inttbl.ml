@@ -20,10 +20,14 @@ let create n =
   in
   { size = 0; buckets }
 
-(* fold the high half into the low bits the mask keeps: namespaced ids
-   ([ns lsl 32 lor id]) and virtual ids (above [1 lsl 40]) spread like
-   small ones *)
-let[@inline] index t key = (key lxor (key lsr 32)) land (Array.length t.buckets - 1)
+(* multiply by an odd constant, then fold the well-mixed high bits into
+   the low bits the mask keeps. Keys that differ only in high bits
+   (namespaced ids [ns lsl 32 lor id], virtual ids above [1 lsl 40]) and
+   keys with many low zero bits (page-aligned addresses, which C³'s mm
+   stub tracks: they used to share one bucket) spread like small ones. *)
+let[@inline] index t key =
+  let h = key * 0x4F1BBCDCBFA53E0B in
+  (h lxor (h lsr 29)) land (Array.length t.buckets - 1)
 
 let length t = t.size
 
@@ -118,3 +122,7 @@ let fold f t acc =
     | Cons c -> chain (f c.key c.data acc) c.next
   in
   Array.fold_left chain acc t.buckets
+
+let longest_chain t =
+  let rec length n = function Nil -> n | Cons c -> length (n + 1) c.next in
+  Array.fold_left (fun m b -> max m (length 0 b)) 0 t.buckets

@@ -40,3 +40,7 @@ val clear : 'a t -> unit
 val fold : (int -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
 (** In an unspecified order that depends only on the sequence of
     operations. *)
+
+val longest_chain : 'a t -> int
+(** The most bindings one bucket holds: how well {!find_opt} spreads
+    the table's keys (tests bound it for key patterns the system uses). *)

@@ -46,17 +46,6 @@ type decision =
   | Continue  (** keep consuming *)
   | Stop  (** stop the stream; in-flight speculative results are discarded *)
 
-val tune_gc : unit -> unit
-(** Grow the *current domain's* minor heap to the pool's throughput
-    setting (2M words) if it is smaller. Worker domains call this on
-    startup — with more domains than cores, every minor collection is a
-    stop-the-world rendezvous with descheduled peers, and a roomier
-    minor heap cuts the rendezvous frequency by an order of magnitude.
-    The minor heap is per-domain state, so a worker's tuning dies with
-    its domain; campaign binaries call this once at startup to give the
-    consuming domain the same setting (an OCaml 5.1 [Gc.set] in the
-    parent does not reach spawned domains, hence per-domain calls). *)
-
 val run :
   jobs:int ->
   ?count:int ->

@@ -55,3 +55,9 @@ val weighted : t -> (int * 'a) array -> 'a
 val exponential : t -> mean:float -> float
 (** Exponentially distributed value with the given mean; used for Poisson
     fault inter-arrival times (paper §V-A). *)
+
+val gap_ns : t -> mean:float -> int
+(** [max 1 (int_of_float (exponential t ~mean))]: a Poisson
+    inter-arrival gap in whole ns, strictly positive. Unlike
+    {!exponential} it returns an immediate, so a draw allocates
+    nothing. *)

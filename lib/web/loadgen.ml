@@ -101,23 +101,19 @@ let gap_stepper arrival rng =
   match arrival with
   | Poisson { rate_rps } ->
       let mean = 1e9 /. rate_rps in
-      fun () -> max 1 (int_of_float (Rng.exponential rng ~mean))
+      fun () -> Rng.gap_ns rng ~mean
   | Bursty { base_rps; burst_rps; quiet_ms; burst_ms } ->
       let t = ref 0 in
       let in_burst = ref false in
-      let next_switch =
-        ref (max 1 (int_of_float (Rng.exponential rng ~mean:(quiet_ms *. 1e6))))
-      in
+      let base_mean = 1e9 /. base_rps and burst_mean = 1e9 /. burst_rps in
+      let next_switch = ref (Rng.gap_ns rng ~mean:(quiet_ms *. 1e6)) in
       fun () ->
         if !t >= !next_switch then begin
           in_burst := not !in_burst;
           let dwell_ms = if !in_burst then burst_ms else quiet_ms in
-          next_switch :=
-            !t
-            + max 1 (int_of_float (Rng.exponential rng ~mean:(dwell_ms *. 1e6)))
+          next_switch := !t + Rng.gap_ns rng ~mean:(dwell_ms *. 1e6)
         end;
-        let rate = if !in_burst then burst_rps else base_rps in
-        let gap = max 1 (int_of_float (Rng.exponential rng ~mean:(1e9 /. rate))) in
+        let gap = Rng.gap_ns rng ~mean:(if !in_burst then burst_mean else base_mean) in
         t := !t + gap;
         gap
 

@@ -59,6 +59,80 @@ let test_tracker_virtual_ids () =
       Alcotest.(check bool) "rekey of a missing key" true
         (Tracker.rekey tr ~from:99 ~to_:v2 = None))
 
+(* The children index against the definition it replaced, a filter of
+   every tracked record, under random adds (fresh and replacing),
+   rekeys, removals and kills. *)
+let prop_children_index =
+  let op =
+    QCheck.Gen.(
+      oneof
+        [
+          map2 (fun id p -> `Add (id, p)) (int_bound 15) (opt (int_bound 15));
+          map2 (fun a b -> `Rekey (a, b)) (int_bound 15) (int_bound 15);
+          map (fun id -> `Remove id) (int_bound 15);
+          map (fun id -> `Kill id) (int_bound 15);
+        ])
+  in
+  QCheck.Test.make ~name:"children index equals the table filter" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_bound 60) op))
+    (fun ops ->
+      let sim = Sim.create () in
+      let tr = Tracker.create ~flavor:Tracker.C3 () in
+      List.iter
+        (function
+          | `Add (id, p) ->
+              ignore
+                (Tracker.add tr sim
+                   ?parent:(Option.map (fun p -> Tracker.Local p) p)
+                   ~state:"s" ~meta:[] ~epoch:0 id)
+          | `Rekey (a, b) -> ignore (Tracker.rekey tr ~from:a ~to_:b)
+          | `Remove id -> Tracker.remove tr id
+          | `Kill id -> (
+              match Tracker.find tr id with
+              | Some d -> d.Tracker.d_live <- false
+              | None -> ()))
+        ops;
+      List.for_all
+        (fun id ->
+          let expect =
+            List.filter
+              (fun d -> d.Tracker.d_parent = Some (Tracker.Local id))
+              (Tracker.live tr)
+          in
+          List.map (fun d -> d.Tracker.d_id) (Tracker.children tr id)
+          = List.map (fun d -> d.Tracker.d_id) expect)
+        (List.init 16 Fun.id))
+
+(* C³'s mm stub keeps every released mapping, dead. A release walks
+   the released mapping's subtree through [children]: it must read
+   that subtree's records only (here the mapping's one alias), however
+   many released ones the tracker holds. Counted, not timed. *)
+let test_release_reads_own_subtree () =
+  let cfg = Sg_components.C3_stub_mm.client_config () in
+  let per_release iterations =
+    let sim = Sim.create () in
+    let tr = Tracker.create ~flavor:Tracker.C3 () in
+    let call fn args = cfg.Cstub.cfg_track sim tr ~epoch:0 fn args Comp.VUnit in
+    for i = 1 to iterations do
+      let vaddr = 0x4000_0000 + (i lsl 12) in
+      call "mman_get_page" [ Comp.VInt vaddr ];
+      call "mman_alias_page" [ Comp.VInt vaddr; Comp.VInt 7; Comp.VInt (vaddr + 0x1000_0000) ]
+    done;
+    let before = Tracker.examined tr in
+    for i = 1 to iterations do
+      call "mman_release_page" [ Comp.VInt (0x4000_0000 + (i lsl 12)) ]
+    done;
+    Alcotest.(check int) "every record released" 0 (List.length (Tracker.live tr));
+    Alcotest.(check int) "records kept" (2 * iterations) (Tracker.count tr);
+    float_of_int (Tracker.examined tr - before) /. float_of_int iterations
+  in
+  List.iter
+    (fun n ->
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "records read per release after %d iterations" n)
+        1.0 (per_release n))
+    [ 100; 400; 1600 ]
+
 let test_tracker_charges_by_flavor () =
   let sim = Sim.create () in
   let charge flavor =
@@ -249,6 +323,9 @@ let () =
         [
           Alcotest.test_case "add/find/remove" `Quick test_tracker_add_find;
           Alcotest.test_case "children" `Quick test_tracker_children;
+          QCheck_alcotest.to_alcotest prop_children_index;
+          Alcotest.test_case "a release reads only its subtree" `Quick
+            test_release_reads_own_subtree;
           Alcotest.test_case "virtual ids" `Quick test_tracker_virtual_ids;
           Alcotest.test_case "flavor costs" `Quick test_tracker_charges_by_flavor;
         ] );

@@ -173,7 +173,7 @@ let test_build_budget () =
     build seed
   done;
   let words = (Gc.minor_words () -. before) /. float_of_int builds in
-  let ceiling = 2341. in
+  let ceiling = 2323. in
   Alcotest.(check bool)
     (Printf.sprintf "%.1f minor words per build and six ports, ceiling %.0f"
        words ceiling)

@@ -868,7 +868,7 @@ let test_scenario_budget () =
   done;
   let words = (Gc.minor_words () -. before) /. float_of_int seeds in
   Alcotest.(check int) "no failing seed" 0 !failed;
-  let ceiling = 12022. in
+  let ceiling = 11303. in
   Alcotest.(check bool)
     (Printf.sprintf "%.1f minor words per scenario, ceiling %.0f" words ceiling)
     true (words <= ceiling)

@@ -337,6 +337,53 @@ let prop_classify_matches_scan =
           Usage.classify u ~reg ~bit ~at = classify_by_scan u ~reg ~bit ~at)
         flips)
 
+(* [Usage.cyclic] lays out directly what [Usage.make] sorts: the same
+   per-register index, and [events] sorted by offset *)
+let prop_cyclic_matches_make =
+  let open QCheck.Gen in
+  let use =
+    oneofl
+      [
+        Usage.Write;
+        Usage.Read_data Usage.Checked;
+        Usage.Read_data Usage.Returned;
+        Usage.Read_pointer { bound_bits = 17; escapes = true };
+        Usage.Read_stackptr { red_bits = 9 };
+      ]
+  in
+  let gen =
+    triple (int_range 0 400) (int_range 1 60)
+      (flatten_l
+         (Array.to_list
+            (Array.map
+               (fun reg -> opt (map (fun c -> (reg, c)) (list_size (int_range 1 12) use)))
+               Reg.all)))
+    >|= fun (d, s, ps) -> (d, s, List.filter_map Fun.id ps)
+  in
+  QCheck.Test.make ~name:"cyclic equals make of the same events" ~count:300
+    (QCheck.make gen) (fun (duration_ns, stride, patterns) ->
+      let c = Usage.cyclic ~duration_ns ~stride patterns in
+      let events =
+        List.concat_map
+          (fun (reg, cycle) ->
+            let n = List.length cycle in
+            List.init ((duration_ns / stride) + 1) (fun k ->
+                { Usage.at = k * stride; reg; use = List.nth cycle (k mod n) }))
+          patterns
+      in
+      let m = Usage.make ~duration_ns events in
+      let sorted = ref true in
+      Array.iteri
+        (fun i (e : Usage.event) ->
+          if i > 0 && c.Usage.events.(i - 1).Usage.at > e.Usage.at then sorted := false)
+        c.Usage.events;
+      c.Usage.by_reg = m.Usage.by_reg
+      && c.Usage.reg_start = m.Usage.reg_start
+      && c.Usage.duration_ns = m.Usage.duration_ns
+      && !sorted
+      && List.sort compare (Array.to_list c.Usage.events)
+         = List.sort compare (Array.to_list m.Usage.events))
+
 let test_cost_scale () =
   let c = Cost.default in
   Alcotest.(check bool) "scale by 1.0 is the identity" true (Cost.scale c 1.0 = c);
@@ -397,6 +444,7 @@ let () =
           Alcotest.test_case "window builder" `Quick test_usage_window_builder;
           QCheck_alcotest.to_alcotest prop_classify_pure;
           QCheck_alcotest.to_alcotest prop_classify_matches_scan;
+          QCheck_alcotest.to_alcotest prop_cyclic_matches_make;
         ] );
       ("cost", [ Alcotest.test_case "scale" `Quick test_cost_scale ]);
       ("kernel", [ Alcotest.test_case "aggregate" `Quick test_kernel_aggregate ]);

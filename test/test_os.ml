@@ -571,7 +571,7 @@ let test_superglue_lock_budget () =
                  Lock.release port sim l
                done)));
   Alcotest.(check bool) "completed" true (Sim.run sim = Sim.Completed);
-  check_budget "lock_take/lock_release via the superglue stubs" ~ceiling:43.
+  check_budget "lock_take/lock_release via the superglue stubs" ~ceiling:37.
     !words
 
 let test_determinism () =

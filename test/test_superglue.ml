@@ -71,6 +71,30 @@ let test_parse_builtin_specs () =
       if n_fns < 3 then Alcotest.failf "%s: only %d functions parsed" name n_fns)
     Compiler.builtin_names
 
+(* The six builtins are linked as the literals tools/genbuiltins wrote
+   at build time. Each must equal what the one front end makes of its
+   source now: IR, state machine, stub plan and warnings, field for
+   field. (dune runtest runs in test/; the fallback serves dune exec
+   from the root.) *)
+let test_linked_builtins_equal_compiled () =
+  List.iter
+    (fun name ->
+      let path =
+        let p = Printf.sprintf "../idl/%s.sgidl" name in
+        if Sys.file_exists p then p else Printf.sprintf "idl/%s.sgidl" name
+      in
+      let linked = Compiler.builtin name and compiled = Compiler.compile_file path in
+      Alcotest.(check string) (name ^ ": source") compiled.Compiler.a_source linked.Compiler.a_source;
+      Alcotest.(check bool) (name ^ ": IR") true (linked.Compiler.a_ir = compiled.Compiler.a_ir);
+      Alcotest.(check bool)
+        (name ^ ": state machine") true
+        (linked.Compiler.a_machine = compiled.Compiler.a_machine);
+      Alcotest.(check bool)
+        (name ^ ": stub plan") true
+        (linked.Compiler.a_stubplan = compiled.Compiler.a_stubplan);
+      Alcotest.(check bool) (name ^ ": whole artifact") true (linked = compiled))
+    Compiler.builtin_names
+
 let test_parse_fig3_shape () =
   (* the paper's Fig 3 example, verbatim structure *)
   let ast = Parser.parse (Compiler.builtin_source "evt") in
@@ -351,6 +375,8 @@ let () =
       ( "parser",
         [
           Alcotest.test_case "builtin specs" `Quick test_parse_builtin_specs;
+          Alcotest.test_case "linked builtins equal compiled sources" `Quick
+            test_linked_builtins_equal_compiled;
           Alcotest.test_case "fig3 example shape" `Quick test_parse_fig3_shape;
           Alcotest.test_case "pointer types" `Quick test_parse_pointer_type;
           Alcotest.test_case "errors located" `Quick test_parse_error_reported;

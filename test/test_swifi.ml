@@ -223,7 +223,7 @@ let test_injection_budget () =
   let injected = List.fold_left (fun acc i -> acc + fst (chunk i)) 0 Workloads.all_ifaces in
   let words = (Gc.minor_words () -. before) /. float_of_int injected in
   Alcotest.(check bool) "faults injected" true (injected > 0);
-  let ceiling = 677. in
+  let ceiling = 619. in
   Alcotest.(check bool)
     (Printf.sprintf "%.1f minor words per injection, ceiling %.0f" words ceiling)
     true (words <= ceiling)

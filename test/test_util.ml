@@ -5,6 +5,7 @@ module Word32 = Sg_util.Word32
 module Stats = Sg_util.Stats
 module Table = Sg_util.Table
 module Json = Sg_util.Json
+module Inttbl = Sg_util.Inttbl
 
 let test_rng_deterministic () =
   let a = Rng.create 7 and b = Rng.create 7 in
@@ -58,6 +59,96 @@ let test_rng_split_pinned () =
   let c = Rng.split (Rng.create 43) in
   Alcotest.(check bool) "seed reaches children" true
     (Rng.int64 c <> List.hd expect_a)
+
+(* Every draw function pinned on one stream, with the values of the
+   boxed-state implementation this one replaced: a change of
+   representation must keep each sequence bit for bit. *)
+let test_rng_draws_pinned () =
+  let t = Rng.create 2026 in
+  List.iter
+    (fun v -> Alcotest.(check int64) "int64" v (Rng.int64 t))
+    [ 0xdb9c559891948d23L; 0x78bc927ded35455dL; 0xaad71e75cde2b88eL;
+      0x6280938ad5a104f2L ];
+  List.iter
+    (fun v -> Alcotest.(check int) "int" v (Rng.int t 1_000_003))
+    [ 442467; 846733; 504280; 749389; 730150; 956248 ];
+  List.iter
+    (fun v -> Alcotest.(check (float 0.0)) "float" v (Rng.float t 10.0))
+    [ 0x1.acfa4c3182336p+1; 0x1.20990c96961f8p+3; 0x1.97eaec947b406p+1 ];
+  List.iter
+    (fun v ->
+      Alcotest.(check (float 0.0)) "exponential" v (Rng.exponential t ~mean:1000.0))
+    [ 0x1.49775fb95bec2p+8; 0x1.01b41f7f66779p+10; 0x1.55c2c170d728fp+7 ];
+  List.iter
+    (fun v -> Alcotest.(check bool) "bool" v (Rng.bool t))
+    [ true; true; true; true; false; false; false; false ];
+  List.iter
+    (fun v -> Alcotest.(check bool) "bernoulli" v (Rng.bernoulli t 0.5))
+    [ true; true; false; false; false; false; true; true; true; false; false; true ];
+  let c = Rng.copy t in
+  Array.iter2
+    (fun v r -> Alcotest.(check int64) "streams" v (Rng.int64 r))
+    [| 0xc84a4a249d2d15b8L; 0xb7fd80c5818b07efL; 0x58779246adde6602L |]
+    (Rng.streams t 3);
+  Alcotest.(check int64) "copy keeps the state" 0xc3fd85913eb26d16L (Rng.int64 c);
+  Alcotest.(check int64) "the original moves on" 0xd44aa38abc456c1eL (Rng.int64 t);
+  Alcotest.(check int) "choose" 50 (Rng.choose t [| 10; 20; 30; 40; 50 |]);
+  Alcotest.(check int) "weighted" 3 (Rng.weighted t [| (1, 1); (0, 2); (5, 3) |]);
+  let r = Rng.create (-7) and h = ref 0 in
+  for _ = 1 to 100_000 do
+    h := ((!h * 31) + Rng.int r 1_000_000_007) land 0x3FFF_FFFF_FFFF
+  done;
+  Alcotest.(check int) "100k draws hashed" 45441926763687 !h
+
+(* A draw keeps the state unboxed: 10k draws of each kind that returns
+   an immediate allocate nothing. *)
+let test_rng_draws_allocate_nothing () =
+  let t = Rng.create 11 in
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let acc = ref 0 and three = [| 1; 2; 3 |] and two = [| (1, 1); (2, 2) |] in
+  let per_kind =
+    [
+      ("int", fun () -> for _ = 1 to 10_000 do acc := !acc + Rng.int t 1000 done);
+      ("bool", fun () -> for _ = 1 to 10_000 do if Rng.bool t then incr acc done);
+      ("gap_ns", fun () -> for _ = 1 to 10_000 do acc := !acc + Rng.gap_ns t ~mean:50.0 done);
+      ("choose", fun () -> for _ = 1 to 10_000 do acc := !acc + Rng.choose t three done);
+      ("weighted", fun () -> for _ = 1 to 10_000 do acc := !acc + Rng.weighted t two done);
+      ("bernoulli", fun () -> for _ = 1 to 10_000 do if Rng.bernoulli t 0.5 then incr acc done);
+    ]
+  in
+  ignore (words (fun () -> ()));
+  List.iter
+    (fun (name, f) ->
+      (* the boxed float [Gc.minor_words] returns is 2 words *)
+      let w = words f -. 2.0 in
+      if w > 0.0 then Alcotest.failf "Rng.%s: %.0f minor words over 10k draws" name w)
+    per_kind;
+  Alcotest.(check bool) "draws used" true (!acc <> 0)
+
+(* Key patterns the stubs track spread over the buckets: small ids,
+   page-aligned addresses (C³'s mm descriptors, which all shared one
+   bucket while the hash kept the low bits as they were), namespaced
+   (ns lsl 32 lor vaddr) aliases and virtual ids. 4096 keys load a table
+   to at most 2 per bucket on average. *)
+let test_inttbl_spread () =
+  List.iter
+    (fun (what, key) ->
+      let t = Inttbl.create 8 in
+      for i = 1 to 4096 do
+        Inttbl.replace t (key i) i
+      done;
+      let longest = Inttbl.longest_chain t in
+      if longest > 12 then Alcotest.failf "%s: a bucket holds %d of 4096 keys" what longest)
+    [
+      ("small ids", Fun.id);
+      ("page-aligned", fun i -> i lsl 13);
+      ("namespaced aliases", fun i -> (7 lsl 32) lor ((i lsl 13) + 0x1000));
+      ("virtual ids", fun i -> (1 lsl 40) + i);
+    ]
 
 let test_rng_bounds () =
   let r = Rng.create 3 in
@@ -386,6 +477,9 @@ let () =
           Alcotest.test_case "split independent" `Quick test_rng_split_independent;
           Alcotest.test_case "split pinned streams" `Quick
             test_rng_split_pinned;
+          Alcotest.test_case "draws pinned" `Quick test_rng_draws_pinned;
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_rng_draws_allocate_nothing;
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
           Alcotest.test_case "copy" `Quick test_rng_copy;
           Alcotest.test_case "weighted" `Quick test_rng_weighted;
@@ -406,6 +500,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_stats_mean_bounded;
         ] );
       ("table", [ Alcotest.test_case "render" `Quick test_table_render ]);
+      ("inttbl", [ Alcotest.test_case "spreads the keys stubs track" `Quick test_inttbl_spread ]);
       ( "json",
         [
           QCheck_alcotest.to_alcotest prop_json_roundtrip;

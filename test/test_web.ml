@@ -525,7 +525,7 @@ let test_request_budget () =
   let join = run () in
   let words = (Gc.minor_words () -. before) /. float_of_int cfg.Loadgen.lg_requests in
   Alcotest.(check int) "every request offered" 250 join.Reqjoin.tj_offered;
-  let ceiling = 1206. in
+  let ceiling = 1114. in
   Alcotest.(check bool)
     (Printf.sprintf "%.1f minor words per request, ceiling %.0f" words ceiling)
     true (words <= ceiling)
